@@ -23,6 +23,7 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,12 +41,11 @@ from .experiments import (
     RandomBaseSpec,
     SigmaSpec,
     SweepInterrupted,
-    make_sigma,
+    draw_scenario,
     run_sweep,
     write_sweep_csv,
 )
 from .matio import (
-    parse_bool,
     parse_float,
     parse_float_list,
     parse_int,
@@ -58,7 +58,7 @@ from .matio import (
     write_matrix_csv,
 )
 from .matpower import case_laplacian, load_case118, parse_case
-from .network import assemble_scenario, grid_delta, random_base_matrix, reduce_ground_node
+from .network import reduce_ground_node
 from .sampling import precision_factor, precision_factor_from_covariance
 
 EXIT_OK = 0
@@ -73,8 +73,6 @@ def _parse_value(text, key, kind):
         return parse_int(text, key)
     if kind == "float":
         return parse_float(text, key)
-    if kind == "bool":
-        return parse_bool(text, key)
     if kind == "float_list":
         return tuple(parse_float_list(text, key))
     if kind == "int_list":
@@ -82,6 +80,14 @@ def _parse_value(text, key, kind):
     if kind == "str_list":
         return tuple(tok for tok in text.replace(",", " ").split() if tok)
     return text.strip()
+
+
+class _Key(NamedTuple):
+    """One setting: how its text parses, plus the choices and help of its flag."""
+
+    kind: str
+    choices: tuple | None = None
+    help: str | None = None
 
 
 class _Settings:
@@ -101,7 +107,7 @@ class _Settings:
                     )
 
     def get(self, key, default=None):
-        kind = self.allowed[key]
+        kind = self.allowed[key].kind
         flag = getattr(self.args, key, None)
         if flag is not None:
             if isinstance(flag, str):
@@ -114,49 +120,81 @@ class _Settings:
     def given(self, key):
         return getattr(self.args, key, None) is not None or key in self.file
 
+    def pick(self, *keys, **renamed):
+        """Keyword arguments for the keys that were set; renamed maps field=key.
 
-_COMMON_EXPERIMENT_KEYS = {
-    "instances": "int",
-    "lambda_scale": "float",
-    "support_epsilon": "float",
-    "seed": "int",
-    "estimators": "str_list",
-    "sample_sizes": "int_list",
-    "rho": "float",
-    "max_iter": "int",
-    "tol_consensus": "float",
-    "weight_min": "float",
-    "weight_max": "float",
-    "sign_mode": "str",
-    "sigma": "str",
-    "sigma_min": "float",
-    "sigma_max": "float",
-    "sigma_condition": "float",
+        Keys left unset are left out, so the receiving dataclass applies its
+        own default.
+        """
+        fields = dict(zip(keys, keys), **renamed)
+        return {field: self.get(key) for field, key in fields.items() if self.given(key)}
+
+    def pick_range(self, field, lo_key, hi_key, spec):
+        """{field: (lo, hi)} when either end was set; an unset end keeps spec's default."""
+        if not (self.given(lo_key) or self.given(hi_key)):
+            return {}
+        lo, hi = getattr(spec, field)
+        return {field: (self.get(lo_key, lo), self.get(hi_key, hi))}
+
+
+# Each table declares the settings of one command or experiment variant; the
+# flags are generated from it and config files are checked against it.
+_SCENARIO_KEYS = {
+    "weight_min": _Key("float"),
+    "weight_max": _Key("float"),
+    "sign_mode": _Key("str", choices=("mixed", "positive")),
+    "sigma": _Key("str", choices=("identity", "diagonal", "dense")),
+    "sigma_min": _Key("float"),
+    "sigma_max": _Key("float"),
+    "sigma_condition": _Key("float"),
 }
+
+_SOLVER_KEYS = {
+    "lambda_scale": _Key("float"),
+    "rho": _Key("float"),
+    "max_iter": _Key("int"),
+    "tol_consensus": _Key("float"),
+}
+
+_GEN_KEYS = dict(
+    _SCENARIO_KEYS, density=_Key("float"), margin=_Key("float"), scale=_Key("float")
+)
+
+_COMMON_EXPERIMENT_KEYS = dict(
+    _SCENARIO_KEYS,
+    **_SOLVER_KEYS,
+    instances=_Key("int"),
+    support_epsilon=_Key("float"),
+    seed=_Key("int"),
+    estimators=_Key("str_list", help="comma list from: dtrace, plugin, sqrt"),
+    sample_sizes=_Key("int_list", help="comma list of explicit n values"),
+)
+
+_RATIOS_KEY = _Key("float_list", help="comma list of rescaled sample sizes")
 
 _SYNTH_KEYS = dict(
     _COMMON_EXPERIMENT_KEYS,
-    ratios="float_list",
-    dims="int_list",
-    density="float",
-    margin="float",
-    base_scale="float",
+    dims=_Key("int_list", help="comma list of matrix dimensions"),
+    ratios=_RATIOS_KEY,
+    density=_Key("float"),
+    margin=_Key("float"),
+    base_scale=_Key("float"),
 )
 
 _POWER_KEYS = dict(
     _COMMON_EXPERIMENT_KEYS,
-    ratios="float_list",
-    case="str",
-    weight_mode="str",
-    base_scale="float",
+    ratios=_RATIOS_KEY,
+    case=_Key("str", help="case file path (default: bundled 118-bus case)"),
+    weight_mode=_Key("str", choices=("dc", "magnitude_y")),
+    base_scale=_Key("float"),
 )
 
 _PLUGIN_COMPARE_KEYS = dict(
     _COMMON_EXPERIMENT_KEYS,
-    p="int",
-    densities="float_list",
-    margin="float",
-    base_scale="float",
+    p=_Key("int"),
+    densities=_Key("float_list", help="comma list of base matrix densities"),
+    margin=_Key("float"),
+    base_scale=_Key("float"),
 )
 
 
@@ -179,26 +217,29 @@ def _termination_as_interrupt():
             signal.signal(signal.SIGTERM, previous)
 
 
+def _delta_spec(settings):
+    return GridDeltaSpec(
+        **settings.pick("sign_mode"),
+        **settings.pick_range("weight_range", "weight_min", "weight_max", GridDeltaSpec),
+    )
+
+
+def _sigma_spec(settings):
+    return SigmaSpec(
+        **settings.pick(kind="sigma", condition="sigma_condition"),
+        **settings.pick_range("value_range", "sigma_min", "sigma_max", SigmaSpec),
+    )
+
+
 def cmd_gen(args):
-    if args.p < 4:
-        raise InvalidInputError(f"p must be at least 4 for a grid scenario, got {args.p}")
-    delta = grid_delta(
-        args.p,
-        weight_range=(args.weight_min, args.weight_max),
-        sign_mode=args.sign_mode,
-        seed=[args.seed, 0],
-    )
-    b1 = random_base_matrix(
-        args.p, args.density, margin=args.margin, scale=args.scale, seed=[args.seed, 1]
-    )
-    sigma_spec = SigmaSpec(
-        kind=args.sigma,
-        value_range=(args.sigma_min, args.sigma_max),
-        condition=args.sigma_condition,
-    )
-    sigma1 = make_sigma(sigma_spec, args.p, np.random.default_rng([args.seed, 2]))
-    sigma2 = make_sigma(sigma_spec, args.p, np.random.default_rng([args.seed, 3]))
-    scenario = assemble_scenario(b1, delta, sigma1, sigma2, seed=args.seed)
+    k = math.isqrt(args.p)
+    if k * k != args.p or k < 2:
+        raise InvalidInputError(f"gen needs p = k*k with k >= 2, got p = {args.p}")
+    settings = _Settings(args, _GEN_KEYS)
+    delta_spec = _delta_spec(settings)
+    base_spec = RandomBaseSpec(**settings.pick("density", "margin", "scale"))
+    sigma_spec = _sigma_spec(settings)
+    scenario = draw_scenario(args.p, args.seed, delta_spec, base_spec, sigma_spec)
 
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "b1.csv"), scenario.b1)
@@ -213,16 +254,16 @@ def cmd_gen(args):
             "p": args.p,
             "delta": args.delta,
             "seed": args.seed,
-            "density": args.density,
-            "margin": args.margin,
-            "scale": args.scale,
-            "weight_min": args.weight_min,
-            "weight_max": args.weight_max,
-            "sign_mode": args.sign_mode,
-            "sigma": args.sigma,
-            "sigma_min": args.sigma_min,
-            "sigma_max": args.sigma_max,
-            "sigma_condition": args.sigma_condition,
+            "density": base_spec.density,
+            "margin": base_spec.margin,
+            "scale": base_spec.scale,
+            "weight_min": delta_spec.weight_range[0],
+            "weight_max": delta_spec.weight_range[1],
+            "sign_mode": delta_spec.sign_mode,
+            "sigma": sigma_spec.kind,
+            "sigma_min": sigma_spec.value_range[0],
+            "sigma_max": sigma_spec.value_range[1],
+            "sigma_condition": sigma_spec.condition,
         },
     )
     print(f"wrote scenario p={args.p} to {args.out}")
@@ -289,6 +330,7 @@ def _load_estimate_inputs(args):
 
 def cmd_estimate(args):
     use_samples, first, second, sigma1, sigma2, p, n1, n2 = _load_estimate_inputs(args)
+    settings = _Settings(args, _SOLVER_KEYS)
 
     if args.lam is not None:
         lam = args.lam
@@ -297,7 +339,8 @@ def cmd_estimate(args):
             raise InvalidInputError(
                 "--lambda is required with covariance inputs unless --n1 and --n2 are given"
             )
-        lam = args.lambda_scale * math.sqrt(math.log(p) / min(n1, n2))
+        lambda_scale = settings.get("lambda_scale", ExperimentConfig.lambda_scale)
+        lam = lambda_scale * math.sqrt(math.log(p) / min(n1, n2))
 
     report = {
         "estimator": args.estimator,
@@ -319,12 +362,9 @@ def cmd_estimate(args):
             delta_hat = plugin_delta(first, second, sigma1, sigma2)
         except PluginUndefinedError as exc:
             raise PluginUndefinedError(f"plugin undefined for n <= p ({exc})") from exc
-        iterations, converged = 0, True
-        report.update(iterations=iterations, converged=converged)
+        report.update(iterations=0, converged=True)
     else:
-        config = SolverConfig(
-            lam=lam, rho=args.rho, max_iter=args.max_iter, tol_consensus=args.tol_consensus
-        )
+        config = SolverConfig(lam=lam, **settings.pick("rho", "max_iter", "tol_consensus"))
         if use_samples:
             psi1 = precision_factor(first, sigma1)
             psi2 = precision_factor(second, sigma2)
@@ -332,22 +372,22 @@ def cmd_estimate(args):
             psi1 = precision_factor_from_covariance(first, sigma1, n_used=n1 or 0)
             psi2 = precision_factor_from_covariance(second, sigma2, n_used=n2 or 0)
         est = estimate_delta(psi1, psi2, config)
-        delta_hat, iterations, converged = est.delta, est.iterations, est.converged
+        delta_hat = est.delta
         report.update(
-            rho=args.rho,
-            max_iter=args.max_iter,
-            tol_consensus=args.tol_consensus,
-            iterations=iterations,
-            converged=converged,
+            rho=config.rho,
+            max_iter=config.max_iter,
+            tol_consensus=config.tol_consensus,
+            iterations=est.iterations,
+            converged=est.converged,
             objective=est.objective,
         )
 
     os.makedirs(args.out, exist_ok=True)
     write_matrix_csv(os.path.join(args.out, "delta_hat.csv"), delta_hat)
     write_keyvalue(os.path.join(args.out, "report.txt"), report)
-    if not converged:
+    if not report["converged"]:
         print(
-            f"error: solver did not converge within {args.max_iter} iterations",
+            f"error: solver did not converge within {report['max_iter']} iterations",
             file=sys.stderr,
         )
         return EXIT_NUMERICAL
@@ -355,110 +395,78 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
-def _sweep_axes(settings, default_ratios):
-    """Resolve the ratios-vs-explicit-sample-sizes axis, rejecting conflicts."""
+def _sweep_axes(settings, default_ratios=None):
+    """Resolve the ratios-vs-explicit-sample-sizes axis, rejecting conflicts.
+
+    With neither given, default_ratios applies, or ExperimentConfig's own
+    default when it is None.
+    """
     has_ratios = settings.given("ratios") if "ratios" in settings.allowed else False
     has_sizes = settings.given("sample_sizes")
     if has_ratios and has_sizes:
         raise InvalidInputError("give ratios or sample_sizes, not both")
     if has_sizes:
-        return (), settings.get("sample_sizes")
+        return {"ratios": (), "sample_sizes": settings.get("sample_sizes")}
     if has_ratios:
-        return settings.get("ratios"), None
-    return default_ratios, None
+        return {"ratios": settings.get("ratios")}
+    return {} if default_ratios is None else {"ratios": default_ratios}
 
 
-def _common_config_kwargs(settings, full_scale, default_instances):
-    desk, full = default_instances
+def _common_config_kwargs(settings, full_scale, desk_instances):
     return dict(
-        instances=settings.get("instances", full if full_scale else desk),
-        lambda_scale=settings.get("lambda_scale", 0.5),
-        delta_spec=GridDeltaSpec(
-            weight_range=(settings.get("weight_min", 0.4), settings.get("weight_max", 1.0)),
-            sign_mode=settings.get("sign_mode", "mixed"),
+        settings.pick(
+            "lambda_scale", "support_epsilon", "seed", "estimators", "rho", "max_iter",
+            "tol_consensus",
         ),
-        sigma_spec=SigmaSpec(
-            kind=settings.get("sigma", "identity"),
-            value_range=(settings.get("sigma_min", 0.5), settings.get("sigma_max", 2.0)),
-            condition=settings.get("sigma_condition", 10.0),
-        ),
-        support_epsilon=settings.get("support_epsilon"),
-        seed=settings.get("seed", 0),
-        estimators=settings.get("estimators", ("dtrace",)),
-        rho=settings.get("rho", 0.001),
-        max_iter=settings.get("max_iter", 20000),
-        tol_consensus=settings.get("tol_consensus", 1e-6),
+        instances=settings.get("instances", 100 if full_scale else desk_instances),
+        delta_spec=_delta_spec(settings),
+        sigma_spec=_sigma_spec(settings),
     )
 
 
 def _synth_jobs(args):
     settings = _Settings(args, _SYNTH_KEYS)
-    full = args.full_scale
-    ratios, sample_sizes = _sweep_axes(settings, (0.5, 1.0, 2.0, 3.0, 5.0))
     cfg = ExperimentConfig(
-        dims=settings.get("dims", (16, 64, 256) if full else (16, 64)),
-        ratios=ratios,
-        sample_sizes=sample_sizes,
-        base_spec=RandomBaseSpec(
-            density=settings.get("density", 1.0),
-            margin=settings.get("margin", 0.5),
-            scale=settings.get("base_scale", 1.0),
-        ),
-        **_common_config_kwargs(settings, full, (20, 100)),
+        dims=settings.get("dims", (16, 64, 256) if args.full_scale else (16, 64)),
+        base_spec=RandomBaseSpec(**settings.pick("density", "margin", scale="base_scale")),
+        **_sweep_axes(settings),
+        **_common_config_kwargs(settings, args.full_scale, 20),
     )
     return [(cfg, args.out)]
 
 
 def _power_jobs(args):
     settings = _Settings(args, _POWER_KEYS)
-    full = args.full_scale
-    case_path = settings.get("case")
-    weight_mode = settings.get("weight_mode", "dc")
-    if case_path is None:
+    base_spec = MatpowerBaseSpec(**settings.pick("weight_mode", path="case", scale="base_scale"))
+    if base_spec.path is None:
         case = load_case118()
     else:
-        require_readable(case_path, "case file")
-        with open(case_path) as fh:
+        require_readable(base_spec.path, "case file")
+        with open(base_spec.path) as fh:
             case = parse_case(fh)
-    lap, _ = case_laplacian(case, weight_mode)
-    p = lap.shape[0] - 1
-    ratios, sample_sizes = _sweep_axes(
-        settings, (0.5, 1.0, 2.0, 3.0, 5.0) if full else (1.0, 3.0, 5.0)
-    )
+    lap, _ = case_laplacian(case, base_spec.weight_mode)
     cfg = ExperimentConfig(
-        dims=(p,),
-        ratios=ratios,
-        sample_sizes=sample_sizes,
-        base_spec=MatpowerBaseSpec(
-            path=case_path,
-            weight_mode=weight_mode,
-            scale=settings.get("base_scale", 1.0),
-        ),
-        **_common_config_kwargs(settings, full, (10, 100)),
+        dims=(lap.shape[0] - 1,),
+        base_spec=base_spec,
+        **_sweep_axes(settings, None if args.full_scale else (1.0, 3.0, 5.0)),
+        **_common_config_kwargs(settings, args.full_scale, 10),
     )
     return [(cfg, args.out)]
 
 
 def _plugin_compare_jobs(args):
     settings = _Settings(args, _PLUGIN_COMPARE_KEYS)
-    full = args.full_scale
     p = settings.get("p", 60)
-    densities = settings.get("densities", (0.2, 0.5, 0.8))
     sample_sizes = settings.get("sample_sizes", (2 * p, 4 * p))
-    common = _common_config_kwargs(settings, full, (20, 100))
-    if not settings.given("estimators"):
-        common["estimators"] = ("dtrace", "plugin")
+    common = _common_config_kwargs(settings, args.full_scale, 20)
+    common.setdefault("estimators", ("dtrace", "plugin"))
     jobs = []
-    for s in densities:
+    for s in settings.get("densities", (0.2, 0.5, 0.8)):
         cfg = ExperimentConfig(
             dims=(p,),
             ratios=(),
             sample_sizes=sample_sizes,
-            base_spec=RandomBaseSpec(
-                density=s,
-                margin=settings.get("margin", 0.5),
-                scale=settings.get("base_scale", 1.0),
-            ),
+            base_spec=RandomBaseSpec(density=s, **settings.pick("margin", scale="base_scale")),
             **common,
         )
         jobs.append((cfg, f"{args.out}_s{s:g}.csv"))
@@ -517,31 +525,16 @@ def cmd_parse_matpower(args):
     return EXIT_OK
 
 
-def _add_common_experiment_flags(sp):
-    sp.add_argument("--config", help="key = value settings file; flags override it")
-    sp.add_argument("--out", required=True, help="output CSV path (prefix for plugin-compare)")
-    sp.add_argument("--instances", type=int)
-    sp.add_argument("--lambda-scale", type=float, dest="lambda_scale")
-    sp.add_argument("--support-epsilon", type=float, dest="support_epsilon")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--estimators", help="comma list from: dtrace, plugin, sqrt")
-    sp.add_argument("--sample-sizes", dest="sample_sizes", help="comma list of explicit n values")
-    sp.add_argument("--rho", type=float)
-    sp.add_argument("--max-iter", type=int, dest="max_iter")
-    sp.add_argument("--tol-consensus", type=float, dest="tol_consensus")
-    sp.add_argument("--weight-min", type=float, dest="weight_min")
-    sp.add_argument("--weight-max", type=float, dest="weight_max")
-    sp.add_argument("--sign-mode", choices=("mixed", "positive"), dest="sign_mode")
-    sp.add_argument("--sigma", choices=("identity", "diagonal", "dense"))
-    sp.add_argument("--sigma-min", type=float, dest="sigma_min")
-    sp.add_argument("--sigma-max", type=float, dest="sigma_max")
-    sp.add_argument("--sigma-condition", type=float, dest="sigma_condition")
-    sp.add_argument(
-        "--full-scale",
-        action="store_true",
-        dest="full_scale",
-        help="publication-scale defaults (more instances and dimensions); slow",
-    )
+def _add_key_flags(parser, keys):
+    """One flag per settings key: --some-key stores into dest some_key."""
+    for key, spec in keys.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type={"int": int, "float": float}.get(spec.kind),
+            choices=spec.choices,
+            help=spec.help,
+        )
 
 
 def build_parser():
@@ -557,16 +550,7 @@ def build_parser():
     gen.add_argument("--delta", choices=("grid",), default="grid")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=".")
-    gen.add_argument("--density", type=float, default=1.0)
-    gen.add_argument("--margin", type=float, default=0.5)
-    gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("--weight-min", type=float, default=0.4, dest="weight_min")
-    gen.add_argument("--weight-max", type=float, default=1.0, dest="weight_max")
-    gen.add_argument("--sign-mode", choices=("mixed", "positive"), default="mixed", dest="sign_mode")
-    gen.add_argument("--sigma", choices=("identity", "diagonal", "dense"), default="identity")
-    gen.add_argument("--sigma-min", type=float, default=0.5, dest="sigma_min")
-    gen.add_argument("--sigma-max", type=float, default=2.0, dest="sigma_max")
-    gen.add_argument("--sigma-condition", type=float, default=10.0, dest="sigma_condition")
+    _add_key_flags(gen, _GEN_KEYS)
     gen.set_defaults(entry=cmd_gen)
 
     est = sub.add_parser("estimate", help="estimate the difference from CSV inputs")
@@ -585,44 +569,34 @@ def build_parser():
     )
     est.add_argument("--estimator", choices=("dtrace", "plugin"), default="dtrace")
     est.add_argument("--lambda", type=float, dest="lam")
-    est.add_argument("--lambda-scale", type=float, default=0.5, dest="lambda_scale")
     est.add_argument("--n1", type=int)
     est.add_argument("--n2", type=int)
-    est.add_argument("--rho", type=float, default=0.001)
-    est.add_argument("--max-iter", type=int, default=20000, dest="max_iter")
-    est.add_argument("--tol-consensus", type=float, default=1e-6, dest="tol_consensus")
     est.add_argument("--out", default=".")
+    _add_key_flags(est, _SOLVER_KEYS)
     est.set_defaults(entry=cmd_estimate)
 
     exp = sub.add_parser("experiment", help="run a sweep and write its rows as CSV")
     variants = exp.add_subparsers(dest="variant", required=True)
-
-    synth = variants.add_parser("synth", help="random base matrices, lattice differences")
-    _add_common_experiment_flags(synth)
-    synth.add_argument("--dims", help="comma list of matrix dimensions")
-    synth.add_argument("--ratios", help="comma list of rescaled sample sizes")
-    synth.add_argument("--density", type=float)
-    synth.add_argument("--margin", type=float)
-    synth.add_argument("--base-scale", type=float, dest="base_scale")
-    synth.set_defaults(entry=cmd_experiment)
-
-    power = variants.add_parser("power", help="base matrix from a power case file")
-    _add_common_experiment_flags(power)
-    power.add_argument("--ratios", help="comma list of rescaled sample sizes")
-    power.add_argument("--case", help="case file path (default: bundled 118-bus case)")
-    power.add_argument("--weight-mode", choices=("dc", "magnitude_y"), dest="weight_mode")
-    power.add_argument("--base-scale", type=float, dest="base_scale")
-    power.set_defaults(entry=cmd_experiment)
-
-    compare = variants.add_parser(
-        "plugin-compare", help="paired sweep against the plug-in baseline, one CSV per density"
-    )
-    _add_common_experiment_flags(compare)
-    compare.add_argument("--p", type=int)
-    compare.add_argument("--densities", help="comma list of base matrix densities")
-    compare.add_argument("--margin", type=float)
-    compare.add_argument("--base-scale", type=float, dest="base_scale")
-    compare.set_defaults(entry=cmd_experiment)
+    for name, keys, help_text in (
+        ("synth", _SYNTH_KEYS, "random base matrices, lattice differences"),
+        ("power", _POWER_KEYS, "base matrix from a power case file"),
+        (
+            "plugin-compare",
+            _PLUGIN_COMPARE_KEYS,
+            "paired sweep against the plug-in baseline, one CSV per density",
+        ),
+    ):
+        sp = variants.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="key = value settings file; flags override it")
+        sp.add_argument("--out", required=True, help="output CSV path (prefix for plugin-compare)")
+        sp.add_argument(
+            "--full-scale",
+            action="store_true",
+            dest="full_scale",
+            help="publication-scale defaults (more instances and dimensions); slow",
+        )
+        _add_key_flags(sp, keys)
+        sp.set_defaults(entry=cmd_experiment)
 
     pm = sub.add_parser("parse-matpower", help="convert a power case to Laplacian CSVs")
     pm.add_argument("--case", required=True)

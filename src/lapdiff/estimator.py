@@ -21,6 +21,7 @@ from .errors import (
 )
 from .linalg import (
     EIG_RELATIVE_FLOOR,
+    PxqSolver,
     as_symmetric,
     inv_sqrt_pd,
     off_diagonal_l1,
@@ -44,16 +45,15 @@ class SolverConfig:
 
     lam is the l1 penalty weight; rho the augmented-Lagrangian parameter;
     iteration stops at consensus residual <= tol_consensus or max_iter.
-    tol_objective is kept for objective-based diagnostics by callers; the
-    stopping rule itself is consensus-or-max_iter. penalize_diagonal extends
-    the shrinkage to diagonal entries (off-diagonal only by default).
+    penalize_diagonal extends the shrinkage to diagonal entries (off-diagonal
+    only by default). These are the package's only solver defaults; the
+    sweep config and the command line take theirs from here.
     """
 
     lam: float
     rho: float = 0.001
     max_iter: int = 20000
     tol_consensus: float = 1e-6
-    tol_objective: float = 1e-9
     penalize_diagonal: bool = False
 
     def __post_init__(self):
@@ -61,8 +61,8 @@ class SolverConfig:
             raise InvalidInputError(f"lam must be a finite nonnegative real, got {self.lam!r}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise InvalidInputError(f"rho must be a finite positive real, got {self.rho!r}")
-        if int(self.max_iter) < 1:
-            raise InvalidInputError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         self.max_iter = int(self.max_iter)
         if not (math.isfinite(self.tol_consensus) and self.tol_consensus > 0):
             raise InvalidInputError(f"tol_consensus must be positive, got {self.tol_consensus!r}")
@@ -159,8 +159,9 @@ def penalized_objective(delta, psi1, psi2, config):
 def run_admm(psi1, psi2, config):
     """Consensus ADMM for the penalized difference problem, from zero start.
 
-    Each sweep updates d1 and d2 by solving P X Q + 4 rho X = R in the fixed
-    eigenbases of the two factors, shrinks d3 (off-diagonal soft threshold
+    Each sweep updates d1 and d2 by solving P1 X P2 + 4 rho X = R and
+    P2 X P1 + 4 rho X = R with one PxqSolver, which decomposes the two
+    factors once for the whole run, shrinks d3 (off-diagonal soft threshold
     at lam / (2 rho) by default), and ascends the three multipliers with
     step rho. Gauss-Seidel ordering: the d2 update sees the fresh d1.
 
@@ -175,14 +176,9 @@ def run_admm(psi1, psi2, config):
         raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
     p = p1.shape[0]
     rho = config.rho
-    gamma = 4.0 * rho
     thresh = config.lam / (2.0 * rho)
     off_only = not config.penalize_diagonal
-
-    e1, u1 = np.linalg.eigh(p1)
-    e2, u2 = np.linalg.eigh(p2)
-    w12 = 1.0 / (np.multiply.outer(e1, e2) + gamma)  # d1 update: p1 on the left
-    w21 = w12.T  # d2 update swaps the roles of the factors
+    solver = PxqSolver(p1, p2, 4.0 * rho)
     diff = p1 - p2
 
     d1 = np.zeros((p, p))
@@ -196,9 +192,9 @@ def run_admm(psi1, psi2, config):
     iteration = 0
     for iteration in range(1, config.max_iter + 1):
         r1 = 2.0 * rho * (d3 + d2) + diff + 2.0 * (l1 - l3)
-        d1 = u1 @ (w12 * (u1.T @ r1 @ u2)) @ u2.T
+        d1 = solver.solve(r1)
         r2 = 2.0 * rho * (d3 + d1) + diff + 2.0 * (l3 - l2)
-        d2 = u2 @ (w21 * (u2.T @ r2 @ u1)) @ u1.T
+        d2 = solver.solve_swapped(r2)
         d3 = soft_threshold(
             (rho * (d1 + d2) - l1 + l2) / (2.0 * rho), thresh, off_diagonal_only=off_only
         )

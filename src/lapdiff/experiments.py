@@ -143,9 +143,9 @@ class ExperimentConfig:
     seed: int = 0
     estimators: tuple = ("dtrace",)
     sample_sizes: tuple | None = None
-    rho: float = 0.001
-    max_iter: int = 20000
-    tol_consensus: float = 1e-6
+    rho: float = SolverConfig.rho
+    max_iter: int = SolverConfig.max_iter
+    tol_consensus: float = SolverConfig.tol_consensus
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
@@ -178,12 +178,13 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"base_spec must be RandomBaseSpec or MatpowerBaseSpec, got {type(self.base_spec).__name__}"
             )
-        # solver knobs are validated for real by SolverConfig at run time;
-        # fail fast here on the obvious ones
-        if not (self.rho > 0):
-            raise InvalidInputError(f"rho must be positive, got {self.rho}")
-        if self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be >= 1, got {self.max_iter}")
+        self.solver_config(lam=0.0)  # validates rho, max_iter and tol_consensus
+
+    def solver_config(self, lam):
+        """The SolverConfig of one cell, whose penalty depends on the cell's n."""
+        return SolverConfig(
+            lam=lam, rho=self.rho, max_iter=self.max_iter, tol_consensus=self.tol_consensus
+        )
 
 
 @dataclass(frozen=True)
@@ -341,12 +342,17 @@ def _resolve_base(base_spec):
     return reduced * base_spec.scale
 
 
-def _build_instance(cfg, p, instance_seed, fixed_base):
+def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec, fixed_base=None):
+    """Draw one two-regime scenario from its specs, keyed by `seed`.
+
+    A fixed_base (a resolved MATPOWER base) replaces the random base draw.
+    Each draw comes from its own (seed, role) stream.
+    """
     delta = lattice_delta(
         p,
-        weight_range=cfg.delta_spec.weight_range,
-        sign_mode=cfg.delta_spec.sign_mode,
-        seed=[instance_seed, _ROLE_DELTA],
+        weight_range=delta_spec.weight_range,
+        sign_mode=delta_spec.sign_mode,
+        seed=[seed, _ROLE_DELTA],
     )
     if fixed_base is not None:
         if fixed_base.shape[0] != p:
@@ -357,14 +363,14 @@ def _build_instance(cfg, p, instance_seed, fixed_base):
     else:
         b1 = random_base_matrix(
             p,
-            cfg.base_spec.density,
-            margin=cfg.base_spec.margin,
-            scale=cfg.base_spec.scale,
-            seed=[instance_seed, _ROLE_BASE],
+            base_spec.density,
+            margin=base_spec.margin,
+            scale=base_spec.scale,
+            seed=[seed, _ROLE_BASE],
         )
-    sigma1 = make_sigma(cfg.sigma_spec, p, np.random.default_rng([instance_seed, _ROLE_SIGMA1]))
-    sigma2 = make_sigma(cfg.sigma_spec, p, np.random.default_rng([instance_seed, _ROLE_SIGMA2]))
-    return assemble_scenario(b1, delta, sigma1, sigma2, seed=instance_seed)
+    sigma1 = make_sigma(sigma_spec, p, np.random.default_rng([seed, _ROLE_SIGMA1]))
+    sigma2 = make_sigma(sigma_spec, p, np.random.default_rng([seed, _ROLE_SIGMA2]))
+    return assemble_scenario(b1, delta, sigma1, sigma2, seed=seed)
 
 
 def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
@@ -451,7 +457,9 @@ def _sample_grid(cfg):
 
 def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance, fixed_base):
     instance_seed = _instance_seed(cfg.seed, p, axis_key, instance)
-    scenario = _build_instance(cfg, p, instance_seed, fixed_base)
+    scenario = draw_scenario(
+        p, instance_seed, cfg.delta_spec, cfg.base_spec, cfg.sigma_spec, fixed_base
+    )
     d = max_degree(scenario.delta_true)
     rescale = d * d * math.log(p)
     if n_explicit is not None:
@@ -461,11 +469,8 @@ def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance, fixed_base):
         n = int(math.ceil(ratio * rescale))
         ratio_out = ratio
     lam = cfg.lambda_scale * math.sqrt(math.log(p) / n)
-    solver = SolverConfig(
-        lam=lam, rho=cfg.rho, max_iter=cfg.max_iter, tol_consensus=cfg.tol_consensus
-    )
     partial = run_instance(
-        scenario, n, n, solver, cfg.estimators, support_epsilon=cfg.support_epsilon
+        scenario, n, n, cfg.solver_config(lam), cfg.estimators, support_epsilon=cfg.support_epsilon
     )
     return [
         SweepRow(

@@ -6,8 +6,6 @@ symmetrized form (A + A.T) / 2 so downstream eigendecompositions see a
 bitwise-symmetric operand.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidInputError, NotPsdError, SingularMatrixError
@@ -52,25 +50,6 @@ def as_symmetric(a, *, atol=SYMMETRY_ATOL):
     return (a + a.T) / 2.0
 
 
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues in ascending order plus the matching orthonormal eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig_sym(a):
-    """Eigendecomposition of a symmetric matrix via the dedicated symmetric solver.
-
-    Returns an :class:`EigenDecomposition` with ascending eigenvalues; the
-    reconstruction ``vectors @ diag(values) @ vectors.T`` reproduces the
-    symmetrized input to machine precision.
-    """
-    a = as_symmetric(a)
-    values, vectors = np.linalg.eigh(a)
-    return EigenDecomposition(values, vectors)
-
-
 def sqrt_psd(c):
     """Symmetric PSD square root of a symmetric PSD matrix.
 
@@ -113,8 +92,8 @@ def inv_sqrt_pd(c):
     return (m + m.T) / 2.0
 
 
-def solve_pxq(p, q, r, gamma):
-    """Solve the linear matrix equation P @ X @ Q + gamma * X = R.
+class PxqSolver:
+    """Solver for P @ X @ Q + gamma * X = R that decomposes P and Q once.
 
     P and Q must be symmetric positive semidefinite and gamma > 0, so every
     transformed denominator is at least gamma. Diagonalizing P = Up D Up.T and
@@ -124,7 +103,35 @@ def solve_pxq(p, q, r, gamma):
 
     The weight orientation (P's spectrum along rows, Q's along columns) is
     pinned by the residual identity P @ X @ Q + gamma * X = R; the transposed
-    orientation does not satisfy it unless P and Q commute.
+    orientation does not satisfy it unless P and Q commute. It does solve the
+    swapped equation Q @ X @ P + gamma * X = R in the same eigenbases, which
+    solve_swapped exposes without a second pair of eigendecompositions.
+
+    Operands are taken as given: callers validate them once at their own
+    boundary (solve_pxq for outside input, run_admm for its factors), so P
+    and Q arrive exactly symmetric and equal-shaped, gamma finite and
+    positive, and each R finite with their shape.
+    """
+
+    def __init__(self, p, q, gamma):
+        dvals, self._up = np.linalg.eigh(p)
+        evals, self._uq = np.linalg.eigh(q)
+        self._weights = 1.0 / (np.multiply.outer(dvals, evals) + gamma)
+
+    def solve(self, r):
+        """The X with P @ X @ Q + gamma * X = R."""
+        return self._up @ (self._weights * (self._up.T @ r @ self._uq)) @ self._uq.T
+
+    def solve_swapped(self, r):
+        """The X with Q @ X @ P + gamma * X = R."""
+        return self._uq @ (self._weights.T * (self._uq.T @ r @ self._up)) @ self._up.T
+
+
+def solve_pxq(p, q, r, gamma):
+    """Solve the linear matrix equation P @ X @ Q + gamma * X = R once.
+
+    Validates all four inputs, then solves with a :class:`PxqSolver`, whose
+    docstring gives the method and the requirements on P, Q and gamma.
 
     Returns
     -------
@@ -142,10 +149,7 @@ def solve_pxq(p, q, r, gamma):
         )
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("right-hand side contains non-finite entries")
-    dvals, up = np.linalg.eigh(p)
-    evals, uq = np.linalg.eigh(q)
-    weights = 1.0 / (np.multiply.outer(dvals, evals) + gamma)
-    return up @ (weights * (up.T @ r @ uq)) @ uq.T
+    return PxqSolver(p, q, gamma).solve(r)
 
 
 def soft_threshold(a, lam, *, off_diagonal_only=False):
@@ -168,16 +172,6 @@ def soft_threshold(a, lam, *, off_diagonal_only=False):
 def vec(a):
     """Column-stack a matrix into a vector (Fortran order)."""
     return np.asarray(a, dtype=float).flatten(order="F")
-
-
-def unvec(z, rows, cols):
-    """Inverse of :func:`vec`: reshape a vector into a (rows, cols) matrix."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size != rows * cols:
-        raise InvalidInputError(
-            f"cannot reshape {z.shape} into ({rows}, {cols}): need exactly {rows * cols} entries"
-        )
-    return z.reshape((rows, cols), order="F").copy()
 
 
 def off_diagonal_l1(a):

@@ -179,14 +179,6 @@ def lattice_delta(p, weight_range=(0.4, 1.0), sign_mode="mixed", seed=0):
     return delta
 
 
-def grid_delta(p, weight_range=(0.4, 1.0), sign_mode="mixed", seed=0):
-    """Sparse difference matrix on the k x k 4-neighbor grid; requires p = k*k, k >= 2."""
-    k = math.isqrt(p)
-    if k * k != p or k < 2:
-        raise InvalidInputError(f"grid_delta needs p = k*k with k >= 2, got p = {p}")
-    return lattice_delta(p, weight_range=weight_range, sign_mode=sign_mode, seed=seed)
-
-
 def random_base_matrix(p, density, margin=0.5, scale=1.0, seed=0):
     """Random symmetric positive definite base matrix.
 

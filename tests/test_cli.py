@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface, run in-process."""
 
+import argparse
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lapdiff.cli import main
+from lapdiff.cli import build_parser, main
+from lapdiff.estimator import SolverConfig
 from lapdiff.experiments import SweepInterrupted, SweepRow
 from lapdiff.matio import (
     read_keyvalue,
@@ -76,9 +79,10 @@ class TestGen:
             ).read_bytes()
 
     def test_non_square_p_rejected(self, tmp_path, capsys):
-        rc = run("gen", "--p", "15", "--out", str(tmp_path))
-        assert rc == 2
-        assert "p = 15" in capsys.readouterr().err
+        for p in ("15", "1"):
+            rc = run("gen", "--p", p, "--out", str(tmp_path))
+            assert rc == 2
+            assert f"p = {p}" in capsys.readouterr().err
 
     def test_unwritable_out_is_io_error(self, tmp_path):
         blocker = tmp_path / "file.txt"
@@ -232,14 +236,20 @@ class TestEstimate:
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
 
-    def test_unconverged_exit_code(self, scenario_with_samples, tmp_path):
+    def test_unconverged_exit_code(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
         out = tmp_path / "short"
         rc = run(*estimate_flags(d, out, "--max-iter", "1", "--lambda", "0.05"))
         assert rc == 3
+        assert "within 1 iterations" in capsys.readouterr().err
         # outputs are still written for inspection
         assert (out / "delta_hat.csv").exists()
-        assert read_keyvalue(out / "report.txt")["converged"] == "false"
+        report = read_keyvalue(out / "report.txt")
+        assert report["converged"] == "false"
+        # unset solver flags report the library defaults
+        assert report["max_iter"] == "1"
+        assert report["rho"] == "%.9g" % SolverConfig.rho
+        assert report["tol_consensus"] == "%.9g" % SolverConfig.tol_consensus
 
 
 class TestExperiment:
@@ -417,3 +427,77 @@ class TestParser:
 
     def test_help_exits_0(self):
         assert run("--help") == 0
+
+
+def _flags(parser):
+    """{option string: dest} of one parser's own flags."""
+    return {opt: action.dest for action in parser._actions for opt in action.option_strings}
+
+
+def _subparsers(parser):
+    """{name: parser} of a parser's subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+_COMMON_EXPERIMENT_FLAGS = {
+    "-h": "help", "--help": "help", "--config": "config", "--out": "out",
+    "--full-scale": "full_scale", "--instances": "instances", "--lambda-scale": "lambda_scale",
+    "--support-epsilon": "support_epsilon", "--seed": "seed", "--estimators": "estimators",
+    "--sample-sizes": "sample_sizes", "--rho": "rho", "--max-iter": "max_iter",
+    "--tol-consensus": "tol_consensus", "--weight-min": "weight_min",
+    "--weight-max": "weight_max", "--sign-mode": "sign_mode", "--sigma": "sigma",
+    "--sigma-min": "sigma_min", "--sigma-max": "sigma_max",
+    "--sigma-condition": "sigma_condition",
+}
+
+# Option strings and dests of every subcommand, pinned as a scripting contract.
+PINNED_FLAGS = {
+    "gen": {
+        "-h": "help", "--help": "help", "--p": "p", "--delta": "delta", "--seed": "seed",
+        "--out": "out", "--density": "density", "--margin": "margin", "--scale": "scale",
+        "--weight-min": "weight_min", "--weight-max": "weight_max", "--sign-mode": "sign_mode",
+        "--sigma": "sigma", "--sigma-min": "sigma_min", "--sigma-max": "sigma_max",
+        "--sigma-condition": "sigma_condition",
+    },
+    "estimate": {
+        "-h": "help", "--help": "help", "--samples1": "samples1", "--samples2": "samples2",
+        "--cov1": "cov1", "--cov2": "cov2", "--sigma-x1": "sigma_x1", "--sigma-x2": "sigma_x2",
+        "--unknown-sigma": "unknown_sigma", "--estimator": "estimator", "--lambda": "lam",
+        "--lambda-scale": "lambda_scale", "--n1": "n1", "--n2": "n2", "--rho": "rho",
+        "--max-iter": "max_iter", "--tol-consensus": "tol_consensus", "--out": "out",
+    },
+    "experiment synth": dict(
+        _COMMON_EXPERIMENT_FLAGS,
+        **{"--dims": "dims", "--ratios": "ratios", "--density": "density",
+           "--margin": "margin", "--base-scale": "base_scale"},
+    ),
+    "experiment power": dict(
+        _COMMON_EXPERIMENT_FLAGS,
+        **{"--ratios": "ratios", "--case": "case", "--weight-mode": "weight_mode",
+           "--base-scale": "base_scale"},
+    ),
+    "experiment plugin-compare": dict(
+        _COMMON_EXPERIMENT_FLAGS,
+        **{"--p": "p", "--densities": "densities", "--margin": "margin",
+           "--base-scale": "base_scale"},
+    ),
+    "parse-matpower": {
+        "-h": "help", "--help": "help", "--case": "case", "--weight-mode": "weight_mode",
+        "--ground": "ground", "--out": "out",
+    },
+}
+
+
+def test_flags_match_pinned_set():
+    found = {}
+    for name, sub in _subparsers(build_parser()).items():
+        variants = _subparsers(sub)
+        if variants:
+            for variant, vp in variants.items():
+                found[f"{name} {variant}"] = _flags(vp)
+        else:
+            found[name] = _flags(sub)
+    assert found == PINNED_FLAGS

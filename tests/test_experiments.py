@@ -67,6 +67,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(dims=(9,), support_epsilon=0.0)
 
+    def test_rejects_bad_solver_fields_at_construction(self):
+        with pytest.raises(InvalidInputError, match="tol_consensus"):
+            ExperimentConfig(dims=(9,), tol_consensus=-1.0)
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            ExperimentConfig(dims=(9,), max_iter=2.5)
+
     def test_rejects_wrong_base_spec_type(self):
         with pytest.raises(InvalidInputError, match="base_spec"):
             ExperimentConfig(dims=(9,), base_spec=object())

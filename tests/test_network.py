@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lapdiff.cli import build_parser, cmd_gen
 from lapdiff.errors import InvalidInputError, NearSingularScenarioError, ReductionError
 from lapdiff.network import (
     NetworkScenario,
     WeightedGraph,
     assemble_scenario,
-    grid_delta,
     lattice_delta,
     lattice_edges,
     laplacian_from_graph,
@@ -146,9 +146,11 @@ class TestLatticeEdges:
 
 
 class TestGridDelta:
+    """lattice_delta on square p: the k x k grid that `lapdiff gen` draws."""
+
     def test_support_is_grid_and_diagonal_rule(self):
         p = 16
-        delta = grid_delta(p, seed=3)
+        delta = lattice_delta(p, seed=3)
         assert_allclose(delta, delta.T, rtol=0)
         edges = set(lattice_edges(p))
         for i in range(p):
@@ -164,19 +166,21 @@ class TestGridDelta:
                 row_abs += abs(delta[i, j])
             assert delta[i, i] == pytest.approx(row_abs + 0.1)
 
-    def test_rejects_non_square(self):
-        with pytest.raises(InvalidInputError):
-            grid_delta(15)
-        with pytest.raises(InvalidInputError):
-            grid_delta(1)
+    def test_rejects_non_square(self, tmp_path):
+        # the p = k*k grid check lives in `lapdiff gen`; it fails before any draw
+        for p in ("15", "1"):
+            args = build_parser().parse_args(["gen", "--p", p, "--out", str(tmp_path)])
+            with pytest.raises(InvalidInputError):
+                cmd_gen(args)
+        assert not any(tmp_path.iterdir())
 
     def test_positive_mode_and_determinism(self):
-        a = grid_delta(25, sign_mode="positive", seed=9)
+        a = lattice_delta(25, sign_mode="positive", seed=9)
         off = a[~np.eye(25, dtype=bool)]
         assert np.all(off[off != 0] > 0)
-        b = grid_delta(25, sign_mode="positive", seed=9)
+        b = lattice_delta(25, sign_mode="positive", seed=9)
         assert np.array_equal(a, b)
-        c = grid_delta(25, sign_mode="positive", seed=10)
+        c = lattice_delta(25, sign_mode="positive", seed=10)
         assert not np.array_equal(a, c)
 
 
@@ -221,7 +225,7 @@ class TestRandomBaseMatrix:
 class TestAssembleScenario:
     def test_b2_exact_sum(self):
         b1 = random_base_matrix(10, 0.4, seed=1)
-        delta = grid_delta(9, seed=2)
+        delta = lattice_delta(9, seed=2)
         # shapes differ on purpose: must raise
         with pytest.raises(InvalidInputError):
             assemble_scenario(b1, delta, np.eye(10), np.eye(10))
