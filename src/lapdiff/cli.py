@@ -57,7 +57,7 @@ from .matio import (
     write_keyvalue,
     write_matrix_csv,
 )
-from .matpower import case_laplacian, load_case118, parse_case
+from .matpower import case_laplacian, parse_case
 from .network import reduce_ground_node
 from .sampling import precision_factor, precision_factor_from_covariance
 
@@ -438,15 +438,10 @@ def _synth_jobs(args):
 def _power_jobs(args):
     settings = _Settings(args, _POWER_KEYS)
     base_spec = MatpowerBaseSpec(**settings.pick("weight_mode", path="case", scale="base_scale"))
-    if base_spec.path is None:
-        case = load_case118()
-    else:
+    if base_spec.path is not None:
         require_readable(base_spec.path, "case file")
-        with open(base_spec.path) as fh:
-            case = parse_case(fh)
-    lap, _ = case_laplacian(case, base_spec.weight_mode)
     cfg = ExperimentConfig(
-        dims=(lap.shape[0] - 1,),
+        dims=(base_spec.matrix.shape[0],),
         base_spec=base_spec,
         **_sweep_axes(settings, None if args.full_scale else (1.0, 3.0, 5.0)),
         **_common_config_kwargs(settings, args.full_scale, 10),

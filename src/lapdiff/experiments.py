@@ -13,12 +13,17 @@ support, so curves for different p become comparable. An explicit
 then derived for reporting.
 """
 
+import ctypes
+import glob
 import math
 import os
 import struct
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,6 +113,23 @@ class MatpowerBaseSpec:
             raise InvalidInputError(f"unknown weight_mode {self.weight_mode!r}")
         if not (self.scale > 0):
             raise InvalidInputError(f"scale must be positive, got {self.scale}")
+
+    @cached_property
+    def matrix(self):
+        """The reduced, rescaled Laplacian, parsed on first access and kept, read-only.
+
+        Every sweep over this spec object shares one parse, so a case file
+        edited after the first access is not read again.
+        """
+        if self.path is None:
+            case = load_case118()
+        else:
+            with open(self.path) as fh:
+                case = parse_case(fh)
+        lap, ground = case_laplacian(case, self.weight_mode)
+        reduced = reduce_ground_node(lap, ground) * self.scale
+        reduced.flags.writeable = False
+        return reduced
 
 
 @dataclass(frozen=True)
@@ -328,20 +350,6 @@ def _instance_seed(seed, p, axis_key, instance):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _resolve_base(base_spec):
-    """For a MATPOWER base, parse and reduce once; random bases resolve per instance."""
-    if not isinstance(base_spec, MatpowerBaseSpec):
-        return None
-    if base_spec.path is None:
-        case = load_case118()
-    else:
-        with open(base_spec.path) as fh:
-            case = parse_case(fh)
-    lap, ground = case_laplacian(case, base_spec.weight_mode)
-    reduced = reduce_ground_node(lap, ground)
-    return reduced * base_spec.scale
-
-
 def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec, fixed_base=None):
     """Draw one two-regime scenario from its specs, keyed by `seed`.
 
@@ -434,11 +442,18 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
     return results
 
 
+def usable_cores():
+    """Cores this process may run on: its CPU affinity where the OS reports it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def thread_cap():
     """Worker count for sweeps: LAPDIFF_THREADS when set, else a modest default."""
     raw = os.environ.get("LAPDIFF_THREADS")
     if raw is None:
-        return min(8, os.cpu_count() or 1)
+        return min(8, usable_cores())
     try:
         value = int(raw)
     except ValueError:
@@ -446,6 +461,78 @@ def thread_cap():
     if value < 1:
         raise InvalidInputError(f"LAPDIFF_THREADS must be >= 1, got {value}")
     return value
+
+
+class BlasThreads(NamedTuple):
+    """Getter and setter of a BLAS library's process-wide thread count."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+# (getter, setter) symbol pairs: reference OpenBLAS, then the scipy-openblas
+# build that numpy wheels bundle.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
+
+
+def _openblas_paths():
+    """OpenBLAS files numpy may have loaded: its bundled copy first, then any mapped one."""
+    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs_dir, "*openblas*")))
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh if "openblas" in line.lower()]
+    except OSError:
+        fields = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        if path not in paths:
+            paths.append(path)
+    return paths
+
+
+@cache
+def openblas_threads():
+    """BlasThreads of the OpenBLAS numpy uses, or None when none is found.
+
+    numpy offers no thread control, so the library is opened again through
+    ctypes; the dynamic loader hands back the copy numpy already loaded.
+    The lookup runs on first call, not at import.
+    """
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = lib[get_name], lib[set_name]
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return BlasThreads(get, set_)
+    return None
+
+
+@contextmanager
+def _blas_thread_budget(workers):
+    """Hold BLAS threads to min(current, max(1, usable cores // workers)).
+
+    The count is process-wide, so `workers` threads each calling BLAS use
+    at most the usable cores between them. The caller's count comes back
+    on exit, however the block ends. Without OpenBLAS nothing changes.
+    """
+    blas = openblas_threads()
+    if blas is None:
+        yield
+        return
+    before = blas.get()
+    blas.set(min(before, max(1, usable_cores() // workers)))
+    try:
+        yield
+    finally:
+        blas.set(before)
 
 
 def _sample_grid(cfg):
@@ -492,10 +579,15 @@ def run_sweep(cfg, row_callback=None):
     times. When interrupted, raises SweepInterrupted carrying the rows that
     finished; `row_callback`, when given, sees every row as it completes
     (called from the coordinating thread).
+
+    Cells run on min(thread_cap(), cell count) worker threads. While they
+    run, OpenBLAS gets at most usable_cores() // workers threads (at least
+    one), so workers x BLAS threads stay within the usable cores; the
+    caller's BLAS thread count is restored when this returns or raises.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise InvalidInputError(f"expected ExperimentConfig, got {type(cfg).__name__}")
-    fixed_base = _resolve_base(cfg.base_spec)
+    fixed_base = cfg.base_spec.matrix if isinstance(cfg.base_spec, MatpowerBaseSpec) else None
     if fixed_base is not None:
         for p in cfg.dims:
             if p != fixed_base.shape[0]:
@@ -510,24 +602,26 @@ def run_sweep(cfg, row_callback=None):
         for instance in range(cfg.instances)
     ]
     rows = []
-    executor = ThreadPoolExecutor(max_workers=thread_cap())
-    try:
-        pending = {
-            executor.submit(_run_cell, cfg, p, axis_key, ratio, n_explicit, instance, fixed_base)
-            for p, axis_key, ratio, n_explicit, instance in tasks
-        }
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                for row in future.result():
-                    rows.append(row)
-                    if row_callback is not None:
-                        row_callback(row)
-    except (KeyboardInterrupt, SystemExit):
-        executor.shutdown(wait=False, cancel_futures=True)
-        raise SweepInterrupted(sorted(rows, key=SweepRow.sort_key))
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+    workers = max(1, min(thread_cap(), len(tasks)))
+    with _blas_thread_budget(workers):
+        executor = ThreadPoolExecutor(max_workers=workers)
+        try:
+            pending = {
+                executor.submit(_run_cell, cfg, p, axis_key, ratio, n_explicit, instance, fixed_base)
+                for p, axis_key, ratio, n_explicit, instance in tasks
+            }
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    for row in future.result():
+                        rows.append(row)
+                        if row_callback is not None:
+                            row_callback(row)
+        except (KeyboardInterrupt, SystemExit):
+            executor.shutdown(wait=False, cancel_futures=True)
+            raise SweepInterrupted(sorted(rows, key=SweepRow.sort_key))
+        finally:
+            executor.shutdown(wait=False, cancel_futures=True)
     return SweepResult(rows=tuple(sorted(rows, key=SweepRow.sort_key)))
 
 

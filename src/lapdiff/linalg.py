@@ -31,7 +31,7 @@ def as_symmetric(a, *, atol=SYMMETRY_ATOL):
     Returns
     -------
     ndarray
-        float64 copy equal to (a + a.T) / 2.
+        float64 copy equal to a / 2 + a.T / 2, finite for every finite `a`.
 
     Raises
     ------
@@ -47,7 +47,8 @@ def as_symmetric(a, *, atol=SYMMETRY_ATOL):
     gap = np.max(np.abs(a - a.T))
     if gap > atol:
         raise InvalidInputError(f"matrix is asymmetric: max |a - a.T| = {gap:.3e} > {atol:.0e}")
-    return (a + a.T) / 2.0
+    # halving first is exact (barring subnormals) and cannot overflow
+    return a / 2.0 + a.T / 2.0
 
 
 def sqrt_psd(c):

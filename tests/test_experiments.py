@@ -1,11 +1,15 @@
 """Tests for the sweep harness: metrics, seeding, row bookkeeping, CSV."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lapdiff.experiments as experiments
 from lapdiff.errors import InvalidInputError
 from lapdiff.experiments import (
     CSV_HEADER,
@@ -19,13 +23,18 @@ from lapdiff.experiments import (
     default_support_epsilon,
     make_sigma,
     max_degree,
+    openblas_threads,
     run_instance,
     run_sweep,
     sup_norm_error,
     support_recovered,
+    thread_cap,
+    usable_cores,
     write_sweep_csv,
 )
 from lapdiff.network import assemble_scenario, lattice_delta, random_base_matrix
+
+BLAS = openblas_threads()
 
 
 def small_config(**overrides):
@@ -291,12 +300,15 @@ class TestRunSweep:
             if len(seen) == 2:
                 raise KeyboardInterrupt
 
+        blas_before = BLAS.get() if BLAS else None
         with pytest.raises(SweepInterrupted) as info:
             run_sweep(small_config(), row_callback=boom)
         rows = info.value.rows
         assert len(rows) >= 2
         keys = [r.sort_key() for r in rows]
         assert keys == sorted(keys)
+        if BLAS is not None:
+            assert BLAS.get() == blas_before
 
     def test_matpower_base_needs_matching_dims(self):
         cfg = small_config(dims=(9,), base_spec=MatpowerBaseSpec())
@@ -355,8 +367,6 @@ class TestCsv:
         assert lines[2] == "9,36,1,1,plugin,0,nan,0,0,1.25"
 
     def test_thread_cap_env(self, monkeypatch):
-        from lapdiff.experiments import thread_cap
-
         monkeypatch.setenv("LAPDIFF_THREADS", "3")
         assert thread_cap() == 3
         monkeypatch.setenv("LAPDIFF_THREADS", "zero")
@@ -365,3 +375,72 @@ class TestCsv:
         monkeypatch.setenv("LAPDIFF_THREADS", "0")
         with pytest.raises(InvalidInputError):
             thread_cap()
+
+
+class TestCoreBudget:
+    def test_thread_cap_default_counts_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("LAPDIFF_THREADS", raising=False)
+        monkeypatch.setattr(experiments, "usable_cores", lambda: 1)
+        assert thread_cap() == 1
+        monkeypatch.setattr(experiments, "usable_cores", lambda: 32)
+        assert thread_cap() == 8
+
+    def test_usable_cores_prefers_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert usable_cores() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert usable_cores() == 3
+
+    def test_import_does_not_look_up_blas(self):
+        code = (
+            "import lapdiff, lapdiff.experiments as e; "
+            "assert e.openblas_threads.cache_info().currsize == 0"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+@pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread control found")
+class TestBlasBudget:
+    """Four usable cores and a caller BLAS count of 4, whatever the machine has."""
+
+    @pytest.fixture(autouse=True)
+    def four_cores(self, monkeypatch):
+        monkeypatch.setattr(experiments, "usable_cores", lambda: 4)
+        before = BLAS.get()
+        BLAS.set(4)
+        yield
+        BLAS.set(before)
+
+    @staticmethod
+    def counts_in_cells(monkeypatch, cfg):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(BLAS.get())
+            return run_instance(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_instance", counting)
+        run_sweep(cfg)
+        return seen
+
+    @pytest.mark.parametrize("workers, expected", [(2, 2), (3, 1), (8, 1)])
+    def test_multi_cell_sweep_shares_cores(self, monkeypatch, workers, expected):
+        monkeypatch.setenv("LAPDIFF_THREADS", str(workers))
+        # 4 cells: min(workers, 4) threads share 4 cores
+        assert self.counts_in_cells(monkeypatch, small_config()) == [expected] * 4
+        assert BLAS.get() == 4
+
+    def test_one_cell_sweep_keeps_full_count(self, monkeypatch):
+        monkeypatch.setenv("LAPDIFF_THREADS", "8")
+        cfg = small_config(ratios=(2.0,), instances=1)
+        assert self.counts_in_cells(monkeypatch, cfg) == [4]
+        assert BLAS.get() == 4
+
+    def test_never_raises_the_callers_count(self, monkeypatch):
+        BLAS.set(1)
+        monkeypatch.setenv("LAPDIFF_THREADS", "1")
+        assert self.counts_in_cells(monkeypatch, small_config()) == [1] * 4
+        assert BLAS.get() == 1

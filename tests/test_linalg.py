@@ -38,6 +38,11 @@ class TestAsSymmetric:
         out = as_symmetric(a_noisy)
         assert_allclose(out, out.T, rtol=0, atol=0)
 
+    def test_huge_finite_entries_stay_finite(self):
+        out = as_symmetric(1e308 * np.eye(2))
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, 1e308 * np.eye(2))
+
     def test_rejects_asymmetric(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(InvalidInputError):
