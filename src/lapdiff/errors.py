@@ -40,6 +40,16 @@ class SolverDivergedError(NumericalError):
         self.iteration = iteration
 
 
+class UnboundedProblemError(NumericalError):
+    """The penalized difference problem is provably unbounded below.
+
+    Raised before any solver iteration when a recession direction is found:
+    a direction in the null space of one precision factor along which the
+    objective decreases linearly. Only a rank-deficient factor, as at
+    n < p, has such a null space.
+    """
+
+
 class PluginUndefinedError(NumericalError):
     """The plug-in estimator was requested where it is not defined (n <= p)."""
 

@@ -18,6 +18,7 @@ from .errors import (
     PluginUndefinedError,
     SingularMatrixError,
     SolverDivergedError,
+    UnboundedProblemError,
 )
 from .linalg import (
     EIG_RELATIVE_FLOOR,
@@ -37,6 +38,10 @@ DEFAULT_TOL_KERNEL = 1e-9
 
 # Largest dimension for which the p^2 x p^2 Hessian is assembled densely.
 UNIQUENESS_MAX_P = 40
+
+# Relative margin by which a recession direction's objective slope must be
+# negative before run_admm declares the problem unbounded.
+UNBOUNDED_MARGIN = 1e-6
 
 
 @dataclass
@@ -148,12 +153,47 @@ def dtrace_loss(delta, psi1, psi2):
     return float(0.25 * quad - linear)
 
 
-def penalized_objective(delta, psi1, psi2, config):
-    """dtrace_loss plus the configured l1 penalty."""
+def _penalty(delta, config):
+    """The l1 norm that config penalizes: off-diagonal, plus the diagonal if set."""
     penalty = off_diagonal_l1(delta)
     if config.penalize_diagonal:
         penalty += float(np.sum(np.abs(np.diagonal(delta))))
-    return dtrace_loss(delta, psi1, psi2) + config.lam * penalty
+    return penalty
+
+
+def penalized_objective(delta, psi1, psi2, config):
+    """dtrace_loss plus the configured l1 penalty."""
+    return dtrace_loss(delta, psi1, psi2) + config.lam * _penalty(delta, config)
+
+
+def _check_bounded(solver, p1, p2, diff, config):
+    """Raise UnboundedProblemError if a null-space direction proves the problem unbounded.
+
+    With Ni the projector onto the numerical null space of Pi (from the
+    solver's eigenpairs), the candidates are V1 = -N1 P2 N1 and
+    V2 = N2 P1 N2. Pi Ni = 0 makes both quadratic terms of the loss vanish
+    on each, so along t V the objective changes at the constant slope
+    lam pen(V) - <V, P1 - P2>. A slope negative by more than UNBOUNDED_MARGIN,
+    relative to lam pen(V) + |V|_F |P1 - P2|_F, proves the problem unbounded
+    below. The test is sufficient, not necessary. A full-rank factor offers
+    no candidate, so it then costs one pass over the eigenvalues.
+    """
+    null1, null2 = solver.null_bases()
+    for name, basis, other, sign in (("psi1", null1, p2, -1.0), ("psi2", null2, p1, 1.0)):
+        k = basis.shape[1]
+        if k == 0:
+            continue
+        direction = sign * (basis @ (basis.T @ other @ basis) @ basis.T)
+        penalty = config.lam * _penalty(direction, config)
+        slope = penalty - float(np.sum(direction * diff))
+        norm = float(np.linalg.norm(direction))
+        if slope < -UNBOUNDED_MARGIN * (penalty + norm * float(np.linalg.norm(diff))):
+            raise UnboundedProblemError(
+                f"the penalized problem is unbounded below: along a direction in the "
+                f"{k}-dimensional null space of {name} the objective falls at rate "
+                f"{-slope / norm:.3e} per unit step at lam = {config.lam:.6g}; a larger "
+                f"lam or more samples may make it bounded"
+            )
 
 
 def run_admm(psi1, psi2, config):
@@ -164,6 +204,10 @@ def run_admm(psi1, psi2, config):
     factors once for the whole run, shrinks d3 (off-diagonal soft threshold
     at lam / (2 rho) by default), and ascends the three multipliers with
     step rho. Gauss-Seidel ordering: the d2 update sees the fresh d1.
+
+    Before the first iteration, the null spaces of the two factors are
+    searched for a direction along which the objective falls without bound
+    (see _check_bounded); finding one raises UnboundedProblemError.
 
     Returns (AdmmState, converged). Raises SolverDivergedError if iterates
     stop being finite.
@@ -180,6 +224,7 @@ def run_admm(psi1, psi2, config):
     off_only = not config.penalize_diagonal
     solver = PxqSolver(p1, p2, 4.0 * rho)
     diff = p1 - p2
+    _check_bounded(solver, p1, p2, diff, config)
 
     d1 = np.zeros((p, p))
     d2 = np.zeros((p, p))

@@ -112,12 +112,25 @@ class PxqSolver:
     boundary (solve_pxq for outside input, run_admm for its factors), so P
     and Q arrive exactly symmetric and equal-shaped, gamma finite and
     positive, and each R finite with their shape.
+
+    The eigenpairs stay available through null_bases, so a caller can
+    inspect the factors' null spaces without decomposing them again.
     """
 
     def __init__(self, p, q, gamma):
-        dvals, self._up = np.linalg.eigh(p)
-        evals, self._uq = np.linalg.eigh(q)
-        self._weights = 1.0 / (np.multiply.outer(dvals, evals) + gamma)
+        self._dvals, self._up = np.linalg.eigh(p)
+        self._evals, self._uq = np.linalg.eigh(q)
+        self._weights = 1.0 / (np.multiply.outer(self._dvals, self._evals) + gamma)
+
+    def null_bases(self):
+        """Orthonormal bases (p x k) of the numerical null spaces of P and Q.
+
+        An eigenvector belongs to the null space when its eigenvalue is at
+        most EIG_RELATIVE_FLOOR times the largest in magnitude. The floor is
+        relative to that eigenvalue alone, so rescaling a factor does not
+        change its null space. A full-rank factor gives k = 0.
+        """
+        return _null_basis(self._dvals, self._up), _null_basis(self._evals, self._uq)
 
     def solve(self, r):
         """The X with P @ X @ Q + gamma * X = R."""
@@ -126,6 +139,11 @@ class PxqSolver:
     def solve_swapped(self, r):
         """The X with Q @ X @ P + gamma * X = R."""
         return self._uq @ (self._weights.T * (self._uq.T @ r @ self._up)) @ self._up.T
+
+
+def _null_basis(values, vectors):
+    magnitudes = np.abs(values)
+    return vectors[:, magnitudes <= EIG_RELATIVE_FLOOR * np.max(magnitudes)]
 
 
 def solve_pxq(p, q, r, gamma):

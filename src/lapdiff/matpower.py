@@ -180,17 +180,21 @@ def _row_floats(tokens, lineno, block, min_columns):
 def parse_case(source):
     """Parse MATPOWER case text into a PowerCase.
 
-    Accepts a string of case text or a readable text stream. Raises
-    CaseParseError for a missing bus or branch block and for non-numeric
-    tokens (with the offending line number), and CaseIntegrityError for
-    records that violate referential integrity.
+    Accepts a string of case text, UTF-8 bytes, or a readable text stream.
+    Raises CaseParseError for bytes or a stream that does not decode, for a
+    missing bus or branch block and for non-numeric tokens (with the
+    offending line number), and CaseIntegrityError for records that violate
+    referential integrity.
     """
-    if isinstance(source, (str, bytes)):
-        text = source.decode() if isinstance(source, bytes) else source
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        raise InvalidInputError(f"cannot parse case from {type(source).__name__}")
+    try:
+        if isinstance(source, (str, bytes)):
+            text = source.decode() if isinstance(source, bytes) else source
+        elif hasattr(source, "read"):
+            text = source.read()
+        else:
+            raise InvalidInputError(f"cannot parse case from {type(source).__name__}")
+    except UnicodeDecodeError as exc:
+        raise CaseParseError(f"case text is not valid {exc.encoding}: {exc.reason}") from None
     lines = io.StringIO(text).read().splitlines()
 
     name = "case"

@@ -151,6 +151,18 @@ class TestEstimate:
         assert rc == 3
         assert "plugin undefined for n <= p" in capsys.readouterr().err
 
+    def test_unbounded_below_p_exits_3(self, tmp_path, capsys):
+        gen_scenario(tmp_path, p=16)
+        for tag, seed in (("1", 3), ("2", 4)):
+            b = read_matrix_csv(tmp_path / f"b{tag}.csv")
+            sigma = read_matrix_csv(tmp_path / f"sigma_x{tag}.csv")
+            write_samples_csv(tmp_path / f"y{tag}.csv", sample_potentials(b, sigma, 8, seed=seed))
+        out = tmp_path / "o"
+        rc = run(*estimate_flags(tmp_path, out, "--lambda", "0.01", "--rho", "0.1"))
+        assert rc == 3
+        assert "unbounded below" in capsys.readouterr().err
+        assert not (out / "delta_hat.csv").exists()
+
     def test_covariance_route_matches_samples_route(self, scenario_with_samples, tmp_path):
         d = scenario_with_samples
         y1 = np.loadtxt(d / "y1.csv", delimiter=",", skiprows=1)
@@ -332,6 +344,14 @@ class TestExperiment:
         assert len(lines) == 2
         assert lines[1].startswith("117,200,")
 
+    def test_power_non_utf8_case_exits_2(self, tmp_path, capsys):
+        case = tmp_path / "bad.m"
+        case.write_bytes(TWO_BUS.encode() + b"% \xff\n")
+        rc = run("experiment", "power", "--case", str(case), "--out", str(tmp_path / "r.csv"))
+        assert rc == 2
+        assert "error: case text is not valid" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_plugin_compare_writes_per_density_files(self, tmp_path):
         prefix = tmp_path / "cmp"
         rc = run(
@@ -408,6 +428,13 @@ class TestParseMatpower:
         rc = run("parse-matpower", "--case", str(case), "--out", str(tmp_path / "x"))
         assert rc == 2
         assert "line" in capsys.readouterr().err
+
+    def test_non_utf8_case_exits_2(self, tmp_path, capsys):
+        case = tmp_path / "bad.m"
+        case.write_bytes(TWO_BUS.encode() + b"% \xff\n")
+        rc = run("parse-matpower", "--case", str(case), "--out", str(tmp_path / "x"))
+        assert rc == 2
+        assert "error: case text is not valid" in capsys.readouterr().err
 
     def test_ground_override(self, tmp_path):
         case = tmp_path / "two.m"

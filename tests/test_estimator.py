@@ -16,6 +16,7 @@ from lapdiff.errors import (
     NotPsdError,
     PluginUndefinedError,
     SolverDivergedError,
+    UnboundedProblemError,
 )
 from lapdiff.estimator import (
     DeltaEstimate,
@@ -29,6 +30,14 @@ from lapdiff.estimator import (
     run_admm,
     uniqueness_check,
 )
+from lapdiff.experiments import (
+    ExperimentConfig,
+    GridDeltaSpec,
+    RandomBaseSpec,
+    SigmaSpec,
+    run_sweep,
+)
+from lapdiff.linalg import PxqSolver
 from lapdiff.network import lattice_delta, random_base_matrix
 from lapdiff.sampling import precision_factor, sample_potentials
 
@@ -217,6 +226,74 @@ class TestRunAdmm:
         est = estimate_delta(f, f, SolverConfig(lam=0.01))
         assert isinstance(est, DeltaEstimate)
         assert np.max(np.abs(est.delta)) <= 1e-6
+
+
+def rank_deficient_psd(rng, p, rank):
+    a = rng.standard_normal((p, rank))
+    return a @ a.T / p
+
+
+@pytest.fixture
+def no_iterations(monkeypatch):
+    """Fail the test if run_admm starts its loop (each iteration calls solve first)."""
+
+    def forbidden(self, r):
+        raise AssertionError("ADMM iterated on a certified-unbounded problem")
+
+    monkeypatch.setattr(PxqSolver, "solve", forbidden)
+
+
+class TestUnboundedCertificate:
+    @pytest.mark.parametrize("deficient", ["psi1", "psi2"])
+    def test_rank_deficient_factor_raises_before_iterating(self, deficient, no_iterations):
+        rng = np.random.default_rng(31)
+        low, full = rank_deficient_psd(rng, 8, 3), random_pd(rng, 8)
+        psi1, psi2 = (low, full) if deficient == "psi1" else (full, low)
+        with pytest.raises(UnboundedProblemError, match=f"null space of {deficient}"):
+            run_admm(psi1, psi2, SolverConfig(lam=0.01))
+
+    def test_random_pd_pairs_never_raise(self):
+        rng = np.random.default_rng(32)
+        for p in (3, 8, 20):
+            for lam in (0.0, 0.01, 0.5):
+                for _ in range(5):
+                    psi1, psi2 = random_pd(rng, p, shift=0.01), random_pd(rng, p, shift=0.01)
+                    state, _ = run_admm(psi1, psi2, SolverConfig(lam=lam, max_iter=1))
+                    assert state.iterations == 1
+
+    def test_penalized_diagonal_bounds_a_diagonal_direction(self):
+        # psi1's null space is e3, so the only candidate, -psi2[2, 2] e3 e3^T, is
+        # diagonal: off-diagonal shrinkage leaves its slope at -psi2[2, 2]^2 < 0,
+        # while a penalized diagonal adds lam * psi2[2, 2] > psi2[2, 2]^2
+        psi1 = np.diag([2.0, 1.0, 0.0])
+        psi2 = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 0.5]])
+        with pytest.raises(UnboundedProblemError):
+            estimate_delta(psi1, psi2, SolverConfig(lam=1.0, rho=0.1))
+        est = estimate_delta(psi1, psi2, SolverConfig(lam=1.0, rho=0.1, penalize_diagonal=True))
+        assert est.converged
+        assert np.all(np.isfinite(est.delta))
+
+    def test_criterion_5_draw_below_p_stays_bounded(self):
+        # first n = p/2 = 30 instance of acceptance criterion 5, where both
+        # factors have rank 30 of 60 and the problem is still bounded
+        cfg = ExperimentConfig(
+            dims=(60,),
+            ratios=(),
+            sample_sizes=(30,),
+            instances=1,
+            lambda_scale=2.0,
+            delta_spec=GridDeltaSpec(weight_range=(1.0, 1.0), sign_mode="mixed"),
+            base_spec=RandomBaseSpec(density=0.5, margin=0.3, scale=1.0 / 600.0),
+            sigma_spec=SigmaSpec(kind="identity"),
+            support_epsilon=0.25,
+            seed=17,
+            rho=0.1,
+            estimators=("dtrace",),
+        )
+        (row,) = run_sweep(cfg).rows
+        assert row.n == 30
+        assert np.isfinite(row.sup_norm_error)
+        assert row.converged and row.iterations > 0
 
 
 class TestPluginDelta:

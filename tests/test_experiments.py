@@ -1,5 +1,6 @@
 """Tests for the sweep harness: metrics, seeding, row bookkeeping, CSV."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -327,7 +328,40 @@ class TestRunSweep:
         row = result.rows[0]
         # 13 x 9 truncated lattice still has interior nodes of degree 4
         assert row.n == math.ceil(0.5 * 16 * math.log(117))
-        assert math.isfinite(row.sup_norm_error)
+        # n = 39 < p: the penalized problem is certified unbounded before any
+        # iteration, and the row is flagged instead of reporting a finite error
+        assert math.isnan(row.sup_norm_error)
+        assert not row.converged
+        assert row.iterations == 0
+        assert not row.support_recovered
+
+    def test_unbounded_cell_row_does_not_depend_on_sweep_size(self):
+        # power cell (ratio 1, instance 0) at seed 11: n = 77 < p = 117, unbounded.
+        # A one-cell sweep keeps the caller's BLAS threads, a six-cell sweep
+        # runs with fewer, and the flagged row must come out the same.
+        cfg = ExperimentConfig(
+            dims=(117,),
+            ratios=(1.0, 3.0, 5.0),
+            instances=2,
+            lambda_scale=2.0,
+            delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+            base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
+            sigma_spec=SigmaSpec(kind="identity"),
+            support_epsilon=2.0,
+            seed=11,
+            rho=0.1,
+            max_iter=2000,
+        )
+        one = run_sweep(dataclasses.replace(cfg, ratios=(1.0,), instances=1)).rows
+        six = run_sweep(cfg).rows
+        assert len(one) == 1 and len(six) == 6
+
+        def masked(row):
+            return repr(dataclasses.replace(row, wall_time_ms=0.0))
+
+        in_six = [r for r in six if r.ratio == 1.0 and r.instance == 0]
+        assert masked(one[0]) == masked(in_six[0])
+        assert math.isnan(one[0].sup_norm_error) and one[0].iterations == 0
 
 
 class TestCsv:

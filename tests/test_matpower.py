@@ -124,6 +124,14 @@ class TestParseCase:
 
         assert len(parse_case(io.StringIO(TWO_BUS)).buses) == 2
 
+    def test_undecodable_text_is_a_parse_error(self):
+        import io
+
+        data = TWO_BUS.encode().replace(b"mpc.bus", b"\xffmpc.bus")
+        for source in (data, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")):
+            with pytest.raises(CaseParseError, match="not valid utf-8"):
+                parse_case(source)
+
     def test_round_trip(self):
         case = parse_case(TWO_BUS)
         again = parse_case(format_case(case))
