@@ -43,16 +43,20 @@ UNIQUENESS_MAX_P = 40
 # negative before run_admm declares the problem unbounded.
 UNBOUNDED_MARGIN = 1e-6
 
+# Over-relaxation factor of run_admm's d-step; 1 is plain ADMM.
+ADMM_RELAXATION = 1.5
+
 
 @dataclass
 class SolverConfig:
     """Parameters of the ADMM solver for the penalized difference problem.
 
-    lam is the l1 penalty weight; rho the augmented-Lagrangian parameter;
-    iteration stops at consensus residual <= tol_consensus or max_iter.
-    penalize_diagonal extends the shrinkage to diagonal entries (off-diagonal
-    only by default). These are the package's only solver defaults; the
-    sweep config and the command line take theirs from here.
+    lam is the l1 penalty weight; rho sets run_admm's augmented-Lagrangian
+    penalty 4 rho; iteration stops at consensus residual max |d - z| <=
+    tol_consensus or at max_iter. penalize_diagonal extends the shrinkage
+    to diagonal entries (off-diagonal only by default). These are the
+    package's only solver defaults; the sweep config and the command line
+    take theirs from here.
     """
 
     lam: float
@@ -75,28 +79,19 @@ class SolverConfig:
 
 @dataclass
 class AdmmState:
-    """Final iterates of the consensus ADMM.
+    """Final iterates of the two-block ADMM.
 
-    d1, d2, d3 are the three copies of the difference variable; l1, l2, l3
-    the multipliers of the coupling constraints d3 = d1, d2 = d3, d1 = d2.
+    d is the smooth block (any p x p matrix), z the symmetric shrunk block,
+    and u the scaled multiplier of the constraint d = z.
     """
 
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    l3: np.ndarray
+    d: np.ndarray
+    z: np.ndarray
+    u: np.ndarray
     iterations: int
 
     def consensus_residual(self):
-        return float(
-            max(
-                np.max(np.abs(self.d1 - self.d2)),
-                np.max(np.abs(self.d1 - self.d3)),
-                np.max(np.abs(self.d2 - self.d3)),
-            )
-        )
+        return float(np.max(np.abs(self.d - self.z)))
 
 
 @dataclass
@@ -197,20 +192,24 @@ def _check_bounded(solver, p1, p2, diff, config):
 
 
 def run_admm(psi1, psi2, config):
-    """Consensus ADMM for the penalized difference problem, from zero start.
+    """Two-block scaled ADMM for the penalized difference problem, from zero start.
 
-    Each sweep updates d1 and d2 by solving P1 X P2 + 4 rho X = R and
-    P2 X P1 + 4 rho X = R with one PxqSolver, which decomposes the two
-    factors once for the whole run, shrinks d3 (off-diagonal soft threshold
-    at lam / (2 rho) by default), and ascends the three multipliers with
-    step rho. Gauss-Seidel ordering: the d2 update sees the fresh d1.
+    On symmetric D the loss equals 0.5 <P1 D P2, D> - <D, P1 - P2>, so the
+    problem splits into that smooth term over any p x p matrix d and the
+    penalty over symmetric z, coupled by d = z (Boyd et al. 2011, section 3.1)
+    with penalty sigma = 4 rho. Each iteration solves P1 X P2 + sigma X = R
+    once with a PxqSolver, which decomposes the two factors once for the
+    whole run, over-relaxes d with ADMM_RELAXATION (section 3.4.3), and
+    shrinks the symmetric part of d + u at lam / sigma (off-diagonal only by
+    default). The z-step projects onto symmetric matrices, so the fixed
+    point is the symmetric optimum and does not depend on rho.
 
     Before the first iteration, the null spaces of the two factors are
     searched for a direction along which the objective falls without bound
     (see _check_bounded); finding one raises UnboundedProblemError.
 
-    Returns (AdmmState, converged). Raises SolverDivergedError if iterates
-    stop being finite.
+    Returns (AdmmState, converged): converged once max |d - z| is at most
+    tol_consensus. Raises SolverDivergedError if iterates stop being finite.
     """
     p1 = _factor_matrix(psi1, "psi1")
     p2 = _factor_matrix(psi2, "psi2")
@@ -219,37 +218,26 @@ def run_admm(psi1, psi2, config):
     if not isinstance(config, SolverConfig):
         raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
     p = p1.shape[0]
-    rho = config.rho
-    thresh = config.lam / (2.0 * rho)
+    sigma = 4.0 * config.rho
+    thresh = config.lam / sigma
     off_only = not config.penalize_diagonal
-    solver = PxqSolver(p1, p2, 4.0 * rho)
+    solver = PxqSolver(p1, p2, sigma)
     diff = p1 - p2
     _check_bounded(solver, p1, p2, diff, config)
 
-    d1 = np.zeros((p, p))
-    d2 = np.zeros((p, p))
-    d3 = np.zeros((p, p))
-    l1 = np.zeros((p, p))
-    l2 = np.zeros((p, p))
-    l3 = np.zeros((p, p))
+    d = np.zeros((p, p))
+    z = np.zeros((p, p))
+    u = np.zeros((p, p))
 
     converged = False
     iteration = 0
     for iteration in range(1, config.max_iter + 1):
-        r1 = 2.0 * rho * (d3 + d2) + diff + 2.0 * (l1 - l3)
-        d1 = solver.solve(r1)
-        r2 = 2.0 * rho * (d3 + d1) + diff + 2.0 * (l3 - l2)
-        d2 = solver.solve_swapped(r2)
-        d3 = soft_threshold(
-            (rho * (d1 + d2) - l1 + l2) / (2.0 * rho), thresh, off_diagonal_only=off_only
-        )
-        l1 = l1 + rho * (d3 - d1)
-        l2 = l2 + rho * (d2 - d3)
-        l3 = l3 + rho * (d1 - d2)
+        d = solver.solve(diff + sigma * (z - u))
+        w = ADMM_RELAXATION * d + (1.0 - ADMM_RELAXATION) * z + u
+        z = soft_threshold((w + w.T) / 2.0, thresh, off_diagonal_only=off_only)
+        u = w - z
 
-        residual = max(
-            np.max(np.abs(d1 - d2)), np.max(np.abs(d1 - d3)), np.max(np.abs(d2 - d3))
-        )
+        residual = np.max(np.abs(d - z))
         if not np.isfinite(residual):
             raise SolverDivergedError(
                 f"iterates became non-finite at iteration {iteration}", iteration=iteration
@@ -258,22 +246,20 @@ def run_admm(psi1, psi2, config):
             converged = True
             break
 
-    state = AdmmState(d1=d1, d2=d2, d3=d3, l1=l1, l2=l2, l3=l3, iterations=iteration)
-    return state, converged
+    return AdmmState(d=d, z=z, u=u, iterations=iteration), converged
 
 
 def estimate_delta(psi1, psi2, config):
     """Penalized difference estimate from two square-root precision factors.
 
     Accepts PrecisionFactor instances or plain symmetric matrices. Returns a
-    DeltaEstimate holding the symmetrized sparse iterate, iteration count,
+    DeltaEstimate holding the symmetric sparse iterate, iteration count,
     convergence flag, and the final penalized objective.
     """
     state, converged = run_admm(psi1, psi2, config)
-    delta = (state.d3 + state.d3.T) / 2.0
-    objective = penalized_objective(delta, psi1, psi2, config)
+    objective = penalized_objective(state.z, psi1, psi2, config)
     return DeltaEstimate(
-        delta=delta, iterations=state.iterations, converged=converged, objective=objective
+        delta=state.z, iterations=state.iterations, converged=converged, objective=objective
     )
 
 
@@ -357,12 +343,12 @@ def estimate_sqrt_delta(samples1, samples2, config):
     )
 
 
-def uniqueness_check(psi1, psi2, tau, tol_kernel=DEFAULT_TOL_KERNEL):
+def uniqueness_check(psi1, psi2, tau):
     """Kernel diagnostic for uniqueness of the penalized difference estimate.
 
     Assembles the quadratic-form Hessian H = (P1 (x) P2 + P2 (x) P1) / 2,
     extracts an orthonormal basis of its numerical kernel (eigenvalues at or
-    below tol_kernel times the largest), and evaluates, over each basis
+    below DEFAULT_TOL_KERNEL times the largest), and evaluates, over each basis
     vector and its negation, the inner product with vec(P1 - P2) and the
     off-diagonal l1 norm of the reshaped vector.
 
@@ -386,7 +372,7 @@ def uniqueness_check(psi1, psi2, tau, tol_kernel=DEFAULT_TOL_KERNEL):
 
     hess = (np.kron(p1, p2) + np.kron(p2, p1)) / 2.0
     values, vectors = np.linalg.eigh((hess + hess.T) / 2.0)
-    cutoff = tol_kernel * max(values[-1], 0.0)
+    cutoff = DEFAULT_TOL_KERNEL * max(values[-1], 0.0)
     kernel_mask = values <= cutoff
     kernel_dim = int(np.count_nonzero(kernel_mask))
 

@@ -18,15 +18,13 @@ SYMMETRY_ATOL = 1e-12
 EIG_RELATIVE_FLOOR = 1e-10
 
 
-def as_symmetric(a, *, atol=SYMMETRY_ATOL):
+def as_symmetric(a):
     """Validate that `a` is a finite square symmetric matrix and symmetrize it.
 
     Parameters
     ----------
     a : array_like, shape (p, p)
         Matrix to validate.
-    atol : float
-        Absolute tolerance on max |a - a.T|.
 
     Returns
     -------
@@ -37,7 +35,7 @@ def as_symmetric(a, *, atol=SYMMETRY_ATOL):
     ------
     InvalidInputError
         If `a` is not square, contains non-finite entries, or is asymmetric
-        beyond `atol`.
+        beyond SYMMETRY_ATOL.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -45,8 +43,10 @@ def as_symmetric(a, *, atol=SYMMETRY_ATOL):
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix contains non-finite entries")
     gap = np.max(np.abs(a - a.T))
-    if gap > atol:
-        raise InvalidInputError(f"matrix is asymmetric: max |a - a.T| = {gap:.3e} > {atol:.0e}")
+    if gap > SYMMETRY_ATOL:
+        raise InvalidInputError(
+            f"matrix is asymmetric: max |a - a.T| = {gap:.3e} > {SYMMETRY_ATOL:.0e}"
+        )
     # halving first is exact (barring subnormals) and cannot overflow
     return a / 2.0 + a.T / 2.0
 
@@ -102,12 +102,6 @@ class PxqSolver:
 
         X = Up (W * (Up.T @ R @ Uq)) Uq.T,   W[i, j] = 1 / (D[i] * E[j] + gamma)
 
-    The weight orientation (P's spectrum along rows, Q's along columns) is
-    pinned by the residual identity P @ X @ Q + gamma * X = R; the transposed
-    orientation does not satisfy it unless P and Q commute. It does solve the
-    swapped equation Q @ X @ P + gamma * X = R in the same eigenbases, which
-    solve_swapped exposes without a second pair of eigendecompositions.
-
     Operands are taken as given: callers validate them once at their own
     boundary (solve_pxq for outside input, run_admm for its factors), so P
     and Q arrive exactly symmetric and equal-shaped, gamma finite and
@@ -135,10 +129,6 @@ class PxqSolver:
     def solve(self, r):
         """The X with P @ X @ Q + gamma * X = R."""
         return self._up @ (self._weights * (self._up.T @ r @ self._uq)) @ self._uq.T
-
-    def solve_swapped(self, r):
-        """The X with Q @ X @ P + gamma * X = R."""
-        return self._uq @ (self._weights.T * (self._uq.T @ r @ self._up)) @ self._up.T
 
 
 def _null_basis(values, vectors):

@@ -120,15 +120,6 @@ def read_keyvalue(path):
     return entries
 
 
-def parse_bool(text, key):
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise InvalidInputError(f"{key}: expected a boolean, got {text!r}")
-
-
 def parse_float(text, key):
     try:
         value = float(text)

@@ -81,41 +81,26 @@ def laplacian_from_graph(graph):
     return lap
 
 
-def reduce_ground_node(laplacian, ground, mode="delete"):
+def reduce_ground_node(laplacian, ground):
     """Ground one node of a Laplacian, returning a (p-1) x (p-1) matrix.
 
-    mode="delete" removes the ground node's row and column (the standard
-    grounded Laplacian; PD exactly when the graph is connected). mode="kron"
-    eliminates the node by Schur complement instead, which preserves the
-    effective conductances among the remaining nodes. Note that Schur
-    elimination of a node from an exact Laplacian (zero row sums) yields a
-    matrix that again has zero row sums, hence is singular and rejected by
-    the PD check below; kron mode is therefore only useful on system
-    matrices carrying self-conductance terms on the diagonal.
+    Removes the ground node's row and column (the standard grounded
+    Laplacian; PD exactly when the graph is connected).
 
     Raises
     ------
     ReductionError
         If the reduced matrix is not positive definite (smallest eigenvalue
-        <= 1e-12), which in delete mode means the graph is disconnected, or
-        if the eliminated node has a nonpositive pivot in kron mode.
+        <= 1e-12), which means the graph is disconnected.
     """
     lap = as_symmetric(laplacian)
     n = lap.shape[0]
     if not isinstance(ground, (int, np.integer)) or not (0 <= ground < n):
         raise InvalidInputError(f"ground node {ground!r} out of range for size {n}")
-    if mode not in ("delete", "kron"):
-        raise InvalidInputError(f"unknown reduction mode {mode!r}; use 'delete' or 'kron'")
     if n == 1:
         raise InvalidInputError("cannot reduce a 1 x 1 Laplacian")
     keep = np.array([k for k in range(n) if k != ground])
     reduced = lap[np.ix_(keep, keep)]
-    if mode == "kron":
-        pivot = lap[ground, ground]
-        if pivot <= REDUCTION_MIN_EIG:
-            raise ReductionError(f"ground node {ground} has zero degree; cannot eliminate it")
-        col = lap[keep, ground]
-        reduced = reduced - np.outer(col, col) / pivot
     reduced = (reduced + reduced.T) / 2.0
     min_eig = float(np.linalg.eigvalsh(reduced)[0])
     if min_eig <= REDUCTION_MIN_EIG:

@@ -59,24 +59,17 @@ def whiten(samples, m_x):
     return samples @ m_x
 
 
-def sample_covariance(samples, center=False):
-    """(Un)centered second-moment matrix of the rows of `samples`.
+def sample_covariance(samples):
+    """Uncentered second-moment matrix Y.T @ Y / n of the rows of `samples`.
 
-    Uncentered (default): Y.T @ Y / n, which is PSD for every n, including
-    n < p. With center=True the empirical mean is subtracted first and the
-    divisor stays n.
+    It is PSD for every n, including n < p.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise InvalidInputError(f"expected a nonempty (n, p) array, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise InvalidInputError("samples contain non-finite entries")
-    n = samples.shape[0]
-    if center:
-        if n < 2:
-            raise InvalidInputError("centering requires at least 2 observations")
-        samples = samples - samples.mean(axis=0)
-    cov = samples.T @ samples / n
+    cov = samples.T @ samples / samples.shape[0]
     return (cov + cov.T) / 2.0
 
 
@@ -85,13 +78,11 @@ class PrecisionFactor:
     """A square-root precision factor ready for the difference estimator.
 
     matrix is the symmetric factor itself; n_used records how many
-    observations produced it (0 for population inputs); whitener_inv is the
-    inverse square root of the injection covariance used to build it.
+    observations produced it (0 for population inputs).
     """
 
     matrix: np.ndarray
     n_used: int = 0
-    whitener_inv: np.ndarray | None = None
 
 
 def precision_factor(samples, sigma_x):
@@ -142,4 +133,4 @@ def _factor_from_whitened(whitened_cov, sigma_x, n_used):
     m_inv = inv_sqrt_pd(sigma_x)
     factor = m_inv @ sqrt_psd(whitened_cov) @ m_inv
     factor = (factor + factor.T) / 2.0
-    return PrecisionFactor(matrix=factor, n_used=n_used, whitener_inv=m_inv)
+    return PrecisionFactor(matrix=factor, n_used=n_used)

@@ -33,6 +33,7 @@ from lapdiff.estimator import (
 from lapdiff.experiments import (
     ExperimentConfig,
     GridDeltaSpec,
+    MatpowerBaseSpec,
     RandomBaseSpec,
     SigmaSpec,
     run_sweep,
@@ -182,8 +183,47 @@ class TestRunAdmm:
         cfg = SolverConfig(lam=0.05)
         state, converged = run_admm(psi1, psi2, cfg)
         assert converged
+        assert state.consensus_residual() == np.max(np.abs(state.d - state.z))
         assert state.consensus_residual() <= cfg.tol_consensus
+        assert_allclose(state.z, state.z.T, rtol=0, atol=0)
         assert state.iterations >= 1
+
+    def test_one_linear_solve_per_iteration(self, monkeypatch):
+        calls = []
+        solve = PxqSolver.solve
+
+        def counted(self, r):
+            calls.append(1)
+            return solve(self, r)
+
+        monkeypatch.setattr(PxqSolver, "solve", counted)
+        rng = np.random.default_rng(16)
+        psi1, psi2 = random_pd(rng, 6), random_pd(rng, 6)
+        for max_iter in (1, 7, 20000):
+            calls.clear()
+            state, _ = run_admm(psi1, psi2, SolverConfig(lam=0.05, max_iter=max_iter))
+            assert len(calls) == state.iterations
+        assert state.iterations < 20000
+
+    def test_power_sweep_rows_converge_within_2000_iterations(self):
+        # the benchmark's power-sweep shape at ratio 5 (n = 381 > p = 117)
+        cfg = ExperimentConfig(
+            dims=(117,),
+            ratios=(5.0,),
+            instances=2,
+            lambda_scale=2.0,
+            delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+            base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
+            sigma_spec=SigmaSpec(kind="identity"),
+            support_epsilon=2.0,
+            seed=101,
+            rho=0.1,
+            max_iter=2000,
+        )
+        rows = run_sweep(cfg).rows
+        assert len(rows) == 2
+        for row in rows:
+            assert row.converged and 0 < row.iterations <= 2000
 
     def test_sign_flip_symmetry(self):
         rng = np.random.default_rng(13)

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from lapdiff.errors import InvalidInputError
 from lapdiff.matio import (
-    parse_bool,
     parse_float,
     parse_float_list,
     parse_int,
@@ -95,7 +94,7 @@ class TestKeyValue:
         entries = read_keyvalue(path)
         assert parse_int(entries["p"], "p") == 16
         assert parse_float(entries["lam"], "lam") == 0.25
-        assert parse_bool(entries["flag"], "flag") is True
+        assert entries["flag"] == "true"
         assert parse_float_list(entries["ratios"], "ratios") == (0.5, 1.0)
         assert entries["name"] == "grid"
 
@@ -121,8 +120,6 @@ class TestKeyValue:
             parse_int("x", "count")
         with pytest.raises(InvalidInputError, match="lam"):
             parse_float("inf", "lam")
-        with pytest.raises(InvalidInputError, match="flag"):
-            parse_bool("maybe", "flag")
         with pytest.raises(InvalidInputError, match="dims"):
             parse_int_list("", "dims")
 

@@ -67,36 +67,10 @@ class TestReduceGroundNode:
     def test_delete_is_principal_submatrix(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 0.5)))
         lap = laplacian_from_graph(g)
-        red = reduce_ground_node(lap, 1, mode="delete")
+        red = reduce_ground_node(lap, 1)
         keep = [0, 2, 3]
         assert_allclose(red, lap[np.ix_(keep, keep)], rtol=0)
         assert np.linalg.eigvalsh(red)[0] > 0
-
-    def test_kron_matches_hand_schur_complement(self):
-        # path 0-1-2 with shunt terms on nodes 0 and 2; eliminating the
-        # middle node puts the series conductance 2*3/(2+3) on the new edge
-        g = WeightedGraph(3, ((0, 1, 2.0), (1, 2, 3.0)))
-        a = laplacian_from_graph(g) + np.diag([1.0, 0.0, 0.5])
-        red = reduce_ground_node(a, 1, mode="kron")
-        keep = [0, 2]
-        expected = a[np.ix_(keep, keep)] - np.outer(a[keep, 1], a[1, keep]) / a[1, 1]
-        assert_allclose(red, expected, atol=1e-12)
-        assert red[0, 1] == pytest.approx(-2.0 * 3.0 / 5.0)
-        assert np.linalg.eigvalsh(red)[0] > 0
-
-    def test_kron_of_pure_laplacian_is_singular_and_rejected(self):
-        # Schur elimination preserves zero row sums, so an exact Laplacian
-        # can never reduce to a PD matrix in kron mode
-        g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
-        with pytest.raises(ReductionError):
-            reduce_ground_node(laplacian_from_graph(g), 0, mode="kron")
-
-    def test_kron_differs_from_delete(self):
-        g = WeightedGraph(3, ((0, 1, 2.0), (1, 2, 3.0)))
-        a = laplacian_from_graph(g) + np.diag([1.0, 0.0, 0.5])
-        assert not np.allclose(
-            reduce_ground_node(a, 1, mode="kron"), reduce_ground_node(a, 1, mode="delete")
-        )
 
     def test_disconnected_raises(self):
         g = WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
@@ -108,8 +82,6 @@ class TestReduceGroundNode:
         lap = laplacian_from_graph(WeightedGraph(2, ((0, 1, 1.0),)))
         with pytest.raises(InvalidInputError):
             reduce_ground_node(lap, 5)
-        with pytest.raises(InvalidInputError):
-            reduce_ground_node(lap, 0, mode="fancy")
 
 
 class TestLatticeEdges:

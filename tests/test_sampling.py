@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lapdiff.errors import InvalidInputError, SingularMatrixError
-from lapdiff.linalg import inv_sqrt_pd, sqrt_psd
+from lapdiff.linalg import sqrt_psd
 from lapdiff.network import random_base_matrix
 from lapdiff.sampling import (
     PrecisionFactor,
@@ -80,16 +80,9 @@ class TestSampleCovariance:
         assert np.linalg.eigvalsh(cov)[0] >= -1e-12
         assert_allclose(cov, y.T @ y / 3, rtol=1e-14)
 
-    def test_centered_subtracts_mean(self):
-        rng = np.random.default_rng(5)
-        y = rng.standard_normal((50, 3)) + 10.0
-        cov = sample_covariance(y, center=True)
-        yc = y - y.mean(axis=0)
-        assert_allclose(cov, yc.T @ yc / 50, rtol=1e-12)
-
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            sample_covariance(np.zeros((1, 3)), center=True)
+            sample_covariance(np.zeros((0, 3)))
         with pytest.raises(InvalidInputError):
             sample_covariance(np.array([[np.inf, 0.0]]))
 
@@ -104,7 +97,6 @@ class TestPrecisionFactor:
         assert isinstance(est, PrecisionFactor)
         assert est.n_used == 200000
         assert np.max(np.abs(est.matrix - np.linalg.inv(b))) <= 0.05
-        assert_allclose(est.whitener_inv, inv_sqrt_pd(sigma), rtol=1e-10)
 
     def test_defined_for_n_below_p(self):
         b = random_base_matrix(8, 0.5, seed=7)
