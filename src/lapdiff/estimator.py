@@ -28,16 +28,8 @@ from .linalg import (
     off_diagonal_l1,
     soft_threshold,
     sqrt_psd,
-    vec,
 )
 from .sampling import PrecisionFactor, precision_factor, sample_covariance, whiten
-
-# Hessian eigenvalues at or below this fraction of the largest are treated
-# as kernel directions by the uniqueness diagnostic.
-DEFAULT_TOL_KERNEL = 1e-9
-
-# Largest dimension for which the p^2 x p^2 Hessian is assembled densely.
-UNIQUENESS_MAX_P = 40
 
 # Relative margin by which a recession direction's objective slope must be
 # negative before run_admm declares the problem unbounded.
@@ -108,10 +100,10 @@ class DeltaEstimate:
 class UniquenessReport:
     """Outcome of the kernel-based uniqueness diagnostic.
 
-    condition_inner is the worst inner product d . vec(factor1 - factor2)
-    over signed unit kernel basis vectors (0.0 when the kernel is trivial);
-    condition_norm the worst off-diagonal l1 norm of a reshaped basis
-    vector; tau the radius those norms are compared against.
+    condition_inner is the largest inner product <V, factor1 - factor2> over
+    the unit recession candidates V (see _recession_candidates), and
+    condition_norm their largest off-diagonal l1 norm, both 0.0 without a
+    candidate; tau the radius those norms are compared against.
     """
 
     kernel_dim: int
@@ -161,24 +153,31 @@ def penalized_objective(delta, psi1, psi2, config):
     return dtrace_loss(delta, psi1, psi2) + config.lam * _penalty(delta, config)
 
 
-def _check_bounded(solver, p1, p2, diff, config):
-    """Raise UnboundedProblemError if a null-space direction proves the problem unbounded.
+def _recession_candidates(null1, null2, p1, p2):
+    """(name, null dimension, V) for each factor Pi whose null space (basis nulli) is nontrivial.
 
-    With Ni the projector onto the numerical null space of Pi (from the
-    solver's eigenpairs), the candidates are V1 = -N1 P2 N1 and
-    V2 = N2 P1 N2. Pi Ni = 0 makes both quadratic terms of the loss vanish
-    on each, so along t V the objective changes at the constant slope
+    With Ni the projector onto it, V1 = -N1 P2 N1 and V2 = N2 P1 N2. Pi Ni = 0
+    makes both quadratic terms of the loss vanish on each, so each lies in the
+    Hessian kernel; each maximizes <V, P1 - P2> over {Ni X Ni} at its norm,
+    whichever basis of the null space eigh returned.
+    """
+    return [
+        (name, basis.shape[1], sign * (basis @ (basis.T @ other @ basis) @ basis.T))
+        for name, basis, other, sign in (("psi1", null1, p2, -1.0), ("psi2", null2, p1, 1.0))
+        if basis.shape[1]
+    ]
+
+
+def _check_bounded(solver, p1, p2, diff, config):
+    """Raise UnboundedProblemError if a recession candidate proves the problem unbounded.
+
+    Along t V the objective changes at the constant slope
     lam pen(V) - <V, P1 - P2>. A slope negative by more than UNBOUNDED_MARGIN,
     relative to lam pen(V) + |V|_F |P1 - P2|_F, proves the problem unbounded
     below. The test is sufficient, not necessary. A full-rank factor offers
     no candidate, so it then costs one pass over the eigenvalues.
     """
-    null1, null2 = solver.null_bases()
-    for name, basis, other, sign in (("psi1", null1, p2, -1.0), ("psi2", null2, p1, 1.0)):
-        k = basis.shape[1]
-        if k == 0:
-            continue
-        direction = sign * (basis @ (basis.T @ other @ basis) @ basis.T)
+    for name, k, direction in _recession_candidates(*solver.null_bases(), p1, p2):
         penalty = config.lam * _penalty(direction, config)
         slope = penalty - float(np.sum(direction * diff))
         norm = float(np.linalg.norm(direction))
@@ -346,60 +345,50 @@ def estimate_sqrt_delta(samples1, samples2, config):
 def uniqueness_check(psi1, psi2, tau):
     """Kernel diagnostic for uniqueness of the penalized difference estimate.
 
-    Assembles the quadratic-form Hessian H = (P1 (x) P2 + P2 (x) P1) / 2,
-    extracts an orthonormal basis of its numerical kernel (eigenvalues at or
-    below DEFAULT_TOL_KERNEL times the largest), and evaluates, over each basis
-    vector and its negation, the inner product with vec(P1 - P2) and the
-    off-diagonal l1 norm of the reshaped vector.
+    The factors must be PSD (NotPsdError otherwise). Then the Hessian
+    (P1 (x) P2 + P2 (x) P1) / 2 of the quadratic loss vanishes on V exactly
+    when Q1 V Q2 = 0 and Q2 V Q1 = 0, with Qi the projector onto range Pi, so
+    its kernel has dimension p^2 - 2 r1 r2 + k^2 with ri = rank Pi and
+    k = dim(range P1 & range P2). Both come from the factors' eigenpairs in
+    O(p^3). The two uniqueness conditions are evaluated on the unit
+    recession candidates, which lie in that kernel.
 
     Verdicts: a trivial kernel certifies a strongly convex problem
-    ("unique"); a signed basis vector violating either condition witnesses
-    "not-unique"; otherwise "inconclusive", because only basis directions
+    ("unique"); a candidate violating either condition witnesses
+    "not-unique"; otherwise "inconclusive", because only the candidates
     (not the whole kernel cone) were examined.
     """
     p1 = _factor_matrix(psi1, "psi1")
     p2 = _factor_matrix(psi2, "psi2")
     if p2.shape != p1.shape:
         raise InvalidInputError(f"factor shapes differ: {p1.shape} vs {p2.shape}")
-    p = p1.shape[0]
-    if p > UNIQUENESS_MAX_P:
-        raise InvalidInputError(
-            f"uniqueness check assembles a {p * p} x {p * p} matrix; p must be <= "
-            f"{UNIQUENESS_MAX_P}, got {p}"
-        )
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidInputError(f"tau must be a positive real, got {tau!r}")
+    for name, factor in (("psi1", p1), ("psi2", p2)):
+        low, high = np.linalg.eigvalsh(factor)[[0, -1]]
+        if low < -EIG_RELATIVE_FLOOR * max(1.0, high):
+            raise NotPsdError(f"{name} must be positive semidefinite (min eigenvalue {low:.6e})")
 
-    hess = (np.kron(p1, p2) + np.kron(p2, p1)) / 2.0
-    values, vectors = np.linalg.eigh((hess + hess.T) / 2.0)
-    cutoff = DEFAULT_TOL_KERNEL * max(values[-1], 0.0)
-    kernel_mask = values <= cutoff
-    kernel_dim = int(np.count_nonzero(kernel_mask))
+    p = p1.shape[0]
+    null1, null2 = PxqSolver(p1, p2, 1.0).null_bases()  # gamma plays no part in them
+    # range P1 & range P2 is the complement of null P1 + null P2; a null direction
+    # the two share is a zero singular value, sqrt(1 - cos 0), of [N1 N2]
+    shared = p - int(np.linalg.matrix_rank(np.hstack([null1, null2]), tol=EIG_RELATIVE_FLOOR))
+    kernel_dim = p * p - 2 * (p - null1.shape[1]) * (p - null2.shape[1]) + shared * shared
+
+    diff = p1 - p2
+    inner_tol = 1e-10 * max(1.0, float(np.linalg.norm(diff)))
+    condition_inner = condition_norm = 0.0
+    for _, _, direction in _recession_candidates(null1, null2, p1, p2):
+        norm = float(np.linalg.norm(direction))
+        if norm > inner_tol:  # a smaller candidate is rounding, not a direction
+            condition_inner = max(condition_inner, float(np.sum(direction * diff)) / norm)
+            condition_norm = max(condition_norm, off_diagonal_l1(direction) / norm)
 
     if kernel_dim == 0:
-        return UniquenessReport(
-            kernel_dim=0, condition_inner=0.0, condition_norm=0.0, tau=float(tau),
-            verdict="unique",
-        )
-
-    target = vec(p1 - p2)
-    inner_tol = 1e-10 * max(1.0, float(np.linalg.norm(target)))
-    basis = vectors[:, kernel_mask]
-    # both signs of each basis vector are covered by taking absolute values
-    condition_inner = float(np.max(np.abs(basis.T @ target)))
-    condition_norm = 0.0
-    for k in range(kernel_dim):
-        direction = basis[:, k].reshape((p, p), order="F")
-        condition_norm = max(condition_norm, off_diagonal_l1(direction))
-
-    if condition_inner > inner_tol or condition_norm > tau:
+        verdict = "unique"
+    elif condition_inner > inner_tol or condition_norm > tau:
         verdict = "not-unique"
     else:
         verdict = "inconclusive"
-    return UniquenessReport(
-        kernel_dim=kernel_dim,
-        condition_inner=condition_inner,
-        condition_norm=condition_norm,
-        tau=float(tau),
-        verdict=verdict,
-    )
+    return UniquenessReport(kernel_dim, condition_inner, condition_norm, float(tau), verdict)

@@ -62,6 +62,11 @@ def sqrt_psd(c):
     NotPsdError
         If the smallest eigenvalue is below the clip threshold.
     """
+    return _sqrt_psd_top(c, 0)
+
+
+def _sqrt_psd_top(c, rank):
+    """sqrt_psd(c) keeping only the `rank` largest eigenvalues when 0 < rank < p."""
     c = as_symmetric(c)
     values, vectors = np.linalg.eigh(c)
     clip = EIG_RELATIVE_FLOOR * max(1.0, values[-1])
@@ -69,6 +74,8 @@ def sqrt_psd(c):
         raise NotPsdError(
             f"matrix is not positive semidefinite: min eigenvalue {values[0]:.6e} < -{clip:.1e}"
         )
+    if 0 < rank < values.size:
+        values[:-rank] = 0.0
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
     return (root + root.T) / 2.0
 

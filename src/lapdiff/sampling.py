@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularMatrixError
-from .linalg import EIG_RELATIVE_FLOOR, as_symmetric, inv_sqrt_pd, sqrt_psd
+from .linalg import EIG_RELATIVE_FLOOR, _sqrt_psd_top, as_symmetric, inv_sqrt_pd, sqrt_psd
 
 
 def sample_potentials(b, sigma_x, n, seed=0):
@@ -109,7 +109,8 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
     Equivalent to precision_factor when cov_y is the uncentered covariance
     of the same raw potentials: the whitened second moment is
     m @ cov_y @ m with m = sigma_x^{1/2}, and the factor is
-    m^{-1} @ sqrt_psd(m @ cov_y @ m) @ m^{-1}.
+    m^{-1} @ sqrt_psd(m @ cov_y @ m) @ m^{-1}. n_used counts the observations
+    behind cov_y (0 for a population covariance).
     """
     cov_y = as_symmetric(cov_y)
     sigma_x = as_symmetric(sigma_x)
@@ -124,13 +125,15 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
 def _factor_from_whitened(whitened_cov, sigma_x, n_used):
     """m^{-1} @ sqrt_psd(whitened_cov) @ m^{-1} with m = sigma_x^{1/2}, as a PrecisionFactor.
 
-    Each route forms the whitened covariance its own way: the samples route
-    from the whitened rows, the covariance route as m @ cov_y @ m. Routing
-    samples through the covariance form instead moves the factor by up to
-    2e-8 relative at n < p (p = 36, n = 20 and 30), where the rounding lands
-    in the clipped null space.
+    At 0 < n_used < p the covariance has rank n_used, so only its n_used
+    largest eigenvalues are kept: the rest are rounding, which would hide
+    part of the factor's null space.
+
+    Each route keeps its own form of the whitened covariance (the samples
+    route from the whitened rows, the covariance route as m @ cov_y @ m): at
+    n >= p the two forms differ in their last bits, which reach the rows.
     """
     m_inv = inv_sqrt_pd(sigma_x)
-    factor = m_inv @ sqrt_psd(whitened_cov) @ m_inv
+    factor = m_inv @ _sqrt_psd_top(whitened_cov, n_used) @ m_inv
     factor = (factor + factor.T) / 2.0
     return PrecisionFactor(matrix=factor, n_used=n_used)

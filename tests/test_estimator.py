@@ -1,5 +1,7 @@
 """Tests for the loss, ADMM solver, exact identity, baselines, and diagnostic."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +13,7 @@ from oracles import (
     naive_dtrace_loss,
 )
 
+from lapdiff import experiments
 from lapdiff.errors import (
     InvalidInputError,
     NotPsdError,
@@ -22,6 +25,7 @@ from lapdiff.estimator import (
     DeltaEstimate,
     SolverConfig,
     UniquenessReport,
+    _check_bounded,
     dtrace_loss,
     estimate_delta,
     estimate_sqrt_delta,
@@ -283,7 +287,50 @@ def no_iterations(monkeypatch):
     monkeypatch.setattr(PxqSolver, "solve", forbidden)
 
 
+@pytest.fixture
+def power_ratio1_cell(monkeypatch):
+    """(psi1, psi2, config) of the power-sweep cell (ratio 1, instance 0) at seed 11.
+
+    p = 117 and n = 77: each sample factor has a 40-dimensional null space.
+    The factors are captured where the sweep hands them to estimate_delta.
+    """
+    captured = []
+
+    def capture(psi1, psi2, config):
+        captured.append((psi1, psi2, config))
+        return estimate_delta(psi1, psi2, config)
+
+    monkeypatch.setattr(experiments, "estimate_delta", capture)
+    cfg = ExperimentConfig(
+        dims=(117,),
+        ratios=(1.0,),
+        instances=1,
+        lambda_scale=2.0,
+        delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+        base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
+        sigma_spec=SigmaSpec(kind="identity"),
+        support_epsilon=2.0,
+        seed=11,
+        rho=0.1,
+        max_iter=2000,
+        estimators=("dtrace",),
+    )
+    (row,) = run_sweep(cfg).rows
+    assert row.n == 77 and row.iterations == 0
+    (cell,) = captured
+    return cell
+
+
 class TestUnboundedCertificate:
+    def test_power_ratio1_cell_finds_its_whole_null_space(self, power_ratio1_cell):
+        psi1, psi2, config = power_ratio1_cell
+        p1, p2 = psi1.matrix, psi2.matrix
+        solver = PxqSolver(p1, p2, 4.0 * config.rho)
+        null1, null2 = solver.null_bases()
+        assert null1.shape == null2.shape == (117, 40)
+        with pytest.raises(UnboundedProblemError):
+            _check_bounded(solver, p1, p2, p1 - p2, config)
+
     @pytest.mark.parametrize("deficient", ["psi1", "psi2"])
     def test_rank_deficient_factor_raises_before_iterating(self, deficient, no_iterations):
         rng = np.random.default_rng(31)
@@ -446,9 +493,62 @@ class TestUniquenessCheck:
         rep = uniqueness_check(psi1, psi2, tau=1.0)
         assert rep.kernel_dim == expected == kernel_pair_count(psi1, psi2)
 
-    def test_size_limit(self):
-        with pytest.raises(InvalidInputError):
-            uniqueness_check(np.eye(41), np.eye(41), tau=1.0)
+    def test_kernel_dim_matches_oracle_on_controlled_ranges(self):
+        # distinct eigenbases of two ranges that share exactly k directions:
+        # the kernel dimension is p^2 - 2 r1 r2 + k^2; nonzero eigenvalues in
+        # [0.3, 3] keep the oracle's 1e-9 relative cut clear of the spectrum
+        rng = np.random.default_rng(2031)
+
+        def orthonormal(m):
+            return np.linalg.qr(rng.standard_normal((m, m)))[0]
+
+        kernel_dims = []
+        for _ in range(200):
+            p = int(rng.integers(2, 9))
+            k = int(rng.integers(0, p + 1))
+            a1 = int(rng.integers(0, p - k + 1))
+            a2 = int(rng.integers(0, p - k - a1 + 1))
+            frame = orthonormal(p)
+            psis = []
+            for own in (range(k, k + a1), range(k + a1, k + a1 + a2)):
+                cols = [*range(k), *own]
+                basis = frame[:, cols] @ orthonormal(len(cols)) if cols else np.zeros((p, 0))
+                psi = (basis * rng.uniform(0.3, 3.0, len(cols))) @ basis.T
+                psis.append((psi + psi.T) / 2.0)
+            rep = uniqueness_check(*psis, tau=1.0)
+            closed = p * p - 2 * (k + a1) * (k + a2) + k * k
+            assert rep.kernel_dim == closed == kernel_pair_count(*psis), (p, k, a1, a2)
+            assert (rep.verdict == "unique") == (closed == 0)
+            kernel_dims.append(closed)
+        assert 0 in kernel_dims and max(kernel_dims) >= 40
+
+    def test_sample_factors_below_p(self):
+        # two rank-20 factors in R^36 share 2 * 20 - 36 = 4 range directions
+        p, n = 36, 20
+        eye = np.eye(p)
+        psi1, psi2 = (
+            precision_factor(sample_potentials(random_base_matrix(p, 0.3, seed=s), eye, n, s), eye)
+            for s in (1, 2)
+        )
+        rep = uniqueness_check(psi1, psi2, tau=1.0)
+        assert rep.kernel_dim == 512 == p * p - 2 * n * n + 4 * 4
+        assert rep.kernel_dim == kernel_pair_count(psi1.matrix, psi2.matrix)
+
+    def test_paper_scale_cell_in_milliseconds(self, power_ratio1_cell):
+        psi1, psi2, _ = power_ratio1_cell
+        start = time.perf_counter()
+        rep = uniqueness_check(psi1, psi2, tau=1.0)
+        elapsed = time.perf_counter() - start
+        assert rep.kernel_dim == 3200 == 117**2 - 2 * 77**2 + 37**2
+        assert rep.verdict == "not-unique"
+        assert elapsed < 0.1
+
+    def test_indefinite_factor_rejected(self):
+        # the closed-form kernel count holds only for PSD factors
+        with pytest.raises(NotPsdError, match="psi1"):
+            uniqueness_check(np.diag([1.0, -1.0]), np.eye(2), tau=1.0)
+        with pytest.raises(NotPsdError, match="psi2"):
+            uniqueness_check(np.eye(3), -np.eye(3), tau=1.0)
 
     def test_tau_validation(self):
         with pytest.raises(InvalidInputError):

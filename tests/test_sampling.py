@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lapdiff.errors import InvalidInputError, SingularMatrixError
-from lapdiff.linalg import sqrt_psd
+from lapdiff.linalg import as_symmetric, inv_sqrt_pd, sqrt_psd
 from lapdiff.network import random_base_matrix
 from lapdiff.sampling import (
     PrecisionFactor,
@@ -127,6 +127,44 @@ class TestPrecisionFactor:
         via_cov = precision_factor_from_covariance(sample_covariance(y), sigma, n_used=40)
         assert_allclose(via_cov.matrix, direct.matrix, rtol=0, atol=1e-12)
         assert via_cov.n_used == 40
+
+    def test_factors_at_or_above_p_keep_the_full_root_bit_for_bit(self):
+        # n >= p and population input keep every eigenvalue: the factor is
+        # m^{-1} sqrt_psd(whitened covariance) m^{-1} exactly as before the
+        # rank cap existed
+        p = 6
+        b = random_base_matrix(p, 0.8, seed=9)
+        sigma = np.diag([1.0, 0.5, 2.0, 1.0, 1.5, 0.8])
+        root, m_inv = sqrt_psd(sigma), inv_sqrt_pd(sigma)
+
+        def full_root_factor(whitened_cov):
+            factor = m_inv @ sqrt_psd(whitened_cov) @ m_inv
+            return (factor + factor.T) / 2.0
+
+        for n in (p, 40):
+            y = sample_potentials(b, sigma, n, seed=23)
+            expected = full_root_factor(sample_covariance(y @ root))
+            assert np.array_equal(precision_factor(y, sigma).matrix, expected)
+            cov = sample_covariance(y)
+            for n_used in (0, n):
+                via_cov = precision_factor_from_covariance(cov, sigma, n_used=n_used)
+                expected = full_root_factor(as_symmetric(root @ cov @ root))
+                assert np.array_equal(via_cov.matrix, expected)
+
+    def test_routes_agree_below_p(self):
+        # at n < p both routes keep the n genuine eigenvalues, so the rounding
+        # each route leaves in the null space no longer reaches the factor
+        p = 36
+        b = random_base_matrix(p, 0.3, seed=5)
+        sigma = np.diag(np.linspace(0.5, 2.0, p))
+        for n in (20, 30):
+            for seed in range(3):
+                y = sample_potentials(b, sigma, n, seed=seed)
+                direct = precision_factor(y, sigma).matrix
+                via_cov = precision_factor_from_covariance(sample_covariance(y), sigma, n_used=n)
+                gap = np.max(np.abs(via_cov.matrix - direct)) / np.max(np.abs(direct))
+                assert gap <= 1e-12, (n, seed, gap)
+                assert np.linalg.matrix_rank(direct, tol=1e-10 * np.max(np.abs(direct))) == n
 
     def test_from_covariance_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
