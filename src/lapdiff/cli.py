@@ -282,6 +282,14 @@ def _load_estimate_inputs(args):
         raise InvalidInputError("both --samples1 and --samples2 are required")
     if use_cov and (args.cov1 is None or args.cov2 is None):
         raise InvalidInputError("both --cov1 and --cov2 are required")
+    if use_cov:
+        for flag, n in (("--n1", args.n1), ("--n2", args.n2)):
+            if n is None:
+                raise InvalidInputError(
+                    f"covariance inputs need {flag}, the number of observations behind the covariance"
+                )
+            if n < 1:
+                raise InvalidInputError(f"{flag} must be an integer >= 1, got {n}")
     if args.unknown_sigma and (args.sigma_x1 is not None or args.sigma_x2 is not None):
         raise InvalidInputError("--unknown-sigma conflicts with --sigma-x1/--sigma-x2")
     if not args.unknown_sigma and (args.sigma_x1 is None or args.sigma_x2 is None):
@@ -335,10 +343,6 @@ def cmd_estimate(args):
     if args.lam is not None:
         lam = args.lam
     else:
-        if n1 is None or n2 is None:
-            raise InvalidInputError(
-                "--lambda is required with covariance inputs unless --n1 and --n2 are given"
-            )
         lambda_scale = settings.get("lambda_scale", ExperimentConfig.lambda_scale)
         lam = lambda_scale * math.sqrt(math.log(p) / min(n1, n2))
 
@@ -347,11 +351,9 @@ def cmd_estimate(args):
         "unknown_sigma": args.unknown_sigma,
         "p": p,
         "lambda": lam,
+        "n1": n1,
+        "n2": n2,
     }
-    if n1 is not None:
-        report["n1"] = n1
-    if n2 is not None:
-        report["n2"] = n2
 
     if args.estimator == "plugin":
         if not use_samples:
@@ -369,8 +371,8 @@ def cmd_estimate(args):
             psi1 = precision_factor(first, sigma1)
             psi2 = precision_factor(second, sigma2)
         else:
-            psi1 = precision_factor_from_covariance(first, sigma1, n_used=n1 or 0)
-            psi2 = precision_factor_from_covariance(second, sigma2, n_used=n2 or 0)
+            psi1 = precision_factor_from_covariance(first, sigma1, n_used=n1)
+            psi2 = precision_factor_from_covariance(second, sigma2, n_used=n2)
         est = estimate_delta(psi1, psi2, config)
         delta_hat = est.delta
         report.update(
@@ -564,8 +566,8 @@ def build_parser():
     )
     est.add_argument("--estimator", choices=("dtrace", "plugin"), default="dtrace")
     est.add_argument("--lambda", type=float, dest="lam")
-    est.add_argument("--n1", type=int)
-    est.add_argument("--n2", type=int)
+    est.add_argument("--n1", type=int, help="observations behind --cov1 (required with it)")
+    est.add_argument("--n2", type=int, help="observations behind --cov2 (required with it)")
     est.add_argument("--out", default=".")
     _add_key_flags(est, _SOLVER_KEYS)
     est.set_defaults(entry=cmd_estimate)

@@ -29,7 +29,7 @@ from .linalg import (
     soft_threshold,
     sqrt_psd,
 )
-from .sampling import PrecisionFactor, precision_factor, sample_covariance, whiten
+from .sampling import precision_factor, sample_covariance, whiten
 
 # Relative margin by which a recession direction's objective slope must be
 # negative before run_admm declares the problem unbounded.
@@ -114,8 +114,6 @@ class UniquenessReport:
 
 
 def _factor_matrix(factor, name):
-    if isinstance(factor, PrecisionFactor):
-        factor = factor.matrix
     try:
         return as_symmetric(factor)
     except InvalidInputError as exc:
@@ -251,7 +249,7 @@ def run_admm(psi1, psi2, config):
 def estimate_delta(psi1, psi2, config):
     """Penalized difference estimate from two square-root precision factors.
 
-    Accepts PrecisionFactor instances or plain symmetric matrices. Returns a
+    Takes symmetric matrices, such as those precision_factor returns. Returns a
     DeltaEstimate holding the symmetric sparse iterate, iteration count,
     convergence flag, and the final penalized objective.
     """
@@ -260,6 +258,16 @@ def estimate_delta(psi1, psi2, config):
     return DeltaEstimate(
         delta=state.z, iterations=state.iterations, converged=converged, objective=objective
     )
+
+
+def _wrapped_root_difference(regimes):
+    """Symmetrized t2 - t1 for the two (m, c) regimes, where t = m @ inv_sqrt_pd(c) @ m.
+
+    Raises SingularMatrixError when a c is not positive definite.
+    """
+    t1, t2 = (root @ inv_sqrt_pd(cov) @ root for root, cov in regimes)
+    delta = t2 - t1
+    return (delta + delta.T) / 2.0
 
 
 def exact_delta(b1, b2, sigma_x1, sigma_x2):
@@ -271,7 +279,7 @@ def exact_delta(b1, b2, sigma_x1, sigma_x2):
     of the two wrapped roots equals b2 - b1 up to floating-point error; this
     is the identity the sample estimator plugs into.
     """
-    terms = []
+    regimes = []
     for b, sigma in ((b1, sigma_x1), (b2, sigma_x2)):
         b = as_symmetric(b)
         sigma = as_symmetric(sigma)
@@ -284,10 +292,8 @@ def exact_delta(b1, b2, sigma_x1, sigma_x2):
         t = root @ np.linalg.solve(b, root)
         t = (t + t.T) / 2.0
         cov = t @ t
-        theta_root = inv_sqrt_pd((cov + cov.T) / 2.0)
-        terms.append(root @ theta_root @ root)
-    delta = terms[1] - terms[0]
-    return (delta + delta.T) / 2.0
+        regimes.append((root, (cov + cov.T) / 2.0))
+    return _wrapped_root_difference(regimes)
 
 
 def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
@@ -297,7 +303,7 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
     for the population inverse root in the exact identity. Only defined when
     both sample covariances are invertible, which requires n > p.
     """
-    terms = []
+    regimes = []
     for samples, sigma in ((samples1, sigma_x1), (samples2, sigma_x2)):
         samples = np.asarray(samples, dtype=float)
         sigma = as_symmetric(sigma)
@@ -311,14 +317,11 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
                 f"plug-in estimate undefined: need n > p, got n = {n}, p = {p}"
             )
         root = sqrt_psd(sigma)
-        cov = sample_covariance(whiten(samples, root))
-        try:
-            inv_root = inv_sqrt_pd(cov)
-        except SingularMatrixError as exc:
-            raise PluginUndefinedError(f"sample covariance is singular: {exc}") from None
-        terms.append(root @ inv_root @ root)
-    delta = terms[1] - terms[0]
-    return (delta + delta.T) / 2.0
+        regimes.append((root, sample_covariance(whiten(samples, root))))
+    try:
+        return _wrapped_root_difference(regimes)
+    except SingularMatrixError as exc:
+        raise PluginUndefinedError(f"sample covariance is singular: {exc}") from None
 
 
 def estimate_sqrt_delta(samples1, samples2, config):

@@ -415,30 +415,19 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
                 est = estimate_sqrt_delta(y1, y2, config)
                 delta_hat, iterations, converged = est.delta, est.iterations, est.converged
         except (PluginUndefinedError, NumericalError):
-            delta_hat = None
+            pass
         wall_ms = (time.perf_counter() - start) * 1000.0
-        if delta_hat is None:
-            results.append(
-                dict(
-                    estimator=tag,
-                    support_recovered=False,
-                    sup_norm_error=float("nan"),
-                    iterations=iterations,
-                    converged=False,
-                    wall_time_ms=wall_ms,
-                )
+        scored = delta_hat is not None
+        results.append(
+            dict(
+                estimator=tag,
+                support_recovered=scored and support_recovered(delta_hat, scenario.delta_true, epsilon),
+                sup_norm_error=sup_norm_error(delta_hat, scenario.delta_true) if scored else math.nan,
+                iterations=iterations,
+                converged=converged,
+                wall_time_ms=wall_ms,
             )
-        else:
-            results.append(
-                dict(
-                    estimator=tag,
-                    support_recovered=support_recovered(delta_hat, scenario.delta_true, epsilon),
-                    sup_norm_error=sup_norm_error(delta_hat, scenario.delta_true),
-                    iterations=iterations,
-                    converged=converged,
-                    wall_time_ms=wall_ms,
-                )
-            )
+        )
     return results
 
 
@@ -618,7 +607,6 @@ def run_sweep(cfg, row_callback=None):
                         if row_callback is not None:
                             row_callback(row)
         except (KeyboardInterrupt, SystemExit):
-            executor.shutdown(wait=False, cancel_futures=True)
             raise SweepInterrupted(sorted(rows, key=SweepRow.sort_key))
         finally:
             executor.shutdown(wait=False, cancel_futures=True)

@@ -7,7 +7,6 @@ reactance x, and status (branch columns 1, 2, 3, 4, and 11). Generation,
 load, and cost data play no role in the network matrix and are ignored.
 """
 
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -195,7 +194,7 @@ def parse_case(source):
             raise InvalidInputError(f"cannot parse case from {type(source).__name__}")
     except UnicodeDecodeError as exc:
         raise CaseParseError(f"case text is not valid {exc.encoding}: {exc.reason}") from None
-    lines = io.StringIO(text).read().splitlines()
+    lines = text.splitlines()
 
     name = "case"
     for line in lines:

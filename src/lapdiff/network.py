@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NearSingularScenarioError, ReductionError
-from .linalg import as_symmetric
+from .linalg import EIG_RELATIVE_FLOOR, as_symmetric
 
 # Constant added to the absolute row sums when building diagonals of
 # synthetic difference matrices; keeps them nonsingular without dominating.
@@ -242,7 +242,7 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
             raise InvalidInputError(f"{name} has shape {mat.shape}, expected {(p, p)}")
     for name, sigma in (("sigma_x1", sigma_x1), ("sigma_x2", sigma_x2)):
         eigs = np.linalg.eigvalsh(sigma)
-        if eigs[0] <= 1e-10 * max(1.0, eigs[-1]):
+        if eigs[0] <= EIG_RELATIVE_FLOOR * max(1.0, eigs[-1]):
             raise InvalidInputError(f"{name} is not positive definite (min eig {eigs[0]:.3e})")
     b2 = b1 + delta
     for name, mat in (("b1", b1), ("b2", b2)):

@@ -5,8 +5,6 @@ symmetric nonsingular system matrix b, and the observed potentials solve
 b @ y = x. Rows of all sample arrays are observations, columns are nodes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, SingularMatrixError
@@ -73,34 +71,17 @@ def sample_covariance(samples):
     return (cov + cov.T) / 2.0
 
 
-@dataclass(frozen=True)
-class PrecisionFactor:
-    """A square-root precision factor ready for the difference estimator.
-
-    matrix is the symmetric factor itself; n_used records how many
-    observations produced it (0 for population inputs).
-    """
-
-    matrix: np.ndarray
-    n_used: int = 0
-
-
 def precision_factor(samples, sigma_x):
     """Square-root precision factor of one regime from raw potentials.
 
     With m = sigma_x^{1/2}, whitened observations yt = y @ m have uncentered
     covariance s; the factor is m^{-1} @ sqrt_psd(s) @ m^{-1}, which for
     population s equals b^{-1}, the inverse system matrix. PSD square roots
-    keep this well defined for every sample size, including n < p.
+    keep this well defined for every sample size, including n < p. Returns
+    the symmetric p x p factor.
     """
-    samples = np.asarray(samples, dtype=float)
-    sigma_x = as_symmetric(sigma_x)
-    if samples.ndim != 2 or samples.shape[1] != sigma_x.shape[0]:
-        raise InvalidInputError(
-            f"samples shape {samples.shape} incompatible with sigma_x {sigma_x.shape}"
-        )
-    root = sqrt_psd(sigma_x)
-    return _factor_from_whitened(sample_covariance(samples @ root), sigma_x, samples.shape[0])
+    whitened = whiten(samples, sqrt_psd(sigma_x))
+    return _factor_from_whitened(sample_covariance(whitened), sigma_x, whitened.shape[0])
 
 
 def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
@@ -110,7 +91,9 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
     of the same raw potentials: the whitened second moment is
     m @ cov_y @ m with m = sigma_x^{1/2}, and the factor is
     m^{-1} @ sqrt_psd(m @ cov_y @ m) @ m^{-1}. n_used counts the observations
-    behind cov_y (0 for a population covariance).
+    behind cov_y (0 for a population covariance); below p it caps the
+    factor's rank (see _factor_from_whitened). Returns the symmetric p x p
+    factor.
     """
     cov_y = as_symmetric(cov_y)
     sigma_x = as_symmetric(sigma_x)
@@ -123,7 +106,7 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
 
 
 def _factor_from_whitened(whitened_cov, sigma_x, n_used):
-    """m^{-1} @ sqrt_psd(whitened_cov) @ m^{-1} with m = sigma_x^{1/2}, as a PrecisionFactor.
+    """m^{-1} @ sqrt_psd(whitened_cov) @ m^{-1} with m = sigma_x^{1/2}.
 
     At 0 < n_used < p the covariance has rank n_used, so only its n_used
     largest eigenvalues are kept: the rest are rounding, which would hide
@@ -135,5 +118,4 @@ def _factor_from_whitened(whitened_cov, sigma_x, n_used):
     """
     m_inv = inv_sqrt_pd(sigma_x)
     factor = m_inv @ _sqrt_psd_top(whitened_cov, n_used) @ m_inv
-    factor = (factor + factor.T) / 2.0
-    return PrecisionFactor(matrix=factor, n_used=n_used)
+    return (factor + factor.T) / 2.0

@@ -346,7 +346,7 @@ def test_criterion_7_invariant_suites(tmp_path):
     root = sqrt_psd(psd)
     b = random_pd(rng, 12, 0.5, 2.0)
     few = sample_potentials(b, np.eye(12), 6, seed=11)
-    factor = precision_factor(few, np.eye(12)).matrix
+    factor = precision_factor(few, np.eye(12))
     checks["psd-closures"] = bool(
         np.linalg.eigvalsh(root).min() >= -1e-10
         and np.linalg.eigvalsh(factor).min() >= -1e-10

@@ -163,6 +163,42 @@ class TestEstimate:
         assert "unbounded below" in capsys.readouterr().err
         assert not (out / "delta_hat.csv").exists()
 
+    @pytest.fixture
+    def covariance_flags_below_p(self, tmp_path):
+        """estimate flags for n = 8 sample covariances at p = 16 (gen --p 16 --seed 7).
+
+        Without the rank cap that n = 8 sets, the certificate misses the
+        recession direction of this draw and the loop runs to max_iter.
+        """
+        assert run("gen", "--p", "16", "--seed", "7", "--out", str(tmp_path)) == 0
+        for tag in ("1", "2"):
+            b = read_matrix_csv(tmp_path / f"b{tag}.csv")
+            sigma = read_matrix_csv(tmp_path / f"sigma_x{tag}.csv")
+            y = sample_potentials(b, sigma, 8, seed=[7, int(tag), 13])
+            write_matrix_csv(tmp_path / f"c{tag}.csv", y.T @ y / 8)
+        return (
+            "estimate",
+            "--cov1", str(tmp_path / "c1.csv"),
+            "--cov2", str(tmp_path / "c2.csv"),
+            "--sigma-x1", str(tmp_path / "sigma_x1.csv"),
+            "--sigma-x2", str(tmp_path / "sigma_x2.csv"),
+            "--lambda", "0.01",
+            "--out", str(tmp_path / "o"),
+        )
+
+    def test_covariance_input_requires_n_flags(self, covariance_flags_below_p, capsys):
+        assert run(*covariance_flags_below_p) == 2
+        assert "--n1" in capsys.readouterr().err
+
+    def test_covariance_n_below_one_rejected(self, covariance_flags_below_p, capsys):
+        assert run(*covariance_flags_below_p, "--n1", "0", "--n2", "8") == 2
+        assert "--n1" in capsys.readouterr().err
+
+    def test_covariance_below_p_certified_unbounded(self, covariance_flags_below_p, tmp_path, capsys):
+        assert run(*covariance_flags_below_p, "--n1", "8", "--n2", "8") == 3
+        assert "8-dimensional null space" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "delta_hat.csv").exists()
+
     def test_covariance_route_matches_samples_route(self, scenario_with_samples, tmp_path):
         d = scenario_with_samples
         y1 = np.loadtxt(d / "y1.csv", delimiter=",", skiprows=1)
@@ -178,6 +214,8 @@ class TestEstimate:
             "--cov2", str(d / "c2.csv"),
             "--sigma-x1", str(d / "sigma_x1.csv"),
             "--sigma-x2", str(d / "sigma_x2.csv"),
+            "--n1", "4000",
+            "--n2", "4000",
             "--lambda", "0.05",
             "--rho", "0.1",
             "--out", str(out_b),

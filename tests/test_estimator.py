@@ -324,7 +324,7 @@ def power_ratio1_cell(monkeypatch):
 class TestUnboundedCertificate:
     def test_power_ratio1_cell_finds_its_whole_null_space(self, power_ratio1_cell):
         psi1, psi2, config = power_ratio1_cell
-        p1, p2 = psi1.matrix, psi2.matrix
+        p1, p2 = psi1, psi2
         solver = PxqSolver(p1, p2, 4.0 * config.rho)
         null1, null2 = solver.null_bases()
         assert null1.shape == null2.shape == (117, 40)
@@ -532,7 +532,7 @@ class TestUniquenessCheck:
         )
         rep = uniqueness_check(psi1, psi2, tau=1.0)
         assert rep.kernel_dim == 512 == p * p - 2 * n * n + 4 * 4
-        assert rep.kernel_dim == kernel_pair_count(psi1.matrix, psi2.matrix)
+        assert rep.kernel_dim == kernel_pair_count(psi1, psi2)
 
     def test_paper_scale_cell_in_milliseconds(self, power_ratio1_cell):
         psi1, psi2, _ = power_ratio1_cell

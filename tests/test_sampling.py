@@ -8,7 +8,6 @@ from lapdiff.errors import InvalidInputError, SingularMatrixError
 from lapdiff.linalg import as_symmetric, inv_sqrt_pd, sqrt_psd
 from lapdiff.network import random_base_matrix
 from lapdiff.sampling import (
-    PrecisionFactor,
     precision_factor,
     precision_factor_from_covariance,
     sample_covariance,
@@ -94,17 +93,15 @@ class TestPrecisionFactor:
         sigma = np.diag([1.0, 2.0, 0.5, 1.5])
         y = sample_potentials(b, sigma, 200000, seed=13)
         est = precision_factor(y, sigma)
-        assert isinstance(est, PrecisionFactor)
-        assert est.n_used == 200000
-        assert np.max(np.abs(est.matrix - np.linalg.inv(b))) <= 0.05
+        assert np.max(np.abs(est - np.linalg.inv(b))) <= 0.05
 
     def test_defined_for_n_below_p(self):
         b = random_base_matrix(8, 0.5, seed=7)
         y = sample_potentials(b, np.eye(8), 3, seed=17)
         est = precision_factor(y, np.eye(8))
-        assert est.matrix.shape == (8, 8)
-        assert np.all(np.isfinite(est.matrix))
-        assert_allclose(est.matrix, est.matrix.T, rtol=0, atol=0)
+        assert est.shape == (8, 8)
+        assert np.all(np.isfinite(est))
+        assert_allclose(est, est.T, rtol=0, atol=0)
 
     def test_exact_on_synthetic_whitened_square(self):
         # hand-built samples whose uncentered covariance is an exact square:
@@ -112,7 +109,7 @@ class TestPrecisionFactor:
         v = np.array([4.0, 9.0, 1.0])
         y = np.diag(np.sqrt(v)) * np.sqrt(3)
         est = precision_factor(y, np.eye(3))
-        assert_allclose(est.matrix, np.diag(np.sqrt(v)), rtol=1e-12)
+        assert_allclose(est, np.diag(np.sqrt(v)), rtol=1e-12)
 
     def test_sigma_must_be_pd(self):
         y = np.zeros((5, 3))
@@ -125,8 +122,7 @@ class TestPrecisionFactor:
         y = sample_potentials(b, sigma, 40, seed=23)
         direct = precision_factor(y, sigma)
         via_cov = precision_factor_from_covariance(sample_covariance(y), sigma, n_used=40)
-        assert_allclose(via_cov.matrix, direct.matrix, rtol=0, atol=1e-12)
-        assert via_cov.n_used == 40
+        assert_allclose(via_cov, direct, rtol=0, atol=1e-12)
 
     def test_factors_at_or_above_p_keep_the_full_root_bit_for_bit(self):
         # n >= p and population input keep every eigenvalue: the factor is
@@ -144,12 +140,12 @@ class TestPrecisionFactor:
         for n in (p, 40):
             y = sample_potentials(b, sigma, n, seed=23)
             expected = full_root_factor(sample_covariance(y @ root))
-            assert np.array_equal(precision_factor(y, sigma).matrix, expected)
+            assert np.array_equal(precision_factor(y, sigma), expected)
             cov = sample_covariance(y)
             for n_used in (0, n):
                 via_cov = precision_factor_from_covariance(cov, sigma, n_used=n_used)
                 expected = full_root_factor(as_symmetric(root @ cov @ root))
-                assert np.array_equal(via_cov.matrix, expected)
+                assert np.array_equal(via_cov, expected)
 
     def test_routes_agree_below_p(self):
         # at n < p both routes keep the n genuine eigenvalues, so the rounding
@@ -160,9 +156,9 @@ class TestPrecisionFactor:
         for n in (20, 30):
             for seed in range(3):
                 y = sample_potentials(b, sigma, n, seed=seed)
-                direct = precision_factor(y, sigma).matrix
+                direct = precision_factor(y, sigma)
                 via_cov = precision_factor_from_covariance(sample_covariance(y), sigma, n_used=n)
-                gap = np.max(np.abs(via_cov.matrix - direct)) / np.max(np.abs(direct))
+                gap = np.max(np.abs(via_cov - direct)) / np.max(np.abs(direct))
                 assert gap <= 1e-12, (n, seed, gap)
                 assert np.linalg.matrix_rank(direct, tol=1e-10 * np.max(np.abs(direct))) == n
 

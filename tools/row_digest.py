@@ -1,0 +1,122 @@
+"""Print one SHA-256 per fixed, seeded case of the program's outputs.
+
+    python3 tools/row_digest.py
+
+Run it on two checkouts: equal digests mean the sweep CSVs agree byte for
+byte apart from wall time, and `lapdiff estimate` writes the same
+delta_hat.csv and report.txt. It imports lapdiff from the `src/` of the
+checkout it sits in, and pins sweep workers and BLAS to one thread each,
+so the rows do not depend on the machine's core count.
+
+The cases:
+- power-sweep-seed1, power-sweep-seed11: the benchmark's power-sweep
+  config (118-bus case, p = 117, ratios 1/3/5, two instances, rho 0.1),
+  rebuilt here;
+- dense-sweep: p = 16 and 25 with a dense injection covariance, running
+  dtrace, plugin and sqrt at n = 10 (below both p), 20 and 64 (above both);
+- estimate-cli: `lapdiff estimate` on sample CSVs drawn from a
+  `lapdiff gen` scenario at p = 16, n = 40.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+# set before numpy loads: BLAS reads its thread count once, at load time
+os.environ["LAPDIFF_THREADS"] = "1"
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import lapdiff  # noqa: E402
+from lapdiff.cli import main as cli_main  # noqa: E402
+
+
+def masked_sweep_digest(cfg, workdir):
+    """SHA-256 of the sweep's CSV with every wall_time_ms field masked."""
+    path = os.path.join(workdir, "rows.csv")
+    lapdiff.write_sweep_csv(path, lapdiff.run_sweep(cfg).rows)
+    with open(path) as fh:
+        header, *rows = fh.read().splitlines()
+    text = "\n".join([header] + [row.rsplit(",", 1)[0] + ",-" for row in rows])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def power_sweep_config(seed):
+    return lapdiff.ExperimentConfig(
+        dims=(117,),
+        ratios=(1.0, 3.0, 5.0),
+        instances=2,
+        lambda_scale=2.0,
+        delta_spec=lapdiff.GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+        base_spec=lapdiff.MatpowerBaseSpec(scale=1.0 / 600.0),
+        sigma_spec=lapdiff.SigmaSpec(kind="identity"),
+        support_epsilon=2.0,
+        seed=seed,
+        rho=0.1,
+        max_iter=2000,
+    )
+
+
+def dense_sweep_config():
+    return lapdiff.ExperimentConfig(
+        dims=(16, 25),
+        ratios=(),
+        sample_sizes=(10, 20, 64),
+        instances=2,
+        lambda_scale=2.0,
+        base_spec=lapdiff.RandomBaseSpec(density=0.5, margin=0.3, scale=0.05),
+        sigma_spec=lapdiff.SigmaSpec(kind="dense"),
+        seed=3,
+        estimators=("dtrace", "plugin", "sqrt"),
+    )
+
+
+def quiet_cli(argv):
+    """Exit code of one `lapdiff` command, its stdout discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli_main(argv)
+
+
+def estimate_cli_digest(workdir):
+    """SHA-256 over the exit code, delta_hat.csv and report.txt of one `lapdiff estimate` run."""
+    scenario = os.path.join(workdir, "scenario")
+    if quiet_cli(["gen", "--p", "16", "--seed", "7", "--sigma", "dense", "--out", scenario]) != 0:
+        raise SystemExit("lapdiff gen failed")
+    flags = []
+    for regime, b_name in ((1, "b1"), (2, "b2")):
+        sigma = os.path.join(scenario, f"sigma_x{regime}.csv")
+        samples = lapdiff.sample_potentials(
+            lapdiff.read_matrix_csv(os.path.join(scenario, f"{b_name}.csv")),
+            lapdiff.read_matrix_csv(sigma),
+            40,
+            seed=[7, regime],
+        )
+        path = os.path.join(workdir, f"samples{regime}.csv")
+        lapdiff.write_samples_csv(path, samples)
+        flags += [f"--samples{regime}", path, f"--sigma-x{regime}", sigma]
+    out = os.path.join(workdir, "estimate")
+    code = quiet_cli(["estimate", *flags, "--lambda-scale", "1.0", "--out", out])
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    for name in ("delta_hat.csv", "report.txt"):
+        with open(os.path.join(out, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def main():
+    cases = (
+        ("power-sweep-seed1", lambda d: masked_sweep_digest(power_sweep_config(1), d)),
+        ("power-sweep-seed11", lambda d: masked_sweep_digest(power_sweep_config(11), d)),
+        ("dense-sweep", lambda d: masked_sweep_digest(dense_sweep_config(), d)),
+        ("estimate-cli", estimate_cli_digest),
+    )
+    for name, digest in cases:
+        with tempfile.TemporaryDirectory() as workdir:
+            print(f"{name} {digest(workdir)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
