@@ -7,7 +7,7 @@ population square root with the PSD square root of a sample covariance and
 minimize a quadratic trace loss plus an off-diagonal l1 penalty. This script
 draws potential observations from two systems differing on a 4x4 lattice and
 watches support recovery switch on as the sample count grows. The same data
-also feed the unknown-covariance variant, which skips the whitening step.
+also feed the unknown-covariance variant, which whitens with the identity.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import numpy as np
 from lapdiff import (
     SolverConfig,
     estimate_delta,
-    estimate_sqrt_delta,
     lattice_delta,
     precision_factor,
     random_base_matrix,
@@ -44,8 +43,8 @@ for n in (50, 200, 800):
     err = sup_norm_error(est.delta, delta)
     print(f"{n:<6d} {lam:<8.3f} {str(hit):<11s} {err:.3f}")
 
-# when the injection covariance is unknown, the square-root variant skips
-# the whitening step and estimates the difference of inverse-covariance
+# when the injection covariance is unknown, the square-root variant whitens
+# with the identity and estimates the difference of inverse-covariance
 # square roots instead; with homogeneous injections Sigma = 4I that target
 # is exactly half the true difference, so doubling the estimate recovers it
 n = 800
@@ -54,7 +53,8 @@ y1 = sample_potentials(b1, sigma4, n, seed=900)
 y2 = sample_potentials(b2, sigma4, n, seed=901)
 config = SolverConfig(lam=2.0 * np.sqrt(np.log(p) / n), rho=0.1)
 direct = estimate_delta(precision_factor(y1, sigma4), precision_factor(y2, sigma4), config)
-blind = estimate_sqrt_delta(y1, y2, config)
+eye = np.eye(p)
+blind = estimate_delta(precision_factor(y1, eye), precision_factor(y2, eye), config)
 print(f"\nknown covariance, error vs truth:          "
       f"{np.max(np.abs(direct.delta - delta)):.3f}")
 print(f"unknown covariance, error of 2x estimate:  "

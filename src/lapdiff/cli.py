@@ -90,51 +90,40 @@ class _Key(NamedTuple):
     help: str | None = None
 
 
-class _Settings:
-    """Merged view of config-file values and flags; flags win."""
-
-    def __init__(self, args, allowed):
-        self.args = args
-        self.allowed = allowed
-        self.file = {}
-        if getattr(args, "config", None) is not None:
-            require_readable(args.config, "config file")
-            self.file = read_keyvalue(args.config)
-            for key in self.file:
-                if key not in allowed:
-                    raise InvalidInputError(
-                        f"config key {key!r} is not valid for this experiment variant"
-                    )
-
-    def get(self, key, default=None):
-        kind = self.allowed[key].kind
-        flag = getattr(self.args, key, None)
+def _settings(args, keys):
+    """The settings that were set, parsed: config-file values, then flags, so flags win."""
+    settings = {}
+    if getattr(args, "config", None) is not None:
+        require_readable(args.config, "config")
+        for key, text in read_keyvalue(args.config).items():
+            if key not in keys:
+                raise InvalidInputError(
+                    f"config key {key!r} is not valid for this experiment variant"
+                )
+            settings[key] = _parse_value(text, key, keys[key].kind)
+    for key, spec in keys.items():
+        flag = getattr(args, key, None)
         if flag is not None:
-            if isinstance(flag, str):
-                return _parse_value(flag, key, kind)
-            return flag
-        if key in self.file:
-            return _parse_value(self.file[key], key, kind)
-        return default
+            settings[key] = _parse_value(flag, key, spec.kind) if isinstance(flag, str) else flag
+    return settings
 
-    def given(self, key):
-        return getattr(self.args, key, None) is not None or key in self.file
 
-    def pick(self, *keys, **renamed):
-        """Keyword arguments for the keys that were set; renamed maps field=key.
+def _pick(settings, *keys, **renamed):
+    """Keyword arguments for the keys that were set; renamed maps field=key.
 
-        Keys left unset are left out, so the receiving dataclass applies its
-        own default.
-        """
-        fields = dict(zip(keys, keys), **renamed)
-        return {field: self.get(key) for field, key in fields.items() if self.given(key)}
+    Keys left unset are left out, so the receiving dataclass applies its
+    own default.
+    """
+    fields = dict(zip(keys, keys), **renamed)
+    return {field: settings[key] for field, key in fields.items() if key in settings}
 
-    def pick_range(self, field, lo_key, hi_key, spec):
-        """{field: (lo, hi)} when either end was set; an unset end keeps spec's default."""
-        if not (self.given(lo_key) or self.given(hi_key)):
-            return {}
-        lo, hi = getattr(spec, field)
-        return {field: (self.get(lo_key, lo), self.get(hi_key, hi))}
+
+def _pick_range(settings, field, lo_key, hi_key, spec):
+    """{field: (lo, hi)} when either end was set; an unset end keeps spec's default."""
+    if lo_key not in settings and hi_key not in settings:
+        return {}
+    lo, hi = getattr(spec, field)
+    return {field: (settings.get(lo_key, lo), settings.get(hi_key, hi))}
 
 
 # Each table declares the settings of one command or experiment variant; the
@@ -219,15 +208,15 @@ def _termination_as_interrupt():
 
 def _delta_spec(settings):
     return GridDeltaSpec(
-        **settings.pick("sign_mode"),
-        **settings.pick_range("weight_range", "weight_min", "weight_max", GridDeltaSpec),
+        **_pick(settings, "sign_mode"),
+        **_pick_range(settings, "weight_range", "weight_min", "weight_max", GridDeltaSpec),
     )
 
 
 def _sigma_spec(settings):
     return SigmaSpec(
-        **settings.pick(kind="sigma", condition="sigma_condition"),
-        **settings.pick_range("value_range", "sigma_min", "sigma_max", SigmaSpec),
+        **_pick(settings, kind="sigma", condition="sigma_condition"),
+        **_pick_range(settings, "value_range", "sigma_min", "sigma_max", SigmaSpec),
     )
 
 
@@ -235,9 +224,11 @@ def cmd_gen(args):
     k = math.isqrt(args.p)
     if k * k != args.p or k < 2:
         raise InvalidInputError(f"gen needs p = k*k with k >= 2, got p = {args.p}")
-    settings = _Settings(args, _GEN_KEYS)
+    if args.seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {args.seed}")
+    settings = _settings(args, _GEN_KEYS)
     delta_spec = _delta_spec(settings)
-    base_spec = RandomBaseSpec(**settings.pick("density", "margin", "scale"))
+    base_spec = RandomBaseSpec(**_pick(settings, "density", "margin", "scale"))
     sigma_spec = _sigma_spec(settings)
     scenario = draw_scenario(args.p, args.seed, delta_spec, base_spec, sigma_spec)
 
@@ -300,7 +291,7 @@ def _load_estimate_inputs(args):
     paths = [args.samples1, args.samples2] if use_samples else [args.cov1, args.cov2]
     for path in paths + [args.sigma_x1, args.sigma_x2]:
         if path is not None:
-            require_readable(path, "input file")
+            require_readable(path, "input")
 
     if use_samples:
         y1 = read_samples_csv(args.samples1)
@@ -338,7 +329,7 @@ def _load_estimate_inputs(args):
 
 def cmd_estimate(args):
     use_samples, first, second, sigma1, sigma2, p, n1, n2 = _load_estimate_inputs(args)
-    settings = _Settings(args, _SOLVER_KEYS)
+    settings = _settings(args, _SOLVER_KEYS)
 
     if args.lam is not None:
         lam = args.lam
@@ -366,7 +357,7 @@ def cmd_estimate(args):
             raise PluginUndefinedError(f"plugin undefined for n <= p ({exc})") from exc
         report.update(iterations=0, converged=True)
     else:
-        config = SolverConfig(lam=lam, **settings.pick("rho", "max_iter", "tol_consensus"))
+        config = SolverConfig(lam=lam, **_pick(settings, "rho", "max_iter", "tol_consensus"))
         if use_samples:
             psi1 = precision_factor(first, sigma1)
             psi2 = precision_factor(second, sigma2)
@@ -403,20 +394,21 @@ def _sweep_axes(settings, default_ratios=None):
     With neither given, default_ratios applies, or ExperimentConfig's own
     default when it is None.
     """
-    has_ratios = settings.given("ratios") if "ratios" in settings.allowed else False
-    has_sizes = settings.given("sample_sizes")
+    has_ratios = "ratios" in settings
+    has_sizes = "sample_sizes" in settings
     if has_ratios and has_sizes:
         raise InvalidInputError("give ratios or sample_sizes, not both")
     if has_sizes:
-        return {"ratios": (), "sample_sizes": settings.get("sample_sizes")}
+        return {"ratios": (), "sample_sizes": settings["sample_sizes"]}
     if has_ratios:
-        return {"ratios": settings.get("ratios")}
+        return {"ratios": settings["ratios"]}
     return {} if default_ratios is None else {"ratios": default_ratios}
 
 
 def _common_config_kwargs(settings, full_scale, desk_instances):
     return dict(
-        settings.pick(
+        _pick(
+            settings,
             "lambda_scale", "support_epsilon", "seed", "estimators", "rho", "max_iter",
             "tol_consensus",
         ),
@@ -427,10 +419,10 @@ def _common_config_kwargs(settings, full_scale, desk_instances):
 
 
 def _synth_jobs(args):
-    settings = _Settings(args, _SYNTH_KEYS)
+    settings = _settings(args, _SYNTH_KEYS)
     cfg = ExperimentConfig(
         dims=settings.get("dims", (16, 64, 256) if args.full_scale else (16, 64)),
-        base_spec=RandomBaseSpec(**settings.pick("density", "margin", scale="base_scale")),
+        base_spec=RandomBaseSpec(**_pick(settings, "density", "margin", scale="base_scale")),
         **_sweep_axes(settings),
         **_common_config_kwargs(settings, args.full_scale, 20),
     )
@@ -438,10 +430,10 @@ def _synth_jobs(args):
 
 
 def _power_jobs(args):
-    settings = _Settings(args, _POWER_KEYS)
-    base_spec = MatpowerBaseSpec(**settings.pick("weight_mode", path="case", scale="base_scale"))
+    settings = _settings(args, _POWER_KEYS)
+    base_spec = MatpowerBaseSpec(**_pick(settings, "weight_mode", path="case", scale="base_scale"))
     if base_spec.path is not None:
-        require_readable(base_spec.path, "case file")
+        require_readable(base_spec.path, "case")
     cfg = ExperimentConfig(
         dims=(base_spec.matrix.shape[0],),
         base_spec=base_spec,
@@ -452,7 +444,7 @@ def _power_jobs(args):
 
 
 def _plugin_compare_jobs(args):
-    settings = _Settings(args, _PLUGIN_COMPARE_KEYS)
+    settings = _settings(args, _PLUGIN_COMPARE_KEYS)
     p = settings.get("p", 60)
     sample_sizes = settings.get("sample_sizes", (2 * p, 4 * p))
     common = _common_config_kwargs(settings, args.full_scale, 20)
@@ -463,7 +455,7 @@ def _plugin_compare_jobs(args):
             dims=(p,),
             ratios=(),
             sample_sizes=sample_sizes,
-            base_spec=RandomBaseSpec(density=s, **settings.pick("margin", scale="base_scale")),
+            base_spec=RandomBaseSpec(density=s, **_pick(settings, "margin", scale="base_scale")),
             **common,
         )
         jobs.append((cfg, f"{args.out}_s{s:g}.csv"))
@@ -494,7 +486,7 @@ def cmd_experiment(args):
 
 
 def cmd_parse_matpower(args):
-    require_readable(args.case, "case file")
+    require_readable(args.case, "case")
     with open(args.case) as fh:
         case = parse_case(fh)
     lap, ground_index = case_laplacian(case, args.weight_mode, ground_bus=args.ground)

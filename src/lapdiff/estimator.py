@@ -1,6 +1,5 @@
 """Core difference estimation: quadratic trace loss, ADMM solver, exact
-identity, plug-in baseline, unknown-covariance variant, and the uniqueness
-diagnostic.
+identity, plug-in baseline, and the uniqueness diagnostic.
 
 All estimators target delta = b2 - b1, the difference of the two symmetric
 system matrices, using only square-root precision factors built from node
@@ -29,7 +28,7 @@ from .linalg import (
     soft_threshold,
     sqrt_psd,
 )
-from .sampling import precision_factor, sample_covariance, whiten
+from .sampling import sample_covariance, whiten
 
 # Relative margin by which a recession direction's objective slope must be
 # negative before run_admm declares the problem unbounded.
@@ -252,6 +251,12 @@ def estimate_delta(psi1, psi2, config):
     Takes symmetric matrices, such as those precision_factor returns. Returns a
     DeltaEstimate holding the symmetric sparse iterate, iteration count,
     convergence flag, and the final penalized objective.
+
+    With unknown injection covariances, whiten with the identity:
+    estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
+    config) estimates the difference of the inverse-covariance square roots
+    of the two potential distributions, which is (b2 - b1) / 2 when both
+    injection covariances equal 4 I.
     """
     state, converged = run_admm(psi1, psi2, config)
     objective = penalized_objective(state.z, psi1, psi2, config)
@@ -322,27 +327,6 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
         return _wrapped_root_difference(regimes)
     except SingularMatrixError as exc:
         raise PluginUndefinedError(f"sample covariance is singular: {exc}") from None
-
-
-def estimate_sqrt_delta(samples1, samples2, config):
-    """Unknown-covariance variant: the same pipeline with the whitener fixed
-    to the identity.
-
-    The output then estimates the sparse difference of the inverse-covariance
-    square roots of the two potential distributions (which is (b2 - b1) / 2
-    when both injection covariances equal 4 I, and more generally a rescaled
-    difference for proportional covariances).
-    """
-    samples1 = np.asarray(samples1, dtype=float)
-    samples2 = np.asarray(samples2, dtype=float)
-    if samples1.ndim != 2 or samples2.ndim != 2 or samples1.shape[1] != samples2.shape[1]:
-        raise InvalidInputError(
-            f"sample arrays must share a column count, got {samples1.shape} and {samples2.shape}"
-        )
-    eye = np.eye(samples1.shape[1])
-    return estimate_delta(
-        precision_factor(samples1, eye), precision_factor(samples2, eye), config
-    )
 
 
 def uniqueness_check(psi1, psi2, tau):

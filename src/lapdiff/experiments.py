@@ -19,7 +19,7 @@ import math
 import os
 import struct
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -32,12 +32,8 @@ from .errors import (
     NumericalError,
     PluginUndefinedError,
 )
-from .estimator import (
-    SolverConfig,
-    estimate_delta,
-    estimate_sqrt_delta,
-    plugin_delta,
-)
+from .estimator import SolverConfig, estimate_delta, plugin_delta
+from .matio import FLOAT_FORMAT
 from .matpower import case_laplacian, load_case118, parse_case
 from .network import assemble_scenario, lattice_delta, random_base_matrix, reduce_ground_node
 from .sampling import precision_factor, sample_potentials
@@ -183,8 +179,10 @@ class ExperimentConfig:
             raise InvalidInputError("ratios must contain at least one value")
         if any(r <= 0 for r in self.ratios):
             raise InvalidInputError(f"ratios must be positive, got {self.ratios}")
-        if self.instances < 1:
-            raise InvalidInputError(f"instances must be >= 1, got {self.instances}")
+        if not (isinstance(self.instances, (int, np.integer)) and self.instances >= 1):
+            raise InvalidInputError(f"instances must be an integer >= 1, got {self.instances!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (self.lambda_scale >= 0):
             raise InvalidInputError(f"lambda_scale must be >= 0, got {self.lambda_scale}")
         if self.support_epsilon is not None and not (self.support_epsilon > 0):
@@ -232,14 +230,14 @@ class SweepRow:
             (
                 str(self.p),
                 str(self.n),
-                "%.9g" % self.ratio,
+                FLOAT_FORMAT % self.ratio,
                 str(self.instance),
                 self.estimator,
                 str(int(self.support_recovered)),
-                "%.9g" % self.sup_norm_error,
+                FLOAT_FORMAT % self.sup_norm_error,
                 str(self.iterations),
                 str(int(self.converged)),
-                "%.9g" % self.wall_time_ms,
+                FLOAT_FORMAT % self.wall_time_ms,
             )
         )
 
@@ -250,24 +248,23 @@ class SweepResult:
 
     rows: tuple
 
-    def recovery_rate(self, p, ratio, estimator):
-        flags = [
-            r.support_recovered
+    def _select(self, p, ratio, estimator):
+        """The rows of one (p, ratio, estimator) cell; raises when there are none."""
+        rows = [
+            r
             for r in self.rows
             if r.p == p and math.isclose(r.ratio, ratio) and r.estimator == estimator
         ]
-        if not flags:
+        if not rows:
             raise InvalidInputError(f"no rows at p={p}, ratio={ratio}, estimator={estimator}")
+        return rows
+
+    def recovery_rate(self, p, ratio, estimator):
+        flags = [r.support_recovered for r in self._select(p, ratio, estimator)]
         return sum(flags) / len(flags)
 
     def mean_error(self, p, ratio, estimator):
-        errs = [
-            r.sup_norm_error
-            for r in self.rows
-            if r.p == p and math.isclose(r.ratio, ratio) and r.estimator == estimator
-        ]
-        if not errs:
-            raise InvalidInputError(f"no rows at p={p}, ratio={ratio}, estimator={estimator}")
+        errs = [r.sup_norm_error for r in self._select(p, ratio, estimator)]
         valid = [e for e in errs if math.isfinite(e)]
         return sum(valid) / len(valid) if valid else float("nan")
 
@@ -403,16 +400,18 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
         iterations = 0
         converged = False
         try:
-            if tag == "dtrace":
-                psi1 = precision_factor(y1, scenario.sigma_x1)
-                psi2 = precision_factor(y2, scenario.sigma_x2)
-                est = estimate_delta(psi1, psi2, config)
-                delta_hat, iterations, converged = est.delta, est.iterations, est.converged
-            elif tag == "plugin":
+            if tag == "plugin":
                 delta_hat = plugin_delta(y1, y2, scenario.sigma_x1, scenario.sigma_x2)
                 converged = True
             else:
-                est = estimate_sqrt_delta(y1, y2, config)
+                # sqrt is dtrace with the identity whitener (unknown covariances)
+                if tag == "dtrace":
+                    sigma1, sigma2 = scenario.sigma_x1, scenario.sigma_x2
+                else:
+                    sigma1 = sigma2 = np.eye(y1.shape[1])
+                est = estimate_delta(
+                    precision_factor(y1, sigma1), precision_factor(y2, sigma2), config
+                )
                 delta_hat, iterations, converged = est.delta, est.iterations, est.converged
         except (PluginUndefinedError, NumericalError):
             pass
@@ -595,17 +594,15 @@ def run_sweep(cfg, row_callback=None):
     with _blas_thread_budget(workers):
         executor = ThreadPoolExecutor(max_workers=workers)
         try:
-            pending = {
+            futures = [
                 executor.submit(_run_cell, cfg, p, axis_key, ratio, n_explicit, instance, fixed_base)
                 for p, axis_key, ratio, n_explicit, instance in tasks
-            }
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    for row in future.result():
-                        rows.append(row)
-                        if row_callback is not None:
-                            row_callback(row)
+            ]
+            for future in as_completed(futures):
+                for row in future.result():
+                    rows.append(row)
+                    if row_callback is not None:
+                        row_callback(row)
         except (KeyboardInterrupt, SystemExit):
             raise SweepInterrupted(sorted(rows, key=SweepRow.sort_key))
         finally:

@@ -8,6 +8,7 @@ manifest, and report files are flat `key = value` text with `#` comments.
 
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -16,8 +17,14 @@ from .errors import InvalidInputError
 FLOAT_FORMAT = "%.9g"
 
 
-def _format_row(row):
-    return ",".join(FLOAT_FORMAT % v for v in row)
+@contextmanager
+def _open_text(path):
+    """Open path as UTF-8 text; bytes that do not decode are an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"{path}: file is not valid UTF-8") from None
 
 
 def write_matrix_csv(path, matrix):
@@ -25,15 +32,13 @@ def write_matrix_csv(path, matrix):
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a 2-D array, got shape {a.shape}")
-    with open(path, "w") as fh:
-        for row in a:
-            fh.write(_format_row(row) + "\n")
+    np.savetxt(path, a, fmt=FLOAT_FORMAT, delimiter=",")
 
 
 def read_matrix_csv(path):
     """Read a headerless CSV matrix written by write_matrix_csv."""
     rows = []
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -57,16 +62,14 @@ def write_samples_csv(path, samples):
     a = np.asarray(samples, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a 2-D sample array, got shape {a.shape}")
-    with open(path, "w") as fh:
-        fh.write(f"# n={a.shape[0]} p={a.shape[1]}\n")
-        for row in a:
-            fh.write(_format_row(row) + "\n")
+    header = f"n={a.shape[0]} p={a.shape[1]}"
+    np.savetxt(path, a, fmt=FLOAT_FORMAT, delimiter=",", header=header, comments="# ")
 
 
 def read_samples_csv(path):
     """Read a sample matrix, validating the dimension header when present."""
     header = None
-    with open(path) as fh:
+    with _open_text(path) as fh:
         first = fh.readline()
     if first.startswith("#"):
         try:
@@ -104,7 +107,7 @@ def read_keyvalue(path):
     since silently keeping one of two values hides config mistakes.
     """
     entries = {}
-    with open(path) as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

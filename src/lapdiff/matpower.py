@@ -316,10 +316,6 @@ def case_laplacian(case, weight_mode="dc", ground_bus=None):
     for branch in case.branches:
         if branch.status != 1:
             continue
-        if branch.x == 0.0:
-            raise CaseIntegrityError(
-                f"in-service branch {branch.from_bus}-{branch.to_bus} has zero reactance"
-            )
         weight = _branch_weight(branch, weight_mode)
         edges.append((index_of[branch.from_bus], index_of[branch.to_bus], weight))
 

@@ -84,6 +84,13 @@ class TestGen:
             assert rc == 2
             assert f"p = {p}" in capsys.readouterr().err
 
+    def test_negative_seed_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "scenario"
+        rc = run("gen", "--p", "16", "--seed", "-1", "--out", str(out))
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_is_io_error(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
@@ -284,7 +291,28 @@ class TestEstimate:
             "--out", str(tmp_path),
         )
         assert rc == 2
-        assert "absent.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "absent.csv" in err
+        assert "input file not found" in err
+        assert "file file" not in err
+
+    def test_non_utf8_samples_exits_2(self, scenario_with_samples, tmp_path, capsys):
+        bad = tmp_path / "bad_y1.csv"
+        bad.write_bytes((scenario_with_samples / "y1.csv").read_bytes()[:200] + b"\xff\n")
+        flags = list(estimate_flags(scenario_with_samples, tmp_path / "est"))
+        flags[flags.index("--samples1") + 1] = str(bad)
+        rc = run(*flags)
+        assert rc == 2
+        assert f"{bad}: file is not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_sigma_exits_2(self, scenario_with_samples, tmp_path, capsys):
+        bad = tmp_path / "bad_sigma.csv"
+        bad.write_bytes(b"\xff" + (scenario_with_samples / "sigma_x1.csv").read_bytes())
+        flags = list(estimate_flags(scenario_with_samples, tmp_path / "est"))
+        flags[flags.index("--sigma-x1") + 1] = str(bad)
+        rc = run(*flags)
+        assert rc == 2
+        assert f"{bad}: file is not valid UTF-8" in capsys.readouterr().err
 
     def test_unconverged_exit_code(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
@@ -350,6 +378,26 @@ class TestExperiment:
         rc = run("experiment", "synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert rc == 2
         assert "voltage" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"dims = 9\n# \xff\n")
+        rc = run("experiment", "synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert rc == 2
+        assert f"{cfg}: file is not valid UTF-8" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        rc = run(
+            "experiment", "synth",
+            "--dims", "9",
+            "--ratios", "1",
+            "--instances", "1",
+            "--seed", "-1",
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert rc == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_ratios_and_sample_sizes_conflict(self, tmp_path, capsys):
         rc = run(

@@ -28,7 +28,6 @@ from lapdiff.estimator import (
     _check_bounded,
     dtrace_loss,
     estimate_delta,
-    estimate_sqrt_delta,
     exact_delta,
     plugin_delta,
     run_admm,
@@ -432,7 +431,8 @@ class TestEstimateSqrtDelta:
     def test_identical_samples_give_zero(self):
         rng = np.random.default_rng(18)
         y = rng.standard_normal((30, 4))
-        est = estimate_sqrt_delta(y, y, SolverConfig(lam=0.05))
+        psi = precision_factor(y, np.eye(4))
+        est = estimate_delta(psi, psi, SolverConfig(lam=0.05))
         assert np.max(np.abs(est.delta)) <= 1e-6
 
     def test_diagonal_closed_form(self):
@@ -444,7 +444,10 @@ class TestEstimateSqrtDelta:
         n = 100000
         y1 = sample_potentials(b1, sigma, n, seed=20)
         y2 = sample_potentials(b2, sigma, n, seed=21)
-        est = estimate_sqrt_delta(y1, y2, SolverConfig(lam=0.01))
+        eye = np.eye(p)
+        est = estimate_delta(
+            precision_factor(y1, eye), precision_factor(y2, eye), SolverConfig(lam=0.01)
+        )
         assert np.max(np.abs(est.delta - (b2 - b1) / 2.0)) <= 0.1
 
 

@@ -83,6 +83,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="max_iter"):
             ExperimentConfig(dims=(9,), max_iter=2.5)
 
+    def test_rejects_fractional_instances(self):
+        with pytest.raises(InvalidInputError, match="instances"):
+            ExperimentConfig(dims=(9,), instances=2.5)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            ExperimentConfig(dims=(9,), seed=-1)
+
     def test_rejects_wrong_base_spec_type(self):
         with pytest.raises(InvalidInputError, match="base_spec"):
             ExperimentConfig(dims=(9,), base_spec=object())

@@ -39,6 +39,20 @@ class TestMatrixCsv:
         write_matrix_csv(path, np.eye(2))
         assert path.read_text() == "1,0\n0,1\n"
 
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "m.csv"
+        a = np.array(
+            [[-0.0, 1e-300, 1e300], [np.nan, np.inf, -np.inf], [123456789.123, 0.5, -2.0]]
+        )
+        write_matrix_csv(path, a)
+        assert path.read_text() == "-0,1e-300,1e+300\nnan,inf,-inf\n123456789,0.5,-2\n"
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(InvalidInputError, match="not valid UTF-8"):
+            read_matrix_csv(path)
+
     def test_bad_number_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\n3,oops\n")
@@ -71,6 +85,17 @@ class TestSamplesCsv:
         first = path.read_text().splitlines()[0]
         assert first == "# n=12 p=4"
         assert_allclose(read_samples_csv(path), y, rtol=1e-8)
+
+    def test_zero_rows_write_only_the_header(self, tmp_path):
+        path = tmp_path / "y.csv"
+        write_samples_csv(path, np.zeros((0, 3)))
+        assert path.read_text() == "# n=0 p=3\n"
+
+    def test_non_utf8_header_rejected(self, tmp_path):
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"# n=1 p=2 \xff\n1,2\n")
+        with pytest.raises(InvalidInputError, match="not valid UTF-8"):
+            read_samples_csv(path)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "y.csv"
@@ -107,6 +132,12 @@ class TestKeyValue:
         path = tmp_path / "cfg"
         path.write_text("k = 1\nk = 2\n")
         with pytest.raises(InvalidInputError, match="duplicate"):
+            read_keyvalue(path)
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_bytes(b"dims = 9\n# \xff\n")
+        with pytest.raises(InvalidInputError, match="not valid UTF-8"):
             read_keyvalue(path)
 
     def test_malformed_line_rejected(self, tmp_path):

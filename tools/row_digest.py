@@ -15,7 +15,12 @@ The cases:
 - dense-sweep: p = 16 and 25 with a dense injection covariance, running
   dtrace, plugin and sqrt at n = 10 (below both p), 20 and 64 (above both);
 - estimate-cli: `lapdiff estimate` on sample CSVs drawn from a
-  `lapdiff gen` scenario at p = 16, n = 40.
+  `lapdiff gen` scenario at p = 16, n = 40;
+- gen-files: the five matrix CSVs and manifest.txt of
+  `lapdiff gen --p 25 --seed 4 --sigma dense`;
+- config-sweep: `lapdiff experiment synth --config` running dtrace, sqrt
+  and plugin at p = 9 and 16 with diagonal injection covariances, with
+  one flag overriding a value of the config file.
 """
 
 import contextlib
@@ -34,14 +39,19 @@ import lapdiff  # noqa: E402
 from lapdiff.cli import main as cli_main  # noqa: E402
 
 
-def masked_sweep_digest(cfg, workdir):
-    """SHA-256 of the sweep's CSV with every wall_time_ms field masked."""
-    path = os.path.join(workdir, "rows.csv")
-    lapdiff.write_sweep_csv(path, lapdiff.run_sweep(cfg).rows)
+def masked_csv_digest(path):
+    """SHA-256 of a sweep CSV with every wall_time_ms field masked."""
     with open(path) as fh:
         header, *rows = fh.read().splitlines()
     text = "\n".join([header] + [row.rsplit(",", 1)[0] + ",-" for row in rows])
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def masked_sweep_digest(cfg, workdir):
+    """SHA-256 of the sweep's CSV with every wall_time_ms field masked."""
+    path = os.path.join(workdir, "rows.csv")
+    lapdiff.write_sweep_csv(path, lapdiff.run_sweep(cfg).rows)
+    return masked_csv_digest(path)
 
 
 def power_sweep_config(seed):
@@ -106,12 +116,53 @@ def estimate_cli_digest(workdir):
     return digest.hexdigest()
 
 
+def gen_files_digest(workdir):
+    """SHA-256 over the exit code and the six files of one `lapdiff gen` run."""
+    code = quiet_cli(["gen", "--p", "25", "--seed", "4", "--sigma", "dense", "--out", workdir])
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    for name in ("b1.csv", "b2.csv", "delta_true.csv", "sigma_x1.csv", "sigma_x2.csv",
+                 "manifest.txt"):
+        with open(os.path.join(workdir, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+CONFIG_SWEEP = """\
+# desk-scale synth sweep; --seed on the command line overrides the seed here
+dims = 9, 16
+sample_sizes = 6, 40
+instances = 2
+estimators = dtrace, sqrt, plugin
+sigma = diagonal
+sigma_min = 0.5
+sigma_max = 2.0
+lambda_scale = 2.0
+margin = 0.3
+base_scale = 0.01
+rho = 0.1
+max_iter = 2000
+seed = 5
+"""
+
+
+def config_sweep_digest(workdir):
+    """Masked SHA-256 of one `lapdiff experiment synth --config` run, with its exit code."""
+    cfg = os.path.join(workdir, "sweep.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(CONFIG_SWEEP)
+    out = os.path.join(workdir, "rows.csv")
+    code = quiet_cli(["experiment", "synth", "--config", cfg, "--seed", "9", "--out", out])
+    return hashlib.sha256(f"exit {code}\n{masked_csv_digest(out)}".encode()).hexdigest()
+
+
 def main():
     cases = (
         ("power-sweep-seed1", lambda d: masked_sweep_digest(power_sweep_config(1), d)),
         ("power-sweep-seed11", lambda d: masked_sweep_digest(power_sweep_config(11), d)),
         ("dense-sweep", lambda d: masked_sweep_digest(dense_sweep_config(), d)),
         ("estimate-cli", estimate_cli_digest),
+        ("gen-files", gen_files_digest),
+        ("config-sweep", config_sweep_digest),
     )
     for name, digest in cases:
         with tempfile.TemporaryDirectory() as workdir:
