@@ -104,7 +104,7 @@ def _settings(args, keys):
     for key, spec in keys.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            settings[key] = _parse_value(flag, key, spec.kind) if isinstance(flag, str) else flag
+            settings[key] = _parse_value(flag, key, spec.kind)
     return settings
 
 
@@ -273,6 +273,10 @@ def _load_estimate_inputs(args):
         raise InvalidInputError("both --samples1 and --samples2 are required")
     if use_cov and (args.cov1 is None or args.cov2 is None):
         raise InvalidInputError("both --cov1 and --cov2 are required")
+    if args.estimator == "plugin" and use_cov:
+        raise InvalidInputError("the plugin estimator needs sample CSVs, not covariances")
+    if args.estimator == "plugin" and args.unknown_sigma:
+        raise InvalidInputError("the plugin estimator needs known injection covariances")
     if use_cov:
         for flag, n in (("--n1", args.n1), ("--n2", args.n2)):
             if n is None:
@@ -328,8 +332,8 @@ def _load_estimate_inputs(args):
 
 
 def cmd_estimate(args):
-    use_samples, first, second, sigma1, sigma2, p, n1, n2 = _load_estimate_inputs(args)
     settings = _settings(args, _SOLVER_KEYS)
+    use_samples, first, second, sigma1, sigma2, p, n1, n2 = _load_estimate_inputs(args)
 
     if args.lam is not None:
         lam = args.lam
@@ -347,10 +351,6 @@ def cmd_estimate(args):
     }
 
     if args.estimator == "plugin":
-        if not use_samples:
-            raise InvalidInputError("the plugin estimator needs sample CSVs, not covariances")
-        if args.unknown_sigma:
-            raise InvalidInputError("the plugin estimator needs known injection covariances")
         try:
             delta_hat = plugin_delta(first, second, sigma1, sigma2)
         except PluginUndefinedError as exc:
@@ -520,7 +520,6 @@ def _add_key_flags(parser, keys):
         parser.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
-            type={"int": int, "float": float}.get(spec.kind),
             choices=spec.choices,
             help=spec.help,
         )

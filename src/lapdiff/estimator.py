@@ -28,7 +28,7 @@ from .linalg import (
     soft_threshold,
     sqrt_psd,
 )
-from .sampling import sample_covariance, whiten
+from .sampling import sample_covariance
 
 # Relative margin by which a recession direction's objective slope must be
 # negative before run_admm declares the problem unbounded.
@@ -322,7 +322,7 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
                 f"plug-in estimate undefined: need n > p, got n = {n}, p = {p}"
             )
         root = sqrt_psd(sigma)
-        regimes.append((root, sample_covariance(whiten(samples, root))))
+        regimes.append((root, root @ sample_covariance(samples) @ root))
     try:
         return _wrapped_root_difference(regimes)
     except SingularMatrixError as exc:

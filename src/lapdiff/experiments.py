@@ -350,8 +350,8 @@ def _instance_seed(seed, p, axis_key, instance):
 def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec, fixed_base=None):
     """Draw one two-regime scenario from its specs, keyed by `seed`.
 
-    A fixed_base (a resolved MATPOWER base) replaces the random base draw.
-    Each draw comes from its own (seed, role) stream.
+    A fixed_base (a resolved p x p MATPOWER base) replaces the random base
+    draw. Each draw comes from its own (seed, role) stream.
     """
     delta = lattice_delta(
         p,
@@ -360,10 +360,6 @@ def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec, fixed_base=None):
         seed=[seed, _ROLE_DELTA],
     )
     if fixed_base is not None:
-        if fixed_base.shape[0] != p:
-            raise InvalidInputError(
-                f"matpower base has dimension {fixed_base.shape[0]}, config asks for p = {p}"
-            )
         b1 = fixed_base
     else:
         b1 = random_base_matrix(

@@ -1,4 +1,4 @@
-"""Sampling node potentials and forming whitened covariance factors.
+"""Sampling node potentials and forming square-root precision factors.
 
 The observation model: injections x ~ N(0, sigma_x) enter a network with
 symmetric nonsingular system matrix b, and the observed potentials solve
@@ -40,23 +40,6 @@ def sample_potentials(b, sigma_x, n, seed=0):
     return z @ transfer.T
 
 
-def whiten(samples, m_x):
-    """Apply the symmetric multiplier m_x to each observation row.
-
-    With m_x = sigma_x^{1/2}, potentials with covariance
-    b^{-1} sigma_x b^{-1} are mapped to rows whose covariance is the perfect
-    square (m_x b^{-1} m_x)^2, which is what lets precision_factor recover
-    b^{-1} through a PSD square root.
-    """
-    samples = np.asarray(samples, dtype=float)
-    m_x = as_symmetric(m_x)
-    if samples.ndim != 2 or samples.shape[1] != m_x.shape[0]:
-        raise InvalidInputError(
-            f"samples shape {samples.shape} incompatible with whitener {m_x.shape}"
-        )
-    return samples @ m_x
-
-
 def sample_covariance(samples):
     """Uncentered second-moment matrix Y.T @ Y / n of the rows of `samples`.
 
@@ -74,26 +57,26 @@ def sample_covariance(samples):
 def precision_factor(samples, sigma_x):
     """Square-root precision factor of one regime from raw potentials.
 
-    With m = sigma_x^{1/2}, whitened observations yt = y @ m have uncentered
-    covariance s; the factor is m^{-1} @ sqrt_psd(s) @ m^{-1}, which for
-    population s equals b^{-1}, the inverse system matrix. PSD square roots
-    keep this well defined for every sample size, including n < p. Returns
-    the symmetric p x p factor.
+    precision_factor_from_covariance applied to the uncentered covariance of
+    the rows, with the row count as n_used. Returns the symmetric p x p
+    factor.
     """
-    whitened = whiten(samples, sqrt_psd(sigma_x))
-    return _factor_from_whitened(sample_covariance(whitened), sigma_x, whitened.shape[0])
+    return precision_factor_from_covariance(
+        sample_covariance(samples), sigma_x, n_used=len(samples)
+    )
 
 
 def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
-    """Square-root precision factor from a precomputed potential covariance.
+    """Square-root precision factor from the uncentered covariance of the potentials.
 
-    Equivalent to precision_factor when cov_y is the uncentered covariance
-    of the same raw potentials: the whitened second moment is
-    m @ cov_y @ m with m = sigma_x^{1/2}, and the factor is
-    m^{-1} @ sqrt_psd(m @ cov_y @ m) @ m^{-1}. n_used counts the observations
-    behind cov_y (0 for a population covariance); below p it caps the
-    factor's rank (see _factor_from_whitened). Returns the symmetric p x p
-    factor.
+    With m = sigma_x^{1/2}, the whitened potentials y @ m have second moment
+    s = m @ cov_y @ m, and the factor is m^{-1} @ sqrt_psd(s) @ m^{-1}, which
+    for a population cov_y equals b^{-1}, the inverse system matrix. PSD
+    square roots keep it defined for every sample size. n_used counts the
+    observations behind cov_y (0 for a population covariance); at
+    0 < n_used < p, s has rank n_used, so only its n_used largest eigenvalues
+    are kept: the rest are rounding, which would hide part of the factor's
+    null space. Returns the symmetric p x p factor.
     """
     cov_y = as_symmetric(cov_y)
     sigma_x = as_symmetric(sigma_x)
@@ -102,20 +85,6 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"
         )
     root = sqrt_psd(sigma_x)
-    return _factor_from_whitened(as_symmetric(root @ cov_y @ root), sigma_x, int(n_used))
-
-
-def _factor_from_whitened(whitened_cov, sigma_x, n_used):
-    """m^{-1} @ sqrt_psd(whitened_cov) @ m^{-1} with m = sigma_x^{1/2}.
-
-    At 0 < n_used < p the covariance has rank n_used, so only its n_used
-    largest eigenvalues are kept: the rest are rounding, which would hide
-    part of the factor's null space.
-
-    Each route keeps its own form of the whitened covariance (the samples
-    route from the whitened rows, the covariance route as m @ cov_y @ m): at
-    n >= p the two forms differ in their last bits, which reach the rows.
-    """
     m_inv = inv_sqrt_pd(sigma_x)
-    factor = m_inv @ _sqrt_psd_top(whitened_cov, n_used) @ m_inv
+    factor = m_inv @ _sqrt_psd_top(root @ cov_y @ root, int(n_used)) @ m_inv
     return (factor + factor.T) / 2.0

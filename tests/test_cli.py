@@ -314,6 +314,64 @@ class TestEstimate:
         assert rc == 2
         assert f"{bad}: file is not valid UTF-8" in capsys.readouterr().err
 
+    def test_plugin_run_writes_estimate(self, scenario_with_samples, tmp_path):
+        out = tmp_path / "plug"
+        assert run(*estimate_flags(scenario_with_samples, out, "--estimator", "plugin")) == 0
+        assert (out / "delta_hat.csv").exists()
+        report = read_keyvalue(out / "report.txt")
+        assert report["estimator"] == "plugin"
+        assert report["iterations"] == "0"
+        assert report["converged"] == "true"
+
+    @pytest.fixture
+    def rule_files(self, tmp_path):
+        """Small input files: 3- and 4-wide samples and covariances, a 4 x 4 sigma, and bad.csv."""
+        rng = np.random.default_rng(0)
+        for p in (3, 4):
+            y = rng.standard_normal((5, p))
+            write_samples_csv(tmp_path / f"y{p}.csv", y)
+            write_matrix_csv(tmp_path / f"c{p}.csv", y.T @ y / 5)
+        write_matrix_csv(tmp_path / "s4.csv", np.eye(4))
+        (tmp_path / "bad.csv").write_text("1,2\nx,y\n")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--unknown-sigma", "inputs required"),
+            ("--samples1 y3 --unknown-sigma", "both --samples1 and --samples2 are required"),
+            ("--cov1 c3 --n1 5 --n2 5 --unknown-sigma", "both --cov1 and --cov2 are required"),
+            ("--samples1 y3 --samples2 y4 --unknown-sigma", "sample files disagree on dimension"),
+            (
+                "--cov1 c3 --cov2 c4 --n1 5 --n2 5 --unknown-sigma",
+                "covariance files must be square and same-shaped",
+            ),
+            (
+                "--samples1 y3 --samples2 y3 --sigma-x1 s4 --sigma-x2 s4",
+                "injection covariances must be 3 x 3",
+            ),
+            (
+                "--estimator plugin --cov1 bad --cov2 bad --n1 5 --n2 5 --sigma-x1 s4 --sigma-x2 s4",
+                "the plugin estimator needs sample CSVs, not covariances",
+            ),
+            (
+                "--estimator plugin --samples1 bad --samples2 bad --unknown-sigma",
+                "the plugin estimator needs known injection covariances",
+            ),
+        ],
+        ids=[
+            "no-inputs", "no-samples2", "no-cov2", "sample-widths", "cov-shapes",
+            "sigma-shape", "plugin-cov", "plugin-unknown-sigma",
+        ],
+    )
+    def test_input_rules_exit_2(self, rule_files, flags, message, capsys):
+        files = {"y3", "y4", "c3", "c4", "s4", "bad"}
+        argv = [str(rule_files / f"{tok}.csv") if tok in files else tok for tok in flags.split()]
+        out = rule_files / "o"
+        assert run("estimate", *argv, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unconverged_exit_code(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
         out = tmp_path / "short"
@@ -398,6 +456,59 @@ class TestExperiment:
         assert rc == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (("--weight-max", "inf"), "weight_max"),
+            (("--support-epsilon", "inf"), "support_epsilon"),
+            (("--sigma", "dense", "--sigma-condition", "inf"), "sigma_condition"),
+        ],
+        ids=["weight-max", "support-epsilon", "sigma-condition"],
+    )
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flags, key):
+        out = tmp_path / "r.csv"
+        rc = run(
+            "experiment", "synth",
+            "--dims", "9", "--ratios", "1", "--instances", "1", *flags, "--out", str(out),
+        )
+        assert rc == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_parse_like_config_values(self, tmp_path):
+        settings = {
+            "dims": "9",
+            "sample_sizes": "6, 40",
+            "instances": "2",
+            "estimators": "dtrace,sqrt",
+            "lambda_scale": "1.5",
+            "rho": "0.1",
+            "max_iter": "3000",
+            "margin": "0.3",
+            "base_scale": "0.0111",
+            "weight_min": "0.5",
+            "weight_max": "1.0",
+            "sigma": "diagonal",
+            "support_epsilon": "0.25",
+            "seed": "3",
+        }
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        flags = [
+            tok
+            for key, value in settings.items()
+            for tok in ("--" + key.replace("_", "-"), value)
+        ]
+        from_file = tmp_path / "file.csv"
+        from_flags = tmp_path / "flags.csv"
+        assert run("experiment", "synth", "--config", str(cfg), "--out", str(from_file)) == 0
+        assert run("experiment", "synth", *flags, "--out", str(from_flags)) == 0
+        strip = lambda path: [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+        rows = strip(from_flags)
+        assert len(rows) == 1 + 2 * 2 * 2
+        assert {line.split(",")[4] for line in rows[1:]} == {"dtrace", "sqrt"}
+        assert rows == strip(from_file)
 
     def test_ratios_and_sample_sizes_conflict(self, tmp_path, capsys):
         rc = run(

@@ -12,7 +12,6 @@ from lapdiff.sampling import (
     precision_factor_from_covariance,
     sample_covariance,
     sample_potentials,
-    whiten,
 )
 
 
@@ -54,20 +53,6 @@ class TestSamplePotentials:
             sample_potentials(np.eye(3), np.eye(2), 10)
         with pytest.raises(InvalidInputError):
             sample_potentials(np.eye(3), np.eye(3), 0)
-
-
-class TestWhiten:
-    def test_matches_row_by_row_multiplication(self):
-        rng = np.random.default_rng(3)
-        y = rng.standard_normal((6, 4))
-        m = sqrt_psd(random_base_matrix(4, 1.0, seed=9))
-        out = whiten(y, m)
-        for r in range(6):
-            assert_allclose(out[r], m @ y[r], rtol=1e-13)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            whiten(np.zeros((3, 4)), np.eye(5))
 
 
 class TestSampleCovariance:
@@ -126,8 +111,8 @@ class TestPrecisionFactor:
 
     def test_factors_at_or_above_p_keep_the_full_root_bit_for_bit(self):
         # n >= p and population input keep every eigenvalue: the factor is
-        # m^{-1} sqrt_psd(whitened covariance) m^{-1} exactly as before the
-        # rank cap existed
+        # m^{-1} sqrt_psd(m cov m) m^{-1} exactly as before the rank cap
+        # existed
         p = 6
         b = random_base_matrix(p, 0.8, seed=9)
         sigma = np.diag([1.0, 0.5, 2.0, 1.0, 1.5, 0.8])
@@ -139,17 +124,26 @@ class TestPrecisionFactor:
 
         for n in (p, 40):
             y = sample_potentials(b, sigma, n, seed=23)
-            expected = full_root_factor(sample_covariance(y @ root))
-            assert np.array_equal(precision_factor(y, sigma), expected)
             cov = sample_covariance(y)
+            expected = full_root_factor(as_symmetric(root @ cov @ root))
+            assert np.array_equal(precision_factor(y, sigma), expected)
             for n_used in (0, n):
                 via_cov = precision_factor_from_covariance(cov, sigma, n_used=n_used)
-                expected = full_root_factor(as_symmetric(root @ cov @ root))
                 assert np.array_equal(via_cov, expected)
 
+    def test_identity_whitener_at_or_above_p_is_the_plain_root_bit_for_bit(self):
+        # with sigma_x = I the whitening products are exact, so the factor is
+        # the PSD root of the sample covariance itself
+        for p in (16, 117):
+            b = random_base_matrix(p, 0.3, seed=p)
+            for n in (p, 2 * p + 1, 4000):
+                y = sample_potentials(b, np.eye(p), n, seed=n)
+                expected = sqrt_psd(sample_covariance(y))
+                assert np.array_equal(precision_factor(y, np.eye(p)), expected), (p, n)
+
     def test_routes_agree_below_p(self):
-        # at n < p both routes keep the n genuine eigenvalues, so the rounding
-        # each route leaves in the null space no longer reaches the factor
+        # precision_factor is the covariance route with n_used = n, and at
+        # n < p it keeps exactly the n genuine eigenvalues
         p = 36
         b = random_base_matrix(p, 0.3, seed=5)
         sigma = np.diag(np.linspace(0.5, 2.0, p))

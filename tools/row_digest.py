@@ -15,12 +15,18 @@ The cases:
 - dense-sweep: p = 16 and 25 with a dense injection covariance, running
   dtrace, plugin and sqrt at n = 10 (below both p), 20 and 64 (above both);
 - estimate-cli: `lapdiff estimate` on sample CSVs drawn from a
-  `lapdiff gen` scenario at p = 16, n = 40;
+  `lapdiff gen` scenario at p = 16, n = 40, with a dense injection
+  covariance;
+- estimate-cov: `lapdiff estimate --cov1/--cov2 --n1 40 --n2 40` on the
+  uncentered covariances of the estimate-cli samples;
 - gen-files: the five matrix CSVs and manifest.txt of
   `lapdiff gen --p 25 --seed 4 --sigma dense`;
 - config-sweep: `lapdiff experiment synth --config` running dtrace, sqrt
   and plugin at p = 9 and 16 with diagonal injection covariances, with
-  one flag overriding a value of the config file.
+  one flag overriding a value of the config file;
+- flag-sweep: `lapdiff experiment synth` set by flags alone, running
+  dtrace, plugin and sqrt at p = 9 and 16 with dense injection
+  covariances.
 """
 
 import contextlib
@@ -90,12 +96,12 @@ def quiet_cli(argv):
         return cli_main(argv)
 
 
-def estimate_cli_digest(workdir):
-    """SHA-256 over the exit code, delta_hat.csv and report.txt of one `lapdiff estimate` run."""
+def estimate_samples(workdir):
+    """Sigma CSV paths and samples of both regimes of a dense-sigma `lapdiff gen` scenario."""
     scenario = os.path.join(workdir, "scenario")
     if quiet_cli(["gen", "--p", "16", "--seed", "7", "--sigma", "dense", "--out", scenario]) != 0:
         raise SystemExit("lapdiff gen failed")
-    flags = []
+    regimes = []
     for regime, b_name in ((1, "b1"), (2, "b2")):
         sigma = os.path.join(scenario, f"sigma_x{regime}.csv")
         samples = lapdiff.sample_potentials(
@@ -104,9 +110,12 @@ def estimate_cli_digest(workdir):
             40,
             seed=[7, regime],
         )
-        path = os.path.join(workdir, f"samples{regime}.csv")
-        lapdiff.write_samples_csv(path, samples)
-        flags += [f"--samples{regime}", path, f"--sigma-x{regime}", sigma]
+        regimes.append((regime, sigma, samples))
+    return regimes
+
+
+def estimate_digest(flags, workdir):
+    """SHA-256 over the exit code, delta_hat.csv and report.txt of one `lapdiff estimate` run."""
     out = os.path.join(workdir, "estimate")
     code = quiet_cli(["estimate", *flags, "--lambda-scale", "1.0", "--out", out])
     digest = hashlib.sha256(f"exit {code}\n".encode())
@@ -114,6 +123,24 @@ def estimate_cli_digest(workdir):
         with open(os.path.join(out, name), "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
+
+
+def estimate_cli_digest(workdir):
+    flags = []
+    for regime, sigma, samples in estimate_samples(workdir):
+        path = os.path.join(workdir, f"samples{regime}.csv")
+        lapdiff.write_samples_csv(path, samples)
+        flags += [f"--samples{regime}", path, f"--sigma-x{regime}", sigma]
+    return estimate_digest(flags, workdir)
+
+
+def estimate_cov_digest(workdir):
+    flags = []
+    for regime, sigma, samples in estimate_samples(workdir):
+        path = os.path.join(workdir, f"cov{regime}.csv")
+        lapdiff.write_matrix_csv(path, lapdiff.sample_covariance(samples))
+        flags += [f"--cov{regime}", path, f"--n{regime}", "40", f"--sigma-x{regime}", sigma]
+    return estimate_digest(flags, workdir)
 
 
 def gen_files_digest(workdir):
@@ -155,14 +182,32 @@ def config_sweep_digest(workdir):
     return hashlib.sha256(f"exit {code}\n{masked_csv_digest(out)}".encode()).hexdigest()
 
 
+FLAG_SWEEP = [
+    "--dims", "9,16", "--sample-sizes", "10,40", "--instances", "2",
+    "--estimators", "dtrace,plugin,sqrt", "--sigma", "dense", "--sigma-condition", "5",
+    "--lambda-scale", "2.0", "--margin", "0.3", "--base-scale", "0.01",
+    "--weight-min", "0.5", "--weight-max", "1.0", "--rho", "0.1", "--max-iter", "2000",
+    "--seed", "6",
+]
+
+
+def flag_sweep_digest(workdir):
+    """Masked SHA-256 of one flags-only `lapdiff experiment synth` run, with its exit code."""
+    out = os.path.join(workdir, "rows.csv")
+    code = quiet_cli(["experiment", "synth", *FLAG_SWEEP, "--out", out])
+    return hashlib.sha256(f"exit {code}\n{masked_csv_digest(out)}".encode()).hexdigest()
+
+
 def main():
     cases = (
         ("power-sweep-seed1", lambda d: masked_sweep_digest(power_sweep_config(1), d)),
         ("power-sweep-seed11", lambda d: masked_sweep_digest(power_sweep_config(11), d)),
         ("dense-sweep", lambda d: masked_sweep_digest(dense_sweep_config(), d)),
         ("estimate-cli", estimate_cli_digest),
+        ("estimate-cov", estimate_cov_digest),
         ("gen-files", gen_files_digest),
         ("config-sweep", config_sweep_digest),
+        ("flag-sweep", flag_sweep_digest),
     )
     for name, digest in cases:
         with tempfile.TemporaryDirectory() as workdir:
