@@ -322,7 +322,8 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
                 f"plug-in estimate undefined: need n > p, got n = {n}, p = {p}"
             )
         root = sqrt_psd(sigma)
-        regimes.append((root, root @ sample_covariance(samples) @ root))
+        cov = root @ sample_covariance(samples) @ root
+        regimes.append((root, (cov + cov.T) / 2.0))
     try:
         return _wrapped_root_difference(regimes)
     except SingularMatrixError as exc:

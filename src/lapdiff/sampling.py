@@ -86,5 +86,7 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
         )
     root = sqrt_psd(sigma_x)
     m_inv = inv_sqrt_pd(sigma_x)
-    factor = m_inv @ _sqrt_psd_top(root @ cov_y @ root, int(n_used)) @ m_inv
+    # the product is symmetric only to rounding, which grows with its entries
+    s = root @ cov_y @ root
+    factor = m_inv @ _sqrt_psd_top((s + s.T) / 2.0, int(n_used)) @ m_inv
     return (factor + factor.T) / 2.0

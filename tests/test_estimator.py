@@ -411,6 +411,21 @@ class TestPluginDelta:
         expected = exact_delta(b1, b2, s1, s2)
         assert_allclose(out, expected, atol=1e-8)
 
+    def test_large_samples_with_dense_sigma_give_the_scaled_estimate(self):
+        # scaling the samples by c scales the plug-in estimate by 1 / c; the
+        # whitened covariance of large samples is asymmetric by rounding
+        p = 8
+        a = np.random.default_rng(3).standard_normal((p, p))
+        sigma = a @ a.T / p + np.eye(p)
+        b1 = random_base_matrix(p, 0.5, seed=4)
+        b2 = b1 + lattice_delta(p, seed=5)
+        y1 = sample_potentials(b1, sigma, 40, seed=6)
+        y2 = sample_potentials(b2, sigma, 40, seed=7)
+        base = plugin_delta(y1, y2, sigma, sigma)
+        for scale in (1e2, 1e4):
+            out = plugin_delta(scale * y1, scale * y2, sigma, sigma)
+            assert_allclose(scale * out, base, rtol=0, atol=1e-9 * np.max(np.abs(base)))
+
     def test_large_n_approaches_truth(self):
         # Monte-Carlo check at n = 1000: entrywise error is ~0.16 on average
         # for base matrices of this scale; bound the mean and each draw

@@ -156,6 +156,26 @@ class TestPrecisionFactor:
                 assert gap <= 1e-12, (n, seed, gap)
                 assert np.linalg.matrix_rank(direct, tol=1e-10 * np.max(np.abs(direct))) == n
 
+    def test_large_samples_with_dense_sigma_give_the_scaled_factor(self):
+        # the whitened covariance m @ cov @ m is asymmetric by rounding in
+        # proportion to its entries; scaling the samples by c scales the
+        # factor by c, at and below p
+        p = 8
+        a = np.random.default_rng(3).standard_normal((p, p))
+        sigma = a @ a.T / p + np.eye(p)
+        b = random_base_matrix(p, 0.5, seed=4)
+        for n in (5, 40):
+            y = sample_potentials(b, sigma, n, seed=5)
+            base = precision_factor(y, sigma)
+            for scale in (1e2, 1e4):
+                scaled = precision_factor(scale * y, sigma)
+                tol = 1e-9 * scale * np.max(np.abs(base))
+                assert_allclose(scaled, scale * base, rtol=0, atol=tol)
+                via_cov = precision_factor_from_covariance(
+                    sample_covariance(scale * y), sigma, n_used=n
+                )
+                assert np.array_equal(via_cov, scaled)
+
     def test_from_covariance_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             precision_factor_from_covariance(np.eye(3), np.eye(4))
