@@ -23,24 +23,21 @@ import os
 import signal
 import sys
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CaseFileError,
-    InvalidInputError,
-    NumericalError,
-    PluginUndefinedError,
-)
+from .errors import CaseFileError, InvalidInputError, NumericalError
 from .estimator import SolverConfig, estimate_delta, plugin_delta
 from .experiments import (
+    ESTIMATOR_TAGS,
     ExperimentConfig,
     GridDeltaSpec,
     MatpowerBaseSpec,
     RandomBaseSpec,
     SigmaSpec,
     SweepInterrupted,
+    default_lambda,
     draw_scenario,
     run_sweep,
     write_sweep_csv,
@@ -68,24 +65,18 @@ EXIT_IO = 4
 EXIT_INTERRUPTED = 130
 
 
-def _parse_value(text, key, kind):
-    if kind == "int":
-        return parse_int(text, key)
-    if kind == "float":
-        return parse_float(text, key)
-    if kind == "float_list":
-        return tuple(parse_float_list(text, key))
-    if kind == "int_list":
-        return tuple(parse_int_list(text, key))
-    if kind == "str_list":
-        return tuple(tok for tok in text.replace(",", " ").split() if tok)
+def _parse_word(text, key):
     return text.strip()
 
 
-class _Key(NamedTuple):
-    """One setting: how its text parses, plus the choices and help of its flag."""
+def _parse_word_list(text, key):
+    return tuple(tok for tok in text.replace(",", " ").split() if tok)
 
-    kind: str
+
+class _Key(NamedTuple):
+    """One setting: the parser of its text, plus the choices and help of its flag."""
+
+    parse: Callable[[str, str], object]
     choices: tuple | None = None
     help: str | None = None
 
@@ -100,11 +91,11 @@ def _settings(args, keys):
                 raise InvalidInputError(
                     f"config key {key!r} is not valid for this experiment variant"
                 )
-            settings[key] = _parse_value(text, key, keys[key].kind)
+            settings[key] = keys[key].parse(text, key)
     for key, spec in keys.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            settings[key] = _parse_value(flag, key, spec.kind)
+            settings[key] = spec.parse(flag, key)
     return settings
 
 
@@ -129,74 +120,70 @@ def _pick_range(settings, field, lo_key, hi_key, spec):
 # Each table declares the settings of one command or experiment variant; the
 # flags are generated from it and config files are checked against it.
 _SCENARIO_KEYS = {
-    "weight_min": _Key("float"),
-    "weight_max": _Key("float"),
-    "sign_mode": _Key("str", choices=("mixed", "positive")),
-    "sigma": _Key("str", choices=("identity", "diagonal", "dense")),
-    "sigma_min": _Key("float"),
-    "sigma_max": _Key("float"),
-    "sigma_condition": _Key("float"),
+    "weight_min": _Key(parse_float),
+    "weight_max": _Key(parse_float),
+    "sign_mode": _Key(_parse_word, choices=("mixed", "positive")),
+    "sigma": _Key(_parse_word, choices=("identity", "diagonal", "dense")),
+    "sigma_min": _Key(parse_float),
+    "sigma_max": _Key(parse_float),
+    "sigma_condition": _Key(parse_float),
 }
 
 _SOLVER_KEYS = {
-    "lambda_scale": _Key("float"),
-    "rho": _Key("float"),
-    "max_iter": _Key("int"),
-    "tol_consensus": _Key("float"),
+    "lambda_scale": _Key(parse_float),
+    "rho": _Key(parse_float),
+    "max_iter": _Key(parse_int),
+    "tol_consensus": _Key(parse_float),
 }
 
 _GEN_KEYS = dict(
-    _SCENARIO_KEYS, density=_Key("float"), margin=_Key("float"), scale=_Key("float")
+    _SCENARIO_KEYS, density=_Key(parse_float), margin=_Key(parse_float), scale=_Key(parse_float)
 )
 
 _COMMON_EXPERIMENT_KEYS = dict(
     _SCENARIO_KEYS,
     **_SOLVER_KEYS,
-    instances=_Key("int"),
-    support_epsilon=_Key("float"),
-    seed=_Key("int"),
-    estimators=_Key("str_list", help="comma list from: dtrace, plugin, sqrt"),
-    sample_sizes=_Key("int_list", help="comma list of explicit n values"),
+    instances=_Key(parse_int),
+    support_epsilon=_Key(parse_float),
+    seed=_Key(parse_int),
+    estimators=_Key(_parse_word_list, help="comma list from: " + ", ".join(ESTIMATOR_TAGS)),
+    sample_sizes=_Key(parse_int_list, help="comma list of explicit n values"),
 )
 
-_RATIOS_KEY = _Key("float_list", help="comma list of rescaled sample sizes")
+_RATIOS_KEY = _Key(parse_float_list, help="comma list of rescaled sample sizes")
 
 _SYNTH_KEYS = dict(
     _COMMON_EXPERIMENT_KEYS,
-    dims=_Key("int_list", help="comma list of matrix dimensions"),
+    dims=_Key(parse_int_list, help="comma list of matrix dimensions"),
     ratios=_RATIOS_KEY,
-    density=_Key("float"),
-    margin=_Key("float"),
-    base_scale=_Key("float"),
+    density=_Key(parse_float),
+    margin=_Key(parse_float),
+    base_scale=_Key(parse_float),
 )
 
 _POWER_KEYS = dict(
     _COMMON_EXPERIMENT_KEYS,
     ratios=_RATIOS_KEY,
-    case=_Key("str", help="case file path (default: bundled 118-bus case)"),
-    weight_mode=_Key("str", choices=("dc", "magnitude_y")),
-    base_scale=_Key("float"),
+    case=_Key(_parse_word, help="case file path (default: bundled 118-bus case)"),
+    weight_mode=_Key(_parse_word, choices=("dc", "magnitude_y")),
+    base_scale=_Key(parse_float),
 )
 
 _PLUGIN_COMPARE_KEYS = dict(
     _COMMON_EXPERIMENT_KEYS,
-    p=_Key("int"),
-    densities=_Key("float_list", help="comma list of base matrix densities"),
-    margin=_Key("float"),
-    base_scale=_Key("float"),
+    p=_Key(parse_int),
+    densities=_Key(parse_float_list, help="comma list of base matrix densities"),
+    margin=_Key(parse_float),
+    base_scale=_Key(parse_float),
 )
 
 
 @contextmanager
 def _termination_as_interrupt():
     """Route SIGTERM through the KeyboardInterrupt path so sweeps flush rows."""
-
-    def handler(signum, frame):
-        raise KeyboardInterrupt
-
     previous = None
     try:
-        previous = signal.signal(signal.SIGTERM, handler)
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     except ValueError:
         pass
     try:
@@ -339,7 +326,8 @@ def cmd_estimate(args):
         lam = args.lam
     else:
         lambda_scale = settings.get("lambda_scale", ExperimentConfig.lambda_scale)
-        lam = lambda_scale * math.sqrt(math.log(p) / min(n1, n2))
+        lam = default_lambda(lambda_scale, p, min(n1, n2))
+    config = SolverConfig(lam=lam, **_pick(settings, "rho", "max_iter", "tol_consensus"))
 
     report = {
         "estimator": args.estimator,
@@ -351,13 +339,9 @@ def cmd_estimate(args):
     }
 
     if args.estimator == "plugin":
-        try:
-            delta_hat = plugin_delta(first, second, sigma1, sigma2)
-        except PluginUndefinedError as exc:
-            raise PluginUndefinedError(f"plugin undefined for n <= p ({exc})") from exc
+        delta_hat = plugin_delta(first, second, sigma1, sigma2)
         report.update(iterations=0, converged=True)
     else:
-        config = SolverConfig(lam=lam, **_pick(settings, "rho", "max_iter", "tol_consensus"))
         if use_samples:
             psi1 = precision_factor(first, sigma1)
             psi2 = precision_factor(second, sigma2)
@@ -463,12 +447,7 @@ def _plugin_compare_jobs(args):
 
 
 def cmd_experiment(args):
-    builders = {
-        "synth": _synth_jobs,
-        "power": _power_jobs,
-        "plugin-compare": _plugin_compare_jobs,
-    }
-    jobs = builders[args.variant](args)
+    jobs = args.jobs(args)
     with _termination_as_interrupt():
         for cfg, out_path in jobs:
             try:
@@ -565,12 +544,13 @@ def build_parser():
 
     exp = sub.add_parser("experiment", help="run a sweep and write its rows as CSV")
     variants = exp.add_subparsers(dest="variant", required=True)
-    for name, keys, help_text in (
-        ("synth", _SYNTH_KEYS, "random base matrices, lattice differences"),
-        ("power", _POWER_KEYS, "base matrix from a power case file"),
+    for name, keys, jobs, help_text in (
+        ("synth", _SYNTH_KEYS, _synth_jobs, "random base matrices, lattice differences"),
+        ("power", _POWER_KEYS, _power_jobs, "base matrix from a power case file"),
         (
             "plugin-compare",
             _PLUGIN_COMPARE_KEYS,
+            _plugin_compare_jobs,
             "paired sweep against the plug-in baseline, one CSV per density",
         ),
     ):
@@ -584,7 +564,7 @@ def build_parser():
             help="publication-scale defaults (more instances and dimensions); slow",
         )
         _add_key_flags(sp, keys)
-        sp.set_defaults(entry=cmd_experiment)
+        sp.set_defaults(entry=cmd_experiment, jobs=jobs)
 
     pm = sub.add_parser("parse-matpower", help="convert a power case to Laplacian CSVs")
     pm.add_argument("--case", required=True)

@@ -318,9 +318,7 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
             )
         n, p = samples.shape
         if n <= p:
-            raise PluginUndefinedError(
-                f"plug-in estimate undefined: need n > p, got n = {n}, p = {p}"
-            )
+            raise PluginUndefinedError(f"plugin undefined for n <= p: got n = {n}, p = {p}")
         root = sqrt_psd(sigma)
         cov = root @ sample_covariance(samples) @ root
         regimes.append((root, (cov + cov.T) / 2.0))

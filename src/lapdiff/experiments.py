@@ -17,9 +17,12 @@ import ctypes
 import glob
 import math
 import os
+import queue
+import signal
 import struct
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -27,11 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    NumericalError,
-    PluginUndefinedError,
-)
+from .errors import InvalidInputError, NumericalError
 from .estimator import SolverConfig, estimate_delta, plugin_delta
 from .matio import FLOAT_FORMAT
 from .matpower import case_laplacian, load_case118, parse_case
@@ -308,6 +307,11 @@ def default_support_epsilon(truth):
     return DEFAULT_EPSILON_FRACTION * top
 
 
+def default_lambda(lambda_scale, p, n):
+    """The default penalty lambda_scale * sqrt(log p / n) for n observations at dimension p."""
+    return lambda_scale * math.sqrt(math.log(p) / n)
+
+
 def max_degree(matrix):
     """Largest off-diagonal support count of any row."""
     a = np.asarray(matrix, dtype=float)
@@ -347,10 +351,10 @@ def _instance_seed(seed, p, axis_key, instance):
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec, fixed_base=None):
+def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec):
     """Draw one two-regime scenario from its specs, keyed by `seed`.
 
-    A fixed_base (a resolved p x p MATPOWER base) replaces the random base
+    A MatpowerBaseSpec gives its fixed matrix in place of the random base
     draw. Each draw comes from its own (seed, role) stream.
     """
     delta = lattice_delta(
@@ -359,8 +363,8 @@ def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec, fixed_base=None):
         sign_mode=delta_spec.sign_mode,
         seed=[seed, _ROLE_DELTA],
     )
-    if fixed_base is not None:
-        b1 = fixed_base
+    if isinstance(base_spec, MatpowerBaseSpec):
+        b1 = base_spec.matrix
     else:
         b1 = random_base_matrix(
             p,
@@ -409,7 +413,7 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
                     precision_factor(y1, sigma1), precision_factor(y2, sigma2), config
                 )
                 delta_hat, iterations, converged = est.delta, est.iterations, est.converged
-        except (PluginUndefinedError, NumericalError):
+        except NumericalError:
             pass
         wall_ms = (time.perf_counter() - start) * 1000.0
         scored = delta_hat is not None
@@ -526,11 +530,46 @@ def _sample_grid(cfg):
     return [(_float_key(r), r, None) for r in cfg.ratios]
 
 
-def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance, fixed_base):
+@contextmanager
+def _signals_deferred():
+    """Only note SIGINT and SIGTERM in the block; raise them on exit under the prior handlers.
+
+    A KeyboardInterrupt raised inside the threading module's lock code can
+    leave a lock released twice ("release unlocked lock"). Python handlers
+    run only in the main thread, so elsewhere nothing is deferred; nor is
+    anything where a handler set outside Python could not be put back.
+    """
+    sigs = (signal.SIGINT, signal.SIGTERM)
+    noted = []
+    previous = []
+    if threading.current_thread() is threading.main_thread() and None not in map(
+        signal.getsignal, sigs
+    ):
+        previous = [(sig, signal.signal(sig, lambda n, _: noted.append(n))) for sig in sigs]
+    try:
+        yield
+    finally:
+        for sig, handler in previous:
+            signal.signal(sig, handler)
+        for sig in dict.fromkeys(noted):
+            signal.raise_signal(sig)
+
+
+def _run_cell_into(done, cfg, task):
+    """Run one cell on a worker; put its rows, or what it raised, on the `done` queue.
+
+    Whatever the cell raises is put, so the coordinating thread, which
+    raises it, never waits for a cell that is gone.
+    """
+    try:
+        done.put(_run_cell(cfg, *task))
+    except BaseException as exc:
+        done.put(exc)
+
+
+def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance):
     instance_seed = _instance_seed(cfg.seed, p, axis_key, instance)
-    scenario = draw_scenario(
-        p, instance_seed, cfg.delta_spec, cfg.base_spec, cfg.sigma_spec, fixed_base
-    )
+    scenario = draw_scenario(p, instance_seed, cfg.delta_spec, cfg.base_spec, cfg.sigma_spec)
     d = max_degree(scenario.delta_true)
     rescale = d * d * math.log(p)
     if n_explicit is not None:
@@ -539,7 +578,7 @@ def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance, fixed_base):
     else:
         n = int(math.ceil(ratio * rescale))
         ratio_out = ratio
-    lam = cfg.lambda_scale * math.sqrt(math.log(p) / n)
+    lam = default_lambda(cfg.lambda_scale, p, n)
     partial = run_instance(
         scenario, n, n, cfg.solver_config(lam), cfg.estimators, support_epsilon=cfg.support_epsilon
     )
@@ -562,7 +601,9 @@ def run_sweep(cfg, row_callback=None):
     estimator). Identical configs produce identical rows apart from wall
     times. When interrupted, raises SweepInterrupted carrying the rows that
     finished; `row_callback`, when given, sees every row as it completes
-    (called from the coordinating thread).
+    (called from the coordinating thread). That thread runs no threading
+    lock code an interrupt could split: it queues the cells with signals
+    deferred and waits on a C-level queue.
 
     Cells run on min(thread_cap(), cell count) worker threads. While they
     run, OpenBLAS gets at most usable_cores() // workers threads (at least
@@ -571,13 +612,12 @@ def run_sweep(cfg, row_callback=None):
     """
     if not isinstance(cfg, ExperimentConfig):
         raise InvalidInputError(f"expected ExperimentConfig, got {type(cfg).__name__}")
-    fixed_base = cfg.base_spec.matrix if isinstance(cfg.base_spec, MatpowerBaseSpec) else None
-    if fixed_base is not None:
+    if isinstance(cfg.base_spec, MatpowerBaseSpec):
+        size = cfg.base_spec.matrix.shape[0]  # parsed here, before any worker reads it
         for p in cfg.dims:
-            if p != fixed_base.shape[0]:
+            if p != size:
                 raise InvalidInputError(
-                    f"matpower base is {fixed_base.shape[0]} x {fixed_base.shape[0]}; "
-                    f"dims must equal that, got p = {p}"
+                    f"matpower base is {size} x {size}; dims must equal that, got p = {p}"
                 )
     tasks = [
         (p, axis_key, ratio, n_explicit, instance)
@@ -586,23 +626,27 @@ def run_sweep(cfg, row_callback=None):
         for instance in range(cfg.instances)
     ]
     rows = []
+    done = queue.SimpleQueue()
     workers = max(1, min(thread_cap(), len(tasks)))
     with _blas_thread_budget(workers):
         executor = ThreadPoolExecutor(max_workers=workers)
         try:
-            futures = [
-                executor.submit(_run_cell, cfg, p, axis_key, ratio, n_explicit, instance, fixed_base)
-                for p, axis_key, ratio, n_explicit, instance in tasks
-            ]
-            for future in as_completed(futures):
-                for row in future.result():
+            with _signals_deferred():
+                for task in tasks:
+                    executor.submit(_run_cell_into, done, cfg, task)
+            for _ in tasks:
+                outcome = done.get()
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                for row in outcome:
                     rows.append(row)
                     if row_callback is not None:
                         row_callback(row)
         except (KeyboardInterrupt, SystemExit):
             raise SweepInterrupted(sorted(rows, key=SweepRow.sort_key))
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
+            with _signals_deferred():
+                executor.shutdown(wait=False, cancel_futures=True)
     return SweepResult(rows=tuple(sorted(rows, key=SweepRow.sort_key)))
 
 

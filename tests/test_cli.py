@@ -1,14 +1,25 @@
-"""End-to-end tests of the command line interface, run in-process."""
+"""End-to-end tests of the command line interface, run in-process.
+
+The SIGTERM test alone runs `lapdiff` in a subprocess, since a signal ends
+the whole process it reaches.
+"""
 
 import argparse
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lapdiff
 from lapdiff.cli import build_parser, main
 from lapdiff.estimator import SolverConfig
-from lapdiff.experiments import SweepInterrupted, SweepRow
+from lapdiff.experiments import CSV_HEADER, SweepInterrupted, SweepRow, default_lambda
 from lapdiff.matio import (
     read_keyvalue,
     read_matrix_csv,
@@ -372,6 +383,59 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lambda-scale", "-5", f"lam must be a finite nonnegative real, got "
+             f"{default_lambda(-5.0, 4, 5)!r}"),
+            ("--rho", "-1", "rho must be a finite positive real, got -1.0"),
+            ("--lambda", "-1", "lam must be a finite nonnegative real, got -1.0"),
+        ],
+        ids=["lambda-scale", "rho", "lambda"],
+    )
+    def test_plugin_checks_solver_flags(self, rule_files, flag, value, message, capsys):
+        d = rule_files
+        out = d / "o"
+        rc = run(
+            "estimate", "--estimator", "plugin",
+            "--samples1", str(d / "y4.csv"), "--samples2", str(d / "y4.csv"),
+            "--sigma-x1", str(d / "s4.csv"), "--sigma-x2", str(d / "s4.csv"),
+            flag, value, "--out", str(out),
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plugin_singular_above_p_exits_3(self, tmp_path, capsys):
+        gen_scenario(tmp_path, p=16)
+        for tag in ("1", "2"):
+            b = read_matrix_csv(tmp_path / f"b{tag}.csv")
+            sigma = read_matrix_csv(tmp_path / f"sigma_x{tag}.csv")
+            rows = sample_potentials(b, sigma, 4, seed=int(tag))
+            # n = 40 > p = 16, but only 4 distinct rows: the covariance has rank 4
+            write_samples_csv(tmp_path / f"y{tag}.csv", np.repeat(rows, 10, axis=0))
+        out = tmp_path / "o"
+        assert run(*estimate_flags(tmp_path, out, "--estimator", "plugin")) == 3
+        err = capsys.readouterr().err
+        assert "sample covariance is singular" in err
+        assert "n <= p" not in err
+        assert not out.exists()
+
+    def test_interrupt_exits_130(self, rule_files, monkeypatch, capsys):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("lapdiff.cli.estimate_delta", interrupted)
+        d = rule_files
+        rc = run(
+            "estimate",
+            "--samples1", str(d / "y4.csv"), "--samples2", str(d / "y4.csv"),
+            "--sigma-x1", str(d / "s4.csv"), "--sigma-x2", str(d / "s4.csv"),
+            "--out", str(d / "o"),
+        )
+        assert rc == 130
+        assert "interrupted" in capsys.readouterr().err
+
     def test_unconverged_exit_code(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
         out = tmp_path / "short"
@@ -590,6 +654,61 @@ class TestExperiment:
         assert "flushed 1 completed rows" in capsys.readouterr().err
         lines = out.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("9,36,")
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="watches the sweep's threads through /proc"
+    )
+    # at once the signal mostly lands while cells are still being queued; a
+    # second later, while the coordinating thread waits on finished cells
+    @pytest.mark.parametrize("later", [0.0, 1.0], ids=["at-once", "a-second-later"])
+    def test_sigterm_flushes_rows_and_exits_130(self, tmp_path, later):
+        out = tmp_path / "rows.csv"
+        src = os.path.dirname(os.path.dirname(lapdiff.__file__))
+        # one BLAS thread, so the only extra threads are the sweep's workers
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", LAPDIFF_THREADS="2")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "lapdiff.cli", "experiment", "synth",
+                # 4000 cells of a few ms each: the sweep runs for tens of seconds
+                "--dims", "16", "--sample-sizes", "64,128", "--instances", "2000",
+                "--out", str(out),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            # a worker thread starts inside run_sweep, after the SIGTERM handler is set
+            deadline = time.monotonic() + 60.0
+            while _thread_count(proc.pid) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(later)
+            proc.send_signal(signal.SIGTERM)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=10.0)
+            elapsed = time.monotonic() - sent
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, err
+        flushed = re.search(r"interrupted: flushed (\d+) completed rows", err)
+        assert flushed, err
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + int(flushed.group(1))
+        assert later == 0.0 or len(lines) > 1
+        assert elapsed < 10.0
+
+
+def _thread_count(pid):
+    """The number of threads of a running process, from /proc."""
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no thread count for process {pid}")
 
 
 class TestParseMatpower:

@@ -135,8 +135,26 @@ class TestExactDelta:
         with pytest.raises(NotPsdError):
             exact_delta(np.diag([1.0, -1.0]), np.eye(2), np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("wrong", ["sigma_x1", "sigma_x2"])
+    def test_sigma_shape_must_match_b(self, wrong):
+        sigmas = {"sigma_x1": np.eye(3), "sigma_x2": np.eye(3), wrong: np.eye(2)}
+        with pytest.raises(InvalidInputError, match=r"sigma shape \(2, 2\) != b shape \(3, 3\)"):
+            exact_delta(2 * np.eye(3), 3 * np.eye(3), **sigmas)
+
 
 class TestRunAdmm:
+    @pytest.mark.parametrize(
+        "psi2, message",
+        [
+            (np.triu(np.ones((3, 3))), r"^psi2: "),
+            (np.eye(4), r"^factor shapes differ: \(3, 3\) vs \(4, 4\)"),
+        ],
+        ids=["asymmetric-psi2", "shapes-differ"],
+    )
+    def test_factor_checks(self, psi2, message):
+        with pytest.raises(InvalidInputError, match=message):
+            run_admm(np.eye(3), psi2, SolverConfig(lam=0.1))
+
     def test_equal_factors_yield_zero(self):
         rng = np.random.default_rng(7)
         psi = random_pd(rng, 5)
@@ -390,6 +408,14 @@ class TestPluginDelta:
         with pytest.raises(PluginUndefinedError):
             plugin_delta(y1, y2, np.eye(5), np.eye(5))
 
+    @pytest.mark.parametrize("wrong", [1, 2])
+    def test_sample_width_must_match_sigma(self, wrong):
+        rng = np.random.default_rng(17)
+        samples = {1: rng.standard_normal((20, 5)), 2: rng.standard_normal((20, 5))}
+        samples[wrong] = rng.standard_normal((20, 4))
+        with pytest.raises(InvalidInputError, match="incompatible with sigma"):
+            plugin_delta(samples[1], samples[2], np.eye(5), np.eye(5))
+
     def test_population_samples_reproduce_exact_identity(self):
         # build sample sets whose uncentered covariance equals the population
         # covariance exactly; the plug-in then equals the exact identity
@@ -567,6 +593,10 @@ class TestUniquenessCheck:
             uniqueness_check(np.diag([1.0, -1.0]), np.eye(2), tau=1.0)
         with pytest.raises(NotPsdError, match="psi2"):
             uniqueness_check(np.eye(3), -np.eye(3), tau=1.0)
+
+    def test_factor_shapes_differ(self):
+        with pytest.raises(InvalidInputError, match=r"factor shapes differ: \(3, 3\) vs \(4, 4\)"):
+            uniqueness_check(np.eye(3), np.eye(4), tau=1.0)
 
     def test_tau_validation(self):
         with pytest.raises(InvalidInputError):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from lapdiff.experiments import (
     RandomBaseSpec,
     SigmaSpec,
     SweepInterrupted,
+    SweepResult,
     SweepRow,
     default_support_epsilon,
     make_sigma,
@@ -153,6 +155,21 @@ class TestMetrics:
     def test_default_epsilon_needs_support(self):
         with pytest.raises(InvalidInputError):
             default_support_epsilon(np.eye(4))
+
+    @pytest.mark.parametrize(
+        "cell",
+        [(16, 1.0, "dtrace"), (9, 2.0, "dtrace"), (9, 1.0, "plugin")],
+        ids=["other-p", "other-ratio", "other-estimator"],
+    )
+    def test_recovery_rate_needs_rows_at_the_cell(self, cell):
+        row = SweepRow(
+            p=9, n=36, ratio=1.0, instance=0, estimator="dtrace", support_recovered=True,
+            sup_norm_error=0.1, iterations=10, converged=True, wall_time_ms=1.0,
+        )
+        result = SweepResult(rows=(row,))
+        assert result.recovery_rate(9, 1.0, "dtrace") == 1.0
+        with pytest.raises(InvalidInputError, match="no rows at"):
+            result.recovery_rate(*cell)
 
     def test_max_degree_on_lattice(self):
         # 3 x 3 grid: the center node touches 4 neighbors
@@ -323,6 +340,27 @@ class TestRunSweep:
         assert keys == sorted(keys)
         if BLAS is not None:
             assert BLAS.get() == blas_before
+
+    def test_cell_error_reaches_the_caller(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvalidInputError("broken cell")
+
+        monkeypatch.setattr(experiments, "run_instance", broken)
+        with pytest.raises(InvalidInputError, match="broken cell"):
+            run_sweep(small_config())
+
+    @pytest.mark.skipif(
+        signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+        reason="needs Python's own SIGINT handler",
+    )
+    def test_signals_deferred_to_the_end_of_the_block(self):
+        reached = False
+        with pytest.raises(KeyboardInterrupt):
+            with experiments._signals_deferred():
+                signal.raise_signal(signal.SIGINT)
+                reached = True
+        assert reached
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
     def test_matpower_base_needs_matching_dims(self):
         cfg = small_config(dims=(9,), base_spec=MatpowerBaseSpec())

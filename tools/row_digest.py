@@ -19,6 +19,8 @@ The cases:
   covariance;
 - estimate-cov: `lapdiff estimate --cov1/--cov2 --n1 40 --n2 40` on the
   uncentered covariances of the estimate-cli samples;
+- estimate-plugin: `lapdiff estimate --estimator plugin` on the
+  estimate-cli samples;
 - gen-files: the five matrix CSVs and manifest.txt of
   `lapdiff gen --p 25 --seed 4 --sigma dense`;
 - config-sweep: `lapdiff experiment synth --config` running dtrace, sqrt
@@ -125,13 +127,22 @@ def estimate_digest(flags, workdir):
     return digest.hexdigest()
 
 
-def estimate_cli_digest(workdir):
+def sample_file_flags(workdir):
+    """`lapdiff estimate` input flags for the estimate-cli samples, written as sample CSVs."""
     flags = []
     for regime, sigma, samples in estimate_samples(workdir):
         path = os.path.join(workdir, f"samples{regime}.csv")
         lapdiff.write_samples_csv(path, samples)
         flags += [f"--samples{regime}", path, f"--sigma-x{regime}", sigma]
-    return estimate_digest(flags, workdir)
+    return flags
+
+
+def estimate_cli_digest(workdir):
+    return estimate_digest(sample_file_flags(workdir), workdir)
+
+
+def estimate_plugin_digest(workdir):
+    return estimate_digest([*sample_file_flags(workdir), "--estimator", "plugin"], workdir)
 
 
 def estimate_cov_digest(workdir):
@@ -205,6 +216,7 @@ def main():
         ("dense-sweep", lambda d: masked_sweep_digest(dense_sweep_config(), d)),
         ("estimate-cli", estimate_cli_digest),
         ("estimate-cov", estimate_cov_digest),
+        ("estimate-plugin", estimate_plugin_digest),
         ("gen-files", gen_files_digest),
         ("config-sweep", config_sweep_digest),
         ("flag-sweep", flag_sweep_digest),
