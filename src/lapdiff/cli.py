@@ -180,7 +180,7 @@ _PLUGIN_COMPARE_KEYS = dict(
 
 @contextmanager
 def _termination_as_interrupt():
-    """Route SIGTERM through the KeyboardInterrupt path so sweeps flush rows."""
+    """Route SIGTERM through the KeyboardInterrupt path, so it exits 130 and sweeps flush rows."""
     previous = None
     try:
         previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -447,20 +447,18 @@ def _plugin_compare_jobs(args):
 
 
 def cmd_experiment(args):
-    jobs = args.jobs(args)
-    with _termination_as_interrupt():
-        for cfg, out_path in jobs:
-            try:
-                result = run_sweep(cfg)
-            except SweepInterrupted as exc:
-                write_sweep_csv(out_path, exc.rows)
-                print(
-                    f"interrupted: flushed {len(exc.rows)} completed rows to {out_path}",
-                    file=sys.stderr,
-                )
-                return EXIT_INTERRUPTED
-            write_sweep_csv(out_path, result.rows)
-            print(f"wrote {len(result.rows)} rows to {out_path}")
+    for cfg, out_path in args.jobs(args):
+        try:
+            result = run_sweep(cfg)
+        except SweepInterrupted as exc:
+            write_sweep_csv(out_path, exc.rows)
+            print(
+                f"interrupted: flushed {len(exc.rows)} completed rows to {out_path}",
+                file=sys.stderr,
+            )
+            return EXIT_INTERRUPTED
+        write_sweep_csv(out_path, result.rows)
+        print(f"wrote {len(result.rows)} rows to {out_path}")
     return EXIT_OK
 
 
@@ -583,7 +581,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.entry(args)
+        with _termination_as_interrupt():
+            return args.entry(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

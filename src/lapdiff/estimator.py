@@ -44,17 +44,15 @@ class SolverConfig:
 
     lam is the l1 penalty weight; rho sets run_admm's augmented-Lagrangian
     penalty 4 rho; iteration stops at consensus residual max |d - z| <=
-    tol_consensus or at max_iter. penalize_diagonal extends the shrinkage
-    to diagonal entries (off-diagonal only by default). These are the
-    package's only solver defaults; the sweep config and the command line
-    take theirs from here.
+    tol_consensus or at max_iter. The penalty falls on the off-diagonal
+    entries only. These are the package's only solver defaults; the sweep
+    config and the command line take theirs from here.
     """
 
     lam: float
     rho: float = 0.001
     max_iter: int = 20000
     tol_consensus: float = 1e-6
-    penalize_diagonal: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -80,9 +78,6 @@ class AdmmState:
     z: np.ndarray
     u: np.ndarray
     iterations: int
-
-    def consensus_residual(self):
-        return float(np.max(np.abs(self.d - self.z)))
 
 
 @dataclass
@@ -137,17 +132,9 @@ def dtrace_loss(delta, psi1, psi2):
     return float(0.25 * quad - linear)
 
 
-def _penalty(delta, config):
-    """The l1 norm that config penalizes: off-diagonal, plus the diagonal if set."""
-    penalty = off_diagonal_l1(delta)
-    if config.penalize_diagonal:
-        penalty += float(np.sum(np.abs(np.diagonal(delta))))
-    return penalty
-
-
 def penalized_objective(delta, psi1, psi2, config):
-    """dtrace_loss plus the configured l1 penalty."""
-    return dtrace_loss(delta, psi1, psi2) + config.lam * _penalty(delta, config)
+    """dtrace_loss plus lam times the off-diagonal l1 norm."""
+    return dtrace_loss(delta, psi1, psi2) + config.lam * off_diagonal_l1(delta)
 
 
 def _recession_candidates(null1, null2, p1, p2):
@@ -175,7 +162,7 @@ def _check_bounded(solver, p1, p2, diff, config):
     no candidate, so it then costs one pass over the eigenvalues.
     """
     for name, k, direction in _recession_candidates(*solver.null_bases(), p1, p2):
-        penalty = config.lam * _penalty(direction, config)
+        penalty = config.lam * off_diagonal_l1(direction)
         slope = penalty - float(np.sum(direction * diff))
         norm = float(np.linalg.norm(direction))
         if slope < -UNBOUNDED_MARGIN * (penalty + norm * float(np.linalg.norm(diff))):
@@ -196,8 +183,8 @@ def run_admm(psi1, psi2, config):
     with penalty sigma = 4 rho. Each iteration solves P1 X P2 + sigma X = R
     once with a PxqSolver, which decomposes the two factors once for the
     whole run, over-relaxes d with ADMM_RELAXATION (section 3.4.3), and
-    shrinks the symmetric part of d + u at lam / sigma (off-diagonal only by
-    default). The z-step projects onto symmetric matrices, so the fixed
+    shrinks the off-diagonal entries of the symmetric part of d + u at
+    lam / sigma. The z-step projects onto symmetric matrices, so the fixed
     point is the symmetric optimum and does not depend on rho.
 
     Before the first iteration, the null spaces of the two factors are
@@ -216,7 +203,6 @@ def run_admm(psi1, psi2, config):
     p = p1.shape[0]
     sigma = 4.0 * config.rho
     thresh = config.lam / sigma
-    off_only = not config.penalize_diagonal
     solver = PxqSolver(p1, p2, sigma)
     diff = p1 - p2
     _check_bounded(solver, p1, p2, diff, config)
@@ -230,7 +216,7 @@ def run_admm(psi1, psi2, config):
     for iteration in range(1, config.max_iter + 1):
         d = solver.solve(diff + sigma * (z - u))
         w = ADMM_RELAXATION * d + (1.0 - ADMM_RELAXATION) * z + u
-        z = soft_threshold((w + w.T) / 2.0, thresh, off_diagonal_only=off_only)
+        z = soft_threshold((w + w.T) / 2.0, thresh, off_diagonal_only=True)
         u = w - z
 
         residual = np.max(np.abs(d - z))

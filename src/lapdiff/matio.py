@@ -8,6 +8,7 @@ manifest, and report files are flat `key = value` text with `#` comments.
 
 import math
 import os
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,26 +36,39 @@ def write_matrix_csv(path, matrix):
     np.savetxt(path, a, fmt=FLOAT_FORMAT, delimiter=",")
 
 
-def read_matrix_csv(path):
-    """Read a headerless CSV matrix written by write_matrix_csv."""
-    rows = []
+def _parse_lines(lines, ndmin):
+    """np.loadtxt on stripped lines, so whitespace-only ones are blank; silent on no data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt((ln.strip() for ln in lines), delimiter=",", comments="#", ndmin=ndmin)
+
+
+def _first_bad_line(path):
+    """What is wrong with the first line that _parse_lines rejects alone or by width, or None."""
+    width = None
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                size = _parse_lines([line], ndmin=1).size
             except ValueError:
-                raise InvalidInputError(f"{path}: bad number on line {lineno}")
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise InvalidInputError(
-                    f"{path}: ragged row on line {lineno} "
-                    f"({len(rows[-1])} columns, expected {len(rows[0])})"
-                )
-    if not rows:
+                return f"bad number on line {lineno}"
+            if size and size != (width := width or size):
+                return f"ragged row on line {lineno} ({size} columns, expected {width})"
+
+
+def read_matrix_csv(path):
+    """Read a headerless CSV matrix written by write_matrix_csv.
+
+    numpy parses the numbers (decimal ASCII, nan, inf); `#` starts a comment.
+    """
+    with _open_text(path) as fh:
+        try:
+            data = _parse_lines(fh, ndmin=2)
+        except ValueError as exc:  # numpy counts data rows, not lines; a second pass names one
+            raise InvalidInputError(f"{path}: {_first_bad_line(path) or exc}") from None
+    if not data.size:
         raise InvalidInputError(f"{path}: no data rows")
-    return np.array(rows)
+    return data
 
 
 def write_samples_csv(path, samples):

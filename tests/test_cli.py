@@ -1,6 +1,6 @@
 """End-to-end tests of the command line interface, run in-process.
 
-The SIGTERM test alone runs `lapdiff` in a subprocess, since a signal ends
+The SIGTERM tests alone run `lapdiff` in a subprocess, since a signal ends
 the whole process it reaches.
 """
 
@@ -406,6 +406,22 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("token", ["oops", "1_000", "１"], ids=["word", "underscore", "full-width"])
+    def test_malformed_number_exits_2(self, rule_files, token, capsys):
+        d = rule_files
+        bad = d / "bad_number.csv"
+        bad.write_text(f"# n=2 p=4\n1,2,3,4\n5,6,7,{token}\n", encoding="utf-8")
+        out = d / "o"
+        rc = run(
+            "estimate",
+            "--samples1", str(bad), "--samples2", str(d / "y4.csv"),
+            "--sigma-x1", str(d / "s4.csv"), "--sigma-x2", str(d / "s4.csv"),
+            "--out", str(out),
+        )
+        assert rc == 2
+        assert "bad number on line 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_plugin_singular_above_p_exits_3(self, tmp_path, capsys):
         gen_scenario(tmp_path, p=16)
         for tag in ("1", "2"):
@@ -435,6 +451,43 @@ class TestEstimate:
         )
         assert rc == 130
         assert "interrupted" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="watches the signal mask through /proc"
+    )
+    def test_sigterm_exits_130(self, scenario_with_samples, tmp_path):
+        src = os.path.dirname(os.path.dirname(lapdiff.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        # a tolerance no iterate meets: the solve runs until it is signalled
+        flags = estimate_flags(
+            scenario_with_samples, tmp_path / "o",
+            "--rho", "1000", "--max-iter", "100000000", "--tol-consensus", "1e-300",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lapdiff.cli", *flags],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not _catches(proc.pid, signal.SIGTERM):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(1.0)  # past reading the inputs, into the solve
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGTERM)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=10.0)
+            elapsed = time.monotonic() - sent
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert "interrupted" in err
+        assert elapsed < 5.0
+        assert not (tmp_path / "o").exists()
 
     def test_unconverged_exit_code(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
@@ -709,6 +762,15 @@ def _thread_count(pid):
             if line.startswith("Threads:"):
                 return int(line.split()[1])
     raise AssertionError(f"no thread count for process {pid}")
+
+
+def _catches(pid, signum):
+    """Whether a running process has a handler installed for signum, from /proc."""
+    with open(f"/proc/{pid}/status") as fh:
+        for line in fh:
+            if line.startswith("SigCgt:"):
+                return bool(int(line.split()[1], 16) >> (signum - 1) & 1)
+    raise AssertionError(f"no signal mask for process {pid}")
 
 
 class TestParseMatpower:

@@ -1,5 +1,7 @@
 """Tests for the text file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -74,6 +76,56 @@ class TestMatrixCsv:
     def test_not_2d_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             write_matrix_csv(tmp_path / "x.csv", np.zeros(3))
+
+    def test_reads_the_bits_float_reads(self, tmp_path):
+        rng = np.random.default_rng(5)
+        a = rng.choice([-1.0, 1.0], (40, 30)) * 10.0 ** rng.uniform(-300, 300, (40, 30))
+        a[0, :4] = [-0.0, np.nan, np.inf, -np.inf]
+        path = tmp_path / "a.csv"
+        write_matrix_csv(path, a)
+        text = path.read_text()
+        expected = np.array([[float(tok) for tok in line.split(",")] for line in text.splitlines()])
+        got = read_matrix_csv(path)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "# n=0 p=3\n\n"], ids=["empty", "comment-only"])
+    def test_no_data_rows_without_a_warning(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="no data rows"):
+                read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            # float() takes these two tokens; numpy does not
+            ("1,2\n3,1_000\n", 2),
+            ("1,2\n3,１\n", 2),
+            # the line count includes the header and the blank line
+            ("# n=2 p=2\n\n1,2\n3,x\n", 4),
+        ],
+        ids=["underscore", "full-width-digit", "after-header-and-blank"],
+    )
+    def test_bad_number_cites_the_physical_line(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidInputError, match=f"bad number on line {lineno}$"):
+            read_matrix_csv(path)
+
+    def test_ragged_row_cites_line_and_widths(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("1,2\n\n3,4,5\n")
+        message = r"ragged row on line 3 \(3 columns, expected 2\)"
+        with pytest.raises(InvalidInputError, match=message):
+            read_matrix_csv(path)
+
+    def test_whitespace_lines_and_indented_comments_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("  # note\n1, 2\n   \n3 ,4\n")
+        assert read_matrix_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestSamplesCsv:
