@@ -37,6 +37,25 @@ UNBOUNDED_MARGIN = 1e-6
 # Over-relaxation factor of run_admm's d-step; 1 is plain ADMM.
 ADMM_RELAXATION = 1.5
 
+# Every POLISH_CHECK iterations run_admm compares the off-diagonal sign pattern
+# of z with the one at the previous check; when it held, it tries a polish.
+POLISH_CHECK = 50
+
+# Active-set repair rounds after a polish's first solve on the support.
+POLISH_ROUNDS = 3
+
+# Conjugate-gradient steps that polishing may spend, per ADMM iteration: the
+# first attempt up to POLISH_FIRST times max_iter, all attempts together
+# within POLISH_BUDGET times the iterations run once the first is done. A CG
+# step costs two p x p GEMMs to an iteration's four, and at small p Python
+# overhead makes it cost about 0.4 of an iteration, so attempts that fail
+# add at most about a quarter to a run's time.
+POLISH_FIRST = 0.5
+POLISH_BUDGET = 0.25
+
+# KKT tolerance of an accepted polish, relative to max(1, max |P1 - P2|).
+POLISH_TOL = 1e-9
+
 
 @dataclass
 class SolverConfig:
@@ -71,23 +90,27 @@ class AdmmState:
     """Final iterates of the two-block ADMM.
 
     d is the smooth block (any p x p matrix), z the symmetric shrunk block,
-    and u the scaled multiplier of the constraint d = z.
+    and u the scaled multiplier of the constraint d = z. stop says why the
+    loop ended: "tolerance" (max |d - z| <= tol_consensus), "polished" (a
+    polish passed the KKT check; then d = z) or "max_iter".
     """
 
     d: np.ndarray
     z: np.ndarray
     u: np.ndarray
     iterations: int
+    stop: str
 
 
 @dataclass
 class DeltaEstimate:
-    """A computed difference estimate plus solver bookkeeping."""
+    """A computed difference estimate plus solver bookkeeping; stop as in AdmmState."""
 
     delta: np.ndarray
     iterations: int
     converged: bool
     objective: float
+    stop: str
 
 
 @dataclass
@@ -174,6 +197,109 @@ def _check_bounded(solver, p1, p2, diff, config):
             )
 
 
+def _support_product(p1, p2, x, support, out, scratch):
+    """out = [P1 X P2 + P2 X P1]_S for symmetric X, with S the boolean mask support."""
+    np.matmul(p1, x, out=scratch)
+    np.matmul(scratch, p2, out=out)
+    np.add(out, out.T, out=scratch)
+    np.multiply(scratch, support, out=out)
+
+
+def _cg_on_support(p1, p2, x, r, support, tol, max_steps, work):
+    """Conjugate gradients for [P1 X P2 + P2 X P1]_S = B_S from x, in place.
+
+    On entry r holds the residual B_S - [P1 x P2 + P2 x P1]_S and x is
+    symmetric and zero off S, as both stay. The operator is positive
+    semidefinite on such matrices. Stops once |r|_F <= tol, after max_steps
+    steps, or when a search direction finds no curvature. Returns (steps
+    taken, whether |r|_F <= tol).
+    """
+    direction, product, scratch = work
+    np.copyto(direction, r)
+    rr = float(np.vdot(r, r))
+    steps = 0
+    while rr > tol * tol and steps < max_steps:
+        _support_product(p1, p2, direction, support, product, scratch)
+        curvature = float(np.vdot(direction, product))
+        if not curvature > 0.0:
+            break
+        alpha = rr / curvature
+        np.multiply(direction, alpha, out=scratch)
+        x += scratch
+        product *= alpha
+        r -= product
+        rr_next = float(np.vdot(r, r))
+        direction *= rr_next / rr
+        direction += r
+        rr = rr_next
+        steps += 1
+    return steps, rr <= tol * tol
+
+
+def _polish(p1, p2, diff, lam, z, tol, max_steps, work):
+    """Solve for the optimum on the support of z; (x or None, CG steps taken).
+
+    S holds the nonzeros of z plus the diagonal, and s = sign(z) off the
+    diagonal, 0 on it. If S and s are those of the optimum, it solves
+    [P1 X P2 + P2 X P1]_S = 2 (P1 - P2 - lam s)_S with X zero off S, twice
+    the stationarity condition on S. Conjugate gradients, warm-started at z,
+    solve it. x is returned only if it passes the full KKT check at
+    tolerance tol, with gradient G = sym(P1 x P2) - (P1 - P2): x is finite,
+    no sign of s flipped, |G + lam s| <= tol on S and |G| <= lam + tol off
+    S. An unbounded problem has no KKT point, so it never passes. When the
+    check fails on a flipped sign or an entry off S, up to POLISH_ROUNDS
+    repair rounds drop the entries whose sign flipped, add the entries off S
+    with |G| > lam + tol at sign -sign(G), and solve again. CG stops at
+    |r|_F <= tol on the doubled system, so the recomputed check has a margin
+    of tol / 2. max_steps caps the CG steps of all rounds; work is five
+    p x p buffers, the first of which receives x.
+    """
+    x, r, *cg_work = work
+    direction, product, scratch = cg_work
+    signs = np.sign(z, out=x).astype(np.int8)
+    np.fill_diagonal(signs, 0)
+    support = signs != 0
+    np.fill_diagonal(support, True)
+    np.copyto(x, z)
+    steps = 0
+    for repair in range(POLISH_ROUNDS + 1):
+        np.multiply(signs, -lam, out=r)
+        r += diff
+        r *= 2.0
+        r *= support
+        _support_product(p1, p2, x, support, product, scratch)
+        r -= product
+        taken, solved = _cg_on_support(p1, p2, x, r, support, tol, max_steps - steps, cg_work)
+        steps += taken
+        if not solved:
+            return None, steps
+        np.matmul(p1, x, out=scratch)
+        np.matmul(scratch, p2, out=product)
+        grad = np.add(product, product.T, out=r)
+        grad *= 0.5
+        grad -= diff
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(grad))):
+            return None, steps
+        flipped = np.sign(x, out=direction) != signs
+        flipped &= support
+        np.fill_diagonal(flipped, False)
+        outside = np.abs(grad, out=scratch) > lam + tol
+        outside &= ~support
+        if not (flipped.any() or outside.any()):
+            np.multiply(signs, lam, out=direction)
+            direction += grad
+            stationary = np.max(np.abs(direction, out=direction), where=support, initial=0.0)
+            return (x if stationary <= tol else None), steps
+        if repair == POLISH_ROUNDS:
+            break
+        support[flipped] = False
+        signs[flipped] = 0
+        x[flipped] = 0.0
+        support[outside] = True
+        signs[outside] = -np.sign(grad[outside])
+    return None, steps
+
+
 def run_admm(psi1, psi2, config):
     """Two-block scaled ADMM for the penalized difference problem, from zero start.
 
@@ -187,12 +313,20 @@ def run_admm(psi1, psi2, config):
     lam / sigma. The z-step projects onto symmetric matrices, so the fixed
     point is the symmetric optimum and does not depend on rho.
 
+    Every POLISH_CHECK iterations, once the off-diagonal sign pattern of z
+    has held since the previous check, the solve on that support is tried
+    (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5).
+    A polish that passes the KKT check at POLISH_TOL ends the run; one that
+    fails leaves the iterates untouched. After the first attempt, polishing
+    spends at most POLISH_BUDGET CG steps per ADMM iteration run.
+
     Before the first iteration, the null spaces of the two factors are
     searched for a direction along which the objective falls without bound
     (see _check_bounded); finding one raises UnboundedProblemError.
 
     Returns (AdmmState, converged): converged once max |d - z| is at most
-    tol_consensus. Raises SolverDivergedError if iterates stop being finite.
+    tol_consensus or a polish passed. Raises SolverDivergedError if iterates
+    stop being finite.
     """
     p1 = _factor_matrix(psi1, "psi1")
     p2 = _factor_matrix(psi2, "psi2")
@@ -206,18 +340,22 @@ def run_admm(psi1, psi2, config):
     solver = PxqSolver(p1, p2, sigma)
     diff = p1 - p2
     _check_bounded(solver, p1, p2, diff, config)
+    polish_tol = POLISH_TOL * max(1.0, float(np.max(np.abs(diff))))
 
     d = np.zeros((p, p))
     z = np.zeros((p, p))
     u = np.zeros((p, p))
 
-    converged = False
+    stop = "max_iter"
     iteration = 0
+    pattern = None
+    polish_work = None
+    polish_steps = 0
     for iteration in range(1, config.max_iter + 1):
         d = solver.solve(diff + sigma * (z - u))
         w = ADMM_RELAXATION * d + (1.0 - ADMM_RELAXATION) * z + u
         z = soft_threshold((w + w.T) / 2.0, thresh, off_diagonal_only=True)
-        u = w - z
+        u = np.subtract(w, z, out=w)  # w is not read again
 
         residual = np.max(np.abs(d - z))
         if not np.isfinite(residual):
@@ -225,10 +363,37 @@ def run_admm(psi1, psi2, config):
                 f"iterates became non-finite at iteration {iteration}", iteration=iteration
             )
         if residual <= config.tol_consensus:
-            converged = True
+            stop = "tolerance"
+            break
+        if iteration % POLISH_CHECK:
+            continue
+        held = pattern
+        pattern = np.sign(z).astype(np.int8)
+        np.fill_diagonal(pattern, 0)
+        if held is None or not np.array_equal(pattern, held):
+            continue
+        if polish_work is None:
+            polish_work = [np.empty((p, p)) for _ in range(5)]
+            allowance = int(POLISH_FIRST * config.max_iter)
+        else:
+            # a retry waits until it can afford twice the last attempt's steps,
+            # so the attempts on a problem that never polishes thin out
+            allowance = int(POLISH_BUDGET * iteration) - polish_steps
+            if allowance < max(2 * taken, 1):
+                continue
+        polished, taken = _polish(p1, p2, diff, config.lam, z, polish_tol, allowance, polish_work)
+        polish_steps += taken
+        if polished is not None:
+            z = polished
+            np.copyto(d, z)
+            # the multiplier of the fixed point d = z: P1 z P2 + sigma u = P1 - P2
+            np.matmul(np.matmul(p1, z, out=polish_work[1]), p2, out=polish_work[2])
+            np.subtract(diff, polish_work[2], out=u)
+            u /= sigma
+            stop = "polished"
             break
 
-    return AdmmState(d=d, z=z, u=u, iterations=iteration), converged
+    return AdmmState(d=d, z=z, u=u, iterations=iteration, stop=stop), stop != "max_iter"
 
 
 def estimate_delta(psi1, psi2, config):
@@ -236,7 +401,7 @@ def estimate_delta(psi1, psi2, config):
 
     Takes symmetric matrices, such as those precision_factor returns. Returns a
     DeltaEstimate holding the symmetric sparse iterate, iteration count,
-    convergence flag, and the final penalized objective.
+    convergence flag, final penalized objective and stop reason.
 
     With unknown injection covariances, whiten with the identity:
     estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
@@ -247,7 +412,11 @@ def estimate_delta(psi1, psi2, config):
     state, converged = run_admm(psi1, psi2, config)
     objective = penalized_objective(state.z, psi1, psi2, config)
     return DeltaEstimate(
-        delta=state.z, iterations=state.iterations, converged=converged, objective=objective
+        delta=state.z,
+        iterations=state.iterations,
+        converged=converged,
+        objective=objective,
+        stop=state.stop,
     )
 
 

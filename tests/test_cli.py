@@ -455,13 +455,19 @@ class TestEstimate:
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/status"), reason="watches the signal mask through /proc"
     )
-    def test_sigterm_exits_130(self, scenario_with_samples, tmp_path):
+    def test_sigterm_exits_130(self, tmp_path):
         src = os.path.dirname(os.path.dirname(lapdiff.__file__))
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        # a tolerance no iterate meets: the solve runs until it is signalled
-        flags = estimate_flags(
-            scenario_with_samples, tmp_path / "o",
-            "--rho", "1000", "--max-iter", "100000000", "--tol-consensus", "1e-300",
+        # 10 samples at p = 16 whose problem is unbounded below, though no direction
+        # the pre-check tests shows it: no polish can pass, so the solve runs until
+        # it is signalled
+        rng = np.random.default_rng(1)
+        write_samples_csv(tmp_path / "y1.csv", rng.standard_normal((10, 16)))
+        write_samples_csv(tmp_path / "y2.csv", 1.5 * rng.standard_normal((10, 16)))
+        flags = (
+            "estimate", "--samples1", str(tmp_path / "y1.csv"),
+            "--samples2", str(tmp_path / "y2.csv"), "--unknown-sigma",
+            "--max-iter", "100000000", "--out", str(tmp_path / "o"),
         )
         proc = subprocess.Popen(
             [sys.executable, "-m", "lapdiff.cli", *flags],

@@ -13,7 +13,7 @@ from oracles import (
     naive_dtrace_loss,
 )
 
-from lapdiff import experiments
+from lapdiff import estimator, experiments
 from lapdiff.errors import (
     InvalidInputError,
     NotPsdError,
@@ -22,10 +22,13 @@ from lapdiff.errors import (
     UnboundedProblemError,
 )
 from lapdiff.estimator import (
+    POLISH_BUDGET,
+    POLISH_TOL,
     DeltaEstimate,
     SolverConfig,
     UniquenessReport,
     _check_bounded,
+    _polish,
     dtrace_loss,
     estimate_delta,
     exact_delta,
@@ -49,6 +52,48 @@ from lapdiff.sampling import precision_factor, sample_potentials
 def random_pd(rng, p, shift=0.3):
     a = rng.standard_normal((p, p))
     return a @ a.T / p + shift * np.eye(p)
+
+
+def power_sweep_config(ratio, seed, instances):
+    """The benchmark's power-sweep shape (118-bus case, p = 117) at one ratio."""
+    return ExperimentConfig(
+        dims=(117,),
+        ratios=(ratio,),
+        instances=instances,
+        lambda_scale=2.0,
+        delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+        base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
+        sigma_spec=SigmaSpec(kind="identity"),
+        support_epsilon=2.0,
+        seed=seed,
+        rho=0.1,
+        max_iter=2000,
+    )
+
+
+def captured_solves(monkeypatch, cfg):
+    """The sweep's rows and (psi1, psi2, config, estimate) of each solve, as handed to estimate_delta."""
+    captured = []
+
+    def capture(psi1, psi2, config):
+        est = estimate_delta(psi1, psi2, config)
+        captured.append((psi1, psi2, config, est))
+        return est
+
+    monkeypatch.setattr(experiments, "estimate_delta", capture)
+    return run_sweep(cfg).rows, captured
+
+
+def kkt_residual(delta, psi1, psi2, lam):
+    """Largest violation of the optimality conditions of the penalized problem at delta."""
+    grad = (psi1 @ delta @ psi2 + psi2 @ delta @ psi1) / 2.0 - (psi1 - psi2)
+    off = ~np.eye(delta.shape[0], dtype=bool)
+    active = off & (delta != 0.0)
+    return max(
+        float(np.max(np.abs(grad + lam * np.sign(delta))[active], initial=0.0)),
+        float(np.max((np.abs(grad) - lam)[off & ~active], initial=0.0)),
+        float(np.max(np.abs(np.diagonal(grad)))),
+    )
 
 
 class TestSolverConfig:
@@ -218,20 +263,7 @@ class TestRunAdmm:
 
     def test_power_sweep_rows_converge_within_2000_iterations(self):
         # the benchmark's power-sweep shape at ratio 5 (n = 381 > p = 117)
-        cfg = ExperimentConfig(
-            dims=(117,),
-            ratios=(5.0,),
-            instances=2,
-            lambda_scale=2.0,
-            delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
-            base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
-            sigma_spec=SigmaSpec(kind="identity"),
-            support_epsilon=2.0,
-            seed=101,
-            rho=0.1,
-            max_iter=2000,
-        )
-        rows = run_sweep(cfg).rows
+        rows = run_sweep(power_sweep_config(5.0, seed=101, instances=2)).rows
         assert len(rows) == 2
         for row in rows:
             assert row.converged and 0 < row.iterations <= 2000
@@ -308,21 +340,7 @@ def power_ratio1_cell(monkeypatch):
         return estimate_delta(psi1, psi2, config)
 
     monkeypatch.setattr(experiments, "estimate_delta", capture)
-    cfg = ExperimentConfig(
-        dims=(117,),
-        ratios=(1.0,),
-        instances=1,
-        lambda_scale=2.0,
-        delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
-        base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
-        sigma_spec=SigmaSpec(kind="identity"),
-        support_epsilon=2.0,
-        seed=11,
-        rho=0.1,
-        max_iter=2000,
-        estimators=("dtrace",),
-    )
-    (row,) = run_sweep(cfg).rows
+    (row,) = run_sweep(power_sweep_config(1.0, seed=11, instances=1)).rows
     assert row.n == 77 and row.iterations == 0
     (cell,) = captured
     return cell
@@ -385,6 +403,110 @@ class TestUnboundedCertificate:
         assert row.n == 30
         assert np.isfinite(row.sup_norm_error)
         assert row.converged and row.iterations > 0
+
+
+# the dense-sweep case of tools/row_digest.py, running sqrt alone
+DENSE_SWEEP = dict(
+    ratios=(),
+    lambda_scale=2.0,
+    base_spec=RandomBaseSpec(density=0.5, margin=0.3, scale=0.05),
+    sigma_spec=SigmaSpec(kind="dense"),
+    seed=3,
+    estimators=("sqrt",),
+)
+
+
+def polish_from(z, psi1, psi2, lam):
+    """_polish started from z, with the KKT tolerance run_admm would use."""
+    diff = psi1 - psi2
+    tol = POLISH_TOL * max(1.0, float(np.max(np.abs(diff))))
+    work = [np.empty(z.shape) for _ in range(5)]
+    return _polish(psi1, psi2, diff, lam, z, tol, 10000, work)
+
+
+def polished_problem():
+    """(psi1, psi2, lam, optimum, (i, j)): a random p = 8 problem, its polished
+    optimum, and the first off-diagonal entry where the optimum is nonzero."""
+    rng = np.random.default_rng(0)
+    psi1, psi2 = random_pd(rng, 8), random_pd(rng, 8)
+    lam = 0.15
+    est = estimate_delta(psi1, psi2, SolverConfig(lam=lam))
+    assert est.stop == "polished"
+    i, j = np.argwhere(~np.eye(8, dtype=bool) & (est.delta != 0.0))[0]
+    return psi1, psi2, lam, est.delta, (i, j)
+
+
+class TestPolish:
+    def test_power_sweep_cells_polish_within_500_iterations(self, monkeypatch):
+        rows, solves = captured_solves(monkeypatch, power_sweep_config(5.0, seed=101, instances=2))
+        assert len(rows) == len(solves) == 2
+        for psi1, psi2, config, est in solves:
+            assert est.stop == "polished" and est.converged
+            assert 0 < est.iterations <= 500
+            assert np.array_equal(est.delta, est.delta.T)
+            tol = POLISH_TOL * max(1.0, float(np.max(np.abs(psi1 - psi2))))
+            assert kkt_residual(est.delta, psi1, psi2, config.lam) <= tol
+
+    def test_polished_solves_match_proximal_gradient(self):
+        rng = np.random.default_rng(41)
+        for p in range(3, 9):
+            psi1, psi2 = random_pd(rng, p), random_pd(rng, p)
+            lam = float(rng.uniform(0.02, 0.2))
+            est = estimate_delta(psi1, psi2, SolverConfig(lam=lam))
+            assert est.stop == "polished"
+            assert np.max(np.abs(est.delta - ista_reference_delta(psi1, psi2, lam))) <= 1e-8
+
+    def test_stop_reasons(self):
+        rng = np.random.default_rng(42)
+        psi1, psi2 = random_pd(rng, 5), random_pd(rng, 5)
+        short = estimate_delta(psi1, psi2, SolverConfig(lam=0.05, max_iter=7))
+        assert (short.stop, short.iterations, short.converged) == ("max_iter", 7, False)
+        # d and z agree within tolerance long before the first polish check
+        same = estimate_delta(psi1, psi1, SolverConfig(lam=0.05))
+        assert same.stop == "tolerance" and same.converged
+        assert same.iterations < estimator.POLISH_CHECK
+
+    def test_wrong_sign_pattern_returns_no_estimate(self, monkeypatch):
+        psi1, psi2, lam, optimum, (i, j) = polished_problem()
+        one_flipped = optimum.copy()
+        one_flipped[i, j] = one_flipped[j, i] = -optimum[i, j]
+        monkeypatch.setattr(estimator, "POLISH_ROUNDS", 0)
+        for wrong in (-optimum, one_flipped):
+            x, steps = polish_from(wrong, psi1, psi2, lam)
+            assert x is None and steps > 0
+
+    def test_repair_round_restores_a_dropped_pair(self):
+        psi1, psi2, lam, optimum, (i, j) = polished_problem()
+        dropped = optimum.copy()
+        dropped[i, j] = dropped[j, i] = 0.0
+        x, _ = polish_from(dropped, psi1, psi2, lam)
+        assert x is not None
+        assert np.max(np.abs(x - optimum)) <= 1e-8
+
+    def test_unbounded_row_spends_within_the_budget(self, monkeypatch):
+        # the problem is unbounded below, though no direction the pre-check
+        # tests shows it, so no polish can pass
+        steps = []
+        cg = estimator._cg_on_support
+
+        def counted(*args):
+            taken, solved = cg(*args)
+            steps.append(taken)
+            return taken, solved
+
+        monkeypatch.setattr(estimator, "_cg_on_support", counted)
+        cfg = ExperimentConfig(dims=(16,), sample_sizes=(10,), instances=1, **DENSE_SWEEP)
+        (row,) = run_sweep(cfg).rows
+        assert row.iterations == cfg.max_iter and not row.converged
+        assert len(steps) > 1
+        assert sum(steps) <= POLISH_BUDGET * cfg.max_iter
+
+    def test_bounded_rows_past_max_iter_now_converge(self):
+        cfg = ExperimentConfig(dims=(16,), sample_sizes=(20,), instances=2, **DENSE_SWEEP)
+        rows = run_sweep(cfg).rows
+        assert len(rows) == 2
+        for row in rows:
+            assert row.converged and row.iterations < cfg.max_iter
 
 
 class TestPluginDelta:
