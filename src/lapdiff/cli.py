@@ -357,6 +357,8 @@ def cmd_estimate(args):
             iterations=est.iterations,
             converged=est.converged,
             objective=est.objective,
+            stop=est.stop,
+            cg_steps=est.cg_steps,
         )
 
     os.makedirs(args.out, exist_ok=True)

@@ -39,19 +39,22 @@ ADMM_RELAXATION = 1.5
 
 # Every POLISH_CHECK iterations run_admm compares the off-diagonal sign pattern
 # of z with the one at the previous check; when it held, it tries a polish.
-POLISH_CHECK = 50
+POLISH_CHECK = 10
 
 # Active-set repair rounds after a polish's first solve on the support.
-POLISH_ROUNDS = 3
+POLISH_ROUNDS = 6
 
-# Conjugate-gradient steps that polishing may spend, per ADMM iteration: the
-# first attempt up to POLISH_FIRST times max_iter, all attempts together
-# within POLISH_BUDGET times the iterations run once the first is done. A CG
-# step costs two p x p GEMMs to an iteration's four, and at small p Python
-# overhead makes it cost about 0.4 of an iteration, so attempts that fail
-# add at most about a quarter to a run's time.
-POLISH_FIRST = 0.5
-POLISH_BUDGET = 0.25
+# p x p GEMMs of one preconditioned CG step: two apply the operator, two the
+# preconditioner. An ADMM iteration costs four.
+CG_STEP_GEMMS = 4
+
+# p x p GEMMs that polishing may spend on CG, per ADMM iteration: the first
+# attempt up to POLISH_FIRST times max_iter, all attempts together within
+# POLISH_BUDGET times the iterations run once the first is done. An ADMM
+# iteration costs four GEMMs, so after the first attempt, attempts that fail
+# add at most an eighth to a run's GEMMs.
+POLISH_FIRST = 1.0
+POLISH_BUDGET = 0.5
 
 # KKT tolerance of an accepted polish, relative to max(1, max |P1 - P2|).
 POLISH_TOL = 1e-9
@@ -92,7 +95,8 @@ class AdmmState:
     d is the smooth block (any p x p matrix), z the symmetric shrunk block,
     and u the scaled multiplier of the constraint d = z. stop says why the
     loop ended: "tolerance" (max |d - z| <= tol_consensus), "polished" (a
-    polish passed the KKT check; then d = z) or "max_iter".
+    polish passed the KKT check; then d = z) or "max_iter". iterations
+    counts ADMM iterations, cg_steps the CG steps of all polish attempts.
     """
 
     d: np.ndarray
@@ -100,17 +104,19 @@ class AdmmState:
     u: np.ndarray
     iterations: int
     stop: str
+    cg_steps: int
 
 
 @dataclass
 class DeltaEstimate:
-    """A computed difference estimate plus solver bookkeeping; stop as in AdmmState."""
+    """A computed difference estimate plus solver bookkeeping; stop, cg_steps as in AdmmState."""
 
     delta: np.ndarray
     iterations: int
     converged: bool
     objective: float
     stop: str
+    cg_steps: int
 
 
 @dataclass
@@ -205,51 +211,61 @@ def _support_product(p1, p2, x, support, out, scratch):
     np.multiply(scratch, support, out=out)
 
 
-def _cg_on_support(p1, p2, x, r, support, tol, max_steps, work):
-    """Conjugate gradients for [P1 X P2 + P2 X P1]_S = B_S from x, in place.
+def _cg_on_support(p1, p2, x, r, support, tol, max_steps, work, precond):
+    """Preconditioned conjugate gradients for [P1 X P2 + P2 X P1]_S = B_S from x, in place.
 
     On entry r holds the residual B_S - [P1 x P2 + P2 x P1]_S and x is
     symmetric and zero off S, as both stay. The operator is positive
-    semidefinite on such matrices. Stops once |r|_F <= tol, after max_steps
-    steps, or when a search direction finds no curvature. Returns (steps
+    semidefinite on such matrices. precond is the (G, lmax(P1) lmax(P2))
+    of PxqSolver.inverse_geometric_mean, and the preconditioned residual is
+    [G r G + (G r G)^T]_S, which the transpose keeps exactly symmetric.
+    Stops once |r|_F <= tol, after max_steps steps, or when a search
+    direction finds no curvature above EIG_RELATIVE_FLOOR times the
+    operator's largest eigenvalue, 2 lmax(P1) lmax(P2). Returns (steps
     taken, whether |r|_F <= tol).
     """
+    g, scale = precond
+    flat = EIG_RELATIVE_FLOOR * 2.0 * scale
     direction, product, scratch = work
-    np.copyto(direction, r)
+    _support_product(g, g, r, support, direction, scratch)
+    rz = float(np.vdot(r, direction))
     rr = float(np.vdot(r, r))
     steps = 0
     while rr > tol * tol and steps < max_steps:
         _support_product(p1, p2, direction, support, product, scratch)
         curvature = float(np.vdot(direction, product))
-        if not curvature > 0.0:
+        if not curvature > flat * float(np.vdot(direction, direction)):
             break
-        alpha = rr / curvature
+        alpha = rz / curvature
         np.multiply(direction, alpha, out=scratch)
         x += scratch
         product *= alpha
         r -= product
-        rr_next = float(np.vdot(r, r))
-        direction *= rr_next / rr
-        direction += r
-        rr = rr_next
+        rr = float(np.vdot(r, r))
+        _support_product(g, g, r, support, product, scratch)
+        rz_next = float(np.vdot(r, product))
+        direction *= rz_next / rz
+        direction += product
+        rz = rz_next
         steps += 1
     return steps, rr <= tol * tol
 
 
-def _polish(p1, p2, diff, lam, z, tol, max_steps, work):
+def _polish(p1, p2, diff, lam, z, tol, max_steps, work, precond):
     """Solve for the optimum on the support of z; (x or None, CG steps taken).
 
     S holds the nonzeros of z plus the diagonal, and s = sign(z) off the
     diagonal, 0 on it. If S and s are those of the optimum, it solves
     [P1 X P2 + P2 X P1]_S = 2 (P1 - P2 - lam s)_S with X zero off S, twice
-    the stationarity condition on S. Conjugate gradients, warm-started at z,
-    solve it. x is returned only if it passes the full KKT check at
-    tolerance tol, with gradient G = sym(P1 x P2) - (P1 - P2): x is finite,
-    no sign of s flipped, |G + lam s| <= tol on S and |G| <= lam + tol off
-    S. An unbounded problem has no KKT point, so it never passes. When the
-    check fails on a flipped sign or an entry off S, up to POLISH_ROUNDS
-    repair rounds drop the entries whose sign flipped, add the entries off S
-    with |G| > lam + tol at sign -sign(G), and solve again. CG stops at
+    the stationarity condition on S. Conjugate gradients, warm-started at z
+    and preconditioned with precond (see _cg_on_support), solve it. x is
+    returned only if it passes the full KKT check at tolerance tol, with
+    gradient G = sym(P1 x P2) - (P1 - P2): x is finite, no sign of s
+    flipped, |G + lam s| <= tol on S and |G| <= lam + tol off S. An
+    unbounded problem has no KKT point, so it never passes. When the check
+    fails on a flipped sign or an entry off S, up to POLISH_ROUNDS repair
+    rounds drop the entries whose sign flipped, add the entries off S with
+    |G| > lam + tol at sign -sign(G), and solve again. CG stops at
     |r|_F <= tol on the doubled system, so the recomputed check has a margin
     of tol / 2. max_steps caps the CG steps of all rounds; work is five
     p x p buffers, the first of which receives x.
@@ -269,7 +285,9 @@ def _polish(p1, p2, diff, lam, z, tol, max_steps, work):
         r *= support
         _support_product(p1, p2, x, support, product, scratch)
         r -= product
-        taken, solved = _cg_on_support(p1, p2, x, r, support, tol, max_steps - steps, cg_work)
+        taken, solved = _cg_on_support(
+            p1, p2, x, r, support, tol, max_steps - steps, cg_work, precond
+        )
         steps += taken
         if not solved:
             return None, steps
@@ -317,8 +335,10 @@ def run_admm(psi1, psi2, config):
     has held since the previous check, the solve on that support is tried
     (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5).
     A polish that passes the KKT check at POLISH_TOL ends the run; one that
-    fails leaves the iterates untouched. After the first attempt, polishing
-    spends at most POLISH_BUDGET CG steps per ADMM iteration run.
+    fails leaves the iterates untouched. Its CG is preconditioned with
+    (P1 # P2)^-1, built once at the first attempt. After the first attempt,
+    polishing spends at most POLISH_BUDGET GEMMs of CG per ADMM iteration
+    run.
 
     Before the first iteration, the null spaces of the two factors are
     searched for a direction along which the objective falls without bound
@@ -350,7 +370,7 @@ def run_admm(psi1, psi2, config):
     iteration = 0
     pattern = None
     polish_work = None
-    polish_steps = 0
+    cg_steps = 0
     for iteration in range(1, config.max_iter + 1):
         d = solver.solve(diff + sigma * (z - u))
         w = ADMM_RELAXATION * d + (1.0 - ADMM_RELAXATION) * z + u
@@ -374,15 +394,17 @@ def run_admm(psi1, psi2, config):
             continue
         if polish_work is None:
             polish_work = [np.empty((p, p)) for _ in range(5)]
-            allowance = int(POLISH_FIRST * config.max_iter)
+            precond = solver.inverse_geometric_mean(np.empty((p, p)))
+            allowance = int(POLISH_FIRST * config.max_iter) // CG_STEP_GEMMS
         else:
-            # a retry waits until it can afford twice the last attempt's steps,
-            # so the attempts on a problem that never polishes thin out
-            allowance = int(POLISH_BUDGET * iteration) - polish_steps
+            # a retry waits until the budget left covers twice the last attempt's steps
+            allowance = int(POLISH_BUDGET * iteration) // CG_STEP_GEMMS - cg_steps
             if allowance < max(2 * taken, 1):
                 continue
-        polished, taken = _polish(p1, p2, diff, config.lam, z, polish_tol, allowance, polish_work)
-        polish_steps += taken
+        polished, taken = _polish(
+            p1, p2, diff, config.lam, z, polish_tol, allowance, polish_work, precond
+        )
+        cg_steps += taken
         if polished is not None:
             z = polished
             np.copyto(d, z)
@@ -393,7 +415,8 @@ def run_admm(psi1, psi2, config):
             stop = "polished"
             break
 
-    return AdmmState(d=d, z=z, u=u, iterations=iteration, stop=stop), stop != "max_iter"
+    state = AdmmState(d=d, z=z, u=u, iterations=iteration, stop=stop, cg_steps=cg_steps)
+    return state, stop != "max_iter"
 
 
 def estimate_delta(psi1, psi2, config):
@@ -401,7 +424,7 @@ def estimate_delta(psi1, psi2, config):
 
     Takes symmetric matrices, such as those precision_factor returns. Returns a
     DeltaEstimate holding the symmetric sparse iterate, iteration count,
-    convergence flag, final penalized objective and stop reason.
+    convergence flag, final penalized objective, stop reason and CG steps.
 
     With unknown injection covariances, whiten with the identity:
     estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
@@ -417,6 +440,7 @@ def estimate_delta(psi1, psi2, config):
         converged=converged,
         objective=objective,
         stop=state.stop,
+        cg_steps=state.cg_steps,
     )
 
 

@@ -114,8 +114,9 @@ class PxqSolver:
     and Q arrive exactly symmetric and equal-shaped, gamma finite and
     positive, and each R finite with their shape.
 
-    The eigenpairs stay available through null_bases, so a caller can
-    inspect the factors' null spaces without decomposing them again.
+    The eigenpairs stay available through null_bases and
+    inverse_geometric_mean, so a caller can inspect the factors' null spaces
+    or precondition with their geometric mean without decomposing them again.
     """
 
     def __init__(self, p, q, gamma):
@@ -136,6 +137,46 @@ class PxqSolver:
     def solve(self, r):
         """The X with P @ X @ Q + gamma * X = R."""
         return self._up @ (self._weights * (self._up.T @ r @ self._uq)) @ self._uq.T
+
+    def inverse_geometric_mean(self, out):
+        """(G, lmax(P) lmax(Q)), with G = (P # Q)^-1 written into out.
+
+        P # Q = P^1/2 (P^-1/2 Q P^-1/2)^1/2 P^1/2 is the matrix geometric
+        mean (Bhatia, Positive Definite Matrices, 2007, ch. 4). With
+        m = P^-1/2 and C = m Q m = V diag(c) V.T, G = (m V) diag(c^-1/2) (m V).T.
+        The null eigenvalues of P and of C are raised first
+        (_preconditioner_eigenvalues), so G is finite, exactly symmetric and
+        positive definite for singular factors too. X -> G X G inverts
+        X -> (P # Q) X (P # Q). With Y = P^1/2 X P^1/2 in the eigenbasis of
+        C, P X Q + Q X P scales Y_ij by c_i + c_j and 2 (P # Q) X (P # Q) by
+        2 (c_i c_j)^1/2, so on symmetric X the two differ by at most the
+        ratio of the arithmetic to the geometric mean of a pair of
+        eigenvalues of C. lmax(P) lmax(Q) is the largest eigenvalue of
+        P (x) Q.
+        """
+        dvals = _preconditioner_eigenvalues(self._dvals)
+        m = (self._up / np.sqrt(dvals)) @ self._up.T
+        root = (m @ self._uq) * np.sqrt(np.clip(self._evals, 0.0, None))
+        cvals, v = np.linalg.eigh(root @ root.T)
+        half = (m @ v) / np.sqrt(np.sqrt(_preconditioner_eigenvalues(cvals)))
+        g = half @ half.T
+        np.add(g, g.T, out=out)
+        out *= 0.5
+        return out, float(self._dvals[-1] * self._evals[-1])
+
+
+def _preconditioner_eigenvalues(values):
+    """Ascending PSD eigenvalues, the null ones raised for inversion.
+
+    Eigenvalues at most EIG_RELATIVE_FLOOR times the largest are null and
+    rise to the smallest of the others. P # Q is singular wherever a factor
+    is, but X -> P X Q + Q X P is not zero on those directions, and a
+    preconditioner that scaled them by the inverse square root of a small
+    floor made conjugate gradients slower than none on factors from n < p
+    samples.
+    """
+    null = int(np.count_nonzero(values <= EIG_RELATIVE_FLOOR * values[-1]))
+    return np.maximum(values, values[min(null, values.size - 1)])
 
 
 def _null_basis(values, vectors):

@@ -148,6 +148,8 @@ class TestEstimate:
         report = read_keyvalue(out / "report.txt")
         assert report["converged"] == "true"
         assert report["estimator"] == "dtrace"
+        assert report["stop"] == "polished"
+        assert int(report["cg_steps"]) > 0
 
     def test_huge_lambda_zeroes_off_diagonals(self, scenario_with_samples, tmp_path):
         d = scenario_with_samples
@@ -505,6 +507,7 @@ class TestEstimate:
         assert (out / "delta_hat.csv").exists()
         report = read_keyvalue(out / "report.txt")
         assert report["converged"] == "false"
+        assert (report["stop"], report["cg_steps"]) == ("max_iter", "0")
         # unset solver flags report the library defaults
         assert report["max_iter"] == "1"
         assert report["rho"] == "%.9g" % SolverConfig.rho

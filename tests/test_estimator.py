@@ -22,6 +22,7 @@ from lapdiff.errors import (
     UnboundedProblemError,
 )
 from lapdiff.estimator import (
+    CG_STEP_GEMMS,
     POLISH_BUDGET,
     POLISH_TOL,
     DeltaEstimate,
@@ -421,7 +422,8 @@ def polish_from(z, psi1, psi2, lam):
     diff = psi1 - psi2
     tol = POLISH_TOL * max(1.0, float(np.max(np.abs(diff))))
     work = [np.empty(z.shape) for _ in range(5)]
-    return _polish(psi1, psi2, diff, lam, z, tol, 10000, work)
+    precond = PxqSolver(psi1, psi2, 1.0).inverse_geometric_mean(np.empty(z.shape))
+    return _polish(psi1, psi2, diff, lam, z, tol, 10000, work, precond)
 
 
 def polished_problem():
@@ -499,7 +501,7 @@ class TestPolish:
         (row,) = run_sweep(cfg).rows
         assert row.iterations == cfg.max_iter and not row.converged
         assert len(steps) > 1
-        assert sum(steps) <= POLISH_BUDGET * cfg.max_iter
+        assert CG_STEP_GEMMS * sum(steps) <= POLISH_BUDGET * cfg.max_iter
 
     def test_bounded_rows_past_max_iter_now_converge(self):
         cfg = ExperimentConfig(dims=(16,), sample_sizes=(20,), instances=2, **DENSE_SWEEP)
@@ -507,6 +509,76 @@ class TestPolish:
         assert len(rows) == 2
         for row in rows:
             assert row.converged and row.iterations < cfg.max_iter
+
+
+@pytest.fixture(scope="module")
+def dense_sweep_rows():
+    """(config, rows) of the dense-sweep case of tools/row_digest.py, all three estimators."""
+    cfg = ExperimentConfig(
+        dims=(16, 25),
+        sample_sizes=(10, 20, 64),
+        instances=2,
+        **{**DENSE_SWEEP, "estimators": ("dtrace", "plugin", "sqrt")},
+    )
+    return cfg, run_sweep(cfg).rows
+
+
+class TestPreconditionedPolish:
+    def test_polished_deltas_are_exactly_symmetric(self):
+        rng = np.random.default_rng(43)
+        for p in (5, 12, 30):
+            psi1, psi2 = random_pd(rng, p), random_pd(rng, p)
+            est = estimate_delta(psi1, psi2, SolverConfig(lam=0.05, rho=0.1))
+            assert est.stop == "polished" and est.cg_steps > 0
+            assert np.array_equal(est.delta, est.delta.T)
+
+    def test_power_cells_polish_within_200_cg_steps(self, monkeypatch):
+        # unpreconditioned, these two cells took 253 and 266 steps, and the
+        # cells of seeds 1, 11 and 12 took 249-474
+        _, solves = captured_solves(monkeypatch, power_sweep_config(5.0, seed=101, instances=2))
+        assert len(solves) == 2
+        for _, _, _, est in solves:
+            assert est.stop == "polished"
+            assert 0 < est.cg_steps <= 200
+
+    def test_bounded_row_below_p_polishes_within_350_iterations(self, dense_sweep_rows):
+        # n = 10 < p = 16: both factors are singular; polishing every 50
+        # iterations with unpreconditioned CG took 350 iterations here
+        _, rows = dense_sweep_rows
+        (row,) = [r for r in rows if (r.p, r.n, r.instance, r.estimator) == (16, 10, 1, "sqrt")]
+        assert row.converged and 0 < row.iterations <= 350
+
+    def test_null_directions_do_not_stall_the_polish(self):
+        # the config-sweep case of tools/row_digest.py at p = 9, n = 6: each
+        # factor has a 3-dimensional null space. Flooring its null eigenvalues
+        # at 1e-6 of the largest, instead of raising them to the smallest
+        # nonzero one, spent the first attempt's 500 steps on repair rounds,
+        # and the row ran all 2000 iterations
+        cfg = ExperimentConfig(
+            dims=(9,),
+            ratios=(),
+            sample_sizes=(6,),
+            instances=2,
+            lambda_scale=2.0,
+            base_spec=RandomBaseSpec(margin=0.3, scale=0.01),
+            sigma_spec=SigmaSpec(kind="diagonal", value_range=(0.5, 2.0)),
+            seed=9,
+            estimators=("dtrace",),
+            rho=0.1,
+            max_iter=2000,
+        )
+        row = run_sweep(cfg).rows[1]
+        assert (row.n, row.instance) == (6, 1)
+        assert row.converged and row.iterations < cfg.max_iter
+
+    def test_bounded_rows_total_within_5850_iterations(self, dense_sweep_rows):
+        # 5850 is their total when polishing every 50 iterations without a preconditioner
+        cfg, rows = dense_sweep_rows
+        solved = [r for r in rows if r.estimator != "plugin"]
+        bounded = [r for r in solved if r.iterations < cfg.max_iter]
+        assert len(solved) - len(bounded) == 3  # the unbounded sqrt rows at n = 10
+        assert all(r.converged for r in bounded)
+        assert sum(r.iterations for r in bounded) <= 5850
 
 
 class TestPluginDelta:

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from lapdiff.errors import InvalidInputError, NotPsdError, SingularMatrixError
 from lapdiff.linalg import (
+    PxqSolver,
     as_symmetric,
     inv_sqrt_pd,
     off_diagonal_l1,
@@ -158,6 +159,28 @@ class TestSolvePxq:
             solve_pxq(eye, eye, np.full((2, 2), np.inf), 1.0)
         with pytest.raises(InvalidInputError):
             solve_pxq(eye, np.eye(3), eye, 1.0)
+
+
+class TestInverseGeometricMean:
+    def test_symmetric_positive_definite(self):
+        rng = np.random.default_rng(12)
+        for p_dim, rank in ((1, 1), (6, 6), (12, 12), (12, 7)):
+            p, q = random_psd(rng, p_dim, rank), random_psd(rng, p_dim, rank)
+            g, scale = PxqSolver(p, q, 1.0).inverse_geometric_mean(np.empty((p_dim, p_dim)))
+            assert np.array_equal(g, g.T)
+            assert np.linalg.eigvalsh(g)[0] > 0.0
+            lmax = np.linalg.eigvalsh(p)[-1] * np.linalg.eigvalsh(q)[-1]
+            assert scale == pytest.approx(lmax, rel=1e-12)
+
+    def test_inverse_is_the_geometric_mean(self):
+        # P # Q is the only positive definite H with H P^-1 H = Q
+        rng = np.random.default_rng(13)
+        p, q = random_pd(rng, 10), random_pd(rng, 10)
+        out = np.empty((10, 10))
+        g, _ = PxqSolver(p, q, 1.0).inverse_geometric_mean(out)
+        assert g is out
+        h = np.linalg.inv(g)
+        assert_allclose(h @ np.linalg.solve(p, h), q, atol=1e-10)
 
 
 class TestSoftThreshold:
