@@ -260,6 +260,9 @@ def _load_estimate_inputs(args):
         raise InvalidInputError("both --samples1 and --samples2 are required")
     if use_cov and (args.cov1 is None or args.cov2 is None):
         raise InvalidInputError("both --cov1 and --cov2 are required")
+    if use_samples and (args.n1 is not None or args.n2 is not None):
+        flag = "--n1" if args.n1 is not None else "--n2"
+        raise InvalidInputError(f"{flag} needs --cov1/--cov2; sample CSVs give n as their row count")
     if args.estimator == "plugin" and use_cov:
         raise InvalidInputError("the plugin estimator needs sample CSVs, not covariances")
     if args.estimator == "plugin" and args.unknown_sigma:

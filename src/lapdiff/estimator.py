@@ -38,23 +38,18 @@ UNBOUNDED_MARGIN = 1e-6
 ADMM_RELAXATION = 1.5
 
 # Every POLISH_CHECK iterations run_admm compares the off-diagonal sign pattern
-# of z with the one at the previous check; when it held, it tries a polish.
+# of z with the one at the previous check; when it held and differs from the
+# pattern of the last attempt, it tries a polish.
 POLISH_CHECK = 10
 
 # Active-set repair rounds after a polish's first solve on the support.
 POLISH_ROUNDS = 6
 
 # p x p GEMMs of one preconditioned CG step: two apply the operator, two the
-# preconditioner. An ADMM iteration costs four.
+# preconditioner. An ADMM iteration costs four, and all polish attempts of a
+# run share a budget of max_iter GEMMs, so a run that never polishes does at
+# most a quarter more GEMMs than its iterations.
 CG_STEP_GEMMS = 4
-
-# p x p GEMMs that polishing may spend on CG, per ADMM iteration: the first
-# attempt up to POLISH_FIRST times max_iter, all attempts together within
-# POLISH_BUDGET times the iterations run once the first is done. An ADMM
-# iteration costs four GEMMs, so after the first attempt, attempts that fail
-# add at most an eighth to a run's GEMMs.
-POLISH_FIRST = 1.0
-POLISH_BUDGET = 0.5
 
 # KKT tolerance of an accepted polish, relative to max(1, max |P1 - P2|).
 POLISH_TOL = 1e-9
@@ -92,16 +87,15 @@ class SolverConfig:
 class AdmmState:
     """Final iterates of the two-block ADMM.
 
-    d is the smooth block (any p x p matrix), z the symmetric shrunk block,
-    and u the scaled multiplier of the constraint d = z. stop says why the
-    loop ended: "tolerance" (max |d - z| <= tol_consensus), "polished" (a
-    polish passed the KKT check; then d = z) or "max_iter". iterations
-    counts ADMM iterations, cg_steps the CG steps of all polish attempts.
+    d is the smooth block (any p x p matrix), z the symmetric shrunk block.
+    stop says why the loop ended: "tolerance" (max |d - z| <=
+    tol_consensus), "polished" (a polish passed the KKT check; then d = z)
+    or "max_iter". iterations counts ADMM iterations, cg_steps the CG steps
+    of all polish attempts.
     """
 
     d: np.ndarray
     z: np.ndarray
-    u: np.ndarray
     iterations: int
     stop: str
     cg_steps: int
@@ -251,32 +245,31 @@ def _cg_on_support(p1, p2, x, r, support, tol, max_steps, work, precond):
     return steps, rr <= tol * tol
 
 
-def _polish(p1, p2, diff, lam, z, tol, max_steps, work, precond):
+def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond):
     """Solve for the optimum on the support of z; (x or None, CG steps taken).
 
-    S holds the nonzeros of z plus the diagonal, and s = sign(z) off the
-    diagonal, 0 on it. If S and s are those of the optimum, it solves
-    [P1 X P2 + P2 X P1]_S = 2 (P1 - P2 - lam s)_S with X zero off S, twice
-    the stationarity condition on S. Conjugate gradients, warm-started at z
-    and preconditioned with precond (see _cg_on_support), solve it. x is
-    returned only if it passes the full KKT check at tolerance tol, with
-    gradient G = sym(P1 x P2) - (P1 - P2): x is finite, no sign of s
-    flipped, |G + lam s| <= tol on S and |G| <= lam + tol off S. An
-    unbounded problem has no KKT point, so it never passes. When the check
-    fails on a flipped sign or an entry off S, up to POLISH_ROUNDS repair
-    rounds drop the entries whose sign flipped, add the entries off S with
+    signs is the off-diagonal sign pattern of z (int8, 0 on the diagonal),
+    and _polish works on a copy of it. S holds its nonzeros plus the
+    diagonal. If S and signs are those of the optimum, it solves
+    [P1 X P2 + P2 X P1]_S = 2 (P1 - P2 - lam signs)_S with X zero off S,
+    twice the stationarity condition on S. Conjugate gradients, warm-started
+    at z and preconditioned with precond (see _cg_on_support), solve it. x
+    is returned only if it passes the full KKT check at tolerance tol, with
+    gradient G = sym(P1 x P2) - (P1 - P2): x is finite, no sign flipped,
+    |G + lam signs| <= tol on S and |G| <= lam + tol off S. An unbounded
+    problem has no KKT point, so it never passes. When the check fails on a
+    flipped sign or an entry off S, up to POLISH_ROUNDS repair rounds drop
+    the entries whose sign flipped, add the entries off S with
     |G| > lam + tol at sign -sign(G), and solve again. CG stops at
     |r|_F <= tol on the doubled system, so the recomputed check has a margin
-    of tol / 2. max_steps caps the CG steps of all rounds; work is five
-    p x p buffers, the first of which receives x.
+    of tol / 2. max_steps caps the CG steps of all rounds.
     """
-    x, r, *cg_work = work
-    direction, product, scratch = cg_work
-    signs = np.sign(z, out=x).astype(np.int8)
-    np.fill_diagonal(signs, 0)
+    x = z.copy()
+    r, direction, product, scratch = (np.empty_like(z) for _ in range(4))
+    cg_work = (direction, product, scratch)
+    signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
-    np.copyto(x, z)
     steps = 0
     for repair in range(POLISH_ROUNDS + 1):
         np.multiply(signs, -lam, out=r)
@@ -332,21 +325,20 @@ def run_admm(psi1, psi2, config):
     point is the symmetric optimum and does not depend on rho.
 
     Every POLISH_CHECK iterations, once the off-diagonal sign pattern of z
-    has held since the previous check, the solve on that support is tried
-    (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5).
-    A polish that passes the KKT check at POLISH_TOL ends the run; one that
-    fails leaves the iterates untouched. Its CG is preconditioned with
-    (P1 # P2)^-1, built once at the first attempt. After the first attempt,
-    polishing spends at most POLISH_BUDGET GEMMs of CG per ADMM iteration
-    run.
+    has held since the previous check and differs from the pattern of the
+    last attempt, the solve on that support is tried (_polish; OSQP's
+    solution polishing, Stellato et al. 2020, section 5). A polish that
+    passes the KKT check at POLISH_TOL ends the run; one that fails leaves
+    the iterates untouched. Its CG is preconditioned with (P1 # P2)^-1,
+    built once at the first attempt. All attempts together take at most
+    max_iter // CG_STEP_GEMMS CG steps.
 
     Before the first iteration, the null spaces of the two factors are
     searched for a direction along which the objective falls without bound
     (see _check_bounded); finding one raises UnboundedProblemError.
 
-    Returns (AdmmState, converged): converged once max |d - z| is at most
-    tol_consensus or a polish passed. Raises SolverDivergedError if iterates
-    stop being finite.
+    Returns the AdmmState. Raises SolverDivergedError if iterates stop
+    being finite.
     """
     p1 = _factor_matrix(psi1, "psi1")
     p2 = _factor_matrix(psi2, "psi2")
@@ -368,8 +360,8 @@ def run_admm(psi1, psi2, config):
 
     stop = "max_iter"
     iteration = 0
-    pattern = None
-    polish_work = None
+    pattern = tried = precond = None
+    budget = config.max_iter // CG_STEP_GEMMS
     cg_steps = 0
     for iteration in range(1, config.max_iter + 1):
         d = solver.solve(diff + sigma * (z - u))
@@ -390,33 +382,24 @@ def run_admm(psi1, psi2, config):
         held = pattern
         pattern = np.sign(z).astype(np.int8)
         np.fill_diagonal(pattern, 0)
-        if held is None or not np.array_equal(pattern, held):
+        if held is None or not np.array_equal(pattern, held) or cg_steps >= budget:
             continue
-        if polish_work is None:
-            polish_work = [np.empty((p, p)) for _ in range(5)]
-            precond = solver.inverse_geometric_mean(np.empty((p, p)))
-            allowance = int(POLISH_FIRST * config.max_iter) // CG_STEP_GEMMS
-        else:
-            # a retry waits until the budget left covers twice the last attempt's steps
-            allowance = int(POLISH_BUDGET * iteration) // CG_STEP_GEMMS - cg_steps
-            if allowance < max(2 * taken, 1):
-                continue
+        if tried is not None and np.array_equal(pattern, tried):
+            continue
+        if precond is None:
+            precond = solver.inverse_geometric_mean()
+        tried = pattern
         polished, taken = _polish(
-            p1, p2, diff, config.lam, z, polish_tol, allowance, polish_work, precond
+            p1, p2, diff, config.lam, z, pattern, polish_tol, budget - cg_steps, precond
         )
         cg_steps += taken
         if polished is not None:
             z = polished
             np.copyto(d, z)
-            # the multiplier of the fixed point d = z: P1 z P2 + sigma u = P1 - P2
-            np.matmul(np.matmul(p1, z, out=polish_work[1]), p2, out=polish_work[2])
-            np.subtract(diff, polish_work[2], out=u)
-            u /= sigma
             stop = "polished"
             break
 
-    state = AdmmState(d=d, z=z, u=u, iterations=iteration, stop=stop, cg_steps=cg_steps)
-    return state, stop != "max_iter"
+    return AdmmState(d=d, z=z, iterations=iteration, stop=stop, cg_steps=cg_steps)
 
 
 def estimate_delta(psi1, psi2, config):
@@ -432,12 +415,12 @@ def estimate_delta(psi1, psi2, config):
     of the two potential distributions, which is (b2 - b1) / 2 when both
     injection covariances equal 4 I.
     """
-    state, converged = run_admm(psi1, psi2, config)
+    state = run_admm(psi1, psi2, config)
     objective = penalized_objective(state.z, psi1, psi2, config)
     return DeltaEstimate(
         delta=state.z,
         iterations=state.iterations,
-        converged=converged,
+        converged=state.stop != "max_iter",
         objective=objective,
         stop=state.stop,
         cg_steps=state.cg_steps,

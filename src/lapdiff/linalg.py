@@ -138,8 +138,8 @@ class PxqSolver:
         """The X with P @ X @ Q + gamma * X = R."""
         return self._up @ (self._weights * (self._up.T @ r @ self._uq)) @ self._uq.T
 
-    def inverse_geometric_mean(self, out):
-        """(G, lmax(P) lmax(Q)), with G = (P # Q)^-1 written into out.
+    def inverse_geometric_mean(self):
+        """(G, lmax(P) lmax(Q)), with G = (P # Q)^-1.
 
         P # Q = P^1/2 (P^-1/2 Q P^-1/2)^1/2 P^1/2 is the matrix geometric
         mean (Bhatia, Positive Definite Matrices, 2007, ch. 4). With
@@ -160,9 +160,7 @@ class PxqSolver:
         cvals, v = np.linalg.eigh(root @ root.T)
         half = (m @ v) / np.sqrt(np.sqrt(_preconditioner_eigenvalues(cvals)))
         g = half @ half.T
-        np.add(g, g.T, out=out)
-        out *= 0.5
-        return out, float(self._dvals[-1] * self._evals[-1])
+        return (g + g.T) / 2.0, float(self._dvals[-1] * self._evals[-1])
 
 
 def _preconditioner_eigenvalues(values):

@@ -371,10 +371,12 @@ class TestEstimate:
                 "--estimator plugin --samples1 bad --samples2 bad --unknown-sigma",
                 "the plugin estimator needs known injection covariances",
             ),
+            ("--samples1 bad --samples2 bad --n1 3 --n2 3 --unknown-sigma", "--n1 needs --cov1/--cov2"),
+            ("--samples1 bad --samples2 bad --n2 3 --unknown-sigma", "--n2 needs --cov1/--cov2"),
         ],
         ids=[
             "no-inputs", "no-samples2", "no-cov2", "sample-widths", "cov-shapes",
-            "sigma-shape", "plugin-cov", "plugin-unknown-sigma",
+            "sigma-shape", "plugin-cov", "plugin-unknown-sigma", "samples-n1", "samples-n2",
         ],
     )
     def test_input_rules_exit_2(self, rule_files, flags, message, capsys):

@@ -14,6 +14,10 @@ The cases:
   rebuilt here;
 - dense-sweep: p = 16 and 25 with a dense injection covariance, running
   dtrace, plugin and sqrt at n = 10 (below both p), 20 and 64 (above both);
+- default-rho-sweep: the dense-sweep base at seed 1 and p = 16 with a
+  diagonal injection covariance, running dtrace and sqrt at n = 6, 10, 20
+  and 40 with every solver setting at the library's default (rho 0.001,
+  max_iter 20000), the regime where a solve polishes late or retries;
 - estimate-cli: `lapdiff estimate` on sample CSVs drawn from a
   `lapdiff gen` scenario at p = 16, n = 40, with a dense injection
   covariance;
@@ -32,6 +36,7 @@ The cases:
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -89,6 +94,17 @@ def dense_sweep_config():
         sigma_spec=lapdiff.SigmaSpec(kind="dense"),
         seed=3,
         estimators=("dtrace", "plugin", "sqrt"),
+    )
+
+
+def default_rho_sweep_config():
+    return dataclasses.replace(
+        dense_sweep_config(),
+        dims=(16,),
+        sample_sizes=(6, 10, 20, 40),
+        sigma_spec=lapdiff.SigmaSpec(kind="diagonal"),
+        seed=1,
+        estimators=("dtrace", "sqrt"),
     )
 
 
@@ -214,6 +230,7 @@ def main():
         ("power-sweep-seed1", lambda d: masked_sweep_digest(power_sweep_config(1), d)),
         ("power-sweep-seed11", lambda d: masked_sweep_digest(power_sweep_config(11), d)),
         ("dense-sweep", lambda d: masked_sweep_digest(dense_sweep_config(), d)),
+        ("default-rho-sweep", lambda d: masked_sweep_digest(default_rho_sweep_config(), d)),
         ("estimate-cli", estimate_cli_digest),
         ("estimate-cov", estimate_cov_digest),
         ("estimate-plugin", estimate_plugin_digest),
