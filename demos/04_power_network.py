@@ -49,6 +49,6 @@ est = estimate_delta(
     precision_factor(y2, sigma),
     SolverConfig(lam=lam, rho=0.1, max_iter=2000),
 )
-print(f"\nn = {n}, lambda = {lam:.3f}, converged in {est.iterations} iterations")
+print(f"\nn = {n}, lambda = {lam:.3f}, stop: {est.stop} after {est.iterations} iterations")
 print(f"support recovered: {support_recovered(est.delta, delta, 2.0)}")
 print(f"sup-norm error: {sup_norm_error(est.delta, delta):.3f}")

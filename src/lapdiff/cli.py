@@ -133,7 +133,6 @@ _SOLVER_KEYS = {
     "lambda_scale": _Key(parse_float),
     "rho": _Key(parse_float),
     "max_iter": _Key(parse_int),
-    "tol_consensus": _Key(parse_float),
 }
 
 _GEN_KEYS = dict(
@@ -330,7 +329,7 @@ def cmd_estimate(args):
     else:
         lambda_scale = settings.get("lambda_scale", ExperimentConfig.lambda_scale)
         lam = default_lambda(lambda_scale, p, min(n1, n2))
-    config = SolverConfig(lam=lam, **_pick(settings, "rho", "max_iter", "tol_consensus"))
+    config = SolverConfig(lam=lam, **_pick(settings, "rho", "max_iter"))
 
     report = {
         "estimator": args.estimator,
@@ -356,7 +355,6 @@ def cmd_estimate(args):
         report.update(
             rho=config.rho,
             max_iter=config.max_iter,
-            tol_consensus=config.tol_consensus,
             iterations=est.iterations,
             converged=est.converged,
             objective=est.objective,
@@ -397,9 +395,7 @@ def _sweep_axes(settings, default_ratios=None):
 def _common_config_kwargs(settings, full_scale, desk_instances):
     return dict(
         _pick(
-            settings,
-            "lambda_scale", "support_epsilon", "seed", "estimators", "rho", "max_iter",
-            "tol_consensus",
+            settings, "lambda_scale", "support_epsilon", "seed", "estimators", "rho", "max_iter"
         ),
         instances=settings.get("instances", 100 if full_scale else desk_instances),
         delta_spec=_delta_spec(settings),

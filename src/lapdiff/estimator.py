@@ -60,16 +60,16 @@ class SolverConfig:
     """Parameters of the ADMM solver for the penalized difference problem.
 
     lam is the l1 penalty weight; rho sets run_admm's augmented-Lagrangian
-    penalty 4 rho; iteration stops at consensus residual max |d - z| <=
-    tol_consensus or at max_iter. The penalty falls on the off-diagonal
-    entries only. These are the package's only solver defaults; the sweep
-    config and the command line take theirs from here.
+    penalty 4 rho, and with it the shrink threshold lam / (4 rho), both of
+    which must be finite; run_admm stops when a polish passes the KKT check
+    or at max_iter. The penalty falls on the off-diagonal entries only.
+    These are the package's only solver defaults; the sweep config and the
+    command line take theirs from here.
     """
 
     lam: float
     rho: float = 0.001
     max_iter: int = 20000
-    tol_consensus: float = 1e-6
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -79,22 +79,22 @@ class SolverConfig:
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         self.max_iter = int(self.max_iter)
-        if not (math.isfinite(self.tol_consensus) and self.tol_consensus > 0):
-            raise InvalidInputError(f"tol_consensus must be positive, got {self.tol_consensus!r}")
+        if not (math.isfinite(4.0 * self.rho) and math.isfinite(self.lam / (4.0 * self.rho))):
+            raise InvalidInputError(
+                f"4 rho and lam / (4 rho) must be finite, got lam = {self.lam!r}, rho = {self.rho!r}"
+            )
 
 
 @dataclass
 class AdmmState:
-    """Final iterates of the two-block ADMM.
+    """Final iterate of the two-block ADMM.
 
-    d is the smooth block (any p x p matrix), z the symmetric shrunk block.
-    stop says why the loop ended: "tolerance" (max |d - z| <=
-    tol_consensus), "polished" (a polish passed the KKT check; then d = z)
-    or "max_iter". iterations counts ADMM iterations, cg_steps the CG steps
-    of all polish attempts.
+    z is the symmetric shrunk block. stop says why the loop ended:
+    "polished" (a polish passed the KKT check, and z is the polished
+    optimum) or "max_iter". iterations counts ADMM iterations, cg_steps the
+    CG steps of all polish attempts.
     """
 
-    d: np.ndarray
     z: np.ndarray
     iterations: int
     stop: str
@@ -311,6 +311,13 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond):
     return None, steps
 
 
+def _check_finite(z, iteration):
+    if not np.all(np.isfinite(z)):
+        raise SolverDivergedError(
+            f"iterates became non-finite by iteration {iteration}", iteration=iteration
+        )
+
+
 def run_admm(psi1, psi2, config):
     """Two-block scaled ADMM for the penalized difference problem, from zero start.
 
@@ -331,14 +338,15 @@ def run_admm(psi1, psi2, config):
     passes the KKT check at POLISH_TOL ends the run; one that fails leaves
     the iterates untouched. Its CG is preconditioned with (P1 # P2)^-1,
     built once at the first attempt. All attempts together take at most
-    max_iter // CG_STEP_GEMMS CG steps.
+    max_iter // CG_STEP_GEMMS CG steps. A passed polish is the only stop
+    before max_iter, so a run that is not "max_iter" is KKT-certified.
 
     Before the first iteration, the null spaces of the two factors are
     searched for a direction along which the objective falls without bound
     (see _check_bounded); finding one raises UnboundedProblemError.
 
-    Returns the AdmmState. Raises SolverDivergedError if iterates stop
-    being finite.
+    Returns the AdmmState. Raises SolverDivergedError if z is not finite at
+    a check or after the last iteration.
     """
     p1 = _factor_matrix(psi1, "psi1")
     p2 = _factor_matrix(psi2, "psi2")
@@ -354,12 +362,10 @@ def run_admm(psi1, psi2, config):
     _check_bounded(solver, p1, p2, diff, config)
     polish_tol = POLISH_TOL * max(1.0, float(np.max(np.abs(diff))))
 
-    d = np.zeros((p, p))
     z = np.zeros((p, p))
     u = np.zeros((p, p))
 
     stop = "max_iter"
-    iteration = 0
     pattern = tried = precond = None
     budget = config.max_iter // CG_STEP_GEMMS
     cg_steps = 0
@@ -368,17 +374,9 @@ def run_admm(psi1, psi2, config):
         w = ADMM_RELAXATION * d + (1.0 - ADMM_RELAXATION) * z + u
         z = soft_threshold((w + w.T) / 2.0, thresh, off_diagonal_only=True)
         u = np.subtract(w, z, out=w)  # w is not read again
-
-        residual = np.max(np.abs(d - z))
-        if not np.isfinite(residual):
-            raise SolverDivergedError(
-                f"iterates became non-finite at iteration {iteration}", iteration=iteration
-            )
-        if residual <= config.tol_consensus:
-            stop = "tolerance"
-            break
         if iteration % POLISH_CHECK:
             continue
+        _check_finite(z, iteration)
         held = pattern
         pattern = np.sign(z).astype(np.int8)
         np.fill_diagonal(pattern, 0)
@@ -395,11 +393,11 @@ def run_admm(psi1, psi2, config):
         cg_steps += taken
         if polished is not None:
             z = polished
-            np.copyto(d, z)
             stop = "polished"
             break
 
-    return AdmmState(d=d, z=z, iterations=iteration, stop=stop, cg_steps=cg_steps)
+    _check_finite(z, iteration)
+    return AdmmState(z=z, iterations=iteration, stop=stop, cg_steps=cg_steps)
 
 
 def estimate_delta(psi1, psi2, config):
@@ -420,7 +418,7 @@ def estimate_delta(psi1, psi2, config):
     return DeltaEstimate(
         delta=state.z,
         iterations=state.iterations,
-        converged=state.stop != "max_iter",
+        converged=state.stop == "polished",
         objective=objective,
         stop=state.stop,
         cg_steps=state.cg_steps,

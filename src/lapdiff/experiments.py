@@ -162,7 +162,6 @@ class ExperimentConfig:
     sample_sizes: tuple | None = None
     rho: float = SolverConfig.rho
     max_iter: int = SolverConfig.max_iter
-    tol_consensus: float = SolverConfig.tol_consensus
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
@@ -197,13 +196,11 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"base_spec must be RandomBaseSpec or MatpowerBaseSpec, got {type(self.base_spec).__name__}"
             )
-        self.solver_config(lam=0.0)  # validates rho, max_iter and tol_consensus
+        self.solver_config(lam=0.0)  # validates rho and max_iter
 
     def solver_config(self, lam):
         """The SolverConfig of one cell, whose penalty depends on the cell's n."""
-        return SolverConfig(
-            lam=lam, rho=self.rho, max_iter=self.max_iter, tol_consensus=self.tol_consensus
-        )
+        return SolverConfig(lam=lam, rho=self.rho, max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)

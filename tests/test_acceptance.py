@@ -156,7 +156,7 @@ def test_criterion_3_admm_matches_reference():
         psi1 = random_pd(rng, 4, 0.5, 2.0)
         psi2 = random_pd(rng, 4, 0.5, 2.0)
         for lam in (0.0, 0.05, 0.2):
-            config = SolverConfig(lam=lam, rho=0.05, max_iter=100000, tol_consensus=1e-10)
+            config = SolverConfig(lam=lam, rho=0.05, max_iter=100000)
             est = estimate_delta(psi1, psi2, config)
             assert est.converged
             if lam == 0.0:
@@ -328,7 +328,7 @@ def test_criterion_7_invariant_suites(tmp_path):
     psi2 = random_pd(rng, 6, 0.5, 2.0)
     masses = []
     for lam in (0.01, 0.05, 0.2):
-        config = SolverConfig(lam=lam, rho=0.05, max_iter=50000, tol_consensus=1e-9)
+        config = SolverConfig(lam=lam, rho=0.05, max_iter=50000)
         masses.append(off_diagonal_l1(estimate_delta(psi1, psi2, config).delta))
     checks["penalty-monotone"] = masses[0] >= masses[1] >= masses[2]
 

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -410,6 +411,26 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--lambda", "1e306"), ("--rho", "1e308")], ids=["lambda", "rho"]
+    )
+    def test_overflowing_admm_values_exit_2(self, rule_files, flag, value, capsys):
+        d = rule_files
+        out = d / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the run
+            rc = run(
+                "estimate",
+                "--samples1", str(d / "y4.csv"), "--samples2", str(d / "y4.csv"),
+                "--sigma-x1", str(d / "s4.csv"), "--sigma-x2", str(d / "s4.csv"),
+                flag, value, "--out", str(out),
+            )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 4 rho and lam / (4 rho) must be finite, got lam = ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("token", ["oops", "1_000", "１"], ids=["word", "underscore", "full-width"])
     def test_malformed_number_exits_2(self, rule_files, token, capsys):
         d = rule_files
@@ -513,7 +534,6 @@ class TestEstimate:
         # unset solver flags report the library defaults
         assert report["max_iter"] == "1"
         assert report["rho"] == "%.9g" % SolverConfig.rho
-        assert report["tol_consensus"] == "%.9g" % SolverConfig.tol_consensus
 
 
 class TestExperiment:
@@ -564,6 +584,14 @@ class TestExperiment:
         rc = run("experiment", "synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
         assert rc == 2
         assert "voltage" in capsys.readouterr().err
+
+    def test_removed_tol_consensus_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("dims = 9\ntol_consensus = 1e-8\n")
+        rc = run("experiment", "synth", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert rc == 2
+        assert "config key 'tol_consensus' is not valid" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -844,6 +872,15 @@ class TestParser:
     def test_help_exits_0(self):
         assert run("--help") == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        ["estimate", "experiment synth", "experiment power", "experiment plugin-compare"],
+    )
+    def test_removed_tol_consensus_flag_exits_2(self, command, tmp_path, capsys):
+        argv = [*command.split(), "--tol-consensus", "1e-6", "--out", str(tmp_path / "o")]
+        assert run(*argv) == 2
+        assert "unrecognized arguments: --tol-consensus" in capsys.readouterr().err
+
 
 def _flags(parser):
     """{option string: dest} of one parser's own flags."""
@@ -863,9 +900,8 @@ _COMMON_EXPERIMENT_FLAGS = {
     "--full-scale": "full_scale", "--instances": "instances", "--lambda-scale": "lambda_scale",
     "--support-epsilon": "support_epsilon", "--seed": "seed", "--estimators": "estimators",
     "--sample-sizes": "sample_sizes", "--rho": "rho", "--max-iter": "max_iter",
-    "--tol-consensus": "tol_consensus", "--weight-min": "weight_min",
-    "--weight-max": "weight_max", "--sign-mode": "sign_mode", "--sigma": "sigma",
-    "--sigma-min": "sigma_min", "--sigma-max": "sigma_max",
+    "--weight-min": "weight_min", "--weight-max": "weight_max", "--sign-mode": "sign_mode",
+    "--sigma": "sigma", "--sigma-min": "sigma_min", "--sigma-max": "sigma_max",
     "--sigma-condition": "sigma_condition",
 }
 
@@ -883,7 +919,7 @@ PINNED_FLAGS = {
         "--cov1": "cov1", "--cov2": "cov2", "--sigma-x1": "sigma_x1", "--sigma-x2": "sigma_x2",
         "--unknown-sigma": "unknown_sigma", "--estimator": "estimator", "--lambda": "lam",
         "--lambda-scale": "lambda_scale", "--n1": "n1", "--n2": "n2", "--rho": "rho",
-        "--max-iter": "max_iter", "--tol-consensus": "tol_consensus", "--out": "out",
+        "--max-iter": "max_iter", "--out": "out",
     },
     "experiment synth": dict(
         _COMMON_EXPERIMENT_FLAGS,

@@ -101,7 +101,6 @@ class TestSolverConfig:
         cfg = SolverConfig(lam=0.1)
         assert cfg.rho == 0.001
         assert cfg.max_iter == 20000
-        assert cfg.tol_consensus == 1e-6
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -110,6 +109,14 @@ class TestSolverConfig:
             SolverConfig(lam=0.1, rho=0.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(lam=0.1, max_iter=0)
+
+    @pytest.mark.parametrize(
+        "lam, rho", [(1e306, 0.001), (0.1, 1e308)], ids=["lam-over-4rho", "4rho"]
+    )
+    def test_rejects_overflowing_admm_values(self, lam, rho):
+        # finite fields whose penalty 4 rho or threshold lam / (4 rho) is inf
+        with pytest.raises(InvalidInputError, match=r"lam .* rho"):
+            SolverConfig(lam=lam, rho=rho)
 
 
 class TestDtraceLoss:
@@ -211,7 +218,7 @@ class TestRunAdmm:
         rng = np.random.default_rng(8)
         for trial in range(5):
             psi1, psi2 = random_pd(rng, 4), random_pd(rng, 4)
-            cfg = SolverConfig(lam=0.0, tol_consensus=1e-10)
+            cfg = SolverConfig(lam=0.0)
             est = estimate_delta(psi1, psi2, cfg)
             oracle = kron_stationary_delta(psi1, psi2)
             assert est.converged
@@ -221,7 +228,7 @@ class TestRunAdmm:
         rng = np.random.default_rng(9)
         for lam in (0.05, 0.2):
             psi1, psi2 = random_pd(rng, 4), random_pd(rng, 4)
-            cfg = SolverConfig(lam=lam, tol_consensus=1e-10)
+            cfg = SolverConfig(lam=lam)
             est = estimate_delta(psi1, psi2, cfg)
             oracle = ista_reference_delta(psi1, psi2, lam)
             assert est.converged
@@ -234,13 +241,11 @@ class TestRunAdmm:
         off = est.delta[~np.eye(6, dtype=bool)]
         assert np.max(np.abs(off)) == 0.0
 
-    def test_consensus_residual_at_convergence(self):
+    def test_polished_state_is_exactly_symmetric(self):
         rng = np.random.default_rng(12)
         psi1, psi2 = random_pd(rng, 5), random_pd(rng, 5)
-        cfg = SolverConfig(lam=0.05)
-        state = run_admm(psi1, psi2, cfg)
-        assert state.stop != "max_iter"
-        assert np.max(np.abs(state.d - state.z)) <= cfg.tol_consensus
+        state = run_admm(psi1, psi2, SolverConfig(lam=0.05))
+        assert state.stop == "polished"
         assert_allclose(state.z, state.z.T, rtol=0, atol=0)
         assert state.iterations >= 1
 
@@ -271,7 +276,7 @@ class TestRunAdmm:
     def test_sign_flip_symmetry(self):
         rng = np.random.default_rng(13)
         psi1, psi2 = random_pd(rng, 4), random_pd(rng, 4)
-        cfg = SolverConfig(lam=0.05, tol_consensus=1e-9)
+        cfg = SolverConfig(lam=0.05)
         fwd = estimate_delta(psi1, psi2, cfg)
         bwd = estimate_delta(psi2, psi1, cfg)
         assert np.max(np.abs(fwd.delta + bwd.delta)) <= 1e-5
@@ -297,10 +302,13 @@ class TestRunAdmm:
         # overflow in the factor difference drives iterates non-finite
         psi1 = 1e308 * np.eye(3)
         psi2 = -1e308 * np.eye(3)
-        with np.errstate(all="ignore"):
-            with pytest.raises(SolverDivergedError) as info:
-                run_admm(psi1, psi2, SolverConfig(lam=0.1))
-        assert info.value.iteration >= 1
+        # the default max_iter reaches a finiteness check in the loop; one
+        # below POLISH_CHECK ends first and meets the check after the loop
+        for max_iter in (20000, estimator.POLISH_CHECK - 1):
+            with np.errstate(all="ignore"):
+                with pytest.raises(SolverDivergedError) as info:
+                    run_admm(psi1, psi2, SolverConfig(lam=0.1, max_iter=max_iter))
+            assert 1 <= info.value.iteration <= max_iter
 
     def test_accepts_precision_factor_wrappers(self):
         b = random_base_matrix(4, 1.0, margin=1.0, seed=6)
@@ -458,15 +466,39 @@ class TestPolish:
             assert est.stop == "polished"
             assert np.max(np.abs(est.delta - ista_reference_delta(psi1, psi2, lam))) <= 1e-8
 
+    def test_converged_means_near_the_optimum_at_every_rho_and_scale(self):
+        # p = 16: dense base at scale 1/(10p), lattice change, n = 4p, lam = 2 sqrt(ln p / n)
+        p, n = 16, 64
+        b1 = random_base_matrix(p, 1.0, scale=1.0 / (10 * p), seed=0)
+        b2 = b1 + lattice_delta(p, seed=0)
+        sigma = np.eye(p)
+        psi1 = precision_factor(sample_potentials(b1, sigma, n, seed=[0, 1]), sigma)
+        psi2 = precision_factor(sample_potentials(b2, sigma, n, seed=[0, 2]), sigma)
+        lam = 2.0 * np.sqrt(np.log(p) / n)
+        reference = ista_reference_delta(psi1, psi2, lam)
+        spread = float(np.max(np.abs(psi1 - psi2)))
+        assert spread >= 1.0
+        for rho in (1e-3, 0.1, 10.0, 1e3):
+            for c in (1e-3, 1.0, 1e3):
+                # scaling the factors and lam by c scales the optimum by 1 / c
+                est = estimate_delta(c * psi1, c * psi2, SolverConfig(lam=c * lam, rho=rho))
+                assert est.converged, (rho, c)
+                optimum = reference / c
+                gap = np.max(np.abs(est.delta - optimum)) / np.max(np.abs(optimum))
+                # the KKT tolerance POLISH_TOL max(1, c spread) is relative to the
+                # problem's scale only when c spread >= 1; below, it is absolute
+                assert gap <= 1e-8 * max(1.0, 1.0 / (c * spread)), (rho, c, gap)
+
     def test_stop_reasons(self):
         rng = np.random.default_rng(42)
         psi1, psi2 = random_pd(rng, 5), random_pd(rng, 5)
         short = estimate_delta(psi1, psi2, SolverConfig(lam=0.05, max_iter=7))
         assert (short.stop, short.iterations, short.converged) == ("max_iter", 7, False)
-        # d and z agree within tolerance long before the first polish check
+        # z = 0 from the start: its pattern holds at the second check, which polishes it
         same = estimate_delta(psi1, psi1, SolverConfig(lam=0.05))
-        assert same.stop == "tolerance" and same.converged
-        assert same.iterations < estimator.POLISH_CHECK
+        assert (same.stop, same.iterations, same.converged) == (
+            "polished", 2 * estimator.POLISH_CHECK, True
+        )
 
     def test_wrong_sign_pattern_returns_no_estimate(self, monkeypatch):
         psi1, psi2, lam, optimum, (i, j) = polished_problem()

@@ -80,8 +80,6 @@ class TestConfigValidation:
             ExperimentConfig(dims=(9,), support_epsilon=0.0)
 
     def test_rejects_bad_solver_fields_at_construction(self):
-        with pytest.raises(InvalidInputError, match="tol_consensus"):
-            ExperimentConfig(dims=(9,), tol_consensus=-1.0)
         with pytest.raises(InvalidInputError, match="max_iter"):
             ExperimentConfig(dims=(9,), max_iter=2.5)
 
