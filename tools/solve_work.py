@@ -9,7 +9,8 @@ a solve polishes late or runs to max_iter). For each dtrace and sqrt cell
 it prints the ADMM iterations, the CG steps of polishing, the p x p GEMMs
 both cost together (four per iteration, CG_STEP_GEMMS per CG step; the
 one-off setup is left out) and the stop reason, then the totals of each
-sweep and a tally of its stop reasons (polished, max_iter, raised). Work
+sweep, a tally of its stop reasons (polished, max_iter, raised) and its
+GEMMs split by the same stop reasons. Work
 counts do not carry the timing noise of a shared machine, so they compare
 two checkouts directly. Like row_digest.py it imports lapdiff from the
 `src/` of the checkout it sits in and runs sweeps on one worker and one
@@ -73,6 +74,7 @@ def main():
     for name, cfg in cases:
         totals = [0, 0, 0]
         stops = dict.fromkeys(("polished", "max_iter", "raised"), 0)
+        stop_gemms = dict.fromkeys(stops, 0)
         for row, est in solve_work(cfg):
             cg_steps, stop = (est.cg_steps, est.stop) if est else (0, "raised")
             gemms = ADMM_ITERATION_GEMMS * row.iterations + CG_STEP_GEMMS * cg_steps
@@ -80,8 +82,10 @@ def main():
                   f"{row.iterations} {cg_steps} {gemms} {stop}")
             totals = [t + v for t, v in zip(totals, (row.iterations, cg_steps, gemms))]
             stops[stop] += 1
+            stop_gemms[stop] += gemms
         tally = ",".join(f"{stop}={count}" for stop, count in stops.items())
-        print(f"{name} total - - - {' '.join(map(str, totals))} {tally}", flush=True)
+        split = ",".join(f"{stop}={count}" for stop, count in stop_gemms.items())
+        print(f"{name} total - - - {' '.join(map(str, totals))} {tally} gemms:{split}", flush=True)
 
 
 if __name__ == "__main__":
