@@ -207,8 +207,7 @@ def _sigma_spec(settings):
 
 
 def cmd_gen(args):
-    k = math.isqrt(args.p)
-    if k * k != args.p or k < 2:
+    if args.p < 4 or math.isqrt(args.p) ** 2 != args.p:
         raise InvalidInputError(f"gen needs p = k*k with k >= 2, got p = {args.p}")
     if args.seed < 0:
         raise InvalidInputError(f"seed must be an integer >= 0, got {args.seed}")

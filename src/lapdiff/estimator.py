@@ -38,10 +38,10 @@ UNBOUNDED_MARGIN = 1e-6
 ADMM_RELAXATION = 1.5
 
 # Every POLISH_CHECK iterations run_admm compares the off-diagonal sign pattern
-# of z with the one at the previous check. It first tries a polish once at
-# most a POLISH_SETTLED fraction of those signs changed; after a failed
-# attempt, once the pattern held and differs from the pattern of the last
-# attempt.
+# of z with the one at the previous check, starting from the zero pattern of
+# z's zero start. It tries a polish once at most a POLISH_SETTLED fraction of
+# those signs changed, and more than that fraction differ from the pattern of
+# the last attempt, if there was one.
 POLISH_CHECK = 10
 POLISH_SETTLED = 0.01
 
@@ -358,15 +358,16 @@ def run_admm(psi1, psi2, config):
     point is the symmetric optimum and does not depend on rho.
 
     Every POLISH_CHECK iterations the off-diagonal sign pattern of z is
-    compared with the one at the previous check. The first attempt comes
-    once at most a POLISH_SETTLED fraction of those signs changed; after a
-    failed attempt, one comes once the pattern has held since the previous
-    check and differs from the pattern of the last attempt. An attempt
-    solves on the support of z, repairing it where it is wrong (_polish;
-    OSQP's solution polishing, Stellato et al. 2020, section 5). A polish
-    that passes the KKT check at _polish_tolerance(P1 - P2) ends the run;
-    one that fails leaves the iterates untouched. Its CG is preconditioned
-    with (P1 # P2)^-1, built once at the first attempt. All attempts
+    compared with the one at the previous check, which before the first
+    check is the all-zero pattern of z's zero start. One rule decides every
+    attempt: at most a POLISH_SETTLED fraction of the off-diagonal signs
+    changed since the previous check, and, if an attempt was made before,
+    more than that fraction differ from the pattern of the last attempt.
+    An attempt solves on the support of z, repairing it where it is wrong
+    (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5). A
+    polish that passes the KKT check at _polish_tolerance(P1 - P2) ends the
+    run; one that fails leaves the iterates untouched. Its CG is
+    preconditioned with (P1 # P2)^-1, built once per solve. All attempts
     together take at most max_iter // CG_STEP_GEMMS CG steps. A passed
     polish is the only stop before max_iter, so a run that is not
     "max_iter" is KKT-certified.
@@ -390,6 +391,7 @@ def run_admm(psi1, psi2, config):
     solver = PxqSolver(p1, p2, sigma)
     diff = p1 - p2
     _check_bounded(solver, p1, p2, diff, config)
+    precond = solver.inverse_geometric_mean()
     polish_tol = _polish_tolerance(diff)
     settled = POLISH_SETTLED * p * (p - 1)
 
@@ -397,7 +399,8 @@ def run_admm(psi1, psi2, config):
     u = np.zeros((p, p))
 
     stop = "max_iter"
-    pattern = tried = precond = None
+    pattern = np.zeros((p, p), dtype=np.int8)
+    tried = None
     budget = config.max_iter // CG_STEP_GEMMS
     cg_steps = 0
     for iteration in range(1, config.max_iter + 1):
@@ -411,15 +414,10 @@ def run_admm(psi1, psi2, config):
         held = pattern
         pattern = np.sign(z).astype(np.int8)
         np.fill_diagonal(pattern, 0)
-        if held is None or cg_steps >= budget:
+        if cg_steps >= budget or np.count_nonzero(pattern != held) > settled:
             continue
-        if tried is None:
-            if np.count_nonzero(pattern != held) > settled:
-                continue
-        elif not np.array_equal(pattern, held) or np.array_equal(pattern, tried):
+        if tried is not None and np.count_nonzero(pattern != tried) <= settled:
             continue
-        if precond is None:
-            precond = solver.inverse_geometric_mean()
         tried = pattern
         polished, taken = _polish(
             p1, p2, diff, config.lam, z, pattern, polish_tol, budget - cg_steps, precond

@@ -91,7 +91,7 @@ class TestGen:
             ).read_bytes()
 
     def test_non_square_p_rejected(self, tmp_path, capsys):
-        for p in ("15", "1"):
+        for p in ("15", "1", "-1", "-4"):
             rc = run("gen", "--p", p, "--out", str(tmp_path))
             assert rc == 2
             assert f"p = {p}" in capsys.readouterr().err

@@ -6,15 +6,20 @@ The sweeps are the power-sweep config of tools/row_digest.py at seeds 1,
 11 and 12 (p = 117), its dense-sweep case (p = 16 and 25, n = 10, 20 and
 64) and its default-rho-sweep case (p = 16 at the solver defaults, where
 a solve polishes late or runs to max_iter). For each dtrace and sqrt cell
-it prints the ADMM iterations, the CG steps of polishing, the p x p GEMMs
-both cost together (four per iteration, CG_STEP_GEMMS per CG step; the
-one-off setup is left out) and the stop reason, then the totals of each
-sweep, a tally of its stop reasons (polished, max_iter, raised) and its
-GEMMs split by the same stop reasons. Work
-counts do not carry the timing noise of a shared machine, so they compare
-two checkouts directly. Like row_digest.py it imports lapdiff from the
-`src/` of the checkout it sits in and runs sweeps on one worker and one
-BLAS thread.
+it prints the ADMM iterations, the CG steps of polishing, the polish
+attempts, the p x p GEMMs all of it costs and the stop reason, then the
+totals of each sweep, a tally of its stop reasons (polished, max_iter,
+raised) and its GEMMs split by the same stop reasons.
+
+GEMMs are counted as four per ADMM iteration plus every product polishing
+makes: two per call of estimator._support_product (the operator and
+preconditioner products of CG and each repair round's residual) and two
+for the gradient test that follows each CG call that reached its
+tolerance. The one-off setup (the eigh calls of the factors and the
+preconditioner build) stays excluded. Work counts do not carry the timing
+noise of a shared machine, so they compare two checkouts directly. Like
+row_digest.py it imports lapdiff from the `src/` of the checkout it sits
+in and runs sweeps on one worker and one BLAS thread.
 """
 
 import os
@@ -30,57 +35,85 @@ from row_digest import (  # noqa: E402
 )
 
 import lapdiff  # noqa: E402
-from lapdiff import experiments  # noqa: E402
-from lapdiff.errors import NumericalError  # noqa: E402
-from lapdiff.estimator import CG_STEP_GEMMS  # noqa: E402
+from lapdiff import estimator, experiments  # noqa: E402
 
 ADMM_ITERATION_GEMMS = 4
+SUPPORT_PRODUCT_GEMMS = 2
+GRADIENT_TEST_GEMMS = 2
 
 
 def solve_work(cfg):
-    """(row, DeltaEstimate or None) of each dtrace/sqrt row, None where the solve raised.
+    """(row, DeltaEstimate or None, polish GEMMs, polish attempts) of each dtrace/sqrt row.
 
-    With one sweep worker, cells run and report in the order they were
-    queued, so the n-th solve belongs to the n-th penalized row reported.
+    The estimate is None where the solve raised. With one sweep worker,
+    cells run and report in the order they were queued, so the n-th solve
+    belongs to the n-th penalized row reported.
     """
-    estimates, rows = [], []
+    solves, rows = [], []
+    count = {"gemms": 0, "attempts": 0}
+
+    def support_product(*args):
+        count["gemms"] += SUPPORT_PRODUCT_GEMMS
+        return originals["_support_product"](*args)
+
+    def cg_on_support(*args):
+        taken, solved = originals["_cg_on_support"](*args)
+        if solved:
+            count["gemms"] += GRADIENT_TEST_GEMMS
+        return taken, solved
+
+    def polish(*args):
+        count["attempts"] += 1
+        return originals["_polish"](*args)
 
     def recorded(psi1, psi2, config):
+        count.update(gemms=0, attempts=0)
+        est = None
         try:
             est = lapdiff.estimate_delta(psi1, psi2, config)
-        except NumericalError:
-            estimates.append(None)
-            raise
-        estimates.append(est)
+        finally:
+            solves.append((est, count["gemms"], count["attempts"]))
         return est
 
+    counted = {
+        "_support_product": support_product,
+        "_cg_on_support": cg_on_support,
+        "_polish": polish,
+    }
+    originals = {name: getattr(estimator, name) for name in counted}
     solve = experiments.estimate_delta
     experiments.estimate_delta = recorded
+    for name, wrapper in counted.items():
+        setattr(estimator, name, wrapper)
     try:
         experiments.run_sweep(cfg, row_callback=rows.append)
     finally:
         experiments.estimate_delta = solve
+        for name, original in originals.items():
+            setattr(estimator, name, original)
     penalized = [row for row in rows if row.estimator != "plugin"]
-    if len(penalized) != len(estimates):
-        raise RuntimeError(f"{len(penalized)} dtrace/sqrt rows but {len(estimates)} solves")
-    return sorted(zip(penalized, estimates), key=lambda pair: pair[0].sort_key())
+    if len(penalized) != len(solves):
+        raise RuntimeError(f"{len(penalized)} dtrace/sqrt rows but {len(solves)} solves")
+    pairs = sorted(zip(penalized, solves), key=lambda pair: pair[0].sort_key())
+    return [(row, *solve) for row, solve in pairs]
 
 
 def main():
     cases = [(f"power-sweep-seed{seed}", power_sweep_config(seed)) for seed in (1, 11, 12)]
     cases.append(("dense-sweep", dense_sweep_config()))
     cases.append(("default-rho-sweep", default_rho_sweep_config()))
-    print("case p n instance estimator iterations cg_steps gemms stop")
+    print("case p n instance estimator iterations cg_steps attempts gemms stop")
     for name, cfg in cases:
-        totals = [0, 0, 0]
+        totals = [0, 0, 0, 0]
         stops = dict.fromkeys(("polished", "max_iter", "raised"), 0)
         stop_gemms = dict.fromkeys(stops, 0)
-        for row, est in solve_work(cfg):
+        for row, est, polish_gemms, attempts in solve_work(cfg):
             cg_steps, stop = (est.cg_steps, est.stop) if est else (0, "raised")
-            gemms = ADMM_ITERATION_GEMMS * row.iterations + CG_STEP_GEMMS * cg_steps
+            gemms = ADMM_ITERATION_GEMMS * row.iterations + polish_gemms
+            work = (row.iterations, cg_steps, attempts, gemms)
             print(f"{name} {row.p} {row.n} {row.instance} {row.estimator} "
-                  f"{row.iterations} {cg_steps} {gemms} {stop}")
-            totals = [t + v for t, v in zip(totals, (row.iterations, cg_steps, gemms))]
+                  f"{' '.join(map(str, work))} {stop}")
+            totals = [t + v for t, v in zip(totals, work)]
             stops[stop] += 1
             stop_gemms[stop] += gemms
         tally = ",".join(f"{stop}={count}" for stop, count in stops.items())
