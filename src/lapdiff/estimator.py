@@ -25,7 +25,6 @@ from .linalg import (
     as_symmetric,
     inv_sqrt_pd,
     off_diagonal_l1,
-    soft_threshold,
     sqrt_psd,
 )
 from .sampling import sample_covariance
@@ -62,6 +61,12 @@ CG_STEP_GEMMS = 4
 # KKT tolerance of an accepted polish, relative to max |P1 - P2|.
 POLISH_TOL = 1e-9
 
+# run_admm searches in float32 only while the d-step penalty sigma and the
+# operator scale lmax(P1) lmax(P2) lie within this factor of 1 and the shrink
+# threshold below it. 2^96 is about 8e28, ten decades inside float32's range
+# (about 1e-38 to 3e38), which leaves room for the squares CG forms.
+FLOAT32_SPAN = 2.0**96
+
 
 @dataclass
 class SolverConfig:
@@ -97,7 +102,7 @@ class SolverConfig:
 class AdmmState:
     """Final iterate of the two-block ADMM.
 
-    z is the symmetric shrunk block. stop says why the loop ended:
+    z is the symmetric shrunk block, float64. stop says why the loop ended:
     "polished" (a polish passed the KKT check, and z is the polished
     optimum) or "max_iter". iterations counts ADMM iterations, cg_steps the
     CG steps of all polish attempts.
@@ -253,7 +258,7 @@ def _cg_on_support(p1, p2, x, r, support, tol, max_steps, work, precond):
     return steps, largest <= tol
 
 
-def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond):
+def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search=None):
     """Solve for the optimum on the support of z; (x or None, CG steps taken).
 
     signs is the off-diagonal sign pattern of z (int8, 0 on the diagonal),
@@ -262,24 +267,40 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond):
     [P1 X P2 + P2 X P1]_S = 2 (P1 - P2 - lam signs)_S with X zero off S,
     twice the stationarity condition on S. Conjugate gradients, warm-started
     at z and preconditioned with precond (see _cg_on_support), solve it.
+    The iterate x is float64 whatever the dtype of z.
+
+    search is None for a float64 search, in which CG updates x and its
+    residual r in place. Otherwise it is (P1, P2, G, work) in float32, work
+    being five p x p float32 arrays, and each CG call solves for a
+    correction from r rounded to float32, which is made exactly symmetric
+    and added to x in float64: mixed-precision iterative refinement (Carson
+    & Higham, SIAM J. Sci. Comput. 2018). Every residual and test below is
+    float64 either way.
 
     Each round first solves loosely, to max |r| <= max(tol, POLISH_LOOSE
     times the round's initial max |r|), and tests that iterate, with
     gradient G = sym(P1 x P2) - (P1 - P2): x and G are finite, no sign
     flipped, and |G| <= lam + tol off S. A support that passes is solved on
-    to max |r| <= tol, from the iterate and its recomputed residual, and
-    tested again. x is returned only if it then also passes the rest of the
-    KKT check, |G + lam signs| <= tol on S; CG's stop on the doubled system
-    leaves that a margin of tol / 2. An unbounded problem has no KKT point,
-    so it never passes. When the test fails on a flipped sign or an entry
-    off S, up to POLISH_ROUNDS repair rounds drop the entries whose sign
+    from the iterate and its recomputed residual, to max |r| <= tol, or in
+    float32 to max(tol, POLISH_LOOSE max |r|) at a time, and tested again.
+    x is returned only if it then also passes the rest of the KKT check,
+    |G + lam signs| <= tol on S; CG's stop on the doubled system leaves
+    that a margin of tol / 2. A float64 search that fails it returns None,
+    and a float32 one solves on. An unbounded problem has no KKT point, so
+    it never passes. When the test fails on a flipped sign or an entry off
+    S, up to POLISH_ROUNDS repair rounds drop the entries whose sign
     flipped, add the entries off S with |G| > lam + tol at sign -sign(G),
     and solve again, loosely first. max_steps caps the CG steps of all
     rounds.
     """
-    x = z.copy()
-    r, direction, product, scratch = (np.empty_like(z) for _ in range(4))
-    cg_work = (direction, product, scratch)
+    x = z.astype(float)
+    r, direction, product, scratch = (np.empty_like(x) for _ in range(4))
+    if search is None:
+        refine = 0.0
+    else:
+        refine = POLISH_LOOSE
+        p1_search, p2_search, g_search, (correction, r_search, *cg_work) = search
+        precond_search = (g_search, precond[1])
     signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
@@ -293,9 +314,22 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond):
         r -= product
         target = max(tol, POLISH_LOOSE * float(np.max(np.abs(r, out=scratch))))
         while True:
-            taken, solved = _cg_on_support(
-                p1, p2, x, r, support, target, max_steps - steps, cg_work, precond
-            )
+            if search is None:
+                taken, solved = _cg_on_support(
+                    p1, p2, x, r, support, target, max_steps - steps,
+                    (direction, product, scratch), precond,
+                )
+            else:
+                correction.fill(0.0)
+                np.copyto(r_search, r, casting="same_kind")
+                taken, solved = _cg_on_support(
+                    p1_search, p2_search, correction, r_search, support, target,
+                    max_steps - steps, cg_work, precond_search,
+                )
+                np.copyto(direction, correction)
+                np.add(direction, direction.T, out=product)
+                product *= 0.5
+                x += product
             steps += taken
             if not solved:
                 return None, steps
@@ -315,13 +349,14 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond):
                 break
             np.multiply(signs, lam, out=direction)
             direction += grad
-            if target == tol:
-                stationary = np.max(np.abs(direction, out=direction), where=support, initial=0.0)
-                return (x if stationary <= tol else None), steps
-            # r = 2 (P1 - P2 - lam signs)_S - [P1 x P2 + P2 x P1]_S, from G
+            # r = 2 (P1 - P2 - lam signs)_S - [P1 x P2 + P2 x P1]_S, from G;
+            # its max |r| is twice the largest |G + lam signs| on S
             np.multiply(direction, -2.0, out=r)
             r *= support
-            target = tol
+            largest = float(np.max(np.abs(r, out=scratch)))
+            if target == tol and (search is None or largest <= 2.0 * tol):
+                return (x if largest <= 2.0 * tol else None), steps
+            target = max(tol, refine * largest)
         if repair == POLISH_ROUNDS:
             break
         support[flipped] = False
@@ -330,6 +365,31 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond):
         support[outside] = True
         signs[outside] = -np.sign(grad[outside])
     return None, steps
+
+
+def _search_dtype(solver, sigma, thresh, scale):
+    """run_admm's search precision: float32 or float64.
+
+    float32 when both factors are full rank and sigma, the operator scale
+    lmax(P1) lmax(P2) and the shrink threshold thresh fit FLOAT32_SPAN;
+    float64 otherwise. On a singular factor, float32 rounding (eps 6e-8)
+    hides the curvature stop of _cg_on_support (EIG_RELATIVE_FLOOR), and
+    the CG runs on through null directions.
+    """
+    null1, null2 = solver.null_bases()
+    if null1.shape[1] or null2.shape[1]:
+        return np.float64
+    span = all(1.0 / FLOAT32_SPAN <= v <= FLOAT32_SPAN for v in (sigma, scale))
+    return np.float32 if span and thresh <= FLOAT32_SPAN else np.float64
+
+
+def _shrink_off_diagonal(a, thresh, out, scratch):
+    """out = soft_threshold(a, thresh, off_diagonal_only=True), allocating nothing."""
+    np.abs(a, out=out)
+    out -= thresh
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(a, out=scratch)
+    np.fill_diagonal(out, np.diagonal(a))
 
 
 def _polish_tolerance(diff):
@@ -372,6 +432,14 @@ def run_admm(psi1, psi2, config):
     polish is the only stop before max_iter, so a run that is not
     "max_iter" is KKT-certified.
 
+    The search runs in the precision _search_dtype picks: float32 when both
+    factors are full rank, float64 otherwise. The iterations write into
+    buffers of that dtype allocated once per solve, through
+    PxqSolver.solve(r, out=), and a float32 search also polishes in float32
+    (see _polish). The sign pattern, the KKT check and its tolerance stay
+    float64, and the returned z is float64. A float64 search gives the same
+    bits as one that allocates each iterate anew.
+
     Before the first iteration, the null spaces of the two factors are
     searched for a direction along which the objective falls without bound
     (see _check_bounded); finding one raises UnboundedProblemError.
@@ -386,8 +454,8 @@ def run_admm(psi1, psi2, config):
     if not isinstance(config, SolverConfig):
         raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
     p = p1.shape[0]
-    sigma = 4.0 * config.rho
-    thresh = config.lam / sigma
+    sigma = float(4.0 * config.rho)
+    thresh = float(config.lam / sigma)
     solver = PxqSolver(p1, p2, sigma)
     diff = p1 - p2
     _check_bounded(solver, p1, p2, diff, config)
@@ -395,8 +463,15 @@ def run_admm(psi1, psi2, config):
     polish_tol = _polish_tolerance(diff)
     settled = POLISH_SETTLED * p * (p - 1)
 
-    z = np.zeros((p, p))
-    u = np.zeros((p, p))
+    dtype = _search_dtype(solver, sigma, thresh, precond[1])
+    z, u = (np.zeros((p, p), dtype) for _ in range(2))
+    r, d, w = (np.empty((p, p), dtype) for _ in range(3))
+    diff_search = diff.astype(dtype, copy=False)
+    search = None
+    if dtype != np.float64:
+        # the polish's CG borrows the iteration's scratch arrays r, d and w
+        work = (np.empty((p, p), dtype), np.empty((p, p), dtype), r, d, w)
+        search = (*(a.astype(dtype) for a in (p1, p2, precond[0])), work)
 
     stop = "max_iter"
     pattern = np.zeros((p, p), dtype=np.int8)
@@ -404,10 +479,20 @@ def run_admm(psi1, psi2, config):
     budget = config.max_iter // CG_STEP_GEMMS
     cg_steps = 0
     for iteration in range(1, config.max_iter + 1):
-        d = solver.solve(diff + sigma * (z - u))
-        w = ADMM_RELAXATION * d + (1.0 - ADMM_RELAXATION) * z + u
-        z = soft_threshold((w + w.T) / 2.0, thresh, off_diagonal_only=True)
-        u = np.subtract(w, z, out=w)  # w is not read again
+        # d solves P1 d P2 + sigma d = (P1 - P2) + sigma (z - u)
+        np.subtract(z, u, out=r)
+        r *= sigma
+        r += diff_search
+        solver.solve(r, out=d)
+        # w = relaxed d + u; z = shrunk sym(w); u = w - z
+        np.multiply(z, 1.0 - ADMM_RELAXATION, out=r)
+        np.multiply(d, ADMM_RELAXATION, out=w)
+        w += r
+        w += u
+        np.add(w, w.T, out=d)
+        d /= 2.0
+        _shrink_off_diagonal(d, thresh, z, r)
+        np.subtract(w, z, out=u)
         if iteration % POLISH_CHECK:
             continue
         _check_finite(z, iteration)
@@ -420,7 +505,7 @@ def run_admm(psi1, psi2, config):
             continue
         tried = pattern
         polished, taken = _polish(
-            p1, p2, diff, config.lam, z, pattern, polish_tol, budget - cg_steps, precond
+            p1, p2, diff, config.lam, z, pattern, polish_tol, budget - cg_steps, precond, search
         )
         cg_steps += taken
         if polished is not None:
@@ -428,6 +513,7 @@ def run_admm(psi1, psi2, config):
             stop = "polished"
             break
 
+    z = z.astype(float, copy=False)
     _check_finite(z, iteration)
     return AdmmState(z=z, iterations=iteration, stop=stop, cg_steps=cg_steps)
 

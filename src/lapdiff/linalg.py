@@ -1,6 +1,7 @@
 """Dense symmetric-matrix numerics shared by the rest of the package.
 
-Everything here works on plain float64 numpy arrays. Matrices that are
+Everything here works on plain float64 numpy arrays, except that
+PxqSolver.solve can also write its solution in float32. Matrices that are
 symmetric by contract are validated and then stored in exactly
 symmetrized form (A + A.T) / 2 so downstream eigendecompositions see a
 bitwise-symmetric operand.
@@ -68,16 +69,14 @@ def sqrt_psd(c):
 def _sqrt_psd_top(c, rank):
     """sqrt_psd(c) keeping only the `rank` largest eigenvalues when 0 < rank < p."""
     c = as_symmetric(c)
-    values, vectors = np.linalg.eigh(c)
-    clip = EIG_RELATIVE_FLOOR * max(1.0, values[-1])
-    if values[0] < -clip:
-        raise NotPsdError(
-            f"matrix is not positive semidefinite: min eigenvalue {values[0]:.6e} < -{clip:.1e}"
-        )
-    if 0 < rank < values.size:
+    if 0 < rank < c.shape[0]:
+        values, vectors = np.linalg.eigh(c)
+        _require_psd(values)
         values[:-rank] = 0.0
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
-    return (root + root.T) / 2.0
+    else:
+        values, vectors = _eigh(c)
+        _require_psd(values)
+    return _sqrt_from(values, vectors)
 
 
 def inv_sqrt_pd(c):
@@ -89,13 +88,62 @@ def inv_sqrt_pd(c):
         If the smallest eigenvalue is at or below
         1e-10 * max(1, largest eigenvalue).
     """
-    c = as_symmetric(c)
-    values, vectors = np.linalg.eigh(c)
-    floor = EIG_RELATIVE_FLOOR * max(1.0, values[-1])
-    if values[0] <= floor:
-        raise SingularMatrixError(
-            f"matrix is numerically singular: min eigenvalue {values[0]:.6e} <= {floor:.1e}"
+    values, vectors = _eigh(as_symmetric(c))
+    _require_pd(values)
+    return _inv_sqrt_from(values, vectors)
+
+
+def sqrt_and_inv_sqrt_pd(c):
+    """(sqrt_psd(c), inv_sqrt_pd(c)) from one eigendecomposition of c.
+
+    Raises NotPsdError where sqrt_psd would, and otherwise SingularMatrixError
+    where inv_sqrt_pd would.
+    """
+    values, vectors = _eigh(as_symmetric(c))
+    _require_psd(values)
+    _require_pd(values)
+    return _sqrt_from(values, vectors), _inv_sqrt_from(values, vectors)
+
+
+def _eigh(c):
+    """np.linalg.eigh of a symmetric c, without it for a diagonal c.
+
+    A diagonal c gives its diagonal as the eigenvalues, in place rather than
+    ascending, and None for the eigenvectors, which stands for the identity.
+    The roots built from either agree bit for bit.
+    """
+    diagonal = np.diagonal(c)
+    if np.count_nonzero(c) == np.count_nonzero(diagonal):
+        return diagonal.copy(), None
+    return np.linalg.eigh(c)
+
+
+def _require_psd(values):
+    clip = EIG_RELATIVE_FLOOR * max(1.0, values.max())
+    if values.min() < -clip:
+        raise NotPsdError(
+            f"matrix is not positive semidefinite: min eigenvalue {values.min():.6e} < -{clip:.1e}"
         )
+
+
+def _require_pd(values):
+    floor = EIG_RELATIVE_FLOOR * max(1.0, values.max())
+    if values.min() <= floor:
+        raise SingularMatrixError(
+            f"matrix is numerically singular: min eigenvalue {values.min():.6e} <= {floor:.1e}"
+        )
+
+
+def _sqrt_from(values, vectors):
+    if vectors is None:
+        return np.diag(np.sqrt(np.clip(values, 0.0, None)))
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+    return (root + root.T) / 2.0
+
+
+def _inv_sqrt_from(values, vectors):
+    if vectors is None:
+        return np.diag(1.0 / np.sqrt(values))
     m = (vectors / np.sqrt(values)) @ vectors.T
     return (m + m.T) / 2.0
 
@@ -123,6 +171,7 @@ class PxqSolver:
         self._dvals, self._up = np.linalg.eigh(p)
         self._evals, self._uq = np.linalg.eigh(q)
         self._weights = 1.0 / (np.multiply.outer(self._dvals, self._evals) + gamma)
+        self._cast = {}
 
     def null_bases(self):
         """Orthonormal bases (p x k) of the numerical null spaces of P and Q.
@@ -134,9 +183,25 @@ class PxqSolver:
         """
         return _null_basis(self._dvals, self._up), _null_basis(self._evals, self._uq)
 
-    def solve(self, r):
-        """The X with P @ X @ Q + gamma * X = R."""
-        return self._up @ (self._weights * (self._up.T @ r @ self._uq)) @ self._uq.T
+    def solve(self, r, out=None):
+        """The X with P @ X @ Q + gamma * X = R, written into out if given.
+
+        With out, X is formed in out's dtype, from the eigenvectors and
+        weights rounded to it and one scratch matrix, all kept from the
+        first call in that dtype, so a call allocates nothing. In float64
+        it equals the X returned without out bit for bit.
+        """
+        if out is None:
+            return self._up @ (self._weights * (self._up.T @ r @ self._uq)) @ self._uq.T
+        if out.dtype not in self._cast:
+            up, uq, weights = (a.astype(out.dtype) for a in (self._up, self._uq, self._weights))
+            self._cast[out.dtype] = up, uq, weights, np.empty_like(out)
+        up, uq, weights, scratch = self._cast[out.dtype]
+        np.matmul(up.T, r, out=scratch)
+        np.matmul(scratch, uq, out=out)
+        out *= weights
+        np.matmul(up, out, out=scratch)
+        return np.matmul(scratch, uq.T, out=out)
 
     def inverse_geometric_mean(self):
         """(G, lmax(P) lmax(Q)), with G = (P # Q)^-1.

@@ -8,7 +8,13 @@ b @ y = x. Rows of all sample arrays are observations, columns are nodes.
 import numpy as np
 
 from .errors import InvalidInputError, SingularMatrixError
-from .linalg import EIG_RELATIVE_FLOOR, _sqrt_psd_top, as_symmetric, inv_sqrt_pd, sqrt_psd
+from .linalg import (
+    EIG_RELATIVE_FLOOR,
+    _sqrt_psd_top,
+    as_symmetric,
+    sqrt_and_inv_sqrt_pd,
+    sqrt_psd,
+)
 
 
 def sample_potentials(b, sigma_x, n, seed=0):
@@ -84,9 +90,11 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
         raise InvalidInputError(
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"
         )
-    root = sqrt_psd(sigma_x)
-    m_inv = inv_sqrt_pd(sigma_x)
+    root, m_inv = sqrt_and_inv_sqrt_pd(sigma_x)
     # the product is symmetric only to rounding, which grows with its entries
     s = root @ cov_y @ root
-    factor = m_inv @ _sqrt_psd_top((s + s.T) / 2.0, int(n_used)) @ m_inv
+    s = (s + s.T) / 2.0
+    n_used = int(n_used)
+    whitened_root = _sqrt_psd_top(s, n_used) if 0 < n_used < len(s) else sqrt_psd(s)
+    factor = m_inv @ whitened_root @ m_inv
     return (factor + factor.T) / 2.0

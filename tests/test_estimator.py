@@ -263,9 +263,9 @@ class TestRunAdmm:
         calls = []
         solve = PxqSolver.solve
 
-        def counted(self, r):
+        def counted(self, r, out=None):
             calls.append(1)
-            return solve(self, r)
+            return solve(self, r, out=out)
 
         monkeypatch.setattr(PxqSolver, "solve", counted)
         rng = np.random.default_rng(16)
@@ -336,7 +336,7 @@ def rank_deficient_psd(rng, p, rank):
 def no_iterations(monkeypatch):
     """Fail the test if run_admm starts its loop (each iteration calls solve first)."""
 
-    def forbidden(self, r):
+    def forbidden(self, r, out=None):
         raise AssertionError("ADMM iterated on a certified-unbounded problem")
 
     monkeypatch.setattr(PxqSolver, "solve", forbidden)
@@ -485,15 +485,19 @@ class TestPolish:
         psi2 = precision_factor(sample_potentials(b2, sigma, n, seed=[0, 2]), sigma)
         lam = 2.0 * np.sqrt(np.log(p) / n)
         reference = ista_reference_delta(psi1, psi2, lam)
-        for rho in (1e-3, 0.1, 10.0, 1e3):
-            for c in (1e-3, 1.0, 1e3):
-                # scaling the factors and lam by c scales the optimum by 1 / c
-                est = estimate_delta(c * psi1, c * psi2, SolverConfig(lam=c * lam, rho=rho))
-                assert est.converged, (rho, c)
-                optimum = reference / c
-                gap = np.max(np.abs(est.delta - optimum)) / np.max(np.abs(optimum))
-                # the KKT tolerance scales with c max |P1 - P2|, so the gap does not
-                assert gap <= 1e-8, (rho, c, gap)
+        rhos = (1e-3, 0.1, 10.0, 1e3)
+        cases = [(rho, c, rho) for rho in rhos for c in (1e-3, 1.0, 1e3)]
+        # far from unit scale, rho c^2 keeps the d-step P1 X P2 + 4 rho X of the
+        # c = 1 problem; a float32 search must not overflow or underflow there
+        cases += [(rho, c, rho * c * c) for rho in rhos for c in (1e-12, 1e12)]
+        for rho, c, scaled_rho in cases:
+            # scaling the factors and lam by c scales the optimum by 1 / c
+            est = estimate_delta(c * psi1, c * psi2, SolverConfig(lam=c * lam, rho=scaled_rho))
+            assert est.converged, (rho, c)
+            optimum = reference / c
+            gap = np.max(np.abs(est.delta - optimum)) / np.max(np.abs(optimum))
+            # the KKT tolerance scales with c max |P1 - P2|, so the gap does not
+            assert gap <= 1e-8, (rho, c, gap)
 
     def test_stop_reasons(self):
         rng = np.random.default_rng(42)
@@ -684,6 +688,83 @@ class TestPreconditionedPolish:
         assert len(solved) - len(bounded) == 3  # the unbounded sqrt rows at n = 10
         assert all(r.converged for r in bounded)
         assert sum(r.iterations for r in bounded) <= 5850
+
+
+@pytest.fixture
+def search_dtypes(monkeypatch):
+    """The dtypes PxqSolver.solve writes into and _polish receives z in, as a list of names."""
+    seen = []
+    solve, polish = PxqSolver.solve, estimator._polish
+
+    def solve_recorded(self, r, out=None):
+        seen.append((out if out is not None else r).dtype.name)
+        return solve(self, r, out=out)
+
+    def polish_recorded(p1, p2, diff, lam, z, *rest):
+        seen.append(z.dtype.name)
+        return polish(p1, p2, diff, lam, z, *rest)
+
+    monkeypatch.setattr(PxqSolver, "solve", solve_recorded)
+    monkeypatch.setattr(estimator, "_polish", polish_recorded)
+    return seen
+
+
+class TestSearchPrecision:
+    def test_full_rank_problem_searches_in_float32(self, search_dtypes):
+        rng = np.random.default_rng(44)
+        psi1, psi2 = random_pd(rng, 6), random_pd(rng, 6)
+        est = estimate_delta(psi1, psi2, SolverConfig(lam=0.05, rho=0.1))
+        assert est.converged
+        assert len(search_dtypes) > est.iterations  # every solve and at least one polish
+        assert set(search_dtypes) == {"float32"}
+
+    def test_singular_factor_searches_in_float64(self, search_dtypes):
+        # the config-sweep case of tools/row_digest.py at p = 9, n = 6: each
+        # factor has a 3-dimensional null space, and both rows polish
+        cfg = ExperimentConfig(
+            dims=(9,),
+            ratios=(),
+            sample_sizes=(6,),
+            instances=2,
+            lambda_scale=2.0,
+            base_spec=RandomBaseSpec(margin=0.3, scale=0.01),
+            sigma_spec=SigmaSpec(kind="diagonal", value_range=(0.5, 2.0)),
+            seed=9,
+            estimators=("dtrace",),
+            rho=0.1,
+            max_iter=2000,
+        )
+        rows = run_sweep(cfg).rows
+        assert all(row.converged for row in rows)
+        assert len(search_dtypes) > sum(row.iterations for row in rows)
+        assert set(search_dtypes) == {"float64"}
+
+    @pytest.mark.parametrize("c", [1e-19, 1e19])
+    def test_problem_beyond_the_float32_span_searches_in_float64(self, search_dtypes, c):
+        # rho c^2 keeps the d-step of the c = 1 problem; sigma or lmax(P1) lmax(P2)
+        # then leaves FLOAT32_SPAN, where float32 weights overflowed or a polish
+        # never passed
+        rng = np.random.default_rng(45)
+        psi1, psi2 = random_pd(rng, 6), random_pd(rng, 6)
+        est = estimate_delta(c * psi1, c * psi2, SolverConfig(lam=c * 0.05, rho=0.1 * c * c))
+        assert est.converged
+        assert set(search_dtypes) == {"float64"}
+
+    def test_polished_full_rank_estimate_is_float64_and_exactly_symmetric(
+        self, power_cells, monkeypatch
+    ):
+        _, solves = power_cells
+        for psi1, psi2, config, est in solves:
+            assert est.converged and est.delta.dtype == np.float64
+            assert np.array_equal(est.delta, est.delta.T)
+            assert kkt_residual(est.delta, psi1, psi2, config.lam) <= _polish_tolerance(psi1 - psi2)
+        # the float32 search ends within 1e-8 of the optimum a float64 search finds
+        monkeypatch.setattr(estimator, "_search_dtype", lambda *args: np.float64)
+        for psi1, psi2, config, est in solves:
+            exact = estimate_delta(psi1, psi2, config)
+            assert exact.converged
+            gap = np.max(np.abs(est.delta - exact.delta)) / np.max(np.abs(exact.delta))
+            assert gap <= 1e-8, gap
 
 
 class TestPluginDelta:

@@ -33,8 +33,9 @@ cfg = lapdiff.ExperimentConfig(
 )
 work = solve_work.solve_work(cfg)
 assert [row.estimator for row, *_ in work] == ["dtrace", "sqrt"], work
-for row, est, polish_gemms, attempts in work:
+for row, est, polish_gemms, attempts, dtype in work:
     assert est.converged and attempts >= 1, (row, est, attempts)
+    assert dtype == "float32", (row, dtype)  # n = 20 > p: both factors are full rank
     # besides its CG steps, a polish computes each round's residual and tests
     # each solved iterate's gradient
     assert polish_gemms > CG_STEP_GEMMS * est.cg_steps, (row, est, polish_gemms)
