@@ -258,7 +258,7 @@ def _cg_on_support(p1, p2, x, r, support, tol, max_steps, work, precond):
     return steps, largest <= tol
 
 
-def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search=None):
+def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search):
     """Solve for the optimum on the support of z; (x or None, CG steps taken).
 
     signs is the off-diagonal sign pattern of z (int8, 0 on the diagonal),
@@ -270,8 +270,8 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search=None):
     The iterate x is float64 whatever the dtype of z.
 
     search is None for a float64 search, in which CG updates x and its
-    residual r in place. Otherwise it is (P1, P2, G, work) in float32, work
-    being five p x p float32 arrays, and each CG call solves for a
+    residual r in place. Otherwise it is (P1, P2, precond, work) in float32,
+    work being five p x p float32 arrays, and each CG call solves for a
     correction from r rounded to float32, which is made exactly symmetric
     and added to x in float64: mixed-precision iterative refinement (Carson
     & Higham, SIAM J. Sci. Comput. 2018). Every residual and test below is
@@ -295,12 +295,8 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search=None):
     """
     x = z.astype(float)
     r, direction, product, scratch = (np.empty_like(x) for _ in range(4))
-    if search is None:
-        refine = 0.0
-    else:
-        refine = POLISH_LOOSE
-        p1_search, p2_search, g_search, (correction, r_search, *cg_work) = search
-        precond_search = (g_search, precond[1])
+    if search is not None:
+        p1_search, p2_search, precond_search, (correction, r_search, *cg_work) = search
     signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
@@ -356,7 +352,7 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search=None):
             largest = float(np.max(np.abs(r, out=scratch)))
             if target == tol and (search is None or largest <= 2.0 * tol):
                 return (x if largest <= 2.0 * tol else None), steps
-            target = max(tol, refine * largest)
+            target = tol if search is None else max(tol, POLISH_LOOSE * largest)
         if repair == POLISH_ROUNDS:
             break
         support[flipped] = False
@@ -471,7 +467,8 @@ def run_admm(psi1, psi2, config):
     if dtype != np.float64:
         # the polish's CG borrows the iteration's scratch arrays r, d and w
         work = (np.empty((p, p), dtype), np.empty((p, p), dtype), r, d, w)
-        search = (*(a.astype(dtype) for a in (p1, p2, precond[0])), work)
+        g, scale = precond
+        search = (p1.astype(dtype), p2.astype(dtype), (g.astype(dtype), scale), work)
 
     stop = "max_iter"
     pattern = np.zeros((p, p), dtype=np.int8)

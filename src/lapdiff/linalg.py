@@ -69,13 +69,11 @@ def sqrt_psd(c):
 def _sqrt_psd_top(c, rank):
     """sqrt_psd(c) keeping only the `rank` largest eigenvalues when 0 < rank < p."""
     c = as_symmetric(c)
-    if 0 < rank < c.shape[0]:
-        values, vectors = np.linalg.eigh(c)
-        _require_psd(values)
+    truncate = 0 < rank < c.shape[0]
+    values, vectors = np.linalg.eigh(c) if truncate else _eigh(c)
+    _require_psd(values)
+    if truncate:
         values[:-rank] = 0.0
-    else:
-        values, vectors = _eigh(c)
-        _require_psd(values)
     return _sqrt_from(values, vectors)
 
 

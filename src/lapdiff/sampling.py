@@ -95,6 +95,8 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
     s = root @ cov_y @ root
     s = (s + s.T) / 2.0
     n_used = int(n_used)
+    # a root that drops no eigenvalue goes through sqrt_psd, the name
+    # perfbench's linalg.root span wraps
     whitened_root = _sqrt_psd_top(s, n_used) if 0 < n_used < len(s) else sqrt_psd(s)
     factor = m_inv @ whitened_root @ m_inv
     return (factor + factor.T) / 2.0

@@ -433,13 +433,13 @@ DENSE_SWEEP = dict(
 
 
 def polish_from(z, psi1, psi2, lam):
-    """_polish started from z, with the KKT tolerance run_admm would use."""
+    """_polish started from z, with the KKT tolerance run_admm would use, searching in float64."""
     diff = psi1 - psi2
     tol = _polish_tolerance(diff)
     signs = np.sign(z).astype(np.int8)
     np.fill_diagonal(signs, 0)
     precond = PxqSolver(psi1, psi2, 1.0).inverse_geometric_mean()
-    return _polish(psi1, psi2, diff, lam, z, signs, tol, 10000, precond)
+    return _polish(psi1, psi2, diff, lam, z, signs, tol, 10000, precond, None)
 
 
 def polished_problem():

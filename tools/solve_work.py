@@ -7,11 +7,11 @@ The sweeps are the power-sweep config of tools/row_digest.py at seeds 1,
 64) and its default-rho-sweep case (p = 16 at the solver defaults, where
 a solve polishes late or runs to max_iter). For each dtrace and sqrt cell
 it prints the ADMM iterations, the CG steps of polishing, the polish
-attempts, the p x p GEMMs all of it costs, the stop reason and the
-search precision (`dtype`: float32 when both factors are full rank,
-float64 when either is singular, `-` when the solve raised before
-choosing), then the totals of each sweep, a tally of its stop reasons (polished, max_iter,
-raised) and its GEMMs split by the same stop reasons.
+attempts, the p x p GEMMs all of it costs, the stop reason and the search
+precision (`dtype`, from estimator._search_dtype: float32 or float64, or
+`-` when the solve raised before choosing), then the totals of each
+sweep, a tally of its stop reasons (polished, max_iter, raised) and its
+GEMMs split by the same stop reasons.
 
 GEMMs are counted as four per ADMM iteration plus every product polishing
 makes: two per call of estimator._support_product (the operator and
@@ -20,8 +20,9 @@ for the gradient test that follows each CG call that reached its
 tolerance. The one-off setup (the eigh calls of the factors and the
 preconditioner build) stays excluded. A GEMM counts as one whatever its
 precision, though a float32 one takes about half the time of a float64
-one; the residuals and gradient tests of a polish stay float64. Work counts do not carry the timing
-noise of a shared machine, so they compare two checkouts directly. Like
+one; the residuals and gradient tests of a polish stay float64. Work
+counts do not carry the timing noise of a shared machine, so they compare
+two checkouts directly. Like
 row_digest.py it imports lapdiff from the `src/` of the checkout it sits
 in and runs sweeps on one worker and one BLAS thread.
 """
