@@ -211,51 +211,75 @@ def _check_bounded(solver, p1, p2, diff, config):
 
 
 def _support_product(p1, p2, x, support, out, scratch):
-    """out = [P1 X P2 + P2 X P1]_S for symmetric X, with S the boolean mask support."""
+    """out = [P1 X P2 + P2 X P1]_S for symmetric X, with S the 0/1 or boolean mask support."""
     np.matmul(p1, x, out=scratch)
     np.matmul(scratch, p2, out=out)
     np.add(out, out.T, out=scratch)
     np.multiply(scratch, support, out=out)
 
 
-def _cg_on_support(p1, p2, x, r, support, tol, max_steps, work, precond):
+def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
     """Preconditioned conjugate gradients for [P1 X P2 + P2 X P1]_S = B_S from x, in place.
 
-    On entry r holds the residual B_S - [P1 x P2 + P2 x P1]_S and x is
-    symmetric and zero off S, as both stay. The operator is positive
-    semidefinite on such matrices. precond is the (G, lmax(P1) lmax(P2))
-    of PxqSolver.inverse_geometric_mean, and the preconditioned residual is
+    xr is the stacked (2, p, p) pair (x, r) and mask the 0/1 array of S, both
+    in the dtype of the search. On entry r holds the residual
+    B_S - [P1 x P2 + P2 x P1]_S and x is symmetric and zero off S, as both
+    stay. The operator is positive semidefinite on such matrices. work is
+    two more stacked pairs: (direction, product) and scratch. One multiply
+    by [alpha, -alpha] and one add update x and r together, as
+    x += alpha direction and r -= alpha product would.
+
+    precond is the (G, lmax(P1) lmax(P2)) of
+    PxqSolver.inverse_geometric_mean, and the preconditioned residual is
     [G r G + (G r G)^T]_S, which the transpose keeps exactly symmetric.
     Stops once max |r| <= tol, the entrywise norm of the KKT check, after
     max_steps steps, or when a search direction finds no curvature above
     EIG_RELATIVE_FLOOR times the operator's largest eigenvalue,
-    2 lmax(P1) lmax(P2). Returns (steps taken, whether max |r| <= tol).
+    2 lmax(P1) lmax(P2). max |r| is computed only once |r|_F^2 is at most
+    4 |S| tol^2 (or not finite): above that, max |r| > tol, with room for
+    the rounding of |r|_F^2. Returns (steps taken, whether max |r| <= tol).
     """
     g, scale = precond
     flat = EIG_RELATIVE_FLOOR * 2.0 * scale
-    direction, product, scratch = work
-    largest = float(np.max(np.abs(r, out=scratch)))
-    _support_product(g, g, r, support, direction, scratch)
+    near = 4.0 * np.count_nonzero(mask) * tol * tol
+    r = xr[1]
+    (direction, product), update = work
+    scratch = update[0]
+    step = np.empty((2, 1, 1), xr.dtype)
+    largest = _largest_if_near(r, near)
+    _support_product(g, g, r, mask, direction, scratch)
     rz = float(np.vdot(r, direction))
     steps = 0
     while largest > tol and steps < max_steps:
-        _support_product(p1, p2, direction, support, product, scratch)
+        _support_product(p1, p2, direction, mask, product, scratch)
         curvature = float(np.vdot(direction, product))
         if not curvature > flat * float(np.vdot(direction, direction)):
             break
         alpha = rz / curvature
-        np.multiply(direction, alpha, out=scratch)
-        x += scratch
-        product *= alpha
-        r -= product
-        largest = float(np.max(np.abs(r, out=scratch)))
-        _support_product(g, g, r, support, product, scratch)
+        step[0] = alpha
+        step[1] = -alpha
+        np.multiply(work[0], step, out=update)
+        xr += update
+        largest = _largest_if_near(r, near)
+        _support_product(g, g, r, mask, product, scratch)
         rz_next = float(np.vdot(r, product))
         direction *= rz_next / rz
         direction += product
         rz = rz_next
         steps += 1
     return steps, largest <= tol
+
+
+def _largest_if_near(r, near):
+    """max |r| when |r|_F^2 is not a finite number above near, else inf.
+
+    A NaN in r makes the squared norm NaN and comes back as max |r| = NaN,
+    which no tolerance passes.
+    """
+    squared = float(np.vdot(r, r))
+    if near < squared < math.inf:
+        return math.inf
+    return max(float(r.max()), -float(r.min()))
 
 
 def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search):
@@ -270,12 +294,12 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search):
     The iterate x is float64 whatever the dtype of z.
 
     search is None for a float64 search, in which CG updates x and its
-    residual r in place. Otherwise it is (P1, P2, precond, work) in float32,
-    work being five p x p float32 arrays, and each CG call solves for a
-    correction from r rounded to float32, which is made exactly symmetric
-    and added to x in float64: mixed-precision iterative refinement (Carson
-    & Higham, SIAM J. Sci. Comput. 2018). Every residual and test below is
-    float64 either way.
+    residual r in place. Otherwise it is (P1, P2, precond, pairs) in
+    float32, pairs being a (3, 2, p, p) float32 array (the three stacked
+    pairs of _cg_on_support), and each CG call solves for a correction from
+    r rounded to float32, which is made exactly symmetric and added to x in
+    float64: mixed-precision iterative refinement (Carson & Higham, SIAM J.
+    Sci. Comput. 2018). Every residual and test below is float64 either way.
 
     Each round first solves loosely, to max |r| <= max(tol, POLISH_LOOSE
     times the round's initial max |r|), and tests that iterate, with
@@ -293,15 +317,21 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search):
     and solve again, loosely first. max_steps caps the CG steps of all
     rounds.
     """
-    x = z.astype(float)
-    r, direction, product, scratch = (np.empty_like(x) for _ in range(4))
-    if search is not None:
-        p1_search, p2_search, precond_search, (correction, r_search, *cg_work) = search
+    pairs = np.empty((3, 2) + z.shape)
+    (x, r), (direction, product), (scratch, _) = pairs
+    np.copyto(x, z)
+    if search is None:
+        p1_search, p2_search, precond_search, search_pairs = p1, p2, precond, pairs
+    else:
+        p1_search, p2_search, precond_search, search_pairs = search
+    correction, r_search = search_pairs[0]
     signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
+    mask = np.empty_like(correction)
     steps = 0
     for repair in range(POLISH_ROUNDS + 1):
+        np.copyto(mask, support)
         np.multiply(signs, -lam, out=r)
         r += diff
         r *= 2.0
@@ -310,18 +340,14 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search):
         r -= product
         target = max(tol, POLISH_LOOSE * float(np.max(np.abs(r, out=scratch))))
         while True:
-            if search is None:
-                taken, solved = _cg_on_support(
-                    p1, p2, x, r, support, target, max_steps - steps,
-                    (direction, product, scratch), precond,
-                )
-            else:
+            if search is not None:
                 correction.fill(0.0)
                 np.copyto(r_search, r, casting="same_kind")
-                taken, solved = _cg_on_support(
-                    p1_search, p2_search, correction, r_search, support, target,
-                    max_steps - steps, cg_work, precond_search,
-                )
+            taken, solved = _cg_on_support(
+                p1_search, p2_search, search_pairs[0], mask, target, max_steps - steps,
+                search_pairs[1:], precond_search,
+            )
+            if search is not None:
                 np.copyto(direction, correction)
                 np.add(direction, direction.T, out=product)
                 product *= 0.5
@@ -461,14 +487,15 @@ def run_admm(psi1, psi2, config):
 
     dtype = _search_dtype(solver, sigma, thresh, precond[1])
     z, u = (np.zeros((p, p), dtype) for _ in range(2))
-    r, d, w = (np.empty((p, p), dtype) for _ in range(3))
+    # the iteration's scratch arrays r, d and w; in float32 they head three
+    # stacked pairs, which the polish's CG borrows whole
+    pairs = np.empty((3, 1 if dtype == np.float64 else 2, p, p), dtype)
+    r, d, w = pairs[:, 0]
     diff_search = diff.astype(dtype, copy=False)
     search = None
     if dtype != np.float64:
-        # the polish's CG borrows the iteration's scratch arrays r, d and w
-        work = (np.empty((p, p), dtype), np.empty((p, p), dtype), r, d, w)
         g, scale = precond
-        search = (p1.astype(dtype), p2.astype(dtype), (g.astype(dtype), scale), work)
+        search = (p1.astype(dtype), p2.astype(dtype), (g.astype(dtype), scale), pairs)
 
     stop = "max_iter"
     pattern = np.zeros((p, p), dtype=np.int8)

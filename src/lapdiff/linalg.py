@@ -91,16 +91,31 @@ def inv_sqrt_pd(c):
     return _inv_sqrt_from(values, vectors)
 
 
-def sqrt_and_inv_sqrt_pd(c):
+def _sqrt_and_inv_sqrt_pd(c):
     """(sqrt_psd(c), inv_sqrt_pd(c)) from one eigendecomposition of c.
 
-    Raises NotPsdError where sqrt_psd would, and otherwise SingularMatrixError
-    where inv_sqrt_pd would.
+    A diagonal c gives both as the 1-D diagonals of the roots, for scaling
+    by broadcasting (see _congruence) rather than by p x p products with
+    diagonal matrices. Raises NotPsdError where sqrt_psd would, and
+    otherwise SingularMatrixError where inv_sqrt_pd would.
     """
     values, vectors = _eigh(as_symmetric(c))
     _require_psd(values)
     _require_pd(values)
+    if vectors is None:
+        return np.sqrt(values), 1.0 / np.sqrt(values)
     return _sqrt_from(values, vectors), _inv_sqrt_from(values, vectors)
+
+
+def _congruence(m, a):
+    """m @ a @ m, where a 1-D m stands for the diagonal matrix diag(m).
+
+    The broadcast (m[:, None] * a) * m rounds each entry as the two products
+    with diag(m) do, since their other terms are exact zeros.
+    """
+    if m.ndim == 1:
+        return m[:, None] * a * m
+    return m @ a @ m
 
 
 def _eigh(c):
@@ -110,10 +125,25 @@ def _eigh(c):
     ascending, and None for the eigenvectors, which stands for the identity.
     The roots built from either agree bit for bit.
     """
-    diagonal = np.diagonal(c)
-    if np.count_nonzero(c) == np.count_nonzero(diagonal):
-        return diagonal.copy(), None
+    if _is_diagonal(c):
+        return np.diagonal(c).copy(), None
     return np.linalg.eigh(c)
+
+
+def _eigvalsh(c):
+    """Ascending eigenvalues of a symmetric c: its sorted diagonal when c is diagonal.
+
+    np.linalg.eigvalsh holds the GIL for the whole LAPACK call (see
+    tools/gil_probe.py), so a diagonal c, whose eigenvalues are exact
+    without it, skips it.
+    """
+    if _is_diagonal(c):
+        return np.sort(np.diagonal(c))
+    return np.linalg.eigvalsh(c)
+
+
+def _is_diagonal(c):
+    return np.count_nonzero(c) == np.count_nonzero(np.diagonal(c))
 
 
 def _require_psd(values):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NearSingularScenarioError, ReductionError
-from .linalg import EIG_RELATIVE_FLOOR, as_symmetric
+from .linalg import EIG_RELATIVE_FLOOR, _eigvalsh, as_symmetric
 
 # Constant added to the absolute row sums when building diagonals of
 # synthetic difference matrices; keeps them nonsingular without dominating.
@@ -204,10 +204,13 @@ def random_base_matrix(p, density, margin=0.5, scale=1.0, seed=0):
 class NetworkScenario:
     """A fully specified two-regime ground truth.
 
-    b2 equals b1 + delta_true exactly; both are symmetric and nonsingular
-    with eigenvalue magnitudes above the scenario floor. sigma_x1 and
-    sigma_x2 are the positive definite injection covariances of the two
-    regimes, and seed keys every random draw made on the scenario's behalf.
+    b2 equals b1 + delta_true exactly; both are symmetric and nonsingular,
+    with every eigenvalue magnitude above SCENARIO_MIN_EIG and above
+    EIG_RELATIVE_FLOOR times max(1, largest eigenvalue magnitude), the
+    relative floor sample_potentials checks, so run_instance samples them
+    without checking again. sigma_x1 and sigma_x2 are the positive definite
+    injection covariances of the two regimes, and seed keys every random
+    draw made on the scenario's behalf.
     """
 
     b1: np.ndarray
@@ -225,12 +228,17 @@ class NetworkScenario:
 def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
     """Validate the pieces of a two-regime scenario and bundle them.
 
+    One eigenvalue computation per matrix does every check; a diagonal
+    covariance is checked from its diagonal.
+
     Raises
     ------
     InvalidInputError
         On shape mismatches or covariances that are not positive definite.
     NearSingularScenarioError
-        If b1 or b2 = b1 + delta has an eigenvalue of magnitude <= 1e-6.
+        If b1 or b2 = b1 + delta has an eigenvalue of magnitude <= 1e-6, or
+        at or below EIG_RELATIVE_FLOOR times max(1, its largest eigenvalue
+        magnitude), the relative floor of sample_potentials.
     """
     b1 = as_symmetric(b1)
     delta = as_symmetric(delta)
@@ -241,16 +249,18 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
         if mat.shape != (p, p):
             raise InvalidInputError(f"{name} has shape {mat.shape}, expected {(p, p)}")
     for name, sigma in (("sigma_x1", sigma_x1), ("sigma_x2", sigma_x2)):
-        eigs = np.linalg.eigvalsh(sigma)
+        eigs = _eigvalsh(sigma)
         if eigs[0] <= EIG_RELATIVE_FLOOR * max(1.0, eigs[-1]):
             raise InvalidInputError(f"{name} is not positive definite (min eig {eigs[0]:.3e})")
     b2 = b1 + delta
     for name, mat in (("b1", b1), ("b2", b2)):
-        margin = float(np.min(np.abs(np.linalg.eigvalsh(mat))))
-        if margin <= SCENARIO_MIN_EIG:
+        magnitudes = np.abs(np.linalg.eigvalsh(mat))
+        margin = float(magnitudes.min())
+        floor = max(SCENARIO_MIN_EIG, EIG_RELATIVE_FLOOR * max(1.0, float(magnitudes.max())))
+        if margin <= floor:
             raise NearSingularScenarioError(
                 f"{name} is too close to singular (min |eigenvalue| {margin:.3e} <= "
-                f"{SCENARIO_MIN_EIG:.0e})"
+                f"{floor:.3e})"
             )
     return NetworkScenario(
         b1=b1, b2=b2, delta_true=delta, sigma_x1=sigma_x1, sigma_x2=sigma_x2, seed=int(seed)

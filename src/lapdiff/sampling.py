@@ -10,9 +10,10 @@ import numpy as np
 from .errors import InvalidInputError, SingularMatrixError
 from .linalg import (
     EIG_RELATIVE_FLOOR,
+    _congruence,
+    _sqrt_and_inv_sqrt_pd,
     _sqrt_psd_top,
     as_symmetric,
-    sqrt_and_inv_sqrt_pd,
     sqrt_psd,
 )
 
@@ -22,12 +23,15 @@ def sample_potentials(b, sigma_x, n, seed=0):
 
     Returns an (n, p) array. Deterministic for fixed inputs and seed; `seed`
     may be anything numpy's default_rng accepts (int or a sequence of ints).
+    b must keep its smallest |eigenvalue| above EIG_RELATIVE_FLOOR times
+    max(1, largest |eigenvalue|), the relative floor every NetworkScenario's
+    b1 and b2 already clear.
 
     Raises
     ------
     SingularMatrixError
-        If b is numerically singular (smallest |eigenvalue| within a relative
-        floor of zero).
+        If b is numerically singular (smallest |eigenvalue| at or below that
+        relative floor).
     """
     b = as_symmetric(b)
     sigma_x = as_symmetric(sigma_x)
@@ -40,6 +44,15 @@ def sample_potentials(b, sigma_x, n, seed=0):
         raise SingularMatrixError(
             f"b is numerically singular (min |eigenvalue| {abs_eigs.min():.3e})"
         )
+    return _draw_potentials(b, sigma_x, n, seed)
+
+
+def _draw_potentials(b, sigma_x, n, seed):
+    """sample_potentials for a symmetric b already known to clear the floor, and a symmetric sigma_x.
+
+    It does not look at b's eigenvalues again: np.linalg.eigvalsh holds the
+    GIL for the whole LAPACK call, which stalls every other sweep worker.
+    """
     root = sqrt_psd(sigma_x)
     transfer = np.linalg.solve(b, root)  # b^{-1} sigma_x^{1/2}
     z = np.random.default_rng(seed).standard_normal((int(n), b.shape[0]))
@@ -90,13 +103,13 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
         raise InvalidInputError(
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"
         )
-    root, m_inv = sqrt_and_inv_sqrt_pd(sigma_x)
+    root, m_inv = _sqrt_and_inv_sqrt_pd(sigma_x)
     # the product is symmetric only to rounding, which grows with its entries
-    s = root @ cov_y @ root
+    s = _congruence(root, cov_y)
     s = (s + s.T) / 2.0
     n_used = int(n_used)
     # a root that drops no eigenvalue goes through sqrt_psd, the name
     # perfbench's linalg.root span wraps
     whitened_root = _sqrt_psd_top(s, n_used) if 0 < n_used < len(s) else sqrt_psd(s)
-    factor = m_inv @ whitened_root @ m_inv
+    factor = _congruence(m_inv, whitened_root)
     return (factor + factor.T) / 2.0

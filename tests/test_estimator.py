@@ -529,18 +529,20 @@ class TestPolish:
             assert x is None and steps > 0
 
     def test_cg_stops_once_every_residual_entry_is_within_tol(self):
-        # max |r| <= tol < |r|_F: the KKT check is entrywise, so CG takes no step
+        # max |r| <= tol < |r|_F: the KKT check is entrywise, so CG takes no step.
+        # Every entry at +-tol gives |r|_F = sqrt(|S|) tol, the largest norm
+        # at which CG must still look at max |r|
         rng = np.random.default_rng(1)
         p1, p2 = random_pd(rng, 6), random_pd(rng, 6)
         tol = 1e-6
-        r = np.full((6, 6), 0.5 * tol)
-        assert np.linalg.norm(r) > tol
-        x = np.zeros((6, 6))
-        support = np.ones((6, 6), dtype=bool)
-        work = tuple(np.empty((6, 6)) for _ in range(3))
+        upper = np.triu(np.sign(rng.standard_normal((6, 6))))
         precond = PxqSolver(p1, p2, 1.0).inverse_geometric_mean()
-        assert _cg_on_support(p1, p2, x, r, support, tol, 100, work, precond) == (0, True)
-        assert not x.any()
+        for r in (np.full((6, 6), 0.5 * tol), (upper + np.triu(upper, 1).T) * tol):
+            assert np.max(np.abs(r)) <= tol < np.linalg.norm(r)
+            xr = np.stack([np.zeros((6, 6)), r])
+            work = np.empty((2, 2, 6, 6))
+            assert _cg_on_support(p1, p2, xr, np.ones((6, 6)), tol, 100, work, precond) == (0, True)
+            assert not xr[0].any()
 
     def test_repairs_a_support_wrong_in_a_few_entries(self, power_cells):
         # from each cell's optimum with 4 of its pairs dropped and 4 spurious
@@ -619,6 +621,93 @@ class TestPolish:
         assert len(rows) == 2
         for row in rows:
             assert row.converged and row.iterations < cfg.max_iter
+
+
+def reference_cg_on_support(p1, p2, x, r, support, tol, max_steps, precond):
+    """The loop _cg_on_support replaced: 19 numpy calls per step, x and r apart, a boolean support.
+
+    Kept to pin the new loop's steps and bits against it.
+    """
+    g, scale = precond
+    flat = estimator.EIG_RELATIVE_FLOOR * 2.0 * scale
+    direction, product, scratch = (np.empty_like(x) for _ in range(3))
+    largest = float(np.max(np.abs(r, out=scratch)))
+    estimator._support_product(g, g, r, support, direction, scratch)
+    rz = float(np.vdot(r, direction))
+    steps = 0
+    while largest > tol and steps < max_steps:
+        estimator._support_product(p1, p2, direction, support, product, scratch)
+        curvature = float(np.vdot(direction, product))
+        if not curvature > flat * float(np.vdot(direction, direction)):
+            break
+        alpha = rz / curvature
+        np.multiply(direction, alpha, out=scratch)
+        x += scratch
+        product *= alpha
+        r -= product
+        largest = float(np.max(np.abs(r, out=scratch)))
+        estimator._support_product(g, g, r, support, product, scratch)
+        rz_next = float(np.vdot(r, product))
+        direction *= rz_next / rz
+        direction += product
+        rz = rz_next
+        steps += 1
+    return steps, largest <= tol
+
+
+def cg_case(kind, dtype, p=30):
+    """(p1, p2, x, r, support, tol, precond) in dtype, with a boolean support, for one CG case.
+
+    "solve" has PD factors and a sparse support; "singular" has rank-5
+    factors (n = 5 < p) and the full support; "nan" is "solve" with a NaN
+    in the residual.
+    """
+    rng = np.random.default_rng(8)
+    if kind == "singular":
+        p1, p2 = (rank_deficient_psd(rng, p, 5) for _ in range(2))
+        support = np.ones((p, p), dtype=bool)
+    else:
+        p1, p2 = random_pd(rng, p), random_pd(rng, p)
+        upper = np.triu(rng.random((p, p)) < 0.3, 1)
+        support = upper | upper.T | np.eye(p, dtype=bool)
+    x, r = (rng.standard_normal((p, p)) for _ in range(2))
+    x, r = ((a + a.T) * support for a in (0.1 * x, r))
+    if kind == "nan":
+        r[2, 2] = np.nan
+    tol = (1e-9 if dtype == np.float64 else 1e-4) * float(np.nanmax(np.abs(r)))
+    g, scale = PxqSolver(p1, p2, 1.0).inverse_geometric_mean()
+    p1, p2, x, r, g = (a.astype(dtype) for a in (p1, p2, x, r, g))
+    return p1, p2, x, r, support, tol, (g, scale)
+
+
+def bits(a):
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+class TestCgLoop:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["solve", "singular", "nan"])
+    def test_matches_the_reference_loop_bit_for_bit(self, kind, dtype):
+        p1, p2, x, r, support, tol, precond = cg_case(kind, dtype)
+        max_steps = 500
+        ref_x, ref_r = x.copy(), r.copy()
+        expected = reference_cg_on_support(p1, p2, ref_x, ref_r, support, tol, max_steps, precond)
+        xr = np.stack([x, r])
+        work = np.empty((2,) + xr.shape, dtype)
+        got = _cg_on_support(p1, p2, xr, support.astype(dtype), tol, max_steps, work, precond)
+        assert got == expected
+        assert np.array_equal(bits(xr[0]), bits(ref_x))
+        assert np.array_equal(bits(xr[1]), bits(ref_r))
+        steps, solved = got
+        if kind == "solve":
+            assert solved and steps > 1
+        elif kind == "nan":
+            # max(r.max(), -r.min()) is NaN, which no tolerance passes
+            assert got == (0, False)
+        elif dtype == np.float64:
+            # a direction in the factors' shared null space has no curvature
+            assert not solved and 0 < steps < max_steps
+
 
 
 @pytest.fixture(scope="module")

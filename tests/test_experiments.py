@@ -233,6 +233,47 @@ class TestRunInstance:
             run_instance(scenario, 10, 10, SolverConfig(lam=0.1), ("ridge",))
 
 
+    def test_sample_sizes_validated(self):
+        scenario = assemble_scenario(random_base_matrix(4, 1.0, seed=0), lattice_delta(4, seed=0),
+                                     np.eye(4), np.eye(4))
+        from lapdiff.estimator import SolverConfig
+
+        for n1, n2 in ((0, 10), (10, -1), (2.5, 10)):
+            with pytest.raises(InvalidInputError, match="n must be a positive integer"):
+                run_instance(scenario, n1, n2, SolverConfig(lam=0.1), ("dtrace",))
+
+    def test_cell_makes_two_values_only_lapack_calls(self, monkeypatch):
+        # numpy's values-only routines hold the GIL for their whole LAPACK call
+        # (tools/gil_probe.py), stalling every other sweep worker; a cell keeps
+        # only the eigvalsh checks of b1 and b2 in assemble_scenario
+        monkeypatch.setenv("LAPDIFF_THREADS", "1")
+        cfg = ExperimentConfig(
+            dims=(117,),
+            ratios=(3.0,),
+            instances=1,
+            lambda_scale=2.0,
+            delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+            base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
+            sigma_spec=SigmaSpec(kind="identity"),
+            support_epsilon=2.0,
+            rho=0.1,
+            max_iter=2000,
+        )
+        cfg.base_spec.matrix  # parsed and checked once per spec, before the cell
+        calls = []
+        for name in ("eigvalsh", "svd", "slogdet", "matrix_rank"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        (row,) = run_sweep(cfg).rows
+        assert row.converged
+        assert calls == ["eigvalsh", "eigvalsh"]
+
+
 class TestRunSweep:
     def test_row_count_and_order(self):
         result = run_sweep(small_config())

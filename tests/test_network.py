@@ -7,7 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lapdiff.cli import build_parser, cmd_gen
-from lapdiff.errors import InvalidInputError, NearSingularScenarioError, ReductionError
+from lapdiff.errors import (
+    InvalidInputError,
+    NearSingularScenarioError,
+    ReductionError,
+    SingularMatrixError,
+)
 from lapdiff.network import (
     NetworkScenario,
     WeightedGraph,
@@ -18,6 +23,7 @@ from lapdiff.network import (
     random_base_matrix,
     reduce_ground_node,
 )
+from lapdiff.sampling import sample_potentials
 
 
 class TestWeightedGraph:
@@ -213,7 +219,36 @@ class TestAssembleScenario:
         with pytest.raises(NearSingularScenarioError):
             assemble_scenario(b1, delta, np.eye(3), np.eye(3))
 
+    def test_relative_floor_of_sampling_enforced(self):
+        # run_instance samples b1 and b2 without checking them again, so the
+        # scenario enforces sample_potentials' relative floor, 1e-10 x 1e5 here
+        sigma = np.eye(2)
+        with pytest.raises(NearSingularScenarioError):
+            assemble_scenario(np.diag([1e5, 5e-6]), np.zeros((2, 2)), sigma, sigma)
+        with pytest.raises(SingularMatrixError):
+            sample_potentials(np.diag([1e5, 5e-6]), sigma, 10)
+        scenario = assemble_scenario(np.diag([1e5, 2e-5]), np.zeros((2, 2)), sigma, sigma)
+        assert sample_potentials(scenario.b1, sigma, 10).shape == (10, 2)
+
+    def test_eigvalsh_only_for_b_and_dense_sigma(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        b1, delta = random_base_matrix(5, 1.0, seed=1), lattice_delta(5, seed=2)
+        assemble_scenario(b1, delta, np.diag([1.0, 2.0, 0.5, 1.0, 3.0]), np.eye(5))
+        assert len(calls) == 2
+        dense = random_base_matrix(5, 1.0, seed=3)
+        assemble_scenario(b1, delta, dense, np.eye(5))
+        assert len(calls) == 5
+
     def test_bad_sigma_rejected(self):
         b1 = np.eye(3)
         with pytest.raises(InvalidInputError):
             assemble_scenario(b1, np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]), np.eye(3))
+        with pytest.raises(InvalidInputError, match="min eig -1.000e"):
+            assemble_scenario(b1, np.zeros((3, 3)), np.eye(3), np.diag([2.0, -1.0, 1.0]))

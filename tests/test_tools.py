@@ -1,6 +1,6 @@
 """Smoke test: the measuring tools under tools/ still run against the package.
 
-Both tools pin thread environment variables at import, before numpy loads,
+The tools pin thread environment variables at import, before numpy loads,
 so they run in a fresh interpreter rather than in the test process.
 """
 
@@ -51,3 +51,17 @@ def test_solve_work_and_row_digest_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_gil_probe_prints_one_row_per_routine(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "gil_probe.py"), "--seconds", "0.02", "--p", "16"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    rows = [line.split() for line in proc.stdout.splitlines() if not line.startswith("#")]
+    assert rows[0] == ["routine", "ms/call", "kept"]
+    assert [row[0] for row in rows[1:]] == [
+        "eigh", "eigvalsh", "solve", "inv", "cholesky", "svd", "slogdet", "matrix_rank",
+    ]
+    assert all(len(row) == 3 for row in rows[1:])
