@@ -8,8 +8,9 @@ experiment      run a sweep variant: synth, power, or plugin-compare
 parse-matpower  convert a power case file into Laplacian CSVs
 
 Exit codes are a stable scripting contract: 0 success, 2 invalid input,
-3 numerical failure, 4 I/O failure, 130 interrupted. An interrupted sweep
-flushes its completed rows before exiting.
+3 numerical failure, 4 I/O failure (a lost sweep worker included), 130
+interrupted. An interrupted sweep flushes its completed rows before
+exiting.
 
 Experiment settings can come from a flat `key = value` config file
 (`#` comments allowed); any setting can also be given as a flag, and flags

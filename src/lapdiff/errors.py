@@ -88,3 +88,11 @@ class CaseIntegrityError(CaseFileError):
 
 class ConnectivityError(CaseFileError):
     """The in-service branch graph of a case does not connect all buses."""
+
+
+class SweepWorkerError(LapdiffError, ChildProcessError):
+    """A sweep worker process ended without answering for its cell.
+
+    Also the cause attached to an error a cell raised in a worker; its
+    message then carries the worker's traceback.
+    """

@@ -13,28 +13,35 @@ support, so curves for different p become comparable. An explicit
 then derived for reporting.
 """
 
-import ctypes
-import glob
+import atexit
+import contextlib
 import math
 import os
-import queue
-import signal
+import pickle
+import selectors
 import struct
-import threading
+import subprocess
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+import traceback
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Callable, NamedTuple
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, SweepWorkerError
 from .estimator import SolverConfig, estimate_delta, plugin_delta
+from .linalg import as_symmetric
 from .matio import FLOAT_FORMAT
 from .matpower import case_laplacian, load_case118, parse_case
-from .network import assemble_scenario, lattice_delta, random_base_matrix, reduce_ground_node
+from .network import (
+    _assemble_on_checked_base,
+    _check_nonsingular,
+    assemble_scenario,
+    lattice_delta,
+    random_base_matrix,
+    reduce_ground_node,
+)
 from .sampling import precision_factor
 
 # run_instance draws without re-checking b, which assemble_scenario checked
@@ -119,7 +126,9 @@ class MatpowerBaseSpec:
         """The reduced, rescaled Laplacian, parsed on first access and kept, read-only.
 
         Every sweep over this spec object shares one parse, so a case file
-        edited after the first access is not read again.
+        edited after the first access is not read again. The matrix is
+        checked against the scenario floors here, once, so each cell checks
+        only its b2.
         """
         if self.path is None:
             case = load_case118()
@@ -127,7 +136,8 @@ class MatpowerBaseSpec:
             with open(self.path) as fh:
                 case = parse_case(fh)
         lap, ground = case_laplacian(case, self.weight_mode)
-        reduced = reduce_ground_node(lap, ground) * self.scale
+        reduced = as_symmetric(reduce_ground_node(lap, ground) * self.scale)
+        _check_nonsingular("b1", reduced)
         reduced.flags.writeable = False
         return reduced
 
@@ -365,18 +375,17 @@ def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec):
         sign_mode=delta_spec.sign_mode,
         seed=[seed, _ROLE_DELTA],
     )
-    if isinstance(base_spec, MatpowerBaseSpec):
-        b1 = base_spec.matrix
-    else:
-        b1 = random_base_matrix(
-            p,
-            base_spec.density,
-            margin=base_spec.margin,
-            scale=base_spec.scale,
-            seed=[seed, _ROLE_BASE],
-        )
     sigma1 = make_sigma(sigma_spec, p, np.random.default_rng([seed, _ROLE_SIGMA1]))
     sigma2 = make_sigma(sigma_spec, p, np.random.default_rng([seed, _ROLE_SIGMA2]))
+    if isinstance(base_spec, MatpowerBaseSpec):
+        return _assemble_on_checked_base(base_spec.matrix, delta, sigma1, sigma2, seed)
+    b1 = random_base_matrix(
+        p,
+        base_spec.density,
+        margin=base_spec.margin,
+        scale=base_spec.scale,
+        seed=[seed, _ROLE_BASE],
+    )
     return assemble_scenario(b1, delta, sigma1, sigma2, seed=seed)
 
 
@@ -444,7 +453,10 @@ def usable_cores():
 
 
 def thread_cap():
-    """Worker count for sweeps: LAPDIFF_THREADS when set, else a modest default."""
+    """Sweep worker count: LAPDIFF_THREADS when set, else a modest default.
+
+    One worker runs a sweep's cells inline; more are worker processes.
+    """
     raw = os.environ.get("LAPDIFF_THREADS")
     if raw is None:
         return min(8, usable_cores())
@@ -457,120 +469,11 @@ def thread_cap():
     return value
 
 
-class BlasThreads(NamedTuple):
-    """Getter and setter of a BLAS library's process-wide thread count."""
-
-    get: Callable[[], int]
-    set: Callable[[int], None]
-
-
-# (getter, setter) symbol pairs: reference OpenBLAS, then the scipy-openblas
-# build that numpy wheels bundle.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-)
-
-
-def _openblas_paths():
-    """OpenBLAS files numpy may have loaded: its bundled copy first, then any mapped one."""
-    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    paths = sorted(glob.glob(os.path.join(libs_dir, "*openblas*")))
-    try:
-        with open("/proc/self/maps") as fh:
-            fields = [line.split(maxsplit=5) for line in fh if "openblas" in line.lower()]
-    except OSError:
-        fields = []
-    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
-        if path not in paths:
-            paths.append(path)
-    return paths
-
-
-@cache
-def openblas_threads():
-    """BlasThreads of the OpenBLAS numpy uses, or None when none is found.
-
-    numpy offers no thread control, so the library is opened again through
-    ctypes; the dynamic loader hands back the copy numpy already loaded.
-    The lookup runs on first call, not at import.
-    """
-    for path in _openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = lib[get_name], lib[set_name]
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return BlasThreads(get, set_)
-    return None
-
-
-@contextmanager
-def _blas_thread_budget(workers):
-    """Hold BLAS threads to min(current, max(1, usable cores // workers)).
-
-    The count is process-wide, so `workers` threads each calling BLAS use
-    at most the usable cores between them. The caller's count comes back
-    on exit, however the block ends. Without OpenBLAS nothing changes.
-    """
-    blas = openblas_threads()
-    if blas is None:
-        yield
-        return
-    before = blas.get()
-    blas.set(min(before, max(1, usable_cores() // workers)))
-    try:
-        yield
-    finally:
-        blas.set(before)
-
-
 def _sample_grid(cfg):
     """The sweep's second axis: (axis_key, ratio_or_none, n_or_none) entries."""
     if cfg.sample_sizes is not None:
         return [(n, None, n) for n in cfg.sample_sizes]
     return [(_float_key(r), r, None) for r in cfg.ratios]
-
-
-@contextmanager
-def _signals_deferred():
-    """Only note SIGINT and SIGTERM in the block; raise them on exit under the prior handlers.
-
-    A KeyboardInterrupt raised inside the threading module's lock code can
-    leave a lock released twice ("release unlocked lock"). Python handlers
-    run only in the main thread, so elsewhere nothing is deferred; nor is
-    anything where a handler set outside Python could not be put back.
-    """
-    sigs = (signal.SIGINT, signal.SIGTERM)
-    noted = []
-    previous = []
-    if threading.current_thread() is threading.main_thread() and None not in map(
-        signal.getsignal, sigs
-    ):
-        previous = [(sig, signal.signal(sig, lambda n, _: noted.append(n))) for sig in sigs]
-    try:
-        yield
-    finally:
-        for sig, handler in previous:
-            signal.signal(sig, handler)
-        for sig in dict.fromkeys(noted):
-            signal.raise_signal(sig)
-
-
-def _run_cell_into(done, cfg, task):
-    """Run one cell on a worker; put its rows, or what it raised, on the `done` queue.
-
-    Whatever the cell raises is put, so the coordinating thread, which
-    raises it, never waits for a cell that is gone.
-    """
-    try:
-        done.put(_run_cell(cfg, *task))
-    except BaseException as exc:
-        done.put(exc)
 
 
 def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance):
@@ -600,26 +503,197 @@ def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance):
     ]
 
 
+# The command a worker process runs. The parent's package directory goes
+# first on sys.path, so a worker imports the caller's lapdiff whatever
+# PYTHONPATH says, and `-c` keeps the caller's __main__ out of the worker.
+_WORKER_CODE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from lapdiff.experiments import _serve; _serve()"
+)
+
+# Every pool not yet closed (closed at exit), and the pool kept between sweeps.
+_live_pools = set()
+_idle_pools = []
+
+
+def _worker_blas_threads(workers):
+    """OPENBLAS_NUM_THREADS for each of `workers` processes: usable cores // workers, at least 1.
+
+    Never more than the caller's own count, the first positive value of the
+    variables OpenBLAS reads, in the order it reads them.
+    """
+    budget = max(1, usable_cores() // workers)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            caller = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if caller >= 1:
+            return min(caller, budget)
+    return budget
+
+
+class _Pool:
+    """Worker processes that run sweep cells, one (cfg, task) at a time each, over pipes."""
+
+    def __init__(self, workers, blas_threads):
+        self.key = (workers, blas_threads)
+        self.owner = os.getpid()
+        self.procs = []
+        _live_pools.add(self)
+        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
+        for _ in range(workers):
+            self.procs.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _WORKER_CODE, package_dir],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    env=env,
+                    # a terminal's Ctrl-C reaches the coordinator alone
+                    start_new_session=True,
+                )
+            )
+
+    def close(self):
+        """Kill and reap every worker; a pool inherited through fork is left alone."""
+        if self.owner == os.getpid():
+            for proc in self.procs:
+                proc.kill()
+            for proc in self.procs:
+                proc.wait()
+                for pipe in (proc.stdin, proc.stdout):
+                    with contextlib.suppress(OSError):
+                        pipe.close()
+        _live_pools.discard(self)
+
+
+@atexit.register
+def _close_pools():
+    for pool in list(_live_pools):
+        pool.close()
+
+
+def _take_pool(workers):
+    """The kept pool when it has `workers` workers with this BLAS budget, else a new one."""
+    key = (workers, _worker_blas_threads(workers))
+    try:
+        pool = _idle_pools.pop()  # atomic, so two sweeps never take one pool
+    except IndexError:
+        pool = None
+    if pool is not None and (pool.key != key or pool.owner != os.getpid()):
+        pool.close()
+        pool = None
+    return pool or _Pool(*key)
+
+
+def _keep_pool(pool):
+    """Keep a pool whose sweep ended normally for the next sweep; one kept is enough."""
+    if _idle_pools:
+        pool.close()
+    else:
+        _idle_pools.append(pool)
+
+
+def _worker_lost(proc):
+    proc.poll()
+    return SweepWorkerError(
+        f"sweep worker {proc.pid} ended without answering (exit status {proc.returncode})"
+    )
+
+
+def _send(proc, cfg, task):
+    try:
+        pickle.dump((cfg, task), proc.stdin, pickle.HIGHEST_PROTOCOL)
+        proc.stdin.flush()
+    except OSError:
+        raise _worker_lost(proc) from None
+
+
+def _receive(proc):
+    """A cell's rows from its worker; raises what the cell raised, or SweepWorkerError."""
+    try:
+        reply = pickle.load(proc.stdout)
+    except (EOFError, OSError, pickle.UnpicklingError):
+        raise _worker_lost(proc) from None
+    if isinstance(reply, list):
+        return reply
+    exc, text = reply
+    raise exc from SweepWorkerError(f"in sweep worker {proc.pid}:\n{text}")
+
+
+def _run_in_pool(pool, cfg, tasks, take):
+    """Hand the tasks out to the pool's workers, a new one to each as it answers."""
+    pending = iter(tasks)
+    with selectors.DefaultSelector() as selector:
+        for proc in pool.procs:
+            _send(proc, cfg, next(pending))
+            selector.register(proc.stdout, selectors.EVENT_READ, proc)
+        while selector.get_map():
+            for key, _ in selector.select():
+                proc = key.data
+                rows = _receive(proc)
+                task = next(pending, None)
+                if task is None:
+                    selector.unregister(proc.stdout)
+                else:
+                    _send(proc, cfg, task)
+                take(rows)
+
+
+def _serve():
+    """A worker's loop: run each pickled (cfg, task) on stdin, answer on stdout, until EOF.
+
+    The answer is the cell's rows, or (exception, traceback text) when the
+    cell raised.
+    """
+    replies = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # anything printed goes to stderr, never into the replies
+    requests = sys.stdin.buffer
+    while True:
+        try:
+            cfg, task = pickle.load(requests)
+        except (EOFError, pickle.UnpicklingError):  # the coordinator is gone
+            return
+        try:
+            reply = _run_cell(cfg, *task)
+        except Exception as exc:
+            reply = (exc, traceback.format_exc())
+        reply = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        try:
+            replies.write(reply)
+            replies.flush()
+        except BrokenPipeError:  # the coordinator is gone
+            os._exit(0)
+
+
 def run_sweep(cfg, row_callback=None):
     """Run every (p, ratio, instance) cell of the config, in parallel.
 
     Returns a SweepResult with rows sorted by (p, ratio, instance,
     estimator). Identical configs produce identical rows apart from wall
-    times. When interrupted, raises SweepInterrupted carrying the rows that
-    finished; `row_callback`, when given, sees every row as it completes
-    (called from the coordinating thread). That thread runs no threading
-    lock code an interrupt could split: it queues the cells with signals
-    deferred and waits on a C-level queue.
+    times, whatever the worker count, at equal BLAS thread counts (OpenBLAS
+    may round a product differently on more threads). When interrupted,
+    raises SweepInterrupted carrying the rows that finished; `row_callback`,
+    when given, sees every row as it completes, in the calling thread.
 
-    Cells run on min(thread_cap(), cell count) worker threads. While they
-    run, OpenBLAS gets at most usable_cores() // workers threads (at least
-    one), so workers x BLAS threads stay within the usable cores; the
-    caller's BLAS thread count is restored when this returns or raises.
+    Cells run on min(thread_cap(), cell count) workers. One worker runs
+    them inline, in the calling thread. More send each cell's (cfg, task)
+    to that many worker processes, which start on the first such sweep and
+    are kept for later ones: a different count or BLAS budget starts a new
+    pool, and an interrupt, a cell error or a lost worker kills and reaps
+    the pool at once. A worker that dies raises SweepWorkerError; an error
+    a cell raises reaches the caller with its type and message. Each worker
+    runs OpenBLAS on at most usable_cores() // workers threads (at least
+    one, and never more than the caller's environment sets), so workers x
+    BLAS threads stay within the usable cores. Two sweeps running at once
+    in different threads never share a worker. Kept workers are killed at
+    interpreter exit, and exit by themselves when their parent dies.
     """
     if not isinstance(cfg, ExperimentConfig):
         raise InvalidInputError(f"expected ExperimentConfig, got {type(cfg).__name__}")
     if isinstance(cfg.base_spec, MatpowerBaseSpec):
-        size = cfg.base_spec.matrix.shape[0]  # parsed here, before any worker reads it
+        size = cfg.base_spec.matrix.shape[0]  # parsed here, so workers receive it built
         for p in cfg.dims:
             if p != size:
                 raise InvalidInputError(
@@ -632,27 +706,28 @@ def run_sweep(cfg, row_callback=None):
         for instance in range(cfg.instances)
     ]
     rows = []
-    done = queue.SimpleQueue()
+
+    def take(cell_rows):
+        for row in cell_rows:
+            rows.append(row)
+            if row_callback is not None:
+                row_callback(row)
+
     workers = max(1, min(thread_cap(), len(tasks)))
-    with _blas_thread_budget(workers):
-        executor = ThreadPoolExecutor(max_workers=workers)
-        try:
-            with _signals_deferred():
-                for task in tasks:
-                    executor.submit(_run_cell_into, done, cfg, task)
-            for _ in tasks:
-                outcome = done.get()
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                for row in outcome:
-                    rows.append(row)
-                    if row_callback is not None:
-                        row_callback(row)
-        except (KeyboardInterrupt, SystemExit):
-            raise SweepInterrupted(sorted(rows, key=SweepRow.sort_key))
-        finally:
-            with _signals_deferred():
-                executor.shutdown(wait=False, cancel_futures=True)
+    try:
+        if workers == 1:
+            for task in tasks:
+                take(_run_cell(cfg, *task))
+        else:
+            pool = _take_pool(workers)
+            try:
+                _run_in_pool(pool, cfg, tasks, take)
+            except BaseException:
+                pool.close()
+                raise
+            _keep_pool(pool)
+    except (KeyboardInterrupt, SystemExit):
+        raise SweepInterrupted(sorted(rows, key=SweepRow.sort_key))
     return SweepResult(rows=tuple(sorted(rows, key=SweepRow.sort_key)))
 
 

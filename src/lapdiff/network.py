@@ -241,6 +241,27 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
         magnitude), the relative floor of sample_potentials.
     """
     b1 = as_symmetric(b1)
+    _check_nonsingular("b1", b1)
+    return _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed)
+
+
+def _check_nonsingular(name, mat):
+    """Raise NearSingularScenarioError unless mat's eigenvalue magnitudes clear both floors."""
+    magnitudes = np.abs(np.linalg.eigvalsh(mat))
+    margin = float(magnitudes.min())
+    floor = max(SCENARIO_MIN_EIG, EIG_RELATIVE_FLOOR * max(1.0, float(magnitudes.max())))
+    if margin <= floor:
+        raise NearSingularScenarioError(
+            f"{name} is too close to singular (min |eigenvalue| {margin:.3e} <= {floor:.3e})"
+        )
+
+
+def _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed):
+    """assemble_scenario for a symmetric b1 that already passed _check_nonsingular.
+
+    A base shared by many scenarios (MatpowerBaseSpec.matrix) is checked
+    once, when it is built, so each scenario checks only b2.
+    """
     delta = as_symmetric(delta)
     sigma_x1 = as_symmetric(sigma_x1)
     sigma_x2 = as_symmetric(sigma_x2)
@@ -253,15 +274,7 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
         if eigs[0] <= EIG_RELATIVE_FLOOR * max(1.0, eigs[-1]):
             raise InvalidInputError(f"{name} is not positive definite (min eig {eigs[0]:.3e})")
     b2 = b1 + delta
-    for name, mat in (("b1", b1), ("b2", b2)):
-        magnitudes = np.abs(np.linalg.eigvalsh(mat))
-        margin = float(magnitudes.min())
-        floor = max(SCENARIO_MIN_EIG, EIG_RELATIVE_FLOOR * max(1.0, float(magnitudes.max())))
-        if margin <= floor:
-            raise NearSingularScenarioError(
-                f"{name} is too close to singular (min |eigenvalue| {margin:.3e} <= "
-                f"{floor:.3e})"
-            )
+    _check_nonsingular("b2", b2)
     return NetworkScenario(
         b1=b1, b2=b2, delta_true=delta, sigma_x1=sigma_x1, sigma_x2=sigma_x2, seed=int(seed)
     )

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from procs import HAS_PROC, alive, wait_for_children
 
 import lapdiff
 from lapdiff.cli import build_parser, main
@@ -747,16 +748,13 @@ class TestExperiment:
         lines = out.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("9,36,")
 
-    @pytest.mark.skipif(
-        not os.path.exists("/proc/self/status"), reason="watches the sweep's threads through /proc"
-    )
+    @pytest.mark.skipif(not HAS_PROC, reason="watches the sweep's workers through /proc")
     # at once the signal mostly lands while cells are still being queued; a
     # second later, while the coordinating thread waits on finished cells
     @pytest.mark.parametrize("later", [0.0, 1.0], ids=["at-once", "a-second-later"])
     def test_sigterm_flushes_rows_and_exits_130(self, tmp_path, later):
         out = tmp_path / "rows.csv"
         src = os.path.dirname(os.path.dirname(lapdiff.__file__))
-        # one BLAS thread, so the only extra threads are the sweep's workers
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", LAPDIFF_THREADS="2")
         proc = subprocess.Popen(
             [
@@ -771,11 +769,8 @@ class TestExperiment:
             text=True,
         )
         try:
-            # a worker thread starts inside run_sweep, after the SIGTERM handler is set
-            deadline = time.monotonic() + 60.0
-            while _thread_count(proc.pid) < 2:
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
+            # the worker processes start inside run_sweep, after the SIGTERM handler is set
+            wait_for_children(proc.pid, 2)
             time.sleep(later)
             proc.send_signal(signal.SIGTERM)
             sent = time.monotonic()
@@ -793,14 +788,82 @@ class TestExperiment:
         assert later == 0.0 or len(lines) > 1
         assert elapsed < 10.0
 
+    @pytest.mark.skipif(not HAS_PROC, reason="watches the sweep's workers through /proc")
+    @pytest.mark.parametrize("threads", [None, "1"], ids=["default-workers", "one-worker"])
+    def test_sigterm_ends_a_slow_solve_within_2_s(self, tmp_path, threads):
+        out = tmp_path / "rows.csv"
+        src = os.path.dirname(os.path.dirname(lapdiff.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("LAPDIFF_THREADS", None)
+        if threads is not None:
+            env["LAPDIFF_THREADS"] = threads
+        workers = min(int(threads or min(8, lapdiff.experiments.usable_cores())), 4)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "lapdiff.cli", "experiment", "power",
+                # criterion 6's regime at rho 1e-6: the two ratio-1 cells
+                # (n = 77 < p) are certified unbounded at once, and the two
+                # bounded ratio-3 cells would iterate for hours
+                "--ratios", "1,3", "--instances", "2", "--seed", "11",
+                "--lambda-scale", "2", "--weight-min", "4", "--weight-max", "4",
+                "--base-scale", repr(1.0 / 600.0), "--support-epsilon", "2",
+                "--rho", "1e-6", "--max-iter", "100000000",
+                "--out", str(out),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            pids = wait_for_children(proc.pid, workers) if workers > 1 else []
+            time.sleep(3.0)  # the ratio-1 cells finish within this
+            proc.send_signal(signal.SIGTERM)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=30.0)
+            elapsed = time.monotonic() - sent
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert elapsed < 2.0
+        assert "interrupted: flushed 2 completed rows" in err, err
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 3
+        assert all(line.startswith("117,77,1,") for line in lines[1:])
+        assert "Traceback" not in err
+        assert not [pid for pid in pids if alive(pid)]
 
-def _thread_count(pid):
-    """The number of threads of a running process, from /proc."""
-    with open(f"/proc/{pid}/status") as fh:
-        for line in fh:
-            if line.startswith("Threads:"):
-                return int(line.split()[1])
-    raise AssertionError(f"no thread count for process {pid}")
+    @pytest.mark.skipif(not HAS_PROC, reason="watches the sweep's workers through /proc")
+    def test_ctrl_c_prints_no_traceback(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        src = os.path.dirname(os.path.dirname(lapdiff.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LAPDIFF_THREADS="2")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "lapdiff.cli", "experiment", "synth",
+                "--dims", "16", "--sample-sizes", "64,128", "--instances", "2000",
+                "--out", str(out),
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            pids = wait_for_children(proc.pid, 2)
+            time.sleep(0.5)
+            # a terminal's Ctrl-C: SIGINT to the whole foreground process group
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=10.0)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 130, err
+        assert re.search(r"interrupted: flushed \d+ completed rows", err), err
+        assert "Traceback" not in err
+        assert not [pid for pid in pids if alive(pid)]
 
 
 def _catches(pid, signum):

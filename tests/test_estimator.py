@@ -73,7 +73,10 @@ def power_sweep_config(ratio, seed, instances):
 
 
 def captured_solves(monkeypatch, cfg):
-    """The sweep's rows and (psi1, psi2, config, estimate) of each solve, as handed to estimate_delta."""
+    """The sweep's rows and (psi1, psi2, config, estimate) of each solve, as handed to estimate_delta.
+
+    The sweep runs inline on one worker, where the wrapper sees its cells.
+    """
     captured = []
 
     def capture(psi1, psi2, config):
@@ -82,6 +85,7 @@ def captured_solves(monkeypatch, cfg):
         return est
 
     monkeypatch.setattr(experiments, "estimate_delta", capture)
+    monkeypatch.setenv("LAPDIFF_THREADS", "1")
     return run_sweep(cfg).rows, captured
 
 
@@ -356,6 +360,7 @@ def power_ratio1_cell(monkeypatch):
         return estimate_delta(psi1, psi2, config)
 
     monkeypatch.setattr(experiments, "estimate_delta", capture)
+    monkeypatch.setenv("LAPDIFF_THREADS", "1")  # inline, where the wrapper sees the cell
     (row,) = run_sweep(power_sweep_config(1.0, seed=11, instances=1)).rows
     assert row.n == 77 and row.iterations == 0
     (cell,) = captured
@@ -588,6 +593,7 @@ class TestPolish:
 
         monkeypatch.setattr(estimator, "_cg_on_support", counted)
         monkeypatch.setattr(estimator, "_polish", recorded)
+        monkeypatch.setenv("LAPDIFF_THREADS", "1")  # inline, where the wrappers see the cell
         cfg = ExperimentConfig(dims=(16,), sample_sizes=(10,), instances=1, **DENSE_SWEEP)
         (row,) = run_sweep(cfg).rows
         assert row.iterations == cfg.max_iter and not row.converged
@@ -781,7 +787,10 @@ class TestPreconditionedPolish:
 
 @pytest.fixture
 def search_dtypes(monkeypatch):
-    """The dtypes PxqSolver.solve writes into and _polish receives z in, as a list of names."""
+    """The dtypes PxqSolver.solve writes into and _polish receives z in, as a list of names.
+
+    Sweeps run inline on one worker, where the wrappers see their cells.
+    """
     seen = []
     solve, polish = PxqSolver.solve, estimator._polish
 
@@ -795,6 +804,7 @@ def search_dtypes(monkeypatch):
 
     monkeypatch.setattr(PxqSolver, "solve", solve_recorded)
     monkeypatch.setattr(estimator, "_polish", polish_recorded)
+    monkeypatch.setenv("LAPDIFF_THREADS", "1")
     return seen
 
 

@@ -3,16 +3,21 @@
 import dataclasses
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from procs import HAS_PROC, alive, child_pids, environ
 
 import lapdiff.experiments as experiments
-from lapdiff.errors import InvalidInputError
+from lapdiff.errors import InvalidInputError, NearSingularScenarioError, SweepWorkerError
 from lapdiff.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -26,7 +31,6 @@ from lapdiff.experiments import (
     default_support_epsilon,
     make_sigma,
     max_degree,
-    openblas_threads,
     run_instance,
     run_sweep,
     sup_norm_error,
@@ -37,7 +41,7 @@ from lapdiff.experiments import (
 )
 from lapdiff.network import assemble_scenario, lattice_delta, random_base_matrix
 
-BLAS = openblas_threads()
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
 
 
 def small_config(**overrides):
@@ -242,10 +246,11 @@ class TestRunInstance:
             with pytest.raises(InvalidInputError, match="n must be a positive integer"):
                 run_instance(scenario, n1, n2, SolverConfig(lam=0.1), ("dtrace",))
 
-    def test_cell_makes_two_values_only_lapack_calls(self, monkeypatch):
+    def test_cell_makes_one_values_only_lapack_call(self, monkeypatch):
         # numpy's values-only routines hold the GIL for their whole LAPACK call
-        # (tools/gil_probe.py), stalling every other sweep worker; a cell keeps
-        # only the eigvalsh checks of b1 and b2 in assemble_scenario
+        # (tools/gil_probe.py), stalling any other thread of the process; a
+        # matpower cell keeps only the eigvalsh check of b2, since its base
+        # was checked once, when MatpowerBaseSpec.matrix was built
         monkeypatch.setenv("LAPDIFF_THREADS", "1")
         cfg = ExperimentConfig(
             dims=(117,),
@@ -271,7 +276,7 @@ class TestRunInstance:
             monkeypatch.setattr(np.linalg, name, counted)
         (row,) = run_sweep(cfg).rows
         assert row.converged
-        assert calls == ["eigvalsh", "eigvalsh"]
+        assert calls == ["eigvalsh"]
 
 
 class TestRunSweep:
@@ -370,36 +375,31 @@ class TestRunSweep:
             if len(seen) == 2:
                 raise KeyboardInterrupt
 
-        blas_before = BLAS.get() if BLAS else None
         with pytest.raises(SweepInterrupted) as info:
             run_sweep(small_config(), row_callback=boom)
         rows = info.value.rows
         assert len(rows) >= 2
         keys = [r.sort_key() for r in rows]
         assert keys == sorted(keys)
-        if BLAS is not None:
-            assert BLAS.get() == blas_before
+        # the interrupted sweep's workers, if it had any, are killed and reaped
+        assert not experiments._live_pools
+        if HAS_PROC:
+            assert child_pids(os.getpid()) == []
 
     def test_cell_error_reaches_the_caller(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise InvalidInputError("broken cell")
-
-        monkeypatch.setattr(experiments, "run_instance", broken)
-        with pytest.raises(InvalidInputError, match="broken cell"):
-            run_sweep(small_config())
-
-    @pytest.mark.skipif(
-        signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
-        reason="needs Python's own SIGINT handler",
-    )
-    def test_signals_deferred_to_the_end_of_the_block(self):
-        reached = False
-        with pytest.raises(KeyboardInterrupt):
-            with experiments._signals_deferred():
-                signal.raise_signal(signal.SIGINT)
-                reached = True
-        assert reached
-        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        # a base of about 1e-9 I is too close to singular: every cell raises
+        # while it assembles its scenario, in a worker process or inline
+        cfg = small_config(base_spec=RandomBaseSpec(density=1e-9, margin=1e-9))
+        for workers in ("2", "1"):
+            monkeypatch.setenv("LAPDIFF_THREADS", workers)
+            with pytest.raises(NearSingularScenarioError, match="b1 is too close") as info:
+                run_sweep(cfg)
+            if workers == "2":
+                # the worker's traceback comes along as the cause
+                cause = info.value.__cause__
+                assert isinstance(cause, SweepWorkerError)
+                assert "NearSingularScenarioError" in str(cause)
+                assert not experiments._live_pools
 
     def test_matpower_base_needs_matching_dims(self):
         cfg = small_config(dims=(9,), base_spec=MatpowerBaseSpec())
@@ -427,21 +427,10 @@ class TestRunSweep:
 
     def test_unbounded_cell_row_does_not_depend_on_sweep_size(self):
         # power cell (ratio 1, instance 0) at seed 11: n = 77 < p = 117, unbounded.
-        # A one-cell sweep keeps the caller's BLAS threads, a six-cell sweep
-        # runs with fewer, and the flagged row must come out the same.
-        cfg = ExperimentConfig(
-            dims=(117,),
-            ratios=(1.0, 3.0, 5.0),
-            instances=2,
-            lambda_scale=2.0,
-            delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
-            base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
-            sigma_spec=SigmaSpec(kind="identity"),
-            support_epsilon=2.0,
-            seed=11,
-            rho=0.1,
-            max_iter=2000,
-        )
+        # A one-cell sweep runs inline with the caller's BLAS threads, a
+        # six-cell sweep in worker processes with fewer, and the flagged row
+        # must come out the same.
+        cfg = power_config(11)
         one = run_sweep(dataclasses.replace(cfg, ratios=(1.0,), instances=1)).rows
         six = run_sweep(cfg).rows
         assert len(one) == 1 and len(six) == 6
@@ -516,55 +505,248 @@ class TestCoreBudget:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert usable_cores() == 3
 
-    def test_import_does_not_look_up_blas(self):
-        code = (
-            "import lapdiff, lapdiff.experiments as e; "
-            "assert e.openblas_threads.cache_info().currsize == 0"
+    @pytest.mark.skipif(not HAS_PROC, reason="lists child processes through /proc")
+    def test_import_starts_no_process(self):
+        code = textwrap.dedent(
+            """
+            import os, sys
+            sys.path.insert(0, sys.argv[1])
+            from procs import child_pids
+            import lapdiff, lapdiff.cli, lapdiff.experiments as e
+            assert not e._live_pools and child_pids(os.getpid()) == []
+            """
         )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        subprocess.run([sys.executable, "-c", code, tests_dir], env=env, check=True, timeout=60)
 
 
-@pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread control found")
+def sweep_worker_pids():
+    """Pids of the workers of the pool kept between sweeps."""
+    (pool,) = experiments._idle_pools
+    return [proc.pid for proc in pool.procs]
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="reads the workers' environment through /proc")
 class TestBlasBudget:
-    """Four usable cores and a caller BLAS count of 4, whatever the machine has."""
+    """Four usable cores, whatever the machine has: each worker gets its share of BLAS threads."""
 
     @pytest.fixture(autouse=True)
     def four_cores(self, monkeypatch):
         monkeypatch.setattr(experiments, "usable_cores", lambda: 4)
-        before = BLAS.get()
-        BLAS.set(4)
-        yield
-        BLAS.set(before)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
 
     @staticmethod
-    def counts_in_cells(monkeypatch, cfg):
-        seen = []
-
-        def counting(*args, **kwargs):
-            seen.append(BLAS.get())
-            return run_instance(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "run_instance", counting)
+    def worker_blas_threads(cfg):
         run_sweep(cfg)
-        return seen
+        return [environ(pid).get("OPENBLAS_NUM_THREADS") for pid in sweep_worker_pids()]
 
     @pytest.mark.parametrize("workers, expected", [(2, 2), (3, 1), (8, 1)])
     def test_multi_cell_sweep_shares_cores(self, monkeypatch, workers, expected):
         monkeypatch.setenv("LAPDIFF_THREADS", str(workers))
-        # 4 cells: min(workers, 4) threads share 4 cores
-        assert self.counts_in_cells(monkeypatch, small_config()) == [expected] * 4
-        assert BLAS.get() == 4
+        # 4 cells: min(workers, 4) processes share 4 cores
+        assert self.worker_blas_threads(small_config()) == [str(expected)] * min(workers, 4)
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
     def test_one_cell_sweep_keeps_full_count(self, monkeypatch):
+        # one cell runs inline, in this process, with the caller's BLAS threads
         monkeypatch.setenv("LAPDIFF_THREADS", "8")
-        cfg = small_config(ratios=(2.0,), instances=1)
-        assert self.counts_in_cells(monkeypatch, cfg) == [4]
-        assert BLAS.get() == 4
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(os.getpid())
+            return run_instance(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_instance", counting)
+        run_sweep(small_config(ratios=(2.0,), instances=1))
+        assert seen == [os.getpid()]
 
     def test_never_raises_the_callers_count(self, monkeypatch):
-        BLAS.set(1)
-        monkeypatch.setenv("LAPDIFF_THREADS", "1")
-        assert self.counts_in_cells(monkeypatch, small_config()) == [1] * 4
-        assert BLAS.get() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("LAPDIFF_THREADS", "2")
+        assert self.worker_blas_threads(small_config()) == ["1", "1"]
+        # OpenBLAS falls back on OMP_NUM_THREADS when its own variable is unset
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert experiments._worker_blas_threads(2) == 1
+
+
+def masked_rows(rows):
+    """Rows as text, with the wall time masked (NaN errors compare equal as text)."""
+    return [repr(dataclasses.replace(row, wall_time_ms=0.0)) for row in rows]
+
+
+# Runs one sweep config inline and then on 2 worker processes, with one BLAS
+# thread for both, and checks that their rows agree apart from wall time.
+POOL_VS_INLINE = """
+import os, sys
+sys.path[:0] = sys.argv[1:3]
+import lapdiff
+import test_experiments as t
+
+cfg = t.{config}
+os.environ["LAPDIFF_THREADS"] = "1"
+inline = lapdiff.run_sweep(cfg).rows
+os.environ["LAPDIFF_THREADS"] = "2"
+rows = lapdiff.run_sweep(cfg).rows
+assert t.masked_rows(rows) == t.masked_rows(inline), (rows, inline)
+assert {expect}, rows
+"""
+
+
+def power_config(seed, **overrides):
+    """The benchmark's power-sweep config (118-bus case, p = 117, 6 cells at rho 0.1)."""
+    cfg = ExperimentConfig(
+        dims=(117,),
+        ratios=(1.0, 3.0, 5.0),
+        instances=2,
+        lambda_scale=2.0,
+        delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+        base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
+        sigma_spec=SigmaSpec(kind="identity"),
+        support_epsilon=2.0,
+        seed=seed,
+        rho=0.1,
+        max_iter=2000,
+    )
+    return dataclasses.replace(cfg, **overrides)
+
+
+def dense_config():
+    """p = 16 over a dense covariance at n = 10 and 64; the sqrt row at n = 10,
+    instance 0, is unbounded but not certified, and runs to max_iter."""
+    return ExperimentConfig(
+        dims=(16,),
+        ratios=(),
+        sample_sizes=(10, 64),
+        instances=2,
+        lambda_scale=2.0,
+        base_spec=RandomBaseSpec(density=0.5, margin=0.3, scale=0.05),
+        sigma_spec=SigmaSpec(kind="dense"),
+        seed=3,
+        estimators=("dtrace", "plugin", "sqrt"),
+    )
+
+
+@pytest.mark.skipif(not HAS_PROC, reason="watches worker processes through /proc")
+class TestWorkerPool:
+    @pytest.mark.parametrize(
+        "config, expect",
+        [
+            # six cells; the two at n = 77 < p are certified unbounded
+            ("power_config(11)", "[r.iterations == 0 for r in rows] == [True] * 2 + [False] * 4"),
+            # 2 sample sizes x 2 instances x 3 estimators; one sqrt row at
+            # n = 10 runs to max_iter on an unbounded problem
+            ("dense_config()", "len(rows) == 12 and 20000 in [r.iterations for r in rows]"),
+        ],
+        ids=["power-seed11", "dense-unbounded-sqrt"],
+    )
+    def test_pool_rows_equal_inline_rows(self, config, expect):
+        code = POOL_VS_INLINE.format(config=config, expect=expect)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONPATH", None)
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, SRC, tests_dir],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+
+    def test_workers_are_gone_after_exit(self, tmp_path):
+        code = textwrap.dedent(
+            """
+            import os, sys
+            sys.path[:0] = sys.argv[1:3]
+            import lapdiff.experiments as e
+            import test_experiments as t
+            os.environ["LAPDIFF_THREADS"] = "2"
+            e.run_sweep(t.small_config())
+            print(*t.sweep_worker_pids(), flush=True)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, SRC, os.path.dirname(os.path.abspath(__file__))],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        assert not [pid for pid in pids if alive(pid)]
+
+    def test_killed_worker_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setenv("LAPDIFF_THREADS", "2")
+        killed = []
+
+        def kill_a_worker(row):
+            if not killed:
+                (pool,) = experiments._live_pools
+                killed.append(pool.procs[0].pid)
+                os.kill(killed[0], signal.SIGKILL)
+
+        # 40 cells: the sweep is still running when the first row comes back
+        cfg = small_config(instances=20)
+        start = time.monotonic()
+        with pytest.raises(SweepWorkerError, match="ended without answering") as info:
+            run_sweep(cfg, row_callback=kill_a_worker)
+        assert time.monotonic() - start < 10.0
+        assert f"sweep worker {killed[0]} " in str(info.value) and not alive(killed[0])
+        assert not experiments._live_pools and child_pids(os.getpid()) == []
+        # the next sweep starts a new pool
+        assert len(run_sweep(small_config()).rows) == 4
+
+    def test_workers_import_the_callers_package(self, tmp_path):
+        # a copy of the package that marks every process importing it; the
+        # caller finds it through sys.path alone, not through PYTHONPATH
+        copy = tmp_path / "copy"
+        shutil.copytree(os.path.join(SRC, "lapdiff"), copy / "lapdiff",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        mark = f"open(_os.path.join({str(marks)!r}, str(_os.getpid())), 'w').close()"
+        with open(copy / "lapdiff" / "__init__.py", "a") as fh:
+            fh.write(f"\nimport os as _os\n{mark}\n")
+        code = textwrap.dedent(
+            """
+            import os, sys
+            sys.path.insert(0, sys.argv[1])
+            import lapdiff
+            cfg = lapdiff.ExperimentConfig(dims=(9,), ratios=(0.5, 2.0), instances=2, rho=0.1)
+            os.environ["LAPDIFF_THREADS"] = "2"
+            lapdiff.run_sweep(cfg)
+            print(os.getpid())
+            """
+        )
+        env = dict(os.environ)
+        env.pop("PYTHONPATH", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(copy)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        marked = {int(name) for name in os.listdir(marks)}
+        # the caller and its two workers
+        assert int(proc.stdout) in marked and len(marked) == 3
+
+    def test_concurrent_sweeps_never_share_a_worker(self, monkeypatch):
+        monkeypatch.setenv("LAPDIFF_THREADS", "2")
+        configs = [small_config(seed=seed, instances=3) for seed in (7, 8)]
+        expected = [masked_rows(run_sweep(cfg).rows) for cfg in configs]
+        results = [None, None]
+        errors = []
+
+        def sweep(k):
+            try:
+                results[k] = masked_rows(run_sweep(configs[k]).rows)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and results == expected
+        # one pool is kept, the other closed
+        assert len(experiments._idle_pools) == 1 and len(experiments._live_pools) == 1

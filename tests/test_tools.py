@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # a p = 9 sweep, one instance at n = 20, all three estimators
 SMOKE = """\
+import os
 import sys
 import tempfile
 
@@ -42,6 +43,15 @@ for row, est, polish_gemms, attempts, dtype in work:
 with tempfile.TemporaryDirectory() as workdir:
     digest = row_digest.masked_sweep_digest(cfg, workdir)
 assert len(digest) == 64, digest
+
+# cells run in worker processes, where the wrappers cannot see the solves
+os.environ["LAPDIFF_THREADS"] = "2"
+try:
+    solve_work.solve_work(lapdiff.ExperimentConfig(dims=(9,), ratios=(1.0, 2.0), instances=1))
+except solve_work.CaptureError as exc:
+    assert "captured 0 solves for 2 dtrace/sqrt rows" in str(exc), exc
+else:
+    raise AssertionError("solve_work printed work it did not capture")
 """
 
 

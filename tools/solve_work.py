@@ -24,7 +24,10 @@ one; the residuals and gradient tests of a polish stay float64. Work
 counts do not carry the timing noise of a shared machine, so they compare
 two checkouts directly. Like
 row_digest.py it imports lapdiff from the `src/` of the checkout it sits
-in and runs sweeps on one worker and one BLAS thread.
+in and runs sweeps on one worker and one BLAS thread. The wrappers see
+only solves made in this process, so it checks that it captured exactly
+one solve per dtrace/sqrt row, with that row's iterations and convergence
+flag, and exits with status 1 otherwise.
 """
 
 import os
@@ -47,14 +50,18 @@ SUPPORT_PRODUCT_GEMMS = 2
 GRADIENT_TEST_GEMMS = 2
 
 
+class CaptureError(RuntimeError):
+    """The wrappers did not capture exactly one solve per dtrace/sqrt row."""
+
+
 def solve_work(cfg):
     """(row, DeltaEstimate or None, polish GEMMs, polish attempts, dtype) of each dtrace/sqrt row.
 
     The estimate is None where the solve raised, and dtype is the name of
     run_admm's search precision, or "-" where the solve raised before
-    choosing it. With one sweep worker,
-    cells run and report in the order they were queued, so the n-th solve
-    belongs to the n-th penalized row reported.
+    choosing it. With one sweep worker, cells run inline and report in the
+    order they were queued, so the n-th solve belongs to the n-th penalized
+    row reported. Raises CaptureError unless every such row has its solve.
     """
     solves, rows = [], []
     count = {"gemms": 0, "attempts": 0, "dtype": "-"}
@@ -106,7 +113,14 @@ def solve_work(cfg):
             setattr(estimator, name, original)
     penalized = [row for row in rows if row.estimator != "plugin"]
     if len(penalized) != len(solves):
-        raise RuntimeError(f"{len(penalized)} dtrace/sqrt rows but {len(solves)} solves")
+        raise CaptureError(
+            f"captured {len(solves)} solves for {len(penalized)} dtrace/sqrt rows; "
+            "did the sweep run its cells in other processes?"
+        )
+    for row, (est, *_) in zip(penalized, solves):
+        seen = (0, False) if est is None else (est.iterations, est.converged)
+        if seen != (row.iterations, row.converged):
+            raise CaptureError(f"a captured solve ({seen}) does not match its row {row}")
     pairs = sorted(zip(penalized, solves), key=lambda pair: pair[0].sort_key())
     return [(row, *solve) for row, solve in pairs]
 
@@ -117,10 +131,15 @@ def main():
     cases.append(("default-rho-sweep", default_rho_sweep_config()))
     print("case p n instance estimator iterations cg_steps attempts gemms stop dtype")
     for name, cfg in cases:
+        try:
+            work = solve_work(cfg)
+        except CaptureError as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 1
         totals = [0, 0, 0, 0]
         stops = dict.fromkeys(("polished", "max_iter", "raised"), 0)
         stop_gemms = dict.fromkeys(stops, 0)
-        for row, est, polish_gemms, attempts, dtype in solve_work(cfg):
+        for row, est, polish_gemms, attempts, dtype in work:
             cg_steps, stop = (est.cg_steps, est.stop) if est else (0, "raised")
             gemms = ADMM_ITERATION_GEMMS * row.iterations + polish_gemms
             work = (row.iterations, cg_steps, attempts, gemms)
@@ -133,7 +152,8 @@ def main():
         split = ",".join(f"{stop}={count}" for stop, count in stop_gemms.items())
         print(f"{name} total - - - {' '.join(map(str, totals))} {tally} gemms:{split} -",
               flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
