@@ -24,6 +24,7 @@ from .linalg import (
     PxqSolver,
     as_symmetric,
     inv_sqrt_pd,
+    inverse_geometric_mean,
     off_diagonal_l1,
     sqrt_psd,
 )
@@ -52,11 +53,20 @@ POLISH_ROUNDS = 6
 # passed the flip and outside-support test.
 POLISH_LOOSE = 1e-3
 
-# p x p GEMMs of one preconditioned CG step: two apply the operator, two the
-# preconditioner. An ADMM iteration costs four, and all polish attempts of a
-# run share a budget of max_iter GEMMs, so a run that never polishes does at
-# most a quarter more GEMMs than its iterations.
+# p x p GEMMs of one CG step of a polish, on either side of its support: a
+# primal step (_cg_on_support) makes two for the operator and two for the
+# preconditioner, a complement step (_cg_on_complement) four for the exact
+# inverse, and a complement call counts its first inverse product as a step.
+# An ADMM iteration costs four, and all polish attempts of a run share a
+# budget of max_iter GEMMs, so a run that never polishes does at most a
+# quarter more GEMMs than its iterations.
 CG_STEP_GEMMS = 4
+
+# The complement CG checks the KKT residual on S that zeroing X_C leaves (two
+# GEMMs) only once lmax(P1) lmax(P2) max |X_C| <= COMPLEMENT_SLACK times its
+# target. On the power cells that residual was 0.005-0.03 times
+# lmax(P1) lmax(P2) max |X_C|, so the first check mostly passes.
+COMPLEMENT_SLACK = 30.0
 
 # KKT tolerance of an accepted polish, relative to max |P1 - P2|.
 POLISH_TOL = 1e-9
@@ -218,6 +228,28 @@ def _support_product(p1, p2, x, support, out, scratch):
     np.multiply(scratch, support, out=out)
 
 
+def _kkt_product(p1, p2, x, out, scratch):
+    """out = P1 X P2 + P2 X P1 for symmetric X, in float64: the polish's residuals and gradients."""
+    np.matmul(p1, x, out=out)
+    np.matmul(out, p2, out=scratch)
+    np.add(scratch, scratch.T, out=out)
+
+
+def _apply_inverse(w, weights, y, out, scratch):
+    """out = W [(W.T Y W) * weights] W.T plus its transpose, for symmetric Y: four GEMMs.
+
+    With weights 1 / (2 (c_i + c_j)) and (W, c) from
+    PxqSolver.joint_diagonalizer, this is the inverse of
+    X -> P1 X P2 + P2 X P1, made exactly symmetric.
+    """
+    np.matmul(y, w, out=out)
+    np.matmul(w.T, out, out=scratch)
+    scratch *= weights
+    np.matmul(w, scratch, out=out)
+    np.matmul(out, w.T, out=scratch)
+    np.add(scratch, scratch.T, out=out)
+
+
 def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
     """Preconditioned conjugate gradients for [P1 X P2 + P2 X P1]_S = B_S from x, in place.
 
@@ -229,8 +261,8 @@ def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
     by [alpha, -alpha] and one add update x and r together, as
     x += alpha direction and r -= alpha product would.
 
-    precond is the (G, lmax(P1) lmax(P2)) of
-    PxqSolver.inverse_geometric_mean, and the preconditioned residual is
+    precond is (G, lmax(P1) lmax(P2)), G = (P1 # P2)^-1 (see
+    linalg.inverse_geometric_mean), and the preconditioned residual is
     [G r G + (G r G)^T]_S, which the transpose keeps exactly symmetric.
     Stops once max |r| <= tol, the entrywise norm of the KKT check, after
     max_steps steps, or when a search direction finds no curvature above
@@ -246,7 +278,7 @@ def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
     (direction, product), update = work
     scratch = update[0]
     step = np.empty((2, 1, 1), xr.dtype)
-    largest = _largest_if_near(r, near)
+    largest = _largest_if_near(r, float(np.vdot(r, r)), near)
     _support_product(g, g, r, mask, direction, scratch)
     rz = float(np.vdot(r, direction))
     steps = 0
@@ -260,7 +292,7 @@ def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
         step[1] = -alpha
         np.multiply(work[0], step, out=update)
         xr += update
-        largest = _largest_if_near(r, near)
+        largest = _largest_if_near(r, float(np.vdot(r, r)), near)
         _support_product(g, g, r, mask, product, scratch)
         rz_next = float(np.vdot(r, product))
         direction *= rz_next / rz
@@ -270,115 +302,304 @@ def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
     return steps, largest <= tol
 
 
-def _largest_if_near(r, near):
-    """max |r| when |r|_F^2 is not a finite number above near, else inf.
+def _cg_on_complement(inverse, factors, y, masks, tol, gain, max_steps, work):
+    """Preconditioned CG for the multiplier on the complement C of a support, in place.
+
+    inverse is the (W, weights, jacobi) of _PolishOperators.inverse, so
+    that A(Y) = _apply_inverse(W, weights, Y) inverts L(X) = P1 X P2 +
+    P2 X P1, with factors = (P1, P2), and is symmetric positive definite on
+    symmetric matrices, and jacobi approximates 1 over its diagonal. The
+    unknown M is zero off C and solves [A(R + M)]_C = 0 for the R with
+    y = A(R) on entry. CG carries not M but y = A(R + M), which it updates in place,
+    and the residual rho = -[y]_C, preconditioned as jacobi rho (Jacobi).
+    masks are the 0/1 array of the support S and the array that is -1 on C
+    and 0 on S, and work is four more arrays: rho, the product
+    A(direction), scratch and the direction, which stays symmetric and zero
+    off C. All are in the dtype of the search. Each step makes one A
+    product, four GEMMs.
+
+    Zeroing y on C leaves [L(y + rho)]_S = R_S + [L(rho)]_S, so the solve
+    is done once max |[L(rho)]_S| <= tol. That check costs two GEMMs, so it
+    is made only once gain max |rho| <= tol, gain being the caller's guess
+    at the ratio of the two norms; a check that fails replaces gain with the
+    ratio it saw. max |rho| is computed as in _cg_on_support. It stops at
+    max_steps steps, or on a direction without positive curvature, which
+    only rounding or a NaN can give. Returns (steps taken, whether the last
+    check passed).
+    """
+    w, weights, jacobi = inverse
+    p1, p2 = factors
+    support, negated = masks
+    rho, product, scratch, direction = work
+    np.multiply(y, negated, out=rho)
+    np.multiply(rho, jacobi, out=direction)
+    count = np.count_nonzero(negated)
+    rr = float(np.vdot(rho, rho))
+    rz = float(np.vdot(rho, direction))
+    steps = 0
+    while True:
+        bound = tol / gain
+        largest = _largest_if_near(rho, rr, 4.0 * count * bound * bound)
+        if largest <= bound:
+            _support_product(p1, p2, rho, support, product, scratch)
+            residual = max(float(product.max()), -float(product.min()))
+            if residual <= tol:
+                return steps, True
+            gain = residual / largest
+        if steps >= max_steps:
+            return steps, False
+        _apply_inverse(w, weights, direction, product, scratch)
+        curvature = float(np.vdot(direction, product))
+        if not curvature > 0.0:
+            return steps, False
+        product *= rz / curvature
+        y += product
+        np.multiply(y, negated, out=rho)
+        rr = float(np.vdot(rho, rho))
+        np.multiply(rho, jacobi, out=product)
+        rz_next = float(np.vdot(rho, product))
+        direction *= rz_next / rz
+        direction += product
+        rz = rz_next
+        steps += 1
+
+
+def _largest_if_near(r, squared, near):
+    """max |r| when squared, the float |r|_F^2, is not a finite number above near, else inf.
 
     A NaN in r makes the squared norm NaN and comes back as max |r| = NaN,
     which no tolerance passes.
     """
-    squared = float(np.vdot(r, r))
     if near < squared < math.inf:
         return math.inf
     return max(float(r.max()), -float(r.min()))
 
 
-def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search):
+class _PolishOperators:
+    """What the inner solves of a solve's polishes apply, built once per solve.
+
+    p1 and p2 are the float64 factors and dtype the search precision.
+    pairs is a (3, 2, p, p) array of that dtype, three stacked pairs, in
+    which every inner CG works (run_admm lends its scratch arrays), and
+    mask one more array of it. definite says both factors are full rank,
+    which the complement solve needs. The factors' joint diagonalization
+    (W, c) (PxqSolver.joint_diagonalizer) is made once; from it the primal
+    CG's preconditioner and the complement CG's inverse and Jacobi
+    preconditioner are each built on first use, in the search dtype, so a
+    solve that polishes only on one side builds only that side's.
+    """
+
+    def __init__(self, p1, p2, solver, dtype, pairs, definite):
+        self.p1, self.p2, self.dtype, self.pairs, self.definite = p1, p2, dtype, pairs, definite
+        self.mask = np.empty_like(pairs[0, 0])
+        self.scale = solver.scale()
+        self._diagonalizer = solver.joint_diagonalizer()
+        self._factors = self._precond = self._inverse = None
+
+    def factors(self):
+        """(P1, P2) in the search dtype."""
+        if self._factors is None:
+            self._factors = self.p1.astype(self.dtype), self.p2.astype(self.dtype)
+        return self._factors
+
+    def primal(self):
+        """(P1, P2, (G, lmax(P1) lmax(P2))) for _cg_on_support, G = (P1 # P2)^-1."""
+        if self._precond is None:
+            g = inverse_geometric_mean(*self._diagonalizer)
+            self._precond = g.astype(self.dtype), self.scale
+        return (*self.factors(), self._precond)
+
+    def inverse(self):
+        """(W, weights, jacobi): _apply_inverse's W and weights, and the complement CG's Jacobi.
+
+        W and c are the joint diagonalization, and the weights
+        1 / (2 (c_i + c_j)). The diagonal entry of the inverse at (i, j) is
+        sum_kl W_ik W_jl (W_ik W_jl + W_jk W_il) / (c_k + c_l). jacobi is 1
+        over its first term, [(W * W) (1 / (c_k + c_l)) (W * W).T]_ij, which
+        two GEMMs give. On a power cell that term was 0.67-1 of the whole
+        entry, and preconditioning with it halved the complement CG's steps.
+        """
+        if self._inverse is None:
+            w, c = self._diagonalizer
+            weights = 1.0 / np.add.outer(c, c)
+            squares = w * w
+            jacobi = 1.0 / (squares @ weights @ squares.T)
+            weights *= 0.5
+            self._inverse = tuple(a.astype(self.dtype) for a in (w, weights, jacobi))
+        return self._inverse
+
+
+def _solve_on_support(ops, r, support, target, max_steps, out, scratch):
+    """One primal CG call: out = D, zero off S, with [P1 D P2 + P2 D P1]_S = r_S within target.
+
+    S is the boolean support, and r (read on S only), out and scratch are
+    float64. The CG (_cg_on_support) runs in the search dtype from D = 0,
+    preconditioned. Returns its (steps taken, solved).
+    """
+    p1, p2, precond = ops.primal()
+    correction, r_search = ops.pairs[0]
+    correction.fill(0.0)
+    np.multiply(r, support, out=r_search, casting="same_kind")
+    np.copyto(ops.mask, support)
+    taken, solved = _cg_on_support(
+        p1, p2, ops.pairs[0], ops.mask, target, max_steps, ops.pairs[1:], precond
+    )
+    _symmetric_part(correction, out, scratch)
+    return taken, solved
+
+
+def _solve_on_complement(ops, r, support, target, max_steps, out, scratch):
+    """One complement CG call: out = D, zero off S, with P1 D P2 + P2 D P1 = r + M, M zero on S.
+
+    The range-space method for an equality-constrained quadratic program
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006, sections
+    16.2-16.3): with L(X) = P1 X P2 + P2 X P1 and its exact inverse
+    (ops.inverse), CG finds the multiplier M on the complement C of S from
+    [L^-1(r + M)]_C = 0, and D = L^-1(r + M) with C zeroed, to
+    max |[L(D)]_S - r_S| <= target. r is read on every entry, and its part
+    on C sets where the multiplier starts: for an iterate x with residual
+    B - L(x), x + D has the multiplier [L(x) - B]_C + r_C + M on C, so
+    r_C = 0 starts it at x's own, and r_C = E_C + (B - L(x))_C at an
+    estimate E. The CG (_cg_on_complement) runs in the search dtype and
+    first checks its residual on S once
+    lmax(P1) lmax(P2) max |D_C| <= COMPLEMENT_SLACK target. Returns
+    (steps, solved), the steps counting the first product A(r), which
+    costs what a step does: so every call takes a step, a call with no
+    step left fails at once, and the polish's step budget bounds its
+    calls.
+    """
+    if max_steps < 1:
+        return 0, False
+    inverse = ops.inverse()
+    y, r_search = ops.pairs[0]
+    rho, product, work, negated = ops.pairs[1:].reshape((-1,) + y.shape)
+    np.copyto(r_search, r, casting="same_kind")
+    _apply_inverse(*inverse[:2], r_search, y, work)
+    np.copyto(ops.mask, support)
+    np.subtract(ops.mask, 1.0, out=negated)
+    taken, solved = _cg_on_complement(
+        inverse, ops.factors(), y, (ops.mask, negated), target,
+        ops.scale / COMPLEMENT_SLACK, max_steps - 1, (rho, product, work, r_search),
+    )
+    y += rho
+    _symmetric_part(y, out, scratch)
+    return taken + 1, solved
+
+
+def _symmetric_part(a, out, scratch):
+    """out = (A + A.T) / 2 in float64, for A in the search dtype."""
+    np.copyto(scratch, a)
+    np.add(scratch, scratch.T, out=out)
+    out *= 0.5
+
+
+def _inner_solver(ops, support):
+    """The inner solve of a polish round on the boolean support S.
+
+    _solve_on_complement when both factors are definite, which its exact
+    inverse needs, and the complement C of S is the smaller side, at most
+    half of the p^2 entries; _solve_on_support otherwise. A step costs four
+    GEMMs on either side, and the side with fewer unknowns takes fewer
+    steps: on the power config at lambda_scale 2-8 (tools/solve_work.py's
+    lam-sweep cases), the two broke even with S at 45-53% of the entries,
+    and on a support of 5% the complement did not polish at all.
+    """
+    if ops.definite and 2 * np.count_nonzero(support) >= support.size:
+        return _solve_on_complement
+    return _solve_on_support
+
+
+def _polish(ops, diff, lam, z, estimate, signs, tol, max_steps):
     """Solve for the optimum on the support of z; (x or None, CG steps taken).
 
     signs is the off-diagonal sign pattern of z (int8, 0 on the diagonal),
     and _polish works on a copy of it. S holds its nonzeros plus the
-    diagonal. If S and signs are those of the optimum, it solves
-    [P1 X P2 + P2 X P1]_S = 2 (P1 - P2 - lam signs)_S with X zero off S,
-    twice the stationarity condition on S. Conjugate gradients, warm-started
-    at z and preconditioned with precond (see _cg_on_support), solve it.
-    The iterate x is float64 whatever the dtype of z.
+    diagonal, and C, the rest, is where x stays zero. If S and signs are
+    those of the optimum, x solves [P1 X P2 + P2 X P1]_S = B_S, with
+    B = 2 (P1 - P2 - lam signs) twice the stationarity condition on S. ops
+    (_PolishOperators) holds the factors and what the inner solves apply.
+    estimate is a float64 estimate of the optimum's gradient
+    G = sym(P1 X P2) - (P1 - P2); run_admm passes -sigma sym(u) from its
+    scaled dual u. The iterate x is float64 whatever the dtype of z.
 
-    search is None for a float64 search, in which CG updates x and its
-    residual r in place. Otherwise it is (P1, P2, precond, pairs) in
-    float32, pairs being a (3, 2, p, p) float32 array (the three stacked
-    pairs of _cg_on_support), and each CG call solves for a correction from
-    r rounded to float32, which is made exactly symmetric and added to x in
-    float64: mixed-precision iterative refinement (Carson & Higham, SIAM J.
-    Sci. Comput. 2018). Every residual and test below is float64 either way.
+    Every round picks its inner solve from the support (_inner_solver): CG
+    on S for x, or CG on C for the multiplier 2 G_C. Either way the polish
+    is mixed-precision iterative refinement (Carson & Higham, SIAM J. Sci.
+    Comput. 2018): each inner solve finds, in the search dtype, a
+    correction for the float64 residual r = B_S - [P1 x P2 + P2 x P1]_S,
+    which is made exactly symmetric and added to x in float64, and every
+    residual and test below is float64. The first inner solve on C starts
+    the multiplier at 2 estimate_C, the later ones at the iterate's own.
 
     Each round first solves loosely, to max |r| <= max(tol, POLISH_LOOSE
     times the round's initial max |r|), and tests that iterate, with
     gradient G = sym(P1 x P2) - (P1 - P2): x and G are finite, no sign
-    flipped, and |G| <= lam + tol off S. A support that passes is solved on
-    from the iterate and its recomputed residual, to max |r| <= tol, or in
-    float32 to max(tol, POLISH_LOOSE max |r|) at a time, and tested again.
-    x is returned only if it then also passes the rest of the KKT check,
-    |G + lam signs| <= tol on S; CG's stop on the doubled system leaves
-    that a margin of tol / 2. A float64 search that fails it returns None,
-    and a float32 one solves on. An unbounded problem has no KKT point, so
-    it never passes. When the test fails on a flipped sign or an entry off
-    S, up to POLISH_ROUNDS repair rounds drop the entries whose sign
-    flipped, add the entries off S with |G| > lam + tol at sign -sign(G),
-    and solve again, loosely first. max_steps caps the CG steps of all
-    rounds.
+    flipped, and |G| <= lam + tol off S. A support that passes is refined
+    from the recomputed residual to max(tol, refine max |r|) at a time,
+    refine being POLISH_LOOSE in a float32 search and 0 in a float64 one,
+    and tested again. x is returned as soon as an iterate that passed the
+    test also passes the rest of the KKT check, |G + lam signs| <= tol on
+    S, whatever the target of the solve that gave it; an inner solve's stop
+    on the doubled system at target tol leaves that a margin of tol / 2.
+    An unbounded problem has no KKT point, so it never passes. When the
+    test fails on a flipped sign or an entry off S, up to POLISH_ROUNDS
+    repair rounds drop the entries whose sign flipped, add the entries off
+    S with |G| > lam + tol at sign -sign(G), and solve again, loosely
+    first. max_steps caps the CG steps of all rounds, a complement step
+    counting as a primal one.
     """
-    pairs = np.empty((3, 2) + z.shape)
-    (x, r), (direction, product), (scratch, _) = pairs
+    x, r, correction, product, scratch = np.empty((5,) + z.shape)
     np.copyto(x, z)
-    if search is None:
-        p1_search, p2_search, precond_search, search_pairs = p1, p2, precond, pairs
-    else:
-        p1_search, p2_search, precond_search, search_pairs = search
-    correction, r_search = search_pairs[0]
     signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
-    mask = np.empty_like(correction)
+    refine = POLISH_LOOSE if ops.dtype == np.float32 else 0.0
     steps = 0
     for repair in range(POLISH_ROUNDS + 1):
-        np.copyto(mask, support)
+        solve = _inner_solver(ops, support)
+        _kkt_product(ops.p1, ops.p2, x, product, scratch)
         np.multiply(signs, -lam, out=r)
         r += diff
         r *= 2.0
-        r *= support
-        _support_product(p1, p2, x, support, product, scratch)
         r -= product
-        target = max(tol, POLISH_LOOSE * float(np.max(np.abs(r, out=scratch))))
+        np.multiply(r, support, out=scratch)
+        target = max(tol, POLISH_LOOSE * float(np.max(np.abs(scratch, out=scratch))))
+        if repair:
+            r *= support
+        else:
+            # off S, r holds -2 G(x); adding 2 estimate starts the multiplier
+            # of the complement solve at 2 estimate_C instead
+            np.multiply(estimate, ~support, out=scratch)
+            scratch *= 2.0
+            r += scratch
         while True:
-            if search is not None:
-                correction.fill(0.0)
-                np.copyto(r_search, r, casting="same_kind")
-            taken, solved = _cg_on_support(
-                p1_search, p2_search, search_pairs[0], mask, target, max_steps - steps,
-                search_pairs[1:], precond_search,
-            )
-            if search is not None:
-                np.copyto(direction, correction)
-                np.add(direction, direction.T, out=product)
-                product *= 0.5
-                x += product
+            taken, solved = solve(ops, r, support, target, max_steps - steps, correction, scratch)
             steps += taken
             if not solved:
                 return None, steps
-            np.matmul(p1, x, out=scratch)
-            np.matmul(scratch, p2, out=product)
-            grad = np.add(product, product.T, out=r)
-            grad *= 0.5
+            x += correction
+            _kkt_product(ops.p1, ops.p2, x, product, scratch)
+            grad = np.multiply(product, 0.5, out=r)
             grad -= diff
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(grad))):
                 return None, steps
-            flipped = np.sign(x, out=direction) != signs
+            flipped = np.sign(x, out=correction) != signs
             flipped &= support
             np.fill_diagonal(flipped, False)
             outside = np.abs(grad, out=scratch) > lam + tol
             outside &= ~support
             if flipped.any() or outside.any():
                 break
-            np.multiply(signs, lam, out=direction)
-            direction += grad
-            # r = 2 (P1 - P2 - lam signs)_S - [P1 x P2 + P2 x P1]_S, from G;
-            # its max |r| is twice the largest |G + lam signs| on S
-            np.multiply(direction, -2.0, out=r)
+            np.multiply(signs, lam, out=correction)
+            correction += grad
+            # r = B_S - [P1 x P2 + P2 x P1]_S, from G; its max |r| is twice
+            # the largest |G + lam signs| on S
+            np.multiply(correction, -2.0, out=r)
             r *= support
             largest = float(np.max(np.abs(r, out=scratch)))
-            if target == tol and (search is None or largest <= 2.0 * tol):
-                return (x if largest <= 2.0 * tol else None), steps
-            target = tol if search is None else max(tol, POLISH_LOOSE * largest)
+            if largest <= 2.0 * tol:
+                return x, steps
+            target = max(tol, refine * largest)
         if repair == POLISH_ROUNDS:
             break
         support[flipped] = False
@@ -389,17 +610,16 @@ def _polish(p1, p2, diff, lam, z, signs, tol, max_steps, precond, search):
     return None, steps
 
 
-def _search_dtype(solver, sigma, thresh, scale):
+def _search_dtype(definite, sigma, thresh, scale):
     """run_admm's search precision: float32 or float64.
 
-    float32 when both factors are full rank and sigma, the operator scale
-    lmax(P1) lmax(P2) and the shrink threshold thresh fit FLOAT32_SPAN;
-    float64 otherwise. On a singular factor, float32 rounding (eps 6e-8)
-    hides the curvature stop of _cg_on_support (EIG_RELATIVE_FLOOR), and
-    the CG runs on through null directions.
+    float32 when both factors are full rank (definite) and sigma, the
+    operator scale lmax(P1) lmax(P2) and the shrink threshold thresh fit
+    FLOAT32_SPAN; float64 otherwise. On a singular factor, float32 rounding
+    (eps 6e-8) hides the curvature stop of _cg_on_support
+    (EIG_RELATIVE_FLOOR), and the CG runs on through null directions.
     """
-    null1, null2 = solver.null_bases()
-    if null1.shape[1] or null2.shape[1]:
+    if not definite:
         return np.float64
     span = all(1.0 / FLOAT32_SPAN <= v <= FLOAT32_SPAN for v in (sigma, scale))
     return np.float32 if span and thresh <= FLOAT32_SPAN else np.float64
@@ -448,11 +668,16 @@ def run_admm(psi1, psi2, config):
     An attempt solves on the support of z, repairing it where it is wrong
     (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5). A
     polish that passes the KKT check at _polish_tolerance(P1 - P2) ends the
-    run; one that fails leaves the iterates untouched. Its CG is
-    preconditioned with (P1 # P2)^-1, built once per solve. All attempts
-    together take at most max_iter // CG_STEP_GEMMS CG steps. A passed
-    polish is the only stop before max_iter, so a run that is not
-    "max_iter" is KKT-certified.
+    run; one that fails leaves the iterates untouched. Each polish round
+    runs CG on the smaller side of its support (_inner_solver): on the
+    support for x, preconditioned with (P1 # P2)^-1, or, when both factors
+    are definite, on its complement for the multiplier there, with the
+    exact inverse of X -> P1 X P2 + P2 X P1 and warm-started from
+    -2 sigma sym(u), ADMM's estimate of twice the gradient, u being the
+    scaled dual. Both come from one joint diagonalization of the factors,
+    made once per solve (_PolishOperators). All attempts together take at
+    most max_iter // CG_STEP_GEMMS CG steps. A passed polish is the only
+    stop before max_iter, so a run that is not "max_iter" is KKT-certified.
 
     The search runs in the precision _search_dtype picks: float32 when both
     factors are full rank, float64 otherwise. The iterations write into
@@ -481,21 +706,18 @@ def run_admm(psi1, psi2, config):
     solver = PxqSolver(p1, p2, sigma)
     diff = p1 - p2
     _check_bounded(solver, p1, p2, diff, config)
-    precond = solver.inverse_geometric_mean()
     polish_tol = _polish_tolerance(diff)
     settled = POLISH_SETTLED * p * (p - 1)
 
-    dtype = _search_dtype(solver, sigma, thresh, precond[1])
+    definite = not any(basis.shape[1] for basis in solver.null_bases())
+    dtype = _search_dtype(definite, sigma, thresh, solver.scale())
     z, u = (np.zeros((p, p), dtype) for _ in range(2))
-    # the iteration's scratch arrays r, d and w; in float32 they head three
-    # stacked pairs, which the polish's CG borrows whole
-    pairs = np.empty((3, 1 if dtype == np.float64 else 2, p, p), dtype)
+    # the iteration's scratch arrays r, d and w head three stacked pairs,
+    # which the polish's inner CG borrows whole
+    pairs = np.empty((3, 2, p, p), dtype)
     r, d, w = pairs[:, 0]
     diff_search = diff.astype(dtype, copy=False)
-    search = None
-    if dtype != np.float64:
-        g, scale = precond
-        search = (p1.astype(dtype), p2.astype(dtype), (g.astype(dtype), scale), pairs)
+    ops = _PolishOperators(p1, p2, solver, dtype, pairs, definite)
 
     stop = "max_iter"
     pattern = np.zeros((p, p), dtype=np.int8)
@@ -528,8 +750,11 @@ def run_admm(psi1, psi2, config):
         if tried is not None and np.count_nonzero(pattern != tried) <= settled:
             continue
         tried = pattern
+        # at the fixed point the d-step gives G = sym(P1 z P2) - (P1 - P2) = -sigma sym(u)
+        estimate = np.add(u, u.T, dtype=float)
+        estimate *= -0.5 * sigma
         polished, taken = _polish(
-            p1, p2, diff, config.lam, z, pattern, polish_tol, budget - cg_steps, precond, search
+            ops, diff, config.lam, z, estimate, pattern, polish_tol, budget - cg_steps
         )
         cg_steps += taken
         if polished is not None:

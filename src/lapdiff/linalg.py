@@ -190,9 +190,10 @@ class PxqSolver:
     and Q arrive exactly symmetric and equal-shaped, gamma finite and
     positive, and each R finite with their shape.
 
-    The eigenpairs stay available through null_bases and
-    inverse_geometric_mean, so a caller can inspect the factors' null spaces
-    or precondition with their geometric mean without decomposing them again.
+    The eigenpairs stay available through null_bases, joint_diagonalizer
+    and scale, so a caller can inspect the factors' null spaces, invert
+    X -> P X Q + Q X P or precondition with the factors' geometric mean
+    without decomposing them again.
     """
 
     def __init__(self, p, q, gamma):
@@ -231,29 +232,45 @@ class PxqSolver:
         np.matmul(up, out, out=scratch)
         return np.matmul(scratch, uq.T, out=out)
 
-    def inverse_geometric_mean(self):
-        """(G, lmax(P) lmax(Q)), with G = (P # Q)^-1.
+    def joint_diagonalizer(self):
+        """(W, c) with W.T P W = I and W.T Q W = diag(c), c ascending.
 
-        P # Q = P^1/2 (P^-1/2 Q P^-1/2)^1/2 P^1/2 is the matrix geometric
-        mean (Bhatia, Positive Definite Matrices, 2007, ch. 4). With
-        m = P^-1/2 and C = m Q m = V diag(c) V.T, G = (m V) diag(c^-1/2) (m V).T.
-        The null eigenvalues of P and of C are raised first
-        (_preconditioner_eigenvalues), so G is finite, exactly symmetric and
-        positive definite for singular factors too. X -> G X G inverts
-        X -> (P # Q) X (P # Q). With Y = P^1/2 X P^1/2 in the eigenbasis of
-        C, P X Q + Q X P scales Y_ij by c_i + c_j and 2 (P # Q) X (P # Q) by
-        2 (c_i c_j)^1/2, so on symmetric X the two differ by at most the
-        ratio of the arithmetic to the geometric mean of a pair of
-        eigenvalues of C. lmax(P) lmax(Q) is the largest eigenvalue of
-        P (x) Q.
+        With m = P^-1/2 and C = m Q m = V diag(c) V.T, W = m V. The null
+        eigenvalues of P are raised first (_preconditioner_eigenvalues), so
+        W is finite for a singular P too, though W.T P W = I then holds only
+        off P's null space. c are C's eigenvalues as eigh returns them. From
+        (W, c) come both inverse_geometric_mean(W, c) and, when both factors
+        are definite, the inverse of X -> P X Q + Q X P, which maps B to
+        W [(W.T B W) / (c_i + c_j)] W.T.
         """
         dvals = _preconditioner_eigenvalues(self._dvals)
         m = (self._up / np.sqrt(dvals)) @ self._up.T
         root = (m @ self._uq) * np.sqrt(np.clip(self._evals, 0.0, None))
         cvals, v = np.linalg.eigh(root @ root.T)
-        half = (m @ v) / np.sqrt(np.sqrt(_preconditioner_eigenvalues(cvals)))
-        g = half @ half.T
-        return (g + g.T) / 2.0, float(self._dvals[-1] * self._evals[-1])
+        return m @ v, cvals
+
+    def scale(self):
+        """lmax(P) lmax(Q), the largest eigenvalue of P (x) Q."""
+        return float(self._dvals[-1] * self._evals[-1])
+
+
+def inverse_geometric_mean(w, c):
+    """G = (P # Q)^-1 from PxqSolver.joint_diagonalizer's (W, c).
+
+    P # Q = P^1/2 (P^-1/2 Q P^-1/2)^1/2 P^1/2 is the matrix geometric mean
+    (Bhatia, Positive Definite Matrices, 2007, ch. 4), and
+    G = W diag(c^-1/2) W.T. The null eigenvalues of C are raised first
+    (_preconditioner_eigenvalues), as joint_diagonalizer raises P's, so G is
+    finite, exactly symmetric and positive definite for singular factors
+    too. X -> G X G inverts X -> (P # Q) X (P # Q). With X = W Y W.T,
+    P X Q + Q X P = W^-T [(c_i + c_j) Y_ij] W^-1 and 2 (P # Q) X (P # Q) =
+    W^-T [2 (c_i c_j)^1/2 Y_ij] W^-1, so on symmetric X the two differ by at
+    most the ratio of the arithmetic to the geometric mean of a pair of
+    eigenvalues of C.
+    """
+    half = w / np.sqrt(np.sqrt(_preconditioner_eigenvalues(c)))
+    g = half @ half.T
+    return (g + g.T) / 2.0
 
 
 def _preconditioner_eigenvalues(values):

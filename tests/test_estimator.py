@@ -29,6 +29,7 @@ from lapdiff.estimator import (
     _cg_on_support,
     _check_bounded,
     _polish,
+    _PolishOperators,
     _polish_tolerance,
     dtrace_loss,
     estimate_delta,
@@ -45,7 +46,7 @@ from lapdiff.experiments import (
     SigmaSpec,
     run_sweep,
 )
-from lapdiff.linalg import PxqSolver
+from lapdiff.linalg import PxqSolver, inverse_geometric_mean
 from lapdiff.network import lattice_delta, random_base_matrix
 from lapdiff.sampling import precision_factor, sample_potentials
 
@@ -437,14 +438,27 @@ DENSE_SWEEP = dict(
 )
 
 
-def polish_from(z, psi1, psi2, lam):
-    """_polish started from z, with the KKT tolerance run_admm would use, searching in float64."""
+def polish_operators(psi1, psi2, dtype=np.float64):
+    """The _PolishOperators run_admm would build for the factors, searching in dtype."""
+    solver = PxqSolver(psi1, psi2, 1.0)
+    definite = not any(basis.shape[1] for basis in solver.null_bases())
+    pairs = np.empty((3, 2) + psi1.shape, dtype)
+    return _PolishOperators(psi1, psi2, solver, dtype, pairs, definite)
+
+
+def polish_from(z, psi1, psi2, lam, dtype=np.float64):
+    """_polish started from z, with the KKT tolerance run_admm would use, searching in dtype.
+
+    Its gradient estimate is z's own, so a complement solve starts the
+    multiplier where z's is.
+    """
     diff = psi1 - psi2
     tol = _polish_tolerance(diff)
     signs = np.sign(z).astype(np.int8)
     np.fill_diagonal(signs, 0)
-    precond = PxqSolver(psi1, psi2, 1.0).inverse_geometric_mean()
-    return _polish(psi1, psi2, diff, lam, z, signs, tol, 10000, precond, None)
+    grad = (psi1 @ z @ psi2 + psi2 @ z @ psi1) / 2.0 - diff
+    ops = polish_operators(psi1, psi2, dtype)
+    return _polish(ops, diff, lam, z.astype(dtype), grad, signs, tol, 10000)
 
 
 def polished_problem():
@@ -488,21 +502,25 @@ class TestPolish:
         sigma = np.eye(p)
         psi1 = precision_factor(sample_potentials(b1, sigma, n, seed=[0, 1]), sigma)
         psi2 = precision_factor(sample_potentials(b2, sigma, n, seed=[0, 2]), sigma)
-        lam = 2.0 * np.sqrt(np.log(p) / n)
-        reference = ista_reference_delta(psi1, psi2, lam)
         rhos = (1e-3, 0.1, 10.0, 1e3)
         cases = [(rho, c, rho) for rho in rhos for c in (1e-3, 1.0, 1e3)]
         # far from unit scale, rho c^2 keeps the d-step P1 X P2 + 4 rho X of the
         # c = 1 problem; a float32 search must not overflow or underflow there
         cases += [(rho, c, rho * c * c) for rho in rhos for c in (1e-12, 1e12)]
-        for rho, c, scaled_rho in cases:
-            # scaling the factors and lam by c scales the optimum by 1 / c
-            est = estimate_delta(c * psi1, c * psi2, SolverConfig(lam=c * lam, rho=scaled_rho))
-            assert est.converged, (rho, c)
-            optimum = reference / c
-            gap = np.max(np.abs(est.delta - optimum)) / np.max(np.abs(optimum))
-            # the KKT tolerance scales with c max |P1 - P2|, so the gap does not
-            assert gap <= 1e-8, (rho, c, gap)
+        # at this lam the support holds 22% of the entries and the polish
+        # solves on it; at a tenth of it 87%, and the polish solves on the
+        # complement, whose float32 pieces must not overflow either
+        for lam in (2.0 * np.sqrt(np.log(p) / n), 0.2 * np.sqrt(np.log(p) / n)):
+            reference = ista_reference_delta(psi1, psi2, lam)
+            for rho, c, scaled_rho in cases:
+                # scaling the factors and lam by c scales the optimum by 1 / c
+                config = SolverConfig(lam=c * lam, rho=scaled_rho)
+                est = estimate_delta(c * psi1, c * psi2, config)
+                assert est.converged, (lam, rho, c)
+                optimum = reference / c
+                gap = np.max(np.abs(est.delta - optimum)) / np.max(np.abs(optimum))
+                # the KKT tolerance scales with c max |P1 - P2|, so the gap does not
+                assert gap <= 1e-8, (lam, rho, c, gap)
 
     def test_stop_reasons(self):
         rng = np.random.default_rng(42)
@@ -541,7 +559,8 @@ class TestPolish:
         p1, p2 = random_pd(rng, 6), random_pd(rng, 6)
         tol = 1e-6
         upper = np.triu(np.sign(rng.standard_normal((6, 6))))
-        precond = PxqSolver(p1, p2, 1.0).inverse_geometric_mean()
+        solver = PxqSolver(p1, p2, 1.0)
+        precond = inverse_geometric_mean(*solver.joint_diagonalizer()), solver.scale()
         for r in (np.full((6, 6), 0.5 * tol), (upper + np.triu(upper, 1).T) * tol):
             assert np.max(np.abs(r)) <= tol < np.linalg.norm(r)
             xr = np.stack([np.zeros((6, 6)), r])
@@ -587,9 +606,9 @@ class TestPolish:
             steps.append(taken)
             return taken, solved
 
-        def recorded(p1, p2, diff, lam, z, signs, *rest):
+        def recorded(ops, diff, lam, z, estimate, signs, *rest):
             patterns.append(signs.copy())
-            return polish(p1, p2, diff, lam, z, signs, *rest)
+            return polish(ops, diff, lam, z, estimate, signs, *rest)
 
         monkeypatch.setattr(estimator, "_cg_on_support", counted)
         monkeypatch.setattr(estimator, "_polish", recorded)
@@ -681,7 +700,8 @@ def cg_case(kind, dtype, p=30):
     if kind == "nan":
         r[2, 2] = np.nan
     tol = (1e-9 if dtype == np.float64 else 1e-4) * float(np.nanmax(np.abs(r)))
-    g, scale = PxqSolver(p1, p2, 1.0).inverse_geometric_mean()
+    solver = PxqSolver(p1, p2, 1.0)
+    g, scale = inverse_geometric_mean(*solver.joint_diagonalizer()), solver.scale()
     p1, p2, x, r, g = (a.astype(dtype) for a in (p1, p2, x, r, g))
     return p1, p2, x, r, support, tol, (g, scale)
 
@@ -798,9 +818,9 @@ def search_dtypes(monkeypatch):
         seen.append((out if out is not None else r).dtype.name)
         return solve(self, r, out=out)
 
-    def polish_recorded(p1, p2, diff, lam, z, *rest):
+    def polish_recorded(ops, diff, lam, z, *rest):
         seen.append(z.dtype.name)
-        return polish(p1, p2, diff, lam, z, *rest)
+        return polish(ops, diff, lam, z, *rest)
 
     monkeypatch.setattr(PxqSolver, "solve", solve_recorded)
     monkeypatch.setattr(estimator, "_polish", polish_recorded)
@@ -864,6 +884,82 @@ class TestSearchPrecision:
             assert exact.converged
             gap = np.max(np.abs(est.delta - exact.delta)) / np.max(np.abs(exact.delta))
             assert gap <= 1e-8, gap
+
+
+def forced_solver(monkeypatch, solve):
+    """Make every polish round use the inner solve given."""
+    monkeypatch.setattr(estimator, "_inner_solver", lambda ops, support: solve)
+
+
+def dense_support_problem():
+    """(psi1, psi2, config) of a random full-rank p = 30 problem whose optimum's support holds
+    most of the entries."""
+    rng = np.random.default_rng(46)
+    psi1, psi2 = random_pd(rng, 30), random_pd(rng, 30)
+    return psi1, psi2, SolverConfig(lam=0.01, rho=0.1)
+
+
+class TestComplementPolish:
+    def test_both_inner_solves_reach_the_same_certified_optimum(self, power_cells, monkeypatch):
+        _, solves = power_cells
+        problems = [(psi1, psi2, config) for psi1, psi2, config, _ in solves[:1]]
+        problems.append(dense_support_problem())
+        for psi1, psi2, config in problems:
+            ests = []
+            for solve in (estimator._solve_on_support, estimator._solve_on_complement):
+                forced_solver(monkeypatch, solve)
+                est = estimate_delta(psi1, psi2, config)
+                assert est.converged and est.delta.dtype == np.float64
+                assert np.array_equal(est.delta, est.delta.T)
+                tol = _polish_tolerance(psi1 - psi2)
+                assert kkt_residual(est.delta, psi1, psi2, config.lam) <= tol
+                ests.append(est)
+            primal, complement = ests
+            assert 2 * np.count_nonzero(primal.delta) > primal.delta.size
+            assert (complement.stop, complement.iterations) == (primal.stop, primal.iterations)
+            gap = np.max(np.abs(complement.delta - primal.delta)) / np.max(np.abs(primal.delta))
+            assert gap <= 1e-8, gap
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_complement_polish_from_the_optimum_with_pairs_dropped(self, dtype, monkeypatch):
+        # a float64 search and a float32 one, from the optimum with 4 of its
+        # pairs dropped, which the repair rounds restore
+        psi1, psi2, config = dense_support_problem()
+        optimum = estimate_delta(psi1, psi2, config).delta
+        z = optimum.copy()
+        upper = np.triu(np.ones(z.shape, dtype=bool), 1)
+        for i, j in np.argwhere(upper & (z != 0.0))[:4]:
+            z[i, j] = z[j, i] = 0.0
+        forced_solver(monkeypatch, estimator._solve_on_complement)
+        x, steps = polish_from(z, psi1, psi2, config.lam, dtype)
+        assert x is not None and 0 < steps
+        assert x.dtype == np.float64 and np.array_equal(x, x.T)
+        assert kkt_residual(x, psi1, psi2, config.lam) <= _polish_tolerance(psi1 - psi2)
+        assert np.max(np.abs(x - optimum)) / np.max(np.abs(optimum)) <= 1e-8
+
+    def test_inner_solver_follows_the_support_and_the_factors(self, power_cells):
+        _, solves = power_cells
+        psi1, psi2, _, est = solves[0]
+        ops = polish_operators(psi1, psi2)
+        support = est.delta != 0.0
+        assert np.all(np.diagonal(support)) and 2 * np.count_nonzero(support) > support.size
+        diagonal = np.eye(117, dtype=bool)
+        assert estimator._inner_solver(ops, support) is estimator._solve_on_complement
+        assert estimator._inner_solver(ops, diagonal) is estimator._solve_on_support
+        # the complement solve needs the exact inverse, which a singular factor lacks
+        rng = np.random.default_rng(47)
+        singular = polish_operators(rank_deficient_psd(rng, 12, 6), random_pd(rng, 12))
+        assert not singular.definite
+        full = np.ones((12, 12), dtype=bool)
+        assert estimator._inner_solver(singular, full) is estimator._solve_on_support
+
+    def test_power_cells_polish_within_71_cg_steps(self, power_cells):
+        # on the complement these cells take 54 and 62 steps; solving for
+        # x on their supports, 143 and 137
+        _, solves = power_cells
+        for _, _, _, est in solves:
+            assert est.stop == "polished"
+            assert 0 < est.cg_steps <= 71
 
 
 class TestPluginDelta:

@@ -10,6 +10,7 @@ from lapdiff.linalg import (
     PxqSolver,
     as_symmetric,
     inv_sqrt_pd,
+    inverse_geometric_mean,
     off_diagonal_l1,
     soft_threshold,
     solve_pxq,
@@ -166,7 +167,8 @@ class TestInverseGeometricMean:
         rng = np.random.default_rng(12)
         for p_dim, rank in ((1, 1), (6, 6), (12, 12), (12, 7)):
             p, q = random_psd(rng, p_dim, rank), random_psd(rng, p_dim, rank)
-            g, scale = PxqSolver(p, q, 1.0).inverse_geometric_mean()
+            solver = PxqSolver(p, q, 1.0)
+            g, scale = inverse_geometric_mean(*solver.joint_diagonalizer()), solver.scale()
             assert np.array_equal(g, g.T)
             assert np.linalg.eigvalsh(g)[0] > 0.0
             lmax = np.linalg.eigvalsh(p)[-1] * np.linalg.eigvalsh(q)[-1]
@@ -176,7 +178,7 @@ class TestInverseGeometricMean:
         # P # Q is the only positive definite H with H P^-1 H = Q
         rng = np.random.default_rng(13)
         p, q = random_pd(rng, 10), random_pd(rng, 10)
-        g, _ = PxqSolver(p, q, 1.0).inverse_geometric_mean()
+        g = inverse_geometric_mean(*PxqSolver(p, q, 1.0).joint_diagonalizer())
         h = np.linalg.inv(g)
         assert_allclose(h @ np.linalg.solve(p, h), q, atol=1e-10)
 

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # a p = 9 sweep, one instance at n = 20, all three estimators
 SMOKE = """\
+import dataclasses
 import os
 import sys
 import tempfile
@@ -32,14 +33,18 @@ cfg = lapdiff.ExperimentConfig(
     rho=0.1,
     max_iter=2000,
 )
-work = solve_work.solve_work(cfg)
-assert [row.estimator for row, *_ in work] == ["dtrace", "sqrt"], work
-for row, est, polish_gemms, attempts, dtype in work:
+# at this lambda_scale the polished supports hold most entries, and the
+# polish solves on their complement; at the default, on the support
+dense = dataclasses.replace(cfg, lambda_scale=0.05)
+work = solve_work.solve_work(cfg) + solve_work.solve_work(dense)
+assert [row.estimator for row, *_ in work] == ["dtrace", "sqrt"] * 2, work
+for row, est, polish_gemms, attempts, dtype, solver in work:
     assert est.converged and attempts >= 1, (row, est, attempts)
     assert dtype == "float32", (row, dtype)  # n = 20 > p: both factors are full rank
     # besides its CG steps, a polish computes each round's residual and tests
     # each solved iterate's gradient
     assert polish_gemms > CG_STEP_GEMMS * est.cg_steps, (row, est, polish_gemms)
+assert [solver for *_, solver in work] == ["primal"] * 2 + ["complement"] * 2, work
 with tempfile.TemporaryDirectory() as workdir:
     digest = row_digest.masked_sweep_digest(cfg, workdir)
 assert len(digest) == 64, digest
