@@ -37,7 +37,6 @@ from .matpower import case_laplacian, load_case118, parse_case
 from .network import (
     _assemble_on_checked_base,
     _check_nonsingular,
-    assemble_scenario,
     lattice_delta,
     random_base_matrix,
     reduce_ground_node,
@@ -367,7 +366,9 @@ def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec):
     """Draw one two-regime scenario from its specs, keyed by `seed`.
 
     A MatpowerBaseSpec gives its fixed matrix in place of the random base
-    draw. Each draw comes from its own (seed, role) stream.
+    draw. Each draw comes from its own (seed, role) stream. Every generator
+    builds its matrix exactly symmetric, so only the eigenvalue checks of
+    assemble_scenario are made.
     """
     delta = lattice_delta(
         p,
@@ -386,7 +387,8 @@ def draw_scenario(p, seed, delta_spec, base_spec, sigma_spec):
         scale=base_spec.scale,
         seed=[seed, _ROLE_BASE],
     )
-    return assemble_scenario(b1, delta, sigma1, sigma2, seed=seed)
+    _check_nonsingular("b1", b1)
+    return _assemble_on_checked_base(b1, delta, sigma1, sigma2, seed)
 
 
 def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):

@@ -7,6 +7,8 @@ symmetrized form (A + A.T) / 2 so downstream eigendecompositions see a
 bitwise-symmetric operand.
 """
 
+import threading
+
 import numpy as np
 
 from .errors import InvalidInputError, NotPsdError, SingularMatrixError
@@ -17,6 +19,11 @@ SYMMETRY_ATOL = 1e-12
 # Relative floor used when classifying eigenvalues, scaled by max(1, largest
 # eigenvalue) so that tiny matrices are not judged with an absurdly tight bar.
 EIG_RELATIVE_FLOOR = 1e-10
+
+# How many of its latest PSD roots each thread keeps with their eigenpairs
+# (see _keep_root): enough for the two factors of a solve and two more.
+KEPT_ROOTS = 4
+_kept = threading.local()
 
 
 def as_symmetric(a):
@@ -41,6 +48,14 @@ def as_symmetric(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InvalidInputError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if (a.view(np.int64) == a.T.view(np.int64)).all():
+        # bit for bit symmetric, as every matrix this returns is: there is no
+        # gap to measure, and a / 2 + a / 2 is a / 2 + a.T / 2
+        if not np.all(np.isfinite(a)):
+            raise InvalidInputError("matrix contains non-finite entries")
+        half = a / 2.0
+        half += half
+        return half
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix contains non-finite entries")
     gap = np.max(np.abs(a - a.T))
@@ -74,7 +89,37 @@ def _sqrt_psd_top(c, rank):
     _require_psd(values)
     if truncate:
         values[:-rank] = 0.0
-    return _sqrt_from(values, vectors)
+    root = _sqrt_from(values, vectors)
+    if vectors is not None:
+        _keep_root(root, np.sqrt(np.clip(values, 0.0, None)), vectors)
+    return root
+
+
+def _keep_root(root, values, vectors):
+    """Keep a copy of root with its eigenpairs (values ascending), for _eigenpairs.
+
+    Each thread keeps its own KEPT_ROOTS latest, read-only, so no other
+    thread and no caller can change what a thread finds there.
+    """
+    kept = (root.copy(), values, vectors)
+    for a in kept:
+        a.flags.writeable = False
+    _kept.roots = (kept,) + getattr(_kept, "roots", ())[: KEPT_ROOTS - 1]
+
+
+def _eigenpairs(a):
+    """np.linalg.eigh(a), or the eigenpairs of a root this thread kept that a equals.
+
+    A PSD root built from an eigendecomposition has, up to rounding, the
+    square roots of the clipped eigenvalues and the same eigenvectors, so a
+    factor that is still such a root, entry for entry (precision_factor's
+    under an identity whitener), is not decomposed again. A root changed
+    in place, or any other matrix, is.
+    """
+    for root, values, vectors in getattr(_kept, "roots", ()):
+        if np.array_equal(root, a):
+            return values, vectors
+    return np.linalg.eigh(a)
 
 
 def inv_sqrt_pd(c):
@@ -92,14 +137,14 @@ def inv_sqrt_pd(c):
 
 
 def _sqrt_and_inv_sqrt_pd(c):
-    """(sqrt_psd(c), inv_sqrt_pd(c)) from one eigendecomposition of c.
+    """(sqrt_psd(c), inv_sqrt_pd(c)) from one eigendecomposition of c, which as_symmetric gave.
 
     A diagonal c gives both as the 1-D diagonals of the roots, for scaling
     by broadcasting (see _congruence) rather than by p x p products with
     diagonal matrices. Raises NotPsdError where sqrt_psd would, and
     otherwise SingularMatrixError where inv_sqrt_pd would.
     """
-    values, vectors = _eigh(as_symmetric(c))
+    values, vectors = _eigh(c)
     _require_psd(values)
     _require_pd(values)
     if vectors is None:
@@ -188,7 +233,10 @@ class PxqSolver:
     Operands are taken as given: callers validate them once at their own
     boundary (solve_pxq for outside input, run_admm for its factors), so P
     and Q arrive exactly symmetric and equal-shaped, gamma finite and
-    positive, and each R finite with their shape.
+    positive, and each R finite with their shape. A factor equal to a PSD
+    root this thread built lately (see _eigenpairs), such as the factor
+    precision_factor gives under an identity whitener, takes the
+    eigenpairs the root was built from; any other is decomposed with eigh.
 
     The eigenpairs stay available through null_bases, joint_diagonalizer
     and scale, so a caller can inspect the factors' null spaces, invert
@@ -197,8 +245,8 @@ class PxqSolver:
     """
 
     def __init__(self, p, q, gamma):
-        self._dvals, self._up = np.linalg.eigh(p)
-        self._evals, self._uq = np.linalg.eigh(q)
+        self._dvals, self._up = _eigenpairs(p)
+        self._evals, self._uq = _eigenpairs(q)
         self._weights = 1.0 / (np.multiply.outer(self._dvals, self._evals) + gamma)
         self._cast = {}
 

@@ -242,7 +242,9 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
     """
     b1 = as_symmetric(b1)
     _check_nonsingular("b1", b1)
-    return _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed)
+    return _assemble_on_checked_base(
+        b1, as_symmetric(delta), as_symmetric(sigma_x1), as_symmetric(sigma_x2), seed
+    )
 
 
 def _check_nonsingular(name, mat):
@@ -259,12 +261,11 @@ def _check_nonsingular(name, mat):
 def _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed):
     """assemble_scenario for a symmetric b1 that already passed _check_nonsingular.
 
-    A base shared by many scenarios (MatpowerBaseSpec.matrix) is checked
-    once, when it is built, so each scenario checks only b2.
+    delta and the sigmas are exactly symmetric and finite, as as_symmetric
+    or the generators of a sweep's draw leave them. A base shared by many
+    scenarios (MatpowerBaseSpec.matrix) is checked once, when it is built,
+    so each scenario checks only b2.
     """
-    delta = as_symmetric(delta)
-    sigma_x1 = as_symmetric(sigma_x1)
-    sigma_x2 = as_symmetric(sigma_x2)
     p = b1.shape[0]
     for name, mat in (("delta", delta), ("sigma_x1", sigma_x1), ("sigma_x2", sigma_x2)):
         if mat.shape != (p, p):

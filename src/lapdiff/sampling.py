@@ -62,15 +62,26 @@ def _draw_potentials(b, sigma_x, n, seed):
 def sample_covariance(samples):
     """Uncentered second-moment matrix Y.T @ Y / n of the rows of `samples`.
 
-    It is PSD for every n, including n < p.
+    It is PSD for every n, including n < p, and exactly symmetric.
+
+    Raises
+    ------
+    InvalidInputError
+        If `samples` is not a nonempty (n, p) array of finite entries, or
+        the matrix overflows ("matrix contains non-finite entries").
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise InvalidInputError(f"expected a nonempty (n, p) array, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise InvalidInputError("samples contain non-finite entries")
-    cov = samples.T @ samples / samples.shape[0]
-    return (cov + cov.T) / 2.0
+    # an overflow is reported by the error below, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = samples.T @ samples / samples.shape[0]
+        cov = (cov + cov.T) / 2.0
+    if not np.all(np.isfinite(cov)):
+        raise InvalidInputError("matrix contains non-finite entries")
+    return cov
 
 
 def precision_factor(samples, sigma_x):
@@ -80,9 +91,8 @@ def precision_factor(samples, sigma_x):
     the rows, with the row count as n_used. Returns the symmetric p x p
     factor.
     """
-    return precision_factor_from_covariance(
-        sample_covariance(samples), sigma_x, n_used=len(samples)
-    )
+    cov_y = sample_covariance(samples)
+    return _factor_from_covariance(cov_y, as_symmetric(sigma_x), len(samples))
 
 
 def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
@@ -97,8 +107,15 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
     are kept: the rest are rounding, which would hide part of the factor's
     null space. Returns the symmetric p x p factor.
     """
-    cov_y = as_symmetric(cov_y)
-    sigma_x = as_symmetric(sigma_x)
+    return _factor_from_covariance(as_symmetric(cov_y), as_symmetric(sigma_x), n_used)
+
+
+def _factor_from_covariance(cov_y, sigma_x, n_used):
+    """precision_factor_from_covariance of an exactly symmetric, finite cov_y and sigma_x.
+
+    precision_factor passes sample_covariance's matrix, which needs no
+    second check.
+    """
     if cov_y.shape != sigma_x.shape:
         raise InvalidInputError(
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"

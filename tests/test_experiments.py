@@ -252,19 +252,7 @@ class TestRunInstance:
         # matpower cell keeps only the eigvalsh check of b2, since its base
         # was checked once, when MatpowerBaseSpec.matrix was built
         monkeypatch.setenv("LAPDIFF_THREADS", "1")
-        cfg = ExperimentConfig(
-            dims=(117,),
-            ratios=(3.0,),
-            instances=1,
-            lambda_scale=2.0,
-            delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
-            base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
-            sigma_spec=SigmaSpec(kind="identity"),
-            support_epsilon=2.0,
-            rho=0.1,
-            max_iter=2000,
-        )
-        cfg.base_spec.matrix  # parsed and checked once per spec, before the cell
+        cfg = power_cell_config(3.0)
         calls = []
         for name in ("eigvalsh", "svd", "slogdet", "matrix_rank"):
             original = getattr(np.linalg, name)
@@ -277,6 +265,45 @@ class TestRunInstance:
         (row,) = run_sweep(cfg).rows
         assert row.converged
         assert calls == ["eigvalsh"]
+
+    @pytest.mark.parametrize("ratio, bounded, decompositions", [(3.0, True, 3), (1.0, False, 2)])
+    def test_cell_decomposes_each_matrix_once(self, monkeypatch, ratio, bounded, decompositions):
+        # one eigh per whitened root; PxqSolver takes the factors' eigenpairs
+        # from those roots (identity whitener), and a bounded cell adds the
+        # joint diagonalizer of its polish, which a certified-unbounded one
+        # (n < p at ratio 1) never reaches
+        monkeypatch.setenv("LAPDIFF_THREADS", "1")
+        cfg = power_cell_config(ratio)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        (row,) = run_sweep(cfg).rows
+        assert row.converged is bounded
+        assert row.iterations > 0 if bounded else row.iterations == 0
+        assert len(calls) == decompositions, calls
+
+
+def power_cell_config(ratio):
+    """One dtrace cell of the benchmark's power-sweep config, its base parsed and checked."""
+    cfg = ExperimentConfig(
+        dims=(117,),
+        ratios=(ratio,),
+        instances=1,
+        lambda_scale=2.0,
+        delta_spec=GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
+        base_spec=MatpowerBaseSpec(scale=1.0 / 600.0),
+        sigma_spec=SigmaSpec(kind="identity"),
+        support_epsilon=2.0,
+        rho=0.1,
+        max_iter=2000,
+    )
+    cfg.base_spec.matrix  # parsed and checked once per spec, before the cell
+    return cfg
 
 
 class TestRunSweep:

@@ -17,6 +17,7 @@ from lapdiff.linalg import (
     sqrt_psd,
     vec,
 )
+from lapdiff.sampling import precision_factor
 
 
 def random_psd(rng, p, rank=None):
@@ -43,6 +44,18 @@ class TestAsSymmetric:
         out = as_symmetric(1e308 * np.eye(2))
         assert np.all(np.isfinite(out))
         assert np.array_equal(out, 1e308 * np.eye(2))
+
+    def test_is_the_halved_sum_bit_for_bit(self):
+        # a bitwise-symmetric input skips the gap check; every input keeps the
+        # bytes of a / 2 + a.T / 2, subnormal entries and signed zeros included
+        rng = np.random.default_rng(3)
+        a = random_pd(rng, 6)
+        a[0, 1] = a[1, 0] = 5e-324
+        signed = a.copy()
+        signed[2, 3], signed[3, 2] = 0.0, -0.0
+        for m in (a, signed, signed.T, a + 1e-14 * rng.standard_normal((6, 6))):
+            expected = m / 2.0 + m.T / 2.0
+            assert np.array_equal(as_symmetric(m).view(np.int64), expected.view(np.int64))
 
     def test_rejects_asymmetric(self):
         a = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -160,6 +173,38 @@ class TestSolvePxq:
             solve_pxq(eye, eye, np.full((2, 2), np.inf), 1.0)
         with pytest.raises(InvalidInputError):
             solve_pxq(eye, np.eye(3), eye, 1.0)
+
+
+class TestPxqSolverTakesRootEigenpairs:
+    def test_only_an_unchanged_root_skips_eigh(self, monkeypatch):
+        # under an identity whitener a factor is the PSD root sqrt_psd built,
+        # whose eigenpairs PxqSolver takes; a factor or a root changed in
+        # place after it was built, and a factor from a dense sigma, are
+        # decomposed afresh
+        rng = np.random.default_rng(12)
+        p = 9
+        y = rng.standard_normal((40, p))
+        fresh = precision_factor(y, np.eye(p))
+        mutated = precision_factor(rng.standard_normal((40, p)), np.eye(p))
+        mutated *= 1.5
+        mutated_root = sqrt_psd(random_psd(rng, p))
+        mutated_root[0, 0] += 1.0
+        dense = precision_factor(y, random_pd(rng, p))
+        r = rng.standard_normal((p, p))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for factor, decompositions in ((fresh, 0), (mutated, 2), (mutated_root, 2), (dense, 2)):
+            calls.clear()
+            x = PxqSolver(factor, factor, 0.3).solve(r)
+            assert len(calls) == decompositions
+            assert_allclose(x, solve_pxq(factor, factor, r, 0.3), rtol=0, atol=1e-12)
+            assert_allclose(x, kron_solve_pxq(factor, factor, r, 0.3), rtol=0, atol=1e-10)
 
 
 class TestInverseGeometricMean:

@@ -1,5 +1,7 @@
 """Tests for the observation model and precision-factor construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -175,6 +177,15 @@ class TestPrecisionFactor:
                     sample_covariance(scale * y), sigma, n_used=n
                 )
                 assert np.array_equal(via_cov, scaled)
+
+    def test_overflowing_covariance_raises_without_a_warning(self):
+        # finite samples whose uncentered covariance overflows are reported by
+        # the library's error alone: numpy's overflow warning stays silent
+        y = np.full((4, 3), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
+                precision_factor(y, np.eye(3))
 
     def test_from_covariance_shape_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -19,6 +19,7 @@ import tempfile
 
 sys.path.insert(0, sys.argv[1])
 import row_digest  # first: it pins the threads and puts the checkout's src/ on the path
+import cell_phases
 import solve_work
 
 import lapdiff
@@ -49,6 +50,13 @@ with tempfile.TemporaryDirectory() as workdir:
     digest = row_digest.masked_sweep_digest(cfg, workdir)
 assert len(digest) == 64, digest
 
+ms, counts = cell_phases.cell_phases([cfg])
+assert list(ms) == list(cell_phases.PHASES) and min(ms.values()) >= 0.0, ms
+assert ms["factor"] > 0.0 and ms["polish"] > 0.0, ms
+# two whitened roots and a joint diagonalizer per penalized solve, and the
+# plugin's two inverse roots: PxqSolver reuses the roots' eigenpairs
+assert (counts["cells"], counts["eigh"]) == (1, 8) and counts["as_symmetric"] > 0, counts
+
 # cells run in worker processes, where the wrappers cannot see the solves
 os.environ["LAPDIFF_THREADS"] = "2"
 try:
@@ -57,6 +65,12 @@ except solve_work.CaptureError as exc:
     assert "captured 0 solves for 2 dtrace/sqrt rows" in str(exc), exc
 else:
     raise AssertionError("solve_work printed work it did not capture")
+try:
+    cell_phases.cell_phases([lapdiff.ExperimentConfig(dims=(9,), ratios=(1.0, 2.0), instances=1)])
+except cell_phases.CaptureError as exc:
+    assert "timed 0 of 2 cells" in str(exc), exc
+else:
+    raise AssertionError("cell_phases timed cells it did not see")
 """
 
 
