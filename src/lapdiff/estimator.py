@@ -22,6 +22,8 @@ from .errors import (
 from .linalg import (
     EIG_RELATIVE_FLOOR,
     PxqSolver,
+    _eigenpairs,
+    _null_basis,
     as_symmetric,
     inv_sqrt_pd,
     inverse_geometric_mean,
@@ -109,31 +111,26 @@ class SolverConfig:
 
 
 @dataclass
-class AdmmState:
-    """Final iterate of the two-block ADMM.
-
-    z is the symmetric shrunk block, float64. stop says why the loop ended:
-    "polished" (a polish passed the KKT check, and z is the polished
-    optimum) or "max_iter". iterations counts ADMM iterations, cg_steps the
-    CG steps of all polish attempts.
-    """
-
-    z: np.ndarray
-    iterations: int
-    stop: str
-    cg_steps: int
-
-
-@dataclass
 class DeltaEstimate:
-    """A computed difference estimate plus solver bookkeeping; stop, cg_steps as in AdmmState."""
+    """A difference estimate and the bookkeeping of the solve that made it.
+
+    delta is the symmetric estimate, float64, and objective the penalized
+    objective there. stop says why the ADMM loop ended: "polished" (a
+    polish passed the KKT check, and delta is the polished optimum) or
+    "max_iter". iterations counts ADMM iterations, cg_steps the CG steps of
+    all polish attempts.
+    """
 
     delta: np.ndarray
     iterations: int
-    converged: bool
     objective: float
     stop: str
     cg_steps: int
+
+    @property
+    def converged(self):
+        """Whether the estimate is KKT-certified: stop == "polished"."""
+        return self.stop == "polished"
 
 
 @dataclass
@@ -653,6 +650,9 @@ def _check_finite(z, iteration):
 def run_admm(psi1, psi2, config):
     """Two-block scaled ADMM for the penalized difference problem, from zero start.
 
+    This is the loop of estimate_delta, the package's one solve, and it
+    checks the inputs of both.
+
     On symmetric D the loss equals 0.5 <P1 D P2, D> - <D, P1 - P2>, so the
     problem splits into that smooth term over any p x p matrix d and the
     penalty over symmetric z, coupled by d = z (Boyd et al. 2011, section 3.1)
@@ -695,8 +695,10 @@ def run_admm(psi1, psi2, config):
     searched for a direction along which the objective falls without bound
     (see _check_bounded); finding one raises UnboundedProblemError.
 
-    Returns the AdmmState. Raises SolverDivergedError if z is not finite at
-    a check or after the last iteration.
+    Returns (z, iterations, stop, cg_steps), which estimate_delta records
+    as a DeltaEstimate's delta, iterations, stop and cg_steps. Raises
+    SolverDivergedError if z is not finite at a check or after the last
+    iteration.
     """
     p1 = _factor_matrix(psi1, "psi1")
     p2 = _factor_matrix(psi2, "psi2")
@@ -768,15 +770,16 @@ def run_admm(psi1, psi2, config):
 
     z = z.astype(float, copy=False)
     _check_finite(z, iteration)
-    return AdmmState(z=z, iterations=iteration, stop=stop, cg_steps=cg_steps)
+    return z, iteration, stop, cg_steps
 
 
 def estimate_delta(psi1, psi2, config):
     """Penalized difference estimate from two square-root precision factors.
 
-    Takes symmetric matrices, such as those precision_factor returns. Returns a
-    DeltaEstimate holding the symmetric sparse iterate, iteration count,
-    convergence flag, final penalized objective, stop reason and CG steps.
+    Takes symmetric matrices, such as those precision_factor returns, and
+    runs the ADMM loop run_admm. Returns a DeltaEstimate holding the
+    symmetric sparse iterate, its penalized objective, the iteration count,
+    the stop reason and the CG steps.
 
     With unknown injection covariances, whiten with the identity:
     estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
@@ -784,16 +787,9 @@ def estimate_delta(psi1, psi2, config):
     of the two potential distributions, which is (b2 - b1) / 2 when both
     injection covariances equal 4 I.
     """
-    state = run_admm(psi1, psi2, config)
-    objective = penalized_objective(state.z, psi1, psi2, config)
-    return DeltaEstimate(
-        delta=state.z,
-        iterations=state.iterations,
-        converged=state.stop == "polished",
-        objective=objective,
-        stop=state.stop,
-        cg_steps=state.cg_steps,
-    )
+    z, iterations, stop, cg_steps = run_admm(psi1, psi2, config)
+    objective = penalized_objective(z, psi1, psi2, config)
+    return DeltaEstimate(z, iterations, objective, stop, cg_steps)
 
 
 def _wrapped_root_difference(regimes):
@@ -867,8 +863,9 @@ def uniqueness_check(psi1, psi2, tau):
     when Q1 V Q2 = 0 and Q2 V Q1 = 0, with Qi the projector onto range Pi, so
     its kernel has dimension p^2 - 2 r1 r2 + k^2 with ri = rank Pi and
     k = dim(range P1 & range P2). Both come from the factors' eigenpairs in
-    O(p^3). The two uniqueness conditions are evaluated on the unit
-    recession candidates, which lie in that kernel.
+    O(p^3): one eigh per factor, none for a factor that is a kept PSD root
+    (see linalg._eigenpairs). The two uniqueness conditions are evaluated
+    on the unit recession candidates, which lie in that kernel.
 
     Verdicts: a trivial kernel certifies a strongly convex problem
     ("unique"); a candidate violating either condition witnesses
@@ -881,13 +878,15 @@ def uniqueness_check(psi1, psi2, tau):
         raise InvalidInputError(f"factor shapes differ: {p1.shape} vs {p2.shape}")
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidInputError(f"tau must be a positive real, got {tau!r}")
+    bases = []
     for name, factor in (("psi1", p1), ("psi2", p2)):
-        low, high = np.linalg.eigvalsh(factor)[[0, -1]]
+        values, vectors = _eigenpairs(factor)
+        low, high = values[[0, -1]]
         if low < -EIG_RELATIVE_FLOOR * max(1.0, high):
             raise NotPsdError(f"{name} must be positive semidefinite (min eigenvalue {low:.6e})")
-
+        bases.append(_null_basis(values, vectors))
+    null1, null2 = bases
     p = p1.shape[0]
-    null1, null2 = PxqSolver(p1, p2, 1.0).null_bases()  # gamma plays no part in them
     # range P1 & range P2 is the complement of null P1 + null P2; a null direction
     # the two share is a zero singular value, sqrt(1 - cos 0), of [N1 N2]
     shared = p - int(np.linalg.matrix_rank(np.hstack([null1, null2]), tol=EIG_RELATIVE_FLOOR))

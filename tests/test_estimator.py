@@ -1,6 +1,7 @@
 """Tests for the loss, ADMM solver, exact identity, baselines, and diagnostic."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from lapdiff.estimator import (
     estimate_delta,
     exact_delta,
     plugin_delta,
-    run_admm,
     uniqueness_check,
 )
 from lapdiff.experiments import (
@@ -219,7 +219,7 @@ class TestRunAdmm:
     )
     def test_factor_checks(self, psi2, message):
         with pytest.raises(InvalidInputError, match=message):
-            run_admm(np.eye(3), psi2, SolverConfig(lam=0.1))
+            estimate_delta(np.eye(3), psi2, SolverConfig(lam=0.1))
 
     def test_equal_factors_yield_zero(self):
         rng = np.random.default_rng(7)
@@ -259,10 +259,10 @@ class TestRunAdmm:
     def test_polished_state_is_exactly_symmetric(self):
         rng = np.random.default_rng(12)
         psi1, psi2 = random_pd(rng, 5), random_pd(rng, 5)
-        state = run_admm(psi1, psi2, SolverConfig(lam=0.05))
-        assert state.stop == "polished"
-        assert_allclose(state.z, state.z.T, rtol=0, atol=0)
-        assert state.iterations >= 1
+        est = estimate_delta(psi1, psi2, SolverConfig(lam=0.05))
+        assert est.stop == "polished"
+        assert_allclose(est.delta, est.delta.T, rtol=0, atol=0)
+        assert est.iterations >= 1
 
     def test_one_linear_solve_per_iteration(self, monkeypatch):
         calls = []
@@ -277,9 +277,9 @@ class TestRunAdmm:
         psi1, psi2 = random_pd(rng, 6), random_pd(rng, 6)
         for max_iter in (1, 7, 20000):
             calls.clear()
-            state = run_admm(psi1, psi2, SolverConfig(lam=0.05, max_iter=max_iter))
-            assert len(calls) == state.iterations
-        assert state.iterations < 20000
+            est = estimate_delta(psi1, psi2, SolverConfig(lam=0.05, max_iter=max_iter))
+            assert len(calls) == est.iterations
+        assert est.iterations < 20000
 
     def test_power_sweep_rows_converge_within_2000_iterations(self, power_cells):
         rows, _ = power_cells
@@ -320,8 +320,17 @@ class TestRunAdmm:
         for max_iter in (20000, estimator.POLISH_CHECK - 1):
             with np.errstate(all="ignore"):
                 with pytest.raises(SolverDivergedError) as info:
-                    run_admm(psi1, psi2, SolverConfig(lam=0.1, max_iter=max_iter))
+                    estimate_delta(psi1, psi2, SolverConfig(lam=0.1, max_iter=max_iter))
             assert 1 <= info.value.iteration <= max_iter
+
+    def test_converged_is_the_polished_stop(self):
+        est = DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "max_iter", 0)
+        assert not est.converged
+        assert DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "polished", 3).converged
+        with pytest.raises(AttributeError):
+            est.converged = True
+        with pytest.raises(TypeError):
+            DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "max_iter", 0, converged=False)
 
     def test_accepts_precision_factor_wrappers(self):
         b = random_base_matrix(4, 1.0, margin=1.0, seed=6)
@@ -339,7 +348,7 @@ def rank_deficient_psd(rng, p, rank):
 
 @pytest.fixture
 def no_iterations(monkeypatch):
-    """Fail the test if run_admm starts its loop (each iteration calls solve first)."""
+    """Fail the test if the ADMM loop starts (each iteration calls solve first)."""
 
     def forbidden(self, r, out=None):
         raise AssertionError("ADMM iterated on a certified-unbounded problem")
@@ -384,7 +393,7 @@ class TestUnboundedCertificate:
         low, full = rank_deficient_psd(rng, 8, 3), random_pd(rng, 8)
         psi1, psi2 = (low, full) if deficient == "psi1" else (full, low)
         with pytest.raises(UnboundedProblemError, match=f"null space of {deficient}"):
-            run_admm(psi1, psi2, SolverConfig(lam=0.01))
+            estimate_delta(psi1, psi2, SolverConfig(lam=0.01))
 
     def test_random_pd_pairs_never_raise(self):
         rng = np.random.default_rng(32)
@@ -392,8 +401,8 @@ class TestUnboundedCertificate:
             for lam in (0.0, 0.01, 0.5):
                 for _ in range(5):
                     psi1, psi2 = random_pd(rng, p, shift=0.01), random_pd(rng, p, shift=0.01)
-                    state = run_admm(psi1, psi2, SolverConfig(lam=lam, max_iter=1))
-                    assert state.iterations == 1
+                    est = estimate_delta(psi1, psi2, SolverConfig(lam=lam, max_iter=1))
+                    assert est.iterations == 1
 
     def test_diagonal_direction_is_unbounded_at_any_lambda(self):
         # psi1's null space is e3, so the only candidate, -psi2[2, 2] e3 e3^T, is
@@ -1148,6 +1157,36 @@ class TestUniquenessCheck:
         assert rep.kernel_dim == 3200 == 117**2 - 2 * 77**2 + 37**2
         assert rep.verdict == "not-unique"
         assert elapsed < 0.1
+
+    def test_kept_root_factors_are_not_decomposed_again(self, monkeypatch):
+        # identity-whitened factors are kept PSD roots (linalg._eigenpairs):
+        # the PSD check and the null bases both read the roots' eigenpairs
+        p, eye = 20, np.eye(20)
+        psi1, psi2 = (
+            precision_factor(sample_potentials(random_base_matrix(p, 0.3, seed=s), eye, n, s), eye)
+            for s, n in ((1, 40), (2, 12))
+        )
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rep = uniqueness_check(psi1, psi2, tau=1.0)
+        assert calls == []
+        # a factor that is no kept root is decomposed once, and a non-PSD one
+        # raises before anything divides by its eigenvalues
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPsdError, match="psi1"):
+                uniqueness_check(np.diag([1.0, -1.0]), np.eye(2), tau=1.0)
+        assert calls == ["eigh"]
+        monkeypatch.undo()
+        assert rep.kernel_dim == kernel_pair_count(psi1, psi2) == p * p - 2 * p * 12 + 12 * 12
+        assert rep.verdict in ("not-unique", "inconclusive")
 
     def test_indefinite_factor_rejected(self):
         # the closed-form kernel count holds only for PSD factors

@@ -287,6 +287,45 @@ class TestRunInstance:
         assert row.iterations > 0 if bounded else row.iterations == 0
         assert len(calls) == decompositions, calls
 
+    def test_cell_reaches_every_traced_binding(self, monkeypatch):
+        # perfbench's tracer wraps these names where their callers find them;
+        # a cell that bypassed one would leave that span empty
+        import lapdiff.estimator as estimator
+        import lapdiff.sampling as sampling
+
+        monkeypatch.setenv("LAPDIFF_THREADS", "1")
+        bindings = [
+            (estimator, "run_admm"),
+            (estimator, "penalized_objective"),
+            (experiments, "run_instance"),
+            (experiments, "sample_potentials"),
+            (experiments, "precision_factor"),
+            (experiments, "estimate_delta"),
+            (sampling, "sqrt_psd"),
+        ]
+        calls = {name: 0 for _, name in bindings}
+        for module, name in bindings:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        # sqrt_psd takes the root of each sigma_x to sample, and at n = 18 >= p = 9
+        # the whitened root of each factor, which keeps all its eigenvalues
+        (row,) = run_sweep(small_config(ratios=(2.0,), instances=1, estimators=("dtrace",))).rows
+        assert row.converged and row.n >= 9
+        assert calls == {
+            "run_admm": 1,
+            "penalized_objective": 1,
+            "run_instance": 1,
+            "sample_potentials": 2,
+            "precision_factor": 2,
+            "estimate_delta": 1,
+            "sqrt_psd": 4,
+        }, calls
+
 
 def power_cell_config(ratio):
     """One dtrace cell of the benchmark's power-sweep config, its base parsed and checked."""

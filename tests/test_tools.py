@@ -52,7 +52,12 @@ assert len(digest) == 64, digest
 
 ms, counts = cell_phases.cell_phases([cfg])
 assert list(ms) == list(cell_phases.PHASES) and min(ms.values()) >= 0.0, ms
-assert ms["factor"] > 0.0 and ms["polish"] > 0.0, ms
+# a penalized cell passes through every phase besides the catch-all "other"
+assert list(cell_phases.PHASES) == [
+    "scenario", "sampling", "factor", "pxq_solver", "admm_loop",
+    "polish_setup", "polish", "objective", "scoring", "other",
+], cell_phases.PHASES
+assert all(ms[phase] > 0.0 for phase in cell_phases.PHASES[:-1]), ms
 # two whitened roots and a joint diagonalizer per penalized solve, and the
 # plugin's two inverse roots: PxqSolver reuses the roots' eigenpairs
 assert (counts["cells"], counts["eigh"]) == (1, 8) and counts["as_symmetric"] > 0, counts

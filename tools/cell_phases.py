@@ -13,8 +13,10 @@ less that of the other phases they call:
   sigmas, and the eigenvalue checks of b2 and the sigmas);
 - sampling: the two sample_potentials draws;
 - factor: the two precision_factor calls;
-- pxq_solver: building run_admm's PxqSolver, the factors' eigenpairs;
-- admm_loop: the rest of run_admm, its iterations and null-space check;
+- pxq_solver: building the PxqSolver of estimator.run_admm, the ADMM
+  loop estimate_delta runs, from the factors' eigenpairs;
+- admm_loop: the rest of estimator.run_admm, its iterations and
+  null-space check;
 - polish_setup: building estimator._PolishOperators (the joint
   diagonalizer) and the operators its methods build on first use;
 - polish: the rest of estimator._polish;
