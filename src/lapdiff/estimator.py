@@ -8,6 +8,7 @@ potentials (see sampling.precision_factor).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .linalg import (
     PxqSolver,
     _eigenpairs,
     _null_basis,
+    _preconditioner_eigenvalues,
     as_symmetric,
     inv_sqrt_pd,
     inverse_geometric_mean,
@@ -138,7 +140,7 @@ class UniquenessReport:
     """Outcome of the kernel-based uniqueness diagnostic.
 
     condition_inner is the largest inner product <V, factor1 - factor2> over
-    the unit recession candidates V (see _recession_candidates), and
+    the unit recession candidates V (see _FactorPair.recession_candidates), and
     condition_norm their largest off-diagonal l1 norm, both 0.0 without a
     candidate; tau the radius those norms are compared against.
     """
@@ -184,35 +186,126 @@ def penalized_objective(delta, psi1, psi2, config):
     return dtrace_loss(delta, psi1, psi2) + config.lam * off_diagonal_l1(delta)
 
 
-def _recession_candidates(null1, null2, p1, p2):
-    """(name, null dimension, V) for each factor Pi whose null space (basis nulli) is nontrivial.
+class _FactorPair:
+    """The factor pair (P1, P2) of a solve or a uniqueness check, built once from (psi1, psi2).
 
-    With Ni the projector onto it, V1 = -N1 P2 N1 and V2 = N2 P1 N2. Pi Ni = 0
-    makes both quadratic terms of the loss vanish on each, so each lies in the
-    Hessian kernel; each maximizes <V, P1 - P2> over {Ni X Ni} at its norm,
-    whichever basis of the null space eigh returned.
+    p1 and p2 are the validated float64 factors, and eigenpairs their
+    (values ascending, vectors) from linalg._eigenpairs (no eigh for a kept
+    PSD root), checked PSD before anything divides by them; each error
+    names the factor. nulls are their orthonormal null bases (p x 0 when
+    full rank), definite says both are full rank, scale = lmax(P1) lmax(P2),
+    diff = P1 - P2 and tol = POLISH_TOL max |diff|, the KKT tolerance of an
+    accepted polish. The joint diagonalizer, and the operators a polish
+    applies in its search dtype, are built on first use and kept.
     """
-    return [
-        (name, basis.shape[1], sign * (basis @ (basis.T @ other @ basis) @ basis.T))
-        for name, basis, other, sign in (("psi1", null1, p2, -1.0), ("psi2", null2, p1, 1.0))
-        if basis.shape[1]
-    ]
+
+    def __init__(self, psi1, psi2):
+        self.p1 = _factor_matrix(psi1, "psi1")
+        self.p2 = _factor_matrix(psi2, "psi2")
+        if self.p2.shape != self.p1.shape:
+            raise InvalidInputError(f"factor shapes differ: {self.p1.shape} vs {self.p2.shape}")
+        self.eigenpairs = []
+        for name, factor in (("psi1", self.p1), ("psi2", self.p2)):
+            values, vectors = _eigenpairs(factor)
+            low, high = values[[0, -1]]
+            if low < -EIG_RELATIVE_FLOOR * max(1.0, high):
+                raise NotPsdError(
+                    f"{name} must be positive semidefinite (min eigenvalue {low:.6e})"
+                )
+            self.eigenpairs.append((values, vectors))
+        self.nulls = [_null_basis(values, vectors) for values, vectors in self.eigenpairs]
+        self.definite = not any(basis.shape[1] for basis in self.nulls)
+        (dvals, _), (evals, _) = self.eigenpairs
+        self.scale = float(dvals[-1] * evals[-1])
+        self.diff = self.p1 - self.p2
+        self.tol = POLISH_TOL * float(np.max(np.abs(self.diff)))
+        self._built = {}
+
+    def recession_candidates(self):
+        """(name, null dimension, V) for each factor Pi whose null space is nontrivial.
+
+        With Ni the projector onto it, V1 = -N1 P2 N1 and V2 = N2 P1 N2. Pi Ni = 0
+        makes both quadratic terms of the loss vanish on each, so each lies in the
+        Hessian kernel; each maximizes <V, P1 - P2> over {Ni X Ni} at its norm,
+        whichever basis of the null space eigh returned.
+        """
+        null1, null2 = self.nulls
+        return [
+            (name, basis.shape[1], sign * (basis @ (basis.T @ other @ basis) @ basis.T))
+            for name, basis, other, sign in (
+                ("psi1", null1, self.p2, -1.0), ("psi2", null2, self.p1, 1.0)
+            )
+            if basis.shape[1]
+        ]
+
+    @cached_property
+    def joint_diagonalizer(self):
+        """(W, c) with W.T P1 W = I and W.T P2 W = diag(c), c ascending.
+
+        With m = P1^-1/2 and C = m P2 m = V diag(c) V.T, W = m V. The null
+        eigenvalues of P1 are raised first (_preconditioner_eigenvalues), so
+        W is finite for a singular P1 too, though W.T P1 W = I then holds
+        only off P1's null space. c are C's eigenvalues as eigh returns
+        them. From (W, c) come both inverse_geometric_mean(W, c) and, when
+        both factors are definite, the inverse of X -> P1 X P2 + P2 X P1,
+        which maps B to W [(W.T B W) / (c_i + c_j)] W.T.
+        """
+        (dvals, up), (evals, uq) = self.eigenpairs
+        m = (up / np.sqrt(_preconditioner_eigenvalues(dvals))) @ up.T
+        root = (m @ uq) * np.sqrt(np.clip(evals, 0.0, None))
+        cvals, v = np.linalg.eigh(root @ root.T)
+        return m @ v, cvals
+
+    def factors(self, dtype):
+        """(P1, P2) in dtype."""
+        key = "factors", dtype
+        if key not in self._built:
+            self._built[key] = self.p1.astype(dtype), self.p2.astype(dtype)
+        return self._built[key]
+
+    def primal(self, dtype):
+        """(P1, P2, (G, lmax(P1) lmax(P2))) in dtype for _cg_on_support, G = (P1 # P2)^-1."""
+        key = "primal", dtype
+        if key not in self._built:
+            g = inverse_geometric_mean(*self.joint_diagonalizer)
+            self._built[key] = g.astype(dtype), self.scale
+        return (*self.factors(dtype), self._built[key])
+
+    def inverse(self, dtype):
+        """(W, weights, jacobi) in dtype: _apply_inverse's W and weights, and a Jacobi.
+
+        W and c are the joint diagonalization, and the weights
+        1 / (2 (c_i + c_j)). The diagonal entry of the inverse at (i, j) is
+        sum_kl W_ik W_jl (W_ik W_jl + W_jk W_il) / (c_k + c_l). jacobi is 1
+        over its first term, [(W * W) (1 / (c_k + c_l)) (W * W).T]_ij, which
+        two GEMMs give. On a power cell that term was 0.67-1 of the whole
+        entry, and preconditioning with it halved the complement CG's steps.
+        """
+        key = "inverse", dtype
+        if key not in self._built:
+            w, c = self.joint_diagonalizer
+            weights = 1.0 / np.add.outer(c, c)
+            squares = w * w
+            jacobi = 1.0 / (squares @ weights @ squares.T)
+            weights *= 0.5
+            self._built[key] = tuple(a.astype(dtype) for a in (w, weights, jacobi))
+        return self._built[key]
 
 
-def _check_bounded(solver, p1, p2, diff, config):
-    """Raise UnboundedProblemError if a recession candidate proves the problem unbounded.
+def _check_bounded(pair, config):
+    """Raise UnboundedProblemError if a recession candidate of the pair proves it unbounded.
 
     Along t V the objective changes at the constant slope
     lam pen(V) - <V, P1 - P2>. A slope negative by more than UNBOUNDED_MARGIN,
     relative to lam pen(V) + |V|_F |P1 - P2|_F, proves the problem unbounded
     below. The test is sufficient, not necessary. A full-rank factor offers
-    no candidate, so it then costs one pass over the eigenvalues.
+    no candidate.
     """
-    for name, k, direction in _recession_candidates(*solver.null_bases(), p1, p2):
+    for name, k, direction in pair.recession_candidates():
         penalty = config.lam * off_diagonal_l1(direction)
-        slope = penalty - float(np.sum(direction * diff))
+        slope = penalty - float(np.sum(direction * pair.diff))
         norm = float(np.linalg.norm(direction))
-        if slope < -UNBOUNDED_MARGIN * (penalty + norm * float(np.linalg.norm(diff))):
+        if slope < -UNBOUNDED_MARGIN * (penalty + norm * float(np.linalg.norm(pair.diff))):
             raise UnboundedProblemError(
                 f"the penalized problem is unbounded below: along a direction in the "
                 f"{k}-dimensional null space of {name} the objective falls at rate "
@@ -240,7 +333,7 @@ def _apply_inverse(w, weights, y, out, scratch):
     """out = W [(W.T Y W) * weights] W.T plus its transpose, for symmetric Y: four GEMMs.
 
     With weights 1 / (2 (c_i + c_j)) and (W, c) from
-    PxqSolver.joint_diagonalizer, this is the inverse of
+    _FactorPair.joint_diagonalizer, this is the inverse of
     X -> P1 X P2 + P2 X P1, made exactly symmetric.
     """
     np.matmul(y, w, out=out)
@@ -306,7 +399,7 @@ def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
 def _cg_on_complement(inverse, factors, y, masks, tol, gain, max_steps, work):
     """Preconditioned CG for the multiplier on the complement C of a support, in place.
 
-    inverse is the (W, weights, jacobi) of _PolishOperators.inverse, so
+    inverse is the (W, weights, jacobi) of _FactorPair.inverse, so
     that A(Y) = _apply_inverse(W, weights, Y) inverts L(X) = P1 X P2 +
     P2 X P1, with factors = (P1, P2), and is symmetric positive definite on
     symmetric matrices, and jacobi approximates 1 over its diagonal. The
@@ -376,93 +469,40 @@ def _largest_if_near(r, squared, near):
     return max(float(r.max()), -float(r.min()))
 
 
-class _PolishOperators:
-    """What the inner solves of a solve's polishes apply, built once per solve.
-
-    p1 and p2 are the float64 factors and dtype the search precision.
-    pairs is a (3, 2, p, p) array of that dtype, three stacked pairs, in
-    which every inner CG works (run_admm lends its scratch arrays), and
-    mask one more array of it. definite says both factors are full rank,
-    which the complement solve needs. The factors' joint diagonalization
-    (W, c) (PxqSolver.joint_diagonalizer) is made once; from it the primal
-    CG's preconditioner and the complement CG's inverse and Jacobi
-    preconditioner are each built on first use, in the search dtype, so a
-    solve that polishes only on one side builds only that side's.
-    """
-
-    def __init__(self, p1, p2, solver, dtype, pairs, definite):
-        self.p1, self.p2, self.dtype, self.pairs, self.definite = p1, p2, dtype, pairs, definite
-        self.mask = np.empty_like(pairs[0, 0])
-        self.scale = solver.scale()
-        self._diagonalizer = solver.joint_diagonalizer()
-        self._factors = self._precond = self._inverse = None
-
-    def factors(self):
-        """(P1, P2) in the search dtype."""
-        if self._factors is None:
-            self._factors = self.p1.astype(self.dtype), self.p2.astype(self.dtype)
-        return self._factors
-
-    def primal(self):
-        """(P1, P2, (G, lmax(P1) lmax(P2))) for _cg_on_support, G = (P1 # P2)^-1."""
-        if self._precond is None:
-            g = inverse_geometric_mean(*self._diagonalizer)
-            self._precond = g.astype(self.dtype), self.scale
-        return (*self.factors(), self._precond)
-
-    def inverse(self):
-        """(W, weights, jacobi): _apply_inverse's W and weights, and the complement CG's Jacobi.
-
-        W and c are the joint diagonalization, and the weights
-        1 / (2 (c_i + c_j)). The diagonal entry of the inverse at (i, j) is
-        sum_kl W_ik W_jl (W_ik W_jl + W_jk W_il) / (c_k + c_l). jacobi is 1
-        over its first term, [(W * W) (1 / (c_k + c_l)) (W * W).T]_ij, which
-        two GEMMs give. On a power cell that term was 0.67-1 of the whole
-        entry, and preconditioning with it halved the complement CG's steps.
-        """
-        if self._inverse is None:
-            w, c = self._diagonalizer
-            weights = 1.0 / np.add.outer(c, c)
-            squares = w * w
-            jacobi = 1.0 / (squares @ weights @ squares.T)
-            weights *= 0.5
-            self._inverse = tuple(a.astype(self.dtype) for a in (w, weights, jacobi))
-        return self._inverse
-
-
-def _solve_on_support(ops, r, support, target, max_steps, out, scratch):
+def _solve_on_support(pair, stacked, mask, r, support, target, max_steps, out, scratch):
     """One primal CG call: out = D, zero off S, with [P1 D P2 + P2 D P1]_S = r_S within target.
 
     S is the boolean support, and r (read on S only), out and scratch are
-    float64. The CG (_cg_on_support) runs in the search dtype from D = 0,
-    preconditioned. Returns its (steps taken, solved).
+    float64, and stacked and mask as in _polish. The CG (_cg_on_support)
+    runs in the search dtype from D = 0, preconditioned. Returns its (steps
+    taken, solved).
     """
-    p1, p2, precond = ops.primal()
-    correction, r_search = ops.pairs[0]
+    p1, p2, precond = pair.primal(stacked.dtype)
+    correction, r_search = stacked[0]
     correction.fill(0.0)
     np.multiply(r, support, out=r_search, casting="same_kind")
-    np.copyto(ops.mask, support)
+    np.copyto(mask, support)
     taken, solved = _cg_on_support(
-        p1, p2, ops.pairs[0], ops.mask, target, max_steps, ops.pairs[1:], precond
+        p1, p2, stacked[0], mask, target, max_steps, stacked[1:], precond
     )
     _symmetric_part(correction, out, scratch)
     return taken, solved
 
 
-def _solve_on_complement(ops, r, support, target, max_steps, out, scratch):
+def _solve_on_complement(pair, stacked, mask, r, support, target, max_steps, out, scratch):
     """One complement CG call: out = D, zero off S, with P1 D P2 + P2 D P1 = r + M, M zero on S.
 
     The range-space method for an equality-constrained quadratic program
     (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006, sections
     16.2-16.3): with L(X) = P1 X P2 + P2 X P1 and its exact inverse
-    (ops.inverse), CG finds the multiplier M on the complement C of S from
+    (pair.inverse), CG finds the multiplier M on the complement C of S from
     [L^-1(r + M)]_C = 0, and D = L^-1(r + M) with C zeroed, to
     max |[L(D)]_S - r_S| <= target. r is read on every entry, and its part
     on C sets where the multiplier starts: for an iterate x with residual
     B - L(x), x + D has the multiplier [L(x) - B]_C + r_C + M on C, so
     r_C = 0 starts it at x's own, and r_C = E_C + (B - L(x))_C at an
-    estimate E. The CG (_cg_on_complement) runs in the search dtype and
-    first checks its residual on S once
+    estimate E. With stacked and mask as in _polish, the CG
+    (_cg_on_complement) runs in the search dtype and first checks its residual on S once
     lmax(P1) lmax(P2) max |D_C| <= COMPLEMENT_SLACK target. Returns
     (steps, solved), the steps counting the first product A(r), which
     costs what a step does: so every call takes a step, a call with no
@@ -471,16 +511,16 @@ def _solve_on_complement(ops, r, support, target, max_steps, out, scratch):
     """
     if max_steps < 1:
         return 0, False
-    inverse = ops.inverse()
-    y, r_search = ops.pairs[0]
-    rho, product, work, negated = ops.pairs[1:].reshape((-1,) + y.shape)
+    inverse = pair.inverse(stacked.dtype)
+    y, r_search = stacked[0]
+    rho, product, work, negated = stacked[1:].reshape((-1,) + y.shape)
     np.copyto(r_search, r, casting="same_kind")
     _apply_inverse(*inverse[:2], r_search, y, work)
-    np.copyto(ops.mask, support)
-    np.subtract(ops.mask, 1.0, out=negated)
+    np.copyto(mask, support)
+    np.subtract(mask, 1.0, out=negated)
     taken, solved = _cg_on_complement(
-        inverse, ops.factors(), y, (ops.mask, negated), target,
-        ops.scale / COMPLEMENT_SLACK, max_steps - 1, (rho, product, work, r_search),
+        inverse, pair.factors(stacked.dtype), y, (mask, negated), target,
+        pair.scale / COMPLEMENT_SLACK, max_steps - 1, (rho, product, work, r_search),
     )
     y += rho
     _symmetric_part(y, out, scratch)
@@ -494,7 +534,7 @@ def _symmetric_part(a, out, scratch):
     out *= 0.5
 
 
-def _inner_solver(ops, support):
+def _inner_solver(pair, support):
     """The inner solve of a polish round on the boolean support S.
 
     _solve_on_complement when both factors are definite, which its exact
@@ -505,23 +545,25 @@ def _inner_solver(ops, support):
     lam-sweep cases), the two broke even with S at 45-53% of the entries,
     and on a support of 5% the complement did not polish at all.
     """
-    if ops.definite and 2 * np.count_nonzero(support) >= support.size:
+    if pair.definite and 2 * np.count_nonzero(support) >= support.size:
         return _solve_on_complement
     return _solve_on_support
 
 
-def _polish(ops, diff, lam, z, estimate, signs, tol, max_steps):
+def _polish(pair, stacked, mask, lam, z, estimate, signs, max_steps):
     """Solve for the optimum on the support of z; (x or None, CG steps taken).
 
     signs is the off-diagonal sign pattern of z (int8, 0 on the diagonal),
     and _polish works on a copy of it. S holds its nonzeros plus the
     diagonal, and C, the rest, is where x stays zero. If S and signs are
     those of the optimum, x solves [P1 X P2 + P2 X P1]_S = B_S, with
-    B = 2 (P1 - P2 - lam signs) twice the stationarity condition on S. ops
-    (_PolishOperators) holds the factors and what the inner solves apply.
-    estimate is a float64 estimate of the optimum's gradient
-    G = sym(P1 X P2) - (P1 - P2); run_admm passes -sigma sym(u) from its
-    scaled dual u. The iterate x is float64 whatever the dtype of z.
+    B = 2 (P1 - P2 - lam signs) twice the stationarity condition on S. pair
+    (_FactorPair) holds the factors, the KKT tolerance tol and what the
+    inner solves apply. stacked, three stacked p x p pairs in which every
+    inner CG works, and mask, one p x p array more, are run_admm's, in the
+    search dtype. estimate is a float64 estimate of the optimum's
+    gradient G = sym(P1 X P2) - (P1 - P2); run_admm passes -sigma sym(u)
+    from its scaled dual u. The iterate x is float64 whatever the dtype of z.
 
     Every round picks its inner solve from the support (_inner_solver): CG
     on S for x, or CG on C for the multiplier 2 G_C. Either way the polish
@@ -554,11 +596,12 @@ def _polish(ops, diff, lam, z, estimate, signs, tol, max_steps):
     signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
-    refine = POLISH_LOOSE if ops.dtype == np.float32 else 0.0
+    diff, tol = pair.diff, pair.tol
+    refine = POLISH_LOOSE if stacked.dtype == np.float32 else 0.0
     steps = 0
     for repair in range(POLISH_ROUNDS + 1):
-        solve = _inner_solver(ops, support)
-        _kkt_product(ops.p1, ops.p2, x, product, scratch)
+        solve = _inner_solver(pair, support)
+        _kkt_product(pair.p1, pair.p2, x, product, scratch)
         np.multiply(signs, -lam, out=r)
         r += diff
         r *= 2.0
@@ -574,12 +617,14 @@ def _polish(ops, diff, lam, z, estimate, signs, tol, max_steps):
             scratch *= 2.0
             r += scratch
         while True:
-            taken, solved = solve(ops, r, support, target, max_steps - steps, correction, scratch)
+            taken, solved = solve(
+                pair, stacked, mask, r, support, target, max_steps - steps, correction, scratch
+            )
             steps += taken
             if not solved:
                 return None, steps
             x += correction
-            _kkt_product(ops.p1, ops.p2, x, product, scratch)
+            _kkt_product(pair.p1, pair.p2, x, product, scratch)
             grad = np.multiply(product, 0.5, out=r)
             grad -= diff
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(grad))):
@@ -635,11 +680,6 @@ def _shrink_off_diagonal(a, thresh, out, scratch):
     np.fill_diagonal(out, np.diagonal(a))
 
 
-def _polish_tolerance(diff):
-    """KKT tolerance of an accepted polish for the factor difference diff = P1 - P2."""
-    return POLISH_TOL * float(np.max(np.abs(diff)))
-
-
 def _check_finite(z, iteration):
     if not np.all(np.isfinite(z)):
         raise SolverDivergedError(
@@ -656,9 +696,10 @@ def run_admm(psi1, psi2, config):
     On symmetric D the loss equals 0.5 <P1 D P2, D> - <D, P1 - P2>, so the
     problem splits into that smooth term over any p x p matrix d and the
     penalty over symmetric z, coupled by d = z (Boyd et al. 2011, section 3.1)
-    with penalty sigma = 4 rho. Each iteration solves P1 X P2 + sigma X = R
-    once with a PxqSolver, which decomposes the two factors once for the
-    whole run, over-relaxes d with ADMM_RELAXATION (section 3.4.3), and
+    with penalty sigma = 4 rho. The factors are checked and decomposed once
+    for the whole run, into a _FactorPair. Each iteration solves
+    P1 X P2 + sigma X = R once with a PxqSolver built from the pair's
+    eigenpairs, over-relaxes d with ADMM_RELAXATION (section 3.4.3), and
     shrinks the off-diagonal entries of the symmetric part of d + u at
     lam / sigma. The z-step projects onto symmetric matrices, so the fixed
     point is the symmetric optimum and does not depend on rho.
@@ -671,15 +712,15 @@ def run_admm(psi1, psi2, config):
     more than that fraction differ from the pattern of the last attempt.
     An attempt solves on the support of z, repairing it where it is wrong
     (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5). A
-    polish that passes the KKT check at _polish_tolerance(P1 - P2) ends the
+    polish that passes the KKT check at the pair's tol ends the
     run; one that fails leaves the iterates untouched. Each polish round
     runs CG on the smaller side of its support (_inner_solver): on the
     support for x, preconditioned with (P1 # P2)^-1, or, when both factors
     are definite, on its complement for the multiplier there, with the
     exact inverse of X -> P1 X P2 + P2 X P1 and warm-started from
     -2 sigma sym(u), ADMM's estimate of twice the gradient, u being the
-    scaled dual. Both come from one joint diagonalization of the factors,
-    made once per solve (_PolishOperators). All attempts together take at
+    scaled dual. Both come from the pair's joint diagonalization, made on
+    the first polish (_FactorPair). All attempts together take at
     most max_iter // CG_STEP_GEMMS CG steps. A passed polish is the only
     stop before max_iter, so a run that is not "max_iter" is KKT-certified.
 
@@ -697,33 +738,28 @@ def run_admm(psi1, psi2, config):
 
     Returns (z, iterations, stop, cg_steps), which estimate_delta records
     as a DeltaEstimate's delta, iterations, stop and cg_steps. Raises
-    SolverDivergedError if z is not finite at a check or after the last
-    iteration.
+    NotPsdError, naming the factor, if a factor is not positive
+    semidefinite, and SolverDivergedError if z is not finite at a check or
+    after the last iteration.
     """
-    p1 = _factor_matrix(psi1, "psi1")
-    p2 = _factor_matrix(psi2, "psi2")
-    if p2.shape != p1.shape:
-        raise InvalidInputError(f"factor shapes differ: {p1.shape} vs {p2.shape}")
     if not isinstance(config, SolverConfig):
         raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
-    p = p1.shape[0]
+    pair = _FactorPair(psi1, psi2)
+    p = pair.p1.shape[0]
     sigma = float(4.0 * config.rho)
     thresh = float(config.lam / sigma)
-    solver = PxqSolver(p1, p2, sigma)
-    diff = p1 - p2
-    _check_bounded(solver, p1, p2, diff, config)
-    polish_tol = _polish_tolerance(diff)
+    _check_bounded(pair, config)
+    solver = PxqSolver(*pair.eigenpairs, sigma)
     settled = POLISH_SETTLED * p * (p - 1)
 
-    definite = not any(basis.shape[1] for basis in solver.null_bases())
-    dtype = _search_dtype(definite, sigma, thresh, solver.scale())
+    dtype = _search_dtype(pair.definite, sigma, thresh, pair.scale)
     z, u = (np.zeros((p, p), dtype) for _ in range(2))
     # the iteration's scratch arrays r, d and w head three stacked pairs,
     # which the polish's inner CG borrows whole
-    pairs = np.empty((3, 2, p, p), dtype)
-    r, d, w = pairs[:, 0]
-    diff_search = diff.astype(dtype, copy=False)
-    ops = _PolishOperators(p1, p2, solver, dtype, pairs, definite)
+    stacked = np.empty((3, 2, p, p), dtype)
+    r, d, w = stacked[:, 0]
+    diff_search = pair.diff.astype(dtype, copy=False)
+    mask = np.empty((p, p), dtype)
 
     stop = "max_iter"
     pattern = np.zeros((p, p), dtype=np.int8)
@@ -760,7 +796,7 @@ def run_admm(psi1, psi2, config):
         estimate = np.add(u, u.T, dtype=float)
         estimate *= -0.5 * sigma
         polished, taken = _polish(
-            ops, diff, config.lam, z, estimate, pattern, polish_tol, budget - cg_steps
+            pair, stacked, mask, config.lam, z, estimate, pattern, budget - cg_steps
         )
         cg_steps += taken
         if polished is not None:
@@ -776,10 +812,11 @@ def run_admm(psi1, psi2, config):
 def estimate_delta(psi1, psi2, config):
     """Penalized difference estimate from two square-root precision factors.
 
-    Takes symmetric matrices, such as those precision_factor returns, and
-    runs the ADMM loop run_admm. Returns a DeltaEstimate holding the
-    symmetric sparse iterate, its penalized objective, the iteration count,
-    the stop reason and the CG steps.
+    Takes symmetric PSD matrices, such as those precision_factor returns
+    (NotPsdError names one that is not), and runs the ADMM loop run_admm.
+    Returns a DeltaEstimate holding the symmetric sparse iterate, its
+    penalized objective, the iteration count, the stop reason and the CG
+    steps.
 
     With unknown injection covariances, whiten with the identity:
     estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
@@ -862,43 +899,32 @@ def uniqueness_check(psi1, psi2, tau):
     (P1 (x) P2 + P2 (x) P1) / 2 of the quadratic loss vanishes on V exactly
     when Q1 V Q2 = 0 and Q2 V Q1 = 0, with Qi the projector onto range Pi, so
     its kernel has dimension p^2 - 2 r1 r2 + k^2 with ri = rank Pi and
-    k = dim(range P1 & range P2). Both come from the factors' eigenpairs in
-    O(p^3): one eigh per factor, none for a factor that is a kept PSD root
-    (see linalg._eigenpairs). The two uniqueness conditions are evaluated
-    on the unit recession candidates, which lie in that kernel.
+    k = dim(range P1 & range P2). Both come from the null bases of the
+    factors' _FactorPair in O(p^3): one eigh per factor, none for a factor
+    that is a kept PSD root. The two uniqueness conditions are evaluated on
+    the pair's unit recession candidates, which lie in that kernel.
 
     Verdicts: a trivial kernel certifies a strongly convex problem
     ("unique"); a candidate violating either condition witnesses
     "not-unique"; otherwise "inconclusive", because only the candidates
     (not the whole kernel cone) were examined.
     """
-    p1 = _factor_matrix(psi1, "psi1")
-    p2 = _factor_matrix(psi2, "psi2")
-    if p2.shape != p1.shape:
-        raise InvalidInputError(f"factor shapes differ: {p1.shape} vs {p2.shape}")
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidInputError(f"tau must be a positive real, got {tau!r}")
-    bases = []
-    for name, factor in (("psi1", p1), ("psi2", p2)):
-        values, vectors = _eigenpairs(factor)
-        low, high = values[[0, -1]]
-        if low < -EIG_RELATIVE_FLOOR * max(1.0, high):
-            raise NotPsdError(f"{name} must be positive semidefinite (min eigenvalue {low:.6e})")
-        bases.append(_null_basis(values, vectors))
-    null1, null2 = bases
-    p = p1.shape[0]
+    pair = _FactorPair(psi1, psi2)
+    null1, null2 = pair.nulls
+    p = pair.p1.shape[0]
     # range P1 & range P2 is the complement of null P1 + null P2; a null direction
     # the two share is a zero singular value, sqrt(1 - cos 0), of [N1 N2]
     shared = p - int(np.linalg.matrix_rank(np.hstack([null1, null2]), tol=EIG_RELATIVE_FLOOR))
     kernel_dim = p * p - 2 * (p - null1.shape[1]) * (p - null2.shape[1]) + shared * shared
 
-    diff = p1 - p2
-    inner_tol = 1e-10 * max(1.0, float(np.linalg.norm(diff)))
+    inner_tol = 1e-10 * max(1.0, float(np.linalg.norm(pair.diff)))
     condition_inner = condition_norm = 0.0
-    for _, _, direction in _recession_candidates(null1, null2, p1, p2):
+    for _, _, direction in pair.recession_candidates():
         norm = float(np.linalg.norm(direction))
         if norm > inner_tol:  # a smaller candidate is rounding, not a direction
-            condition_inner = max(condition_inner, float(np.sum(direction * diff)) / norm)
+            condition_inner = max(condition_inner, float(np.sum(direction * pair.diff)) / norm)
             condition_norm = max(condition_norm, off_diagonal_l1(direction) / norm)
 
     if kernel_dim == 0:

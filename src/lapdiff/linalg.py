@@ -222,7 +222,7 @@ def _inv_sqrt_from(values, vectors):
 
 
 class PxqSolver:
-    """Solver for P @ X @ Q + gamma * X = R that decomposes P and Q once.
+    """Solver for P @ X @ Q + gamma * X = R from the eigenpairs of P and Q.
 
     P and Q must be symmetric positive semidefinite and gamma > 0, so every
     transformed denominator is at least gamma. Diagonalizing P = Up D Up.T and
@@ -230,35 +230,18 @@ class PxqSolver:
 
         X = Up (W * (Up.T @ R @ Uq)) Uq.T,   W[i, j] = 1 / (D[i] * E[j] + gamma)
 
-    Operands are taken as given: callers validate them once at their own
-    boundary (solve_pxq for outside input, run_admm for its factors), so P
-    and Q arrive exactly symmetric and equal-shaped, gamma finite and
-    positive, and each R finite with their shape. A factor equal to a PSD
-    root this thread built lately (see _eigenpairs), such as the factor
-    precision_factor gives under an identity whitener, takes the
-    eigenpairs the root was built from; any other is decomposed with eigh.
-
-    The eigenpairs stay available through null_bases, joint_diagonalizer
-    and scale, so a caller can inspect the factors' null spaces, invert
-    X -> P X Q + Q X P or precondition with the factors' geometric mean
-    without decomposing them again.
+    PxqSolver((D, Up), (E, Uq), gamma) takes the eigenpairs as _eigenpairs
+    gives them, and takes its operands as given: callers validate them once
+    at their own boundary (solve_pxq for outside input,
+    estimator._FactorPair for a solve's factors), so the eigenpairs are
+    those of PSD matrices of one shape, gamma is finite and positive, and
+    each R is finite with their shape.
     """
 
-    def __init__(self, p, q, gamma):
-        self._dvals, self._up = _eigenpairs(p)
-        self._evals, self._uq = _eigenpairs(q)
-        self._weights = 1.0 / (np.multiply.outer(self._dvals, self._evals) + gamma)
+    def __init__(self, p_eigenpairs, q_eigenpairs, gamma):
+        (dvals, self._up), (evals, self._uq) = p_eigenpairs, q_eigenpairs
+        self._weights = 1.0 / (np.multiply.outer(dvals, evals) + gamma)
         self._cast = {}
-
-    def null_bases(self):
-        """Orthonormal bases (p x k) of the numerical null spaces of P and Q.
-
-        An eigenvector belongs to the null space when its eigenvalue is at
-        most EIG_RELATIVE_FLOOR times the largest in magnitude. The floor is
-        relative to that eigenvalue alone, so rescaling a factor does not
-        change its null space. A full-rank factor gives k = 0.
-        """
-        return _null_basis(self._dvals, self._up), _null_basis(self._evals, self._uq)
 
     def solve(self, r, out=None):
         """The X with P @ X @ Q + gamma * X = R, written into out if given.
@@ -280,37 +263,16 @@ class PxqSolver:
         np.matmul(up, out, out=scratch)
         return np.matmul(scratch, uq.T, out=out)
 
-    def joint_diagonalizer(self):
-        """(W, c) with W.T P W = I and W.T Q W = diag(c), c ascending.
-
-        With m = P^-1/2 and C = m Q m = V diag(c) V.T, W = m V. The null
-        eigenvalues of P are raised first (_preconditioner_eigenvalues), so
-        W is finite for a singular P too, though W.T P W = I then holds only
-        off P's null space. c are C's eigenvalues as eigh returns them. From
-        (W, c) come both inverse_geometric_mean(W, c) and, when both factors
-        are definite, the inverse of X -> P X Q + Q X P, which maps B to
-        W [(W.T B W) / (c_i + c_j)] W.T.
-        """
-        dvals = _preconditioner_eigenvalues(self._dvals)
-        m = (self._up / np.sqrt(dvals)) @ self._up.T
-        root = (m @ self._uq) * np.sqrt(np.clip(self._evals, 0.0, None))
-        cvals, v = np.linalg.eigh(root @ root.T)
-        return m @ v, cvals
-
-    def scale(self):
-        """lmax(P) lmax(Q), the largest eigenvalue of P (x) Q."""
-        return float(self._dvals[-1] * self._evals[-1])
-
 
 def inverse_geometric_mean(w, c):
-    """G = (P # Q)^-1 from PxqSolver.joint_diagonalizer's (W, c).
+    """G = (P # Q)^-1 from the joint diagonalization W.T P W = I, W.T Q W = diag(c).
 
     P # Q = P^1/2 (P^-1/2 Q P^-1/2)^1/2 P^1/2 is the matrix geometric mean
     (Bhatia, Positive Definite Matrices, 2007, ch. 4), and
     G = W diag(c^-1/2) W.T. The null eigenvalues of C are raised first
-    (_preconditioner_eigenvalues), as joint_diagonalizer raises P's, so G is
-    finite, exactly symmetric and positive definite for singular factors
-    too. X -> G X G inverts X -> (P # Q) X (P # Q). With X = W Y W.T,
+    (_preconditioner_eigenvalues), as estimator._FactorPair's
+    joint_diagonalizer raises P's, so G is finite, exactly symmetric and
+    positive definite for singular factors too. X -> G X G inverts X -> (P # Q) X (P # Q). With X = W Y W.T,
     P X Q + Q X P = W^-T [(c_i + c_j) Y_ij] W^-1 and 2 (P # Q) X (P # Q) =
     W^-T [2 (c_i c_j)^1/2 Y_ij] W^-1, so on symmetric X the two differ by at
     most the ratio of the arithmetic to the geometric mean of a pair of
@@ -336,6 +298,13 @@ def _preconditioner_eigenvalues(values):
 
 
 def _null_basis(values, vectors):
+    """Orthonormal basis (p x k) of the numerical null space, from a matrix's eigenpairs.
+
+    An eigenvector belongs to the null space when its eigenvalue is at most
+    EIG_RELATIVE_FLOOR times the largest in magnitude. The floor is relative
+    to that eigenvalue alone, so rescaling a factor does not change its null
+    space. A full-rank factor gives k = 0.
+    """
     magnitudes = np.abs(values)
     return vectors[:, magnitudes <= EIG_RELATIVE_FLOOR * np.max(magnitudes)]
 
@@ -362,7 +331,7 @@ def solve_pxq(p, q, r, gamma):
         )
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("right-hand side contains non-finite entries")
-    return PxqSolver(p, q, gamma).solve(r)
+    return PxqSolver(_eigenpairs(p), _eigenpairs(q), gamma).solve(r)
 
 
 def soft_threshold(a, lam, *, off_diagonal_only=False):

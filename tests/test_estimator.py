@@ -29,9 +29,8 @@ from lapdiff.estimator import (
     UniquenessReport,
     _cg_on_support,
     _check_bounded,
+    _FactorPair,
     _polish,
-    _PolishOperators,
-    _polish_tolerance,
     dtrace_loss,
     estimate_delta,
     exact_delta,
@@ -221,6 +220,18 @@ class TestRunAdmm:
         with pytest.raises(InvalidInputError, match=message):
             estimate_delta(np.eye(3), psi2, SolverConfig(lam=0.1))
 
+    def test_indefinite_factor_raises_not_psd_without_a_warning(self):
+        # the factor pair checks both factors before the loop divides by
+        # d_i e_j + sigma, which an indefinite factor makes zero or negative
+        config = SolverConfig(lam=0.1, rho=0.1, max_iter=2000)
+        indefinite = np.diag([1.0, -1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPsdError, match="^psi1 must be positive semidefinite"):
+                estimate_delta(indefinite, np.eye(3), config)
+            with pytest.raises(NotPsdError, match="^psi2 must be positive semidefinite"):
+                estimate_delta(np.eye(3), indefinite, config)
+
     def test_equal_factors_yield_zero(self):
         rng = np.random.default_rng(7)
         psi = random_pd(rng, 5)
@@ -312,9 +323,10 @@ class TestRunAdmm:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_divergence_detected(self):
-        # overflow in the factor difference drives iterates non-finite
+        # PSD factors whose optimum, (P1 - P2) / (P1 P2) = 1e320 I, lies beyond
+        # float64's range drive iterates non-finite
         psi1 = 1e308 * np.eye(3)
-        psi2 = -1e308 * np.eye(3)
+        psi2 = 1e-320 * np.eye(3)
         # the default max_iter reaches a finiteness check in the loop; one
         # below POLISH_CHECK ends first and meets the check after the loop
         for max_iter in (20000, estimator.POLISH_CHECK - 1):
@@ -380,12 +392,11 @@ def power_ratio1_cell(monkeypatch):
 class TestUnboundedCertificate:
     def test_power_ratio1_cell_finds_its_whole_null_space(self, power_ratio1_cell):
         psi1, psi2, config = power_ratio1_cell
-        p1, p2 = psi1, psi2
-        solver = PxqSolver(p1, p2, 4.0 * config.rho)
-        null1, null2 = solver.null_bases()
+        pair = _FactorPair(psi1, psi2)
+        null1, null2 = pair.nulls
         assert null1.shape == null2.shape == (117, 40)
         with pytest.raises(UnboundedProblemError):
-            _check_bounded(solver, p1, p2, p1 - p2, config)
+            _check_bounded(pair, config)
 
     @pytest.mark.parametrize("deficient", ["psi1", "psi2"])
     def test_rank_deficient_factor_raises_before_iterating(self, deficient, no_iterations):
@@ -447,27 +458,18 @@ DENSE_SWEEP = dict(
 )
 
 
-def polish_operators(psi1, psi2, dtype=np.float64):
-    """The _PolishOperators run_admm would build for the factors, searching in dtype."""
-    solver = PxqSolver(psi1, psi2, 1.0)
-    definite = not any(basis.shape[1] for basis in solver.null_bases())
-    pairs = np.empty((3, 2) + psi1.shape, dtype)
-    return _PolishOperators(psi1, psi2, solver, dtype, pairs, definite)
-
-
 def polish_from(z, psi1, psi2, lam, dtype=np.float64):
-    """_polish started from z, with the KKT tolerance run_admm would use, searching in dtype.
+    """_polish started from z, with the factor pair and scratch run_admm would use, in dtype.
 
     Its gradient estimate is z's own, so a complement solve starts the
     multiplier where z's is.
     """
-    diff = psi1 - psi2
-    tol = _polish_tolerance(diff)
+    pair = _FactorPair(psi1, psi2)
     signs = np.sign(z).astype(np.int8)
     np.fill_diagonal(signs, 0)
-    grad = (psi1 @ z @ psi2 + psi2 @ z @ psi1) / 2.0 - diff
-    ops = polish_operators(psi1, psi2, dtype)
-    return _polish(ops, diff, lam, z.astype(dtype), grad, signs, tol, 10000)
+    grad = (psi1 @ z @ psi2 + psi2 @ z @ psi1) / 2.0 - pair.diff
+    stacked, mask = np.empty((3, 2) + z.shape, dtype), np.empty(z.shape, dtype)
+    return _polish(pair, stacked, mask, lam, z.astype(dtype), grad, signs, 10000)
 
 
 def polished_problem():
@@ -491,7 +493,7 @@ class TestPolish:
             assert est.stop == "polished" and est.converged
             assert 0 < est.iterations <= 60
             assert np.array_equal(est.delta, est.delta.T)
-            tol = _polish_tolerance(psi1 - psi2)
+            tol = _FactorPair(psi1, psi2).tol
             assert kkt_residual(est.delta, psi1, psi2, config.lam) <= tol
 
     def test_polished_solves_match_proximal_gradient(self):
@@ -568,8 +570,8 @@ class TestPolish:
         p1, p2 = random_pd(rng, 6), random_pd(rng, 6)
         tol = 1e-6
         upper = np.triu(np.sign(rng.standard_normal((6, 6))))
-        solver = PxqSolver(p1, p2, 1.0)
-        precond = inverse_geometric_mean(*solver.joint_diagonalizer()), solver.scale()
+        pair = _FactorPair(p1, p2)
+        precond = inverse_geometric_mean(*pair.joint_diagonalizer), pair.scale
         for r in (np.full((6, 6), 0.5 * tol), (upper + np.triu(upper, 1).T) * tol):
             assert np.max(np.abs(r)) <= tol < np.linalg.norm(r)
             xr = np.stack([np.zeros((6, 6)), r])
@@ -593,7 +595,7 @@ class TestPolish:
                 z[i, j] = z[j, i] = rng.choice((-1e-3, 1e-3))
             x, steps = polish_from(z, psi1, psi2, config.lam)
             assert x is not None and steps <= 250
-            assert kkt_residual(x, psi1, psi2, config.lam) <= _polish_tolerance(psi1 - psi2)
+            assert kkt_residual(x, psi1, psi2, config.lam) <= _FactorPair(psi1, psi2).tol
 
     def test_repair_round_restores_a_dropped_pair(self):
         psi1, psi2, lam, optimum, (i, j) = polished_problem()
@@ -615,9 +617,9 @@ class TestPolish:
             steps.append(taken)
             return taken, solved
 
-        def recorded(ops, diff, lam, z, estimate, signs, *rest):
+        def recorded(pair, stacked, mask, lam, z, estimate, signs, *rest):
             patterns.append(signs.copy())
-            return polish(ops, diff, lam, z, estimate, signs, *rest)
+            return polish(pair, stacked, mask, lam, z, estimate, signs, *rest)
 
         monkeypatch.setattr(estimator, "_cg_on_support", counted)
         monkeypatch.setattr(estimator, "_polish", recorded)
@@ -709,8 +711,8 @@ def cg_case(kind, dtype, p=30):
     if kind == "nan":
         r[2, 2] = np.nan
     tol = (1e-9 if dtype == np.float64 else 1e-4) * float(np.nanmax(np.abs(r)))
-    solver = PxqSolver(p1, p2, 1.0)
-    g, scale = inverse_geometric_mean(*solver.joint_diagonalizer()), solver.scale()
+    pair = _FactorPair(p1, p2)
+    g, scale = inverse_geometric_mean(*pair.joint_diagonalizer), pair.scale
     p1, p2, x, r, g = (a.astype(dtype) for a in (p1, p2, x, r, g))
     return p1, p2, x, r, support, tol, (g, scale)
 
@@ -827,9 +829,9 @@ def search_dtypes(monkeypatch):
         seen.append((out if out is not None else r).dtype.name)
         return solve(self, r, out=out)
 
-    def polish_recorded(ops, diff, lam, z, *rest):
+    def polish_recorded(pair, stacked, mask, lam, z, *rest):
         seen.append(z.dtype.name)
-        return polish(ops, diff, lam, z, *rest)
+        return polish(pair, stacked, mask, lam, z, *rest)
 
     monkeypatch.setattr(PxqSolver, "solve", solve_recorded)
     monkeypatch.setattr(estimator, "_polish", polish_recorded)
@@ -885,7 +887,7 @@ class TestSearchPrecision:
         for psi1, psi2, config, est in solves:
             assert est.converged and est.delta.dtype == np.float64
             assert np.array_equal(est.delta, est.delta.T)
-            assert kkt_residual(est.delta, psi1, psi2, config.lam) <= _polish_tolerance(psi1 - psi2)
+            assert kkt_residual(est.delta, psi1, psi2, config.lam) <= _FactorPair(psi1, psi2).tol
         # the float32 search ends within 1e-8 of the optimum a float64 search finds
         monkeypatch.setattr(estimator, "_search_dtype", lambda *args: np.float64)
         for psi1, psi2, config, est in solves:
@@ -897,7 +899,7 @@ class TestSearchPrecision:
 
 def forced_solver(monkeypatch, solve):
     """Make every polish round use the inner solve given."""
-    monkeypatch.setattr(estimator, "_inner_solver", lambda ops, support: solve)
+    monkeypatch.setattr(estimator, "_inner_solver", lambda pair, support: solve)
 
 
 def dense_support_problem():
@@ -920,7 +922,7 @@ class TestComplementPolish:
                 est = estimate_delta(psi1, psi2, config)
                 assert est.converged and est.delta.dtype == np.float64
                 assert np.array_equal(est.delta, est.delta.T)
-                tol = _polish_tolerance(psi1 - psi2)
+                tol = _FactorPair(psi1, psi2).tol
                 assert kkt_residual(est.delta, psi1, psi2, config.lam) <= tol
                 ests.append(est)
             primal, complement = ests
@@ -943,21 +945,21 @@ class TestComplementPolish:
         x, steps = polish_from(z, psi1, psi2, config.lam, dtype)
         assert x is not None and 0 < steps
         assert x.dtype == np.float64 and np.array_equal(x, x.T)
-        assert kkt_residual(x, psi1, psi2, config.lam) <= _polish_tolerance(psi1 - psi2)
+        assert kkt_residual(x, psi1, psi2, config.lam) <= _FactorPair(psi1, psi2).tol
         assert np.max(np.abs(x - optimum)) / np.max(np.abs(optimum)) <= 1e-8
 
     def test_inner_solver_follows_the_support_and_the_factors(self, power_cells):
         _, solves = power_cells
         psi1, psi2, _, est = solves[0]
-        ops = polish_operators(psi1, psi2)
+        pair = _FactorPair(psi1, psi2)
         support = est.delta != 0.0
         assert np.all(np.diagonal(support)) and 2 * np.count_nonzero(support) > support.size
         diagonal = np.eye(117, dtype=bool)
-        assert estimator._inner_solver(ops, support) is estimator._solve_on_complement
-        assert estimator._inner_solver(ops, diagonal) is estimator._solve_on_support
+        assert estimator._inner_solver(pair, support) is estimator._solve_on_complement
+        assert estimator._inner_solver(pair, diagonal) is estimator._solve_on_support
         # the complement solve needs the exact inverse, which a singular factor lacks
         rng = np.random.default_rng(47)
-        singular = polish_operators(rank_deficient_psd(rng, 12, 6), random_pd(rng, 12))
+        singular = _FactorPair(rank_deficient_psd(rng, 12, 6), random_pd(rng, 12))
         assert not singular.definite
         full = np.ones((12, 12), dtype=bool)
         assert estimator._inner_solver(singular, full) is estimator._solve_on_support

@@ -247,8 +247,7 @@ class TestRunInstance:
                 run_instance(scenario, n1, n2, SolverConfig(lam=0.1), ("dtrace",))
 
     def test_cell_makes_one_values_only_lapack_call(self, monkeypatch):
-        # numpy's values-only routines hold the GIL for their whole LAPACK call
-        # (tools/gil_probe.py), stalling any other thread of the process; a
+        # each of numpy's values-only routines costs a whole LAPACK call; a
         # matpower cell keeps only the eigvalsh check of b2, since its base
         # was checked once, when MatpowerBaseSpec.matrix was built
         monkeypatch.setenv("LAPDIFF_THREADS", "1")
@@ -268,10 +267,10 @@ class TestRunInstance:
 
     @pytest.mark.parametrize("ratio, bounded, decompositions", [(3.0, True, 3), (1.0, False, 2)])
     def test_cell_decomposes_each_matrix_once(self, monkeypatch, ratio, bounded, decompositions):
-        # one eigh per whitened root; PxqSolver takes the factors' eigenpairs
-        # from those roots (identity whitener), and a bounded cell adds the
-        # joint diagonalizer of its polish, which a certified-unbounded one
-        # (n < p at ratio 1) never reaches
+        # one eigh per whitened root; the factor pair takes the factors'
+        # eigenpairs from those roots (identity whitener), and a bounded cell
+        # adds the joint diagonalizer of its polish, which a certified-unbounded
+        # one (n < p at ratio 1) never reaches
         monkeypatch.setenv("LAPDIFF_THREADS", "1")
         cfg = power_cell_config(ratio)
         calls = []

@@ -6,6 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from lapdiff.errors import InvalidInputError, NotPsdError, SingularMatrixError
+from lapdiff.estimator import _FactorPair
 from lapdiff.linalg import (
     PxqSolver,
     as_symmetric,
@@ -178,9 +179,9 @@ class TestSolvePxq:
 class TestPxqSolverTakesRootEigenpairs:
     def test_only_an_unchanged_root_skips_eigh(self, monkeypatch):
         # under an identity whitener a factor is the PSD root sqrt_psd built,
-        # whose eigenpairs PxqSolver takes; a factor or a root changed in
-        # place after it was built, and a factor from a dense sigma, are
-        # decomposed afresh
+        # whose eigenpairs the factor pair takes and builds PxqSolver from; a
+        # factor or a root changed in place after it was built, and a factor
+        # from a dense sigma, are decomposed afresh
         rng = np.random.default_rng(12)
         p = 9
         y = rng.standard_normal((40, p))
@@ -201,7 +202,7 @@ class TestPxqSolverTakesRootEigenpairs:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         for factor, decompositions in ((fresh, 0), (mutated, 2), (mutated_root, 2), (dense, 2)):
             calls.clear()
-            x = PxqSolver(factor, factor, 0.3).solve(r)
+            x = PxqSolver(*_FactorPair(factor, factor).eigenpairs, 0.3).solve(r)
             assert len(calls) == decompositions
             assert_allclose(x, solve_pxq(factor, factor, r, 0.3), rtol=0, atol=1e-12)
             assert_allclose(x, kron_solve_pxq(factor, factor, r, 0.3), rtol=0, atol=1e-10)
@@ -212,8 +213,8 @@ class TestInverseGeometricMean:
         rng = np.random.default_rng(12)
         for p_dim, rank in ((1, 1), (6, 6), (12, 12), (12, 7)):
             p, q = random_psd(rng, p_dim, rank), random_psd(rng, p_dim, rank)
-            solver = PxqSolver(p, q, 1.0)
-            g, scale = inverse_geometric_mean(*solver.joint_diagonalizer()), solver.scale()
+            pair = _FactorPair(p, q)
+            g, scale = inverse_geometric_mean(*pair.joint_diagonalizer), pair.scale
             assert np.array_equal(g, g.T)
             assert np.linalg.eigvalsh(g)[0] > 0.0
             lmax = np.linalg.eigvalsh(p)[-1] * np.linalg.eigvalsh(q)[-1]
@@ -223,7 +224,7 @@ class TestInverseGeometricMean:
         # P # Q is the only positive definite H with H P^-1 H = Q
         rng = np.random.default_rng(13)
         p, q = random_pd(rng, 10), random_pd(rng, 10)
-        g = inverse_geometric_mean(*PxqSolver(p, q, 1.0).joint_diagonalizer())
+        g = inverse_geometric_mean(*_FactorPair(p, q).joint_diagonalizer)
         h = np.linalg.inv(g)
         assert_allclose(h @ np.linalg.solve(p, h), q, atol=1e-10)
 

@@ -13,12 +13,14 @@ less that of the other phases they call:
   sigmas, and the eigenvalue checks of b2 and the sigmas);
 - sampling: the two sample_potentials draws;
 - factor: the two precision_factor calls;
-- pxq_solver: building the PxqSolver of estimator.run_admm, the ADMM
-  loop estimate_delta runs, from the factors' eigenpairs;
+- pxq_solver: building the estimator._FactorPair of estimator.run_admm,
+  the ADMM loop estimate_delta runs (the factors' checks, eigenpairs and
+  null bases), and its PxqSolver from those eigenpairs;
 - admm_loop: the rest of estimator.run_admm, its iterations and
   null-space check;
-- polish_setup: building estimator._PolishOperators (the joint
-  diagonalizer) and the operators its methods build on first use;
+- polish_setup: what the factor pair builds on first use for the polish:
+  the operators in the search dtype, and the joint diagonalizer they
+  come from;
 - polish: the rest of estimator._polish;
 - objective: estimate_delta's penalized_objective;
 - scoring: support_recovered, sup_norm_error and default_support_epsilon;
@@ -60,11 +62,11 @@ TIMED = (
     (experiments, "sample_potentials", "sampling"),
     (experiments, "precision_factor", "factor"),
     (estimator, "run_admm", "admm_loop"),
+    (estimator, "_FactorPair", "pxq_solver"),
     (estimator, "PxqSolver", "pxq_solver"),
-    (estimator, "_PolishOperators", "polish_setup"),
-    (estimator._PolishOperators, "factors", "polish_setup"),
-    (estimator._PolishOperators, "primal", "polish_setup"),
-    (estimator._PolishOperators, "inverse", "polish_setup"),
+    (estimator._FactorPair, "factors", "polish_setup"),
+    (estimator._FactorPair, "primal", "polish_setup"),
+    (estimator._FactorPair, "inverse", "polish_setup"),
     (estimator, "_polish", "polish"),
     (estimator, "penalized_objective", "objective"),
     (experiments, "support_recovered", "scoring"),
