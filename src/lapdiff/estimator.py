@@ -26,6 +26,7 @@ from .linalg import (
     _eigenpairs,
     _null_basis,
     _preconditioner_eigenvalues,
+    _require_psd,
     as_symmetric,
     inv_sqrt_pd,
     inverse_geometric_mean,
@@ -35,7 +36,7 @@ from .linalg import (
 from .sampling import sample_covariance
 
 # Relative margin by which a recession direction's objective slope must be
-# negative before run_admm declares the problem unbounded.
+# negative before a solve declares the problem unbounded.
 UNBOUNDED_MARGIN = 1e-6
 
 # Over-relaxation factor of run_admm's d-step; 1 is plain ADMM.
@@ -76,9 +77,9 @@ COMPLEMENT_SLACK = 30.0
 POLISH_TOL = 1e-9
 
 # run_admm searches in float32 only while the d-step penalty sigma and the
-# operator scale lmax(P1) lmax(P2) lie within this factor of 1 and the shrink
-# threshold below it. 2^96 is about 8e28, ten decades inside float32's range
-# (about 1e-38 to 3e38), which leaves room for the squares CG forms.
+# operator scale lmax(P1) lmax(P2) lie within this factor of 1, and the shrink
+# threshold and max |P1 - P2| below it. 2^96 is about 8e28, ten decades inside
+# float32's range (1e-38 to 3e38), room for the squares CG forms.
 FLOAT32_SPAN = 2.0**96
 
 
@@ -194,9 +195,9 @@ class _FactorPair:
     PSD root), checked PSD before anything divides by them; each error
     names the factor. nulls are their orthonormal null bases (p x 0 when
     full rank), definite says both are full rank, scale = lmax(P1) lmax(P2),
-    diff = P1 - P2 and tol = POLISH_TOL max |diff|, the KKT tolerance of an
-    accepted polish. The joint diagonalizer, and the operators a polish
-    applies in its search dtype, are built on first use and kept.
+    diff = P1 - P2, largest = max |diff| and tol = POLISH_TOL largest, the
+    KKT tolerance of an accepted polish. The joint diagonalizer and a
+    polish's operators and buffers in its search dtype are built on first use.
     """
 
     def __init__(self, psi1, psi2):
@@ -207,18 +208,15 @@ class _FactorPair:
         self.eigenpairs = []
         for name, factor in (("psi1", self.p1), ("psi2", self.p2)):
             values, vectors = _eigenpairs(factor)
-            low, high = values[[0, -1]]
-            if low < -EIG_RELATIVE_FLOOR * max(1.0, high):
-                raise NotPsdError(
-                    f"{name} must be positive semidefinite (min eigenvalue {low:.6e})"
-                )
+            _require_psd(values, name)
             self.eigenpairs.append((values, vectors))
         self.nulls = [_null_basis(values, vectors) for values, vectors in self.eigenpairs]
         self.definite = not any(basis.shape[1] for basis in self.nulls)
         (dvals, _), (evals, _) = self.eigenpairs
         self.scale = float(dvals[-1] * evals[-1])
         self.diff = self.p1 - self.p2
-        self.tol = POLISH_TOL * float(np.max(np.abs(self.diff)))
+        self.largest = float(np.max(np.abs(self.diff)))
+        self.tol = POLISH_TOL * self.largest
         self._built = {}
 
     def recession_candidates(self):
@@ -291,26 +289,40 @@ class _FactorPair:
             self._built[key] = tuple(a.astype(dtype) for a in (w, weights, jacobi))
         return self._built[key]
 
+    def buffers(self, dtype):
+        """(stacked, mask, work): three (2, p, p) pairs and a p x p mask in dtype for every
+        inner CG, and the float64 (r, correction, product, scratch) of _polish."""
+        key = "buffers", dtype
+        if key not in self._built:
+            shape = self.p1.shape
+            stacked, mask = np.empty((3, 2) + shape, dtype), np.empty(shape, dtype)
+            self._built[key] = stacked, mask, np.empty((4,) + shape)
+        return self._built[key]
 
-def _check_bounded(pair, config):
+
+def _check_bounded(pair, lam):
     """Raise UnboundedProblemError if a recession candidate of the pair proves it unbounded.
 
     Along t V the objective changes at the constant slope
     lam pen(V) - <V, P1 - P2>. A slope negative by more than UNBOUNDED_MARGIN,
     relative to lam pen(V) + |V|_F |P1 - P2|_F, proves the problem unbounded
     below. The test is sufficient, not necessary. A full-rank factor offers
-    no candidate.
+    no candidate. V and P1 - P2 enter divided by their largest entries (if
+    nonzero), so nothing the test forms overflows.
     """
+    largest = pair.largest or 1.0
+    diff = pair.diff / largest
     for name, k, direction in pair.recession_candidates():
-        penalty = config.lam * off_diagonal_l1(direction)
-        slope = penalty - float(np.sum(direction * pair.diff))
+        direction = direction / (np.max(np.abs(direction)) or 1.0)
+        penalty = lam * off_diagonal_l1(direction) / largest
+        slope = penalty - float(np.sum(direction * diff))
         norm = float(np.linalg.norm(direction))
-        if slope < -UNBOUNDED_MARGIN * (penalty + norm * float(np.linalg.norm(pair.diff))):
+        if slope < -UNBOUNDED_MARGIN * (penalty + norm * float(np.linalg.norm(diff))):
             raise UnboundedProblemError(
                 f"the penalized problem is unbounded below: along a direction in the "
                 f"{k}-dimensional null space of {name} the objective falls at rate "
-                f"{-slope / norm:.3e} per unit step at lam = {config.lam:.6g}; a larger "
-                f"lam or more samples may make it bounded"
+                f"{-slope / norm * largest:.3e} per unit step at lam = {lam:.6g}; "
+                f"a larger lam or more samples may make it bounded"
             )
 
 
@@ -469,15 +481,16 @@ def _largest_if_near(r, squared, near):
     return max(float(r.max()), -float(r.min()))
 
 
-def _solve_on_support(pair, stacked, mask, r, support, target, max_steps, out, scratch):
+def _solve_on_support(pair, dtype, r, support, target, max_steps, out, scratch):
     """One primal CG call: out = D, zero off S, with [P1 D P2 + P2 D P1]_S = r_S within target.
 
     S is the boolean support, and r (read on S only), out and scratch are
-    float64, and stacked and mask as in _polish. The CG (_cg_on_support)
-    runs in the search dtype from D = 0, preconditioned. Returns its (steps
+    float64. The CG (_cg_on_support) runs in the search dtype from D = 0,
+    preconditioned, in the pair's buffers of that dtype. Returns its (steps
     taken, solved).
     """
-    p1, p2, precond = pair.primal(stacked.dtype)
+    stacked, mask, _ = pair.buffers(dtype)
+    p1, p2, precond = pair.primal(dtype)
     correction, r_search = stacked[0]
     correction.fill(0.0)
     np.multiply(r, support, out=r_search, casting="same_kind")
@@ -489,7 +502,7 @@ def _solve_on_support(pair, stacked, mask, r, support, target, max_steps, out, s
     return taken, solved
 
 
-def _solve_on_complement(pair, stacked, mask, r, support, target, max_steps, out, scratch):
+def _solve_on_complement(pair, dtype, r, support, target, max_steps, out, scratch):
     """One complement CG call: out = D, zero off S, with P1 D P2 + P2 D P1 = r + M, M zero on S.
 
     The range-space method for an equality-constrained quadratic program
@@ -501,9 +514,9 @@ def _solve_on_complement(pair, stacked, mask, r, support, target, max_steps, out
     on C sets where the multiplier starts: for an iterate x with residual
     B - L(x), x + D has the multiplier [L(x) - B]_C + r_C + M on C, so
     r_C = 0 starts it at x's own, and r_C = E_C + (B - L(x))_C at an
-    estimate E. With stacked and mask as in _polish, the CG
-    (_cg_on_complement) runs in the search dtype and first checks its residual on S once
-    lmax(P1) lmax(P2) max |D_C| <= COMPLEMENT_SLACK target. Returns
+    estimate E. With r, out and scratch as in _solve_on_support, the CG
+    (_cg_on_complement) runs as there, and first checks its residual on S
+    once lmax(P1) lmax(P2) max |D_C| <= COMPLEMENT_SLACK target. Returns
     (steps, solved), the steps counting the first product A(r), which
     costs what a step does: so every call takes a step, a call with no
     step left fails at once, and the polish's step budget bounds its
@@ -511,15 +524,15 @@ def _solve_on_complement(pair, stacked, mask, r, support, target, max_steps, out
     """
     if max_steps < 1:
         return 0, False
-    inverse = pair.inverse(stacked.dtype)
-    y, r_search = stacked[0]
-    rho, product, work, negated = stacked[1:].reshape((-1,) + y.shape)
+    stacked, mask, _ = pair.buffers(dtype)
+    inverse = pair.inverse(dtype)
+    (y, r_search), (rho, product), (work, negated) = stacked
     np.copyto(r_search, r, casting="same_kind")
     _apply_inverse(*inverse[:2], r_search, y, work)
     np.copyto(mask, support)
     np.subtract(mask, 1.0, out=negated)
     taken, solved = _cg_on_complement(
-        inverse, pair.factors(stacked.dtype), y, (mask, negated), target,
+        inverse, pair.factors(dtype), y, (mask, negated), target,
         pair.scale / COMPLEMENT_SLACK, max_steps - 1, (rho, product, work, r_search),
     )
     y += rho
@@ -550,7 +563,7 @@ def _inner_solver(pair, support):
     return _solve_on_support
 
 
-def _polish(pair, stacked, mask, lam, z, estimate, signs, max_steps):
+def _polish(pair, lam, z, estimate, signs, max_steps):
     """Solve for the optimum on the support of z; (x or None, CG steps taken).
 
     signs is the off-diagonal sign pattern of z (int8, 0 on the diagonal),
@@ -558,12 +571,11 @@ def _polish(pair, stacked, mask, lam, z, estimate, signs, max_steps):
     diagonal, and C, the rest, is where x stays zero. If S and signs are
     those of the optimum, x solves [P1 X P2 + P2 X P1]_S = B_S, with
     B = 2 (P1 - P2 - lam signs) twice the stationarity condition on S. pair
-    (_FactorPair) holds the factors, the KKT tolerance tol and what the
-    inner solves apply. stacked, three stacked p x p pairs in which every
-    inner CG works, and mask, one p x p array more, are run_admm's, in the
-    search dtype. estimate is a float64 estimate of the optimum's
-    gradient G = sym(P1 X P2) - (P1 - P2); run_admm passes -sigma sym(u)
-    from its scaled dual u. The iterate x is float64 whatever the dtype of z.
+    (_FactorPair) holds the factors, the KKT tolerance tol, what the inner
+    solves apply and their buffers in the search dtype, z's. estimate is a
+    float64 estimate of the optimum's gradient G = sym(P1 X P2) - (P1 - P2);
+    run_admm passes -sigma sym(u) from its scaled dual u. The iterate x is
+    a new float64 array.
 
     Every round picks its inner solve from the support (_inner_solver): CG
     on S for x, or CG on C for the multiplier 2 G_C. Either way the polish
@@ -591,13 +603,13 @@ def _polish(pair, stacked, mask, lam, z, estimate, signs, max_steps):
     first. max_steps caps the CG steps of all rounds, a complement step
     counting as a primal one.
     """
-    x, r, correction, product, scratch = np.empty((5,) + z.shape)
-    np.copyto(x, z)
+    x = z.astype(float)
+    r, correction, product, scratch = pair.buffers(z.dtype)[2]
     signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
     diff, tol = pair.diff, pair.tol
-    refine = POLISH_LOOSE if stacked.dtype == np.float32 else 0.0
+    refine = POLISH_LOOSE if z.dtype == np.float32 else 0.0
     steps = 0
     for repair in range(POLISH_ROUNDS + 1):
         solve = _inner_solver(pair, support)
@@ -618,7 +630,7 @@ def _polish(pair, stacked, mask, lam, z, estimate, signs, max_steps):
             r += scratch
         while True:
             taken, solved = solve(
-                pair, stacked, mask, r, support, target, max_steps - steps, correction, scratch
+                pair, z.dtype, r, support, target, max_steps - steps, correction, scratch
             )
             steps += taken
             if not solved:
@@ -656,19 +668,19 @@ def _polish(pair, stacked, mask, lam, z, estimate, signs, max_steps):
     return None, steps
 
 
-def _search_dtype(definite, sigma, thresh, scale):
+def _search_dtype(pair, sigma, thresh):
     """run_admm's search precision: float32 or float64.
 
-    float32 when both factors are full rank (definite) and sigma, the
-    operator scale lmax(P1) lmax(P2) and the shrink threshold thresh fit
-    FLOAT32_SPAN; float64 otherwise. On a singular factor, float32 rounding
-    (eps 6e-8) hides the curvature stop of _cg_on_support
+    float32 when both factors of the pair are full rank and sigma, the
+    operator scale lmax(P1) lmax(P2), the shrink threshold thresh and
+    max |P1 - P2| fit FLOAT32_SPAN; float64 otherwise. On a singular factor,
+    float32 rounding (eps 6e-8) hides the curvature stop of _cg_on_support
     (EIG_RELATIVE_FLOOR), and the CG runs on through null directions.
     """
-    if not definite:
+    if not pair.definite:
         return np.float64
-    span = all(1.0 / FLOAT32_SPAN <= v <= FLOAT32_SPAN for v in (sigma, scale))
-    return np.float32 if span and thresh <= FLOAT32_SPAN else np.float64
+    span = all(1.0 / FLOAT32_SPAN <= v <= FLOAT32_SPAN for v in (sigma, pair.scale))
+    return np.float32 if span and max(thresh, pair.largest) <= FLOAT32_SPAN else np.float64
 
 
 def _shrink_off_diagonal(a, thresh, out, scratch):
@@ -687,17 +699,19 @@ def _check_finite(z, iteration):
         )
 
 
-def run_admm(psi1, psi2, config):
+def run_admm(pair, config):
     """Two-block scaled ADMM for the penalized difference problem, from zero start.
 
-    This is the loop of estimate_delta, the package's one solve, and it
-    checks the inputs of both.
+    The loop of estimate_delta, which checks config and builds pair, the
+    _FactorPair of the two factors; run_admm checks neither. First it
+    searches the factors' null spaces for a direction along which the
+    objective falls without bound (_check_bounded), and raises
+    UnboundedProblemError on finding one.
 
     On symmetric D the loss equals 0.5 <P1 D P2, D> - <D, P1 - P2>, so the
     problem splits into that smooth term over any p x p matrix d and the
     penalty over symmetric z, coupled by d = z (Boyd et al. 2011, section 3.1)
-    with penalty sigma = 4 rho. The factors are checked and decomposed once
-    for the whole run, into a _FactorPair. Each iteration solves
+    with penalty sigma = 4 rho. Each iteration solves
     P1 X P2 + sigma X = R once with a PxqSolver built from the pair's
     eigenpairs, over-relaxes d with ADMM_RELAXATION (section 3.4.3), and
     shrinks the off-diagonal entries of the symmetric part of d + u at
@@ -711,55 +725,38 @@ def run_admm(psi1, psi2, config):
     changed since the previous check, and, if an attempt was made before,
     more than that fraction differ from the pattern of the last attempt.
     An attempt solves on the support of z, repairing it where it is wrong
-    (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5). A
-    polish that passes the KKT check at the pair's tol ends the
-    run; one that fails leaves the iterates untouched. Each polish round
-    runs CG on the smaller side of its support (_inner_solver): on the
-    support for x, preconditioned with (P1 # P2)^-1, or, when both factors
-    are definite, on its complement for the multiplier there, with the
-    exact inverse of X -> P1 X P2 + P2 X P1 and warm-started from
-    -2 sigma sym(u), ADMM's estimate of twice the gradient, u being the
-    scaled dual. Both come from the pair's joint diagonalization, made on
-    the first polish (_FactorPair). All attempts together take at
-    most max_iter // CG_STEP_GEMMS CG steps. A passed polish is the only
-    stop before max_iter, so a run that is not "max_iter" is KKT-certified.
+    (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5),
+    its complement solves warm-started from -2 sigma sym(u), ADMM's
+    estimate of twice the gradient, u being the scaled dual. A polish that
+    passes the KKT check at the pair's tol ends the run; one that fails
+    leaves the iterates untouched. All attempts together take at most
+    max_iter // CG_STEP_GEMMS CG steps. A passed polish is the only stop
+    before max_iter, so a run that is not "max_iter" is KKT-certified.
 
-    The search runs in the precision _search_dtype picks: float32 when both
-    factors are full rank, float64 otherwise. The iterations write into
-    buffers of that dtype allocated once per solve, through
-    PxqSolver.solve(r, out=), and a float32 search also polishes in float32
-    (see _polish). The sign pattern, the KKT check and its tolerance stay
-    float64, and the returned z is float64. A float64 search gives the same
-    bits as one that allocates each iterate anew.
-
-    Before the first iteration, the null spaces of the two factors are
-    searched for a direction along which the objective falls without bound
-    (see _check_bounded); finding one raises UnboundedProblemError.
+    The search runs in the precision _search_dtype picks. The iterations
+    write into buffers of that dtype allocated once per run, through
+    PxqSolver.solve(r, out=), and a float32 search also polishes in float32,
+    in buffers the pair keeps. The sign pattern, the KKT check and its
+    tolerance stay float64, and the returned z is float64 and the run's
+    own. A float64 search gives the same bits as one that allocates each
+    iterate anew.
 
     Returns (z, iterations, stop, cg_steps), which estimate_delta records
     as a DeltaEstimate's delta, iterations, stop and cg_steps. Raises
-    NotPsdError, naming the factor, if a factor is not positive
-    semidefinite, and SolverDivergedError if z is not finite at a check or
-    after the last iteration.
+    SolverDivergedError if z is not finite at a check or after the last
+    iteration.
     """
-    if not isinstance(config, SolverConfig):
-        raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
-    pair = _FactorPair(psi1, psi2)
     p = pair.p1.shape[0]
     sigma = float(4.0 * config.rho)
     thresh = float(config.lam / sigma)
-    _check_bounded(pair, config)
+    _check_bounded(pair, config.lam)
     solver = PxqSolver(*pair.eigenpairs, sigma)
     settled = POLISH_SETTLED * p * (p - 1)
 
-    dtype = _search_dtype(pair.definite, sigma, thresh, pair.scale)
+    dtype = _search_dtype(pair, sigma, thresh)
     z, u = (np.zeros((p, p), dtype) for _ in range(2))
-    # the iteration's scratch arrays r, d and w head three stacked pairs,
-    # which the polish's inner CG borrows whole
-    stacked = np.empty((3, 2, p, p), dtype)
-    r, d, w = stacked[:, 0]
+    r, d, w = np.empty((3, p, p), dtype)
     diff_search = pair.diff.astype(dtype, copy=False)
-    mask = np.empty((p, p), dtype)
 
     stop = "max_iter"
     pattern = np.zeros((p, p), dtype=np.int8)
@@ -795,9 +792,7 @@ def run_admm(psi1, psi2, config):
         # at the fixed point the d-step gives G = sym(P1 z P2) - (P1 - P2) = -sigma sym(u)
         estimate = np.add(u, u.T, dtype=float)
         estimate *= -0.5 * sigma
-        polished, taken = _polish(
-            pair, stacked, mask, config.lam, z, estimate, pattern, budget - cg_steps
-        )
+        polished, taken = _polish(pair, config.lam, z, estimate, pattern, budget - cg_steps)
         cg_steps += taken
         if polished is not None:
             z = polished
@@ -812,11 +807,11 @@ def run_admm(psi1, psi2, config):
 def estimate_delta(psi1, psi2, config):
     """Penalized difference estimate from two square-root precision factors.
 
-    Takes symmetric PSD matrices, such as those precision_factor returns
-    (NotPsdError names one that is not), and runs the ADMM loop run_admm.
-    Returns a DeltaEstimate holding the symmetric sparse iterate, its
-    penalized objective, the iteration count, the stop reason and the CG
-    steps.
+    Takes symmetric PSD matrices, such as those precision_factor returns,
+    checks config, builds their _FactorPair (NotPsdError names a factor
+    that is not PSD) and runs the ADMM loop run_admm on it. Returns a
+    DeltaEstimate holding the symmetric sparse iterate, its penalized
+    objective, the iteration count, the stop reason and the CG steps.
 
     With unknown injection covariances, whiten with the identity:
     estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
@@ -824,8 +819,11 @@ def estimate_delta(psi1, psi2, config):
     of the two potential distributions, which is (b2 - b1) / 2 when both
     injection covariances equal 4 I.
     """
-    z, iterations, stop, cg_steps = run_admm(psi1, psi2, config)
-    objective = penalized_objective(z, psi1, psi2, config)
+    if not isinstance(config, SolverConfig):
+        raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
+    pair = _FactorPair(psi1, psi2)
+    z, iterations, stop, cg_steps = run_admm(pair, config)
+    objective = penalized_objective(z, pair.p1, pair.p2, config)
     return DeltaEstimate(z, iterations, objective, stop, cg_steps)
 
 

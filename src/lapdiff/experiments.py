@@ -673,11 +673,12 @@ def run_sweep(cfg, row_callback=None):
     """Run every (p, ratio, instance) cell of the config, in parallel.
 
     Returns a SweepResult with rows sorted by (p, ratio, instance,
-    estimator). Identical configs produce identical rows apart from wall
-    times, whatever the worker count, at equal BLAS thread counts (OpenBLAS
-    may round a product differently on more threads). When interrupted,
-    raises SweepInterrupted carrying the rows that finished; `row_callback`,
-    when given, sees every row as it completes, in the calling thread.
+    estimator). Rows are deterministic for a fixed config and a fixed BLAS
+    thread count, apart from wall times, whatever the worker count
+    (OpenBLAS may round a product differently on more threads). When
+    interrupted, raises SweepInterrupted carrying the rows that finished;
+    `row_callback`, when given, sees every row as it completes, in the
+    calling thread.
 
     Cells run on min(thread_cap(), cell count) workers. One worker runs
     them inline, in the calling thread. More send each cell's (cfg, task)

@@ -191,11 +191,11 @@ def _is_diagonal(c):
     return np.count_nonzero(c) == np.count_nonzero(np.diagonal(c))
 
 
-def _require_psd(values):
+def _require_psd(values, name="matrix"):
     clip = EIG_RELATIVE_FLOOR * max(1.0, values.max())
     if values.min() < -clip:
         raise NotPsdError(
-            f"matrix is not positive semidefinite: min eigenvalue {values.min():.6e} < -{clip:.1e}"
+            f"{name} must be positive semidefinite: min eigenvalue {values.min():.6e} < -{clip:.1e}"
         )
 
 
@@ -244,17 +244,18 @@ class PxqSolver:
         self._cast = {}
 
     def solve(self, r, out=None):
-        """The X with P @ X @ Q + gamma * X = R, written into out if given.
+        """The X with P @ X @ Q + gamma * X = R, written into out (by default a new float64 array).
 
-        With out, X is formed in out's dtype, from the eigenvectors and
-        weights rounded to it and one scratch matrix, all kept from the
-        first call in that dtype, so a call allocates nothing. In float64
-        it equals the X returned without out bit for bit.
+        X is formed in out's dtype, from the eigenvectors and weights cast
+        to it (not copied in float64) and one scratch matrix, all kept from
+        the first call in that dtype, so a call with out allocates nothing.
         """
         if out is None:
-            return self._up @ (self._weights * (self._up.T @ r @ self._uq)) @ self._uq.T
+            out = np.empty_like(self._weights)
         if out.dtype not in self._cast:
-            up, uq, weights = (a.astype(out.dtype) for a in (self._up, self._uq, self._weights))
+            up, uq, weights = (
+                a.astype(out.dtype, copy=False) for a in (self._up, self._uq, self._weights)
+            )
             self._cast[out.dtype] = up, uq, weights, np.empty_like(out)
         up, uq, weights, scratch = self._cast[out.dtype]
         np.matmul(up.T, r, out=scratch)

@@ -396,7 +396,7 @@ class TestUnboundedCertificate:
         null1, null2 = pair.nulls
         assert null1.shape == null2.shape == (117, 40)
         with pytest.raises(UnboundedProblemError):
-            _check_bounded(pair, config)
+            _check_bounded(pair, config.lam)
 
     @pytest.mark.parametrize("deficient", ["psi1", "psi2"])
     def test_rank_deficient_factor_raises_before_iterating(self, deficient, no_iterations):
@@ -414,6 +414,15 @@ class TestUnboundedCertificate:
                     psi1, psi2 = random_pd(rng, p, shift=0.01), random_pd(rng, p, shift=0.01)
                     est = estimate_delta(psi1, psi2, SolverConfig(lam=lam, max_iter=1))
                     assert est.iterations == 1
+
+    def test_huge_unbounded_problem_raises_with_a_finite_rate(self):
+        # with psi2 = 0 the loss is -<D, psi1>, which falls without bound along
+        # psi1; unscaled, the candidate's slope and its bound both overflow to
+        # -inf, which passes the check and leaves the loop to overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnboundedProblemError, match=r"of psi2 .* rate 1\.732e\+308 "):
+                estimate_delta(1e308 * np.eye(3), np.zeros((3, 3)), SolverConfig(lam=0.1))
 
     def test_diagonal_direction_is_unbounded_at_any_lambda(self):
         # psi1's null space is e3, so the only candidate, -psi2[2, 2] e3 e3^T, is
@@ -459,7 +468,7 @@ DENSE_SWEEP = dict(
 
 
 def polish_from(z, psi1, psi2, lam, dtype=np.float64):
-    """_polish started from z, with the factor pair and scratch run_admm would use, in dtype.
+    """_polish started from z, with the factor pair run_admm would use, searching in dtype.
 
     Its gradient estimate is z's own, so a complement solve starts the
     multiplier where z's is.
@@ -468,8 +477,7 @@ def polish_from(z, psi1, psi2, lam, dtype=np.float64):
     signs = np.sign(z).astype(np.int8)
     np.fill_diagonal(signs, 0)
     grad = (psi1 @ z @ psi2 + psi2 @ z @ psi1) / 2.0 - pair.diff
-    stacked, mask = np.empty((3, 2) + z.shape, dtype), np.empty(z.shape, dtype)
-    return _polish(pair, stacked, mask, lam, z.astype(dtype), grad, signs, 10000)
+    return _polish(pair, lam, z.astype(dtype), grad, signs, 10000)
 
 
 def polished_problem():
@@ -617,9 +625,9 @@ class TestPolish:
             steps.append(taken)
             return taken, solved
 
-        def recorded(pair, stacked, mask, lam, z, estimate, signs, *rest):
+        def recorded(pair, lam, z, estimate, signs, *rest):
             patterns.append(signs.copy())
-            return polish(pair, stacked, mask, lam, z, estimate, signs, *rest)
+            return polish(pair, lam, z, estimate, signs, *rest)
 
         monkeypatch.setattr(estimator, "_cg_on_support", counted)
         monkeypatch.setattr(estimator, "_polish", recorded)
@@ -829,9 +837,9 @@ def search_dtypes(monkeypatch):
         seen.append((out if out is not None else r).dtype.name)
         return solve(self, r, out=out)
 
-    def polish_recorded(pair, stacked, mask, lam, z, *rest):
+    def polish_recorded(pair, lam, z, *rest):
         seen.append(z.dtype.name)
-        return polish(pair, stacked, mask, lam, z, *rest)
+        return polish(pair, lam, z, *rest)
 
     monkeypatch.setattr(PxqSolver, "solve", solve_recorded)
     monkeypatch.setattr(estimator, "_polish", polish_recorded)
@@ -879,6 +887,21 @@ class TestSearchPrecision:
         est = estimate_delta(c * psi1, c * psi2, SolverConfig(lam=c * 0.05, rho=0.1 * c * c))
         assert est.converged
         assert set(search_dtypes) == {"float64"}
+
+    @pytest.mark.parametrize("c", [1e30, 1e40])
+    def test_factor_difference_beyond_the_float32_span_searches_in_float64(
+        self, search_dtypes, c
+    ):
+        # sigma, lmax(P1) lmax(P2) = 6 and lam / sigma fit the span, but
+        # max |P1 - P2| = 3c does not: a float32 search overflows, and runs to
+        # max_iter at c = 1e30 and diverges at c = 1e40
+        psi1, psi2 = c * np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 0.5, 2.0]) / c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_delta(psi1, psi2, SolverConfig(lam=0.1, rho=0.1))
+        assert est.converged
+        assert set(search_dtypes) == {"float64"}
+        assert_allclose(est.delta, c * np.diag([1.0, 2.0, 0.5]), rtol=1e-12)
 
     def test_polished_full_rank_estimate_is_float64_and_exactly_symmetric(
         self, power_cells, monkeypatch

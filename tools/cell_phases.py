@@ -13,9 +13,10 @@ less that of the other phases they call:
   sigmas, and the eigenvalue checks of b2 and the sigmas);
 - sampling: the two sample_potentials draws;
 - factor: the two precision_factor calls;
-- pxq_solver: building the estimator._FactorPair of estimator.run_admm,
-  the ADMM loop estimate_delta runs (the factors' checks, eigenpairs and
-  null bases), and its PxqSolver from those eigenpairs;
+- pxq_solver: building the estimator._FactorPair that estimate_delta
+  hands to its ADMM loop estimator.run_admm (the factors' checks,
+  eigenpairs and null bases), and the loop's PxqSolver from those
+  eigenpairs;
 - admm_loop: the rest of estimator.run_admm, its iterations and
   null-space check;
 - polish_setup: what the factor pair builds on first use for the polish:
