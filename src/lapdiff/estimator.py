@@ -26,6 +26,7 @@ from .linalg import (
     _eigenpairs,
     _null_basis,
     _preconditioner_eigenvalues,
+    _relative_floor,
     _require_psd,
     as_symmetric,
     inv_sqrt_pd,
@@ -122,6 +123,13 @@ class DeltaEstimate:
     polish passed the KKT check, and delta is the polished optimum) or
     "max_iter". iterations counts ADMM iterations, cg_steps the CG steps of
     all polish attempts.
+
+    The KKT check certifies every entry against one tolerance,
+    POLISH_TOL max |P1 - P2|, not against that entry's own scale, so in a
+    badly scaled problem a small entry of a "polished" delta can be far
+    from its optimum: with factors diag(1, 1e25) and 1e-30 I at lam = 0.1,
+    the solve stops "polished" with delta[0, 0] = 1.0004e5, where the optimum
+    is about 1e30.
     """
 
     delta: np.ndarray
@@ -141,9 +149,11 @@ class UniquenessReport:
     """Outcome of the kernel-based uniqueness diagnostic.
 
     condition_inner is the largest inner product <V, factor1 - factor2> over
-    the unit recession candidates V (see _FactorPair.recession_candidates), and
-    condition_norm their largest off-diagonal l1 norm, both 0.0 without a
-    candidate; tau the radius those norms are compared against.
+    the unit recession candidates V, and condition_norm their largest
+    off-diagonal l1 norm, both 0.0 without a candidate; tau the radius those
+    norms are compared against. Both are read from the pair's one recession
+    analysis (_FactorPair.recession), which the ADMM pre-check reads too, so
+    the two agree on the candidates at every scale of the factors.
     """
 
     kernel_dim: int
@@ -212,29 +222,44 @@ class _FactorPair:
             self.eigenpairs.append((values, vectors))
         self.nulls = [_null_basis(values, vectors) for values, vectors in self.eigenpairs]
         self.definite = not any(basis.shape[1] for basis in self.nulls)
-        (dvals, _), (evals, _) = self.eigenpairs
-        self.scale = float(dvals[-1] * evals[-1])
+        # a product of Python floats overflows to inf without a warning
+        self.scale = math.prod(float(values[-1]) for values, _ in self.eigenpairs)
         self.diff = self.p1 - self.p2
         self.largest = float(np.max(np.abs(self.diff)))
         self.tol = POLISH_TOL * self.largest
         self._built = {}
 
-    def recession_candidates(self):
-        """(name, null dimension, V) for each factor Pi whose null space is nontrivial.
+    @cached_property
+    def recession(self):
+        """The pair's recession analysis: (candidates, |P1 - P2|_F / max |P1 - P2|).
 
-        With Ni the projector onto it, V1 = -N1 P2 N1 and V2 = N2 P1 N2. Pi Ni = 0
-        makes both quadratic terms of the loss vanish on each, so each lies in the
-        Hessian kernel; each maximizes <V, P1 - P2> over {Ni X Ni} at its norm,
-        whichever basis of the null space eigh returned.
+        A candidate is (name, null dimension, penalty, fall) for each factor Pi
+        whose null space is nontrivial. With Ni the projector onto it,
+        V1 = -N1 P2 N1 and V2 = N2 P1 N2. Pi Ni = 0 makes both quadratic terms
+        of the loss vanish on each, so each lies in the Hessian kernel; each
+        maximizes <V, P1 - P2> over {Ni X Ni} at its norm, whichever basis of
+        the null space eigh returned. penalty = pen(V) / |V|_F and
+        fall = <V, P1 - P2> / (|V|_F max |P1 - P2|) are formed from V and
+        P1 - P2 divided by their largest entries, so neither depends on the
+        pair's scale or overflows, and lam enters neither. A V with
+        max |V| at most EIG_RELATIVE_FLOOR times the other factor's largest
+        eigenvalue is rounding, not a direction, and offers no candidate.
         """
-        null1, null2 = self.nulls
-        return [
-            (name, basis.shape[1], sign * (basis @ (basis.T @ other @ basis) @ basis.T))
-            for name, basis, other, sign in (
-                ("psi1", null1, self.p2, -1.0), ("psi2", null2, self.p1, 1.0)
-            )
-            if basis.shape[1]
-        ]
+        diff = self.diff / (self.largest or 1.0)
+        candidates = []
+        for name, basis, (other_values, _), other, sign in zip(
+            ("psi1", "psi2"), self.nulls, self.eigenpairs[::-1], (self.p2, self.p1), (-1.0, 1.0)
+        ):
+            if not basis.shape[1]:
+                continue
+            direction = sign * (basis @ (basis.T @ other @ basis) @ basis.T)
+            top = float(np.max(np.abs(direction)))
+            if top > EIG_RELATIVE_FLOOR * other_values[-1]:
+                direction /= top
+                norm = float(np.linalg.norm(direction))
+                fall = float(np.sum(direction * diff)) / norm
+                candidates.append((name, basis.shape[1], off_diagonal_l1(direction) / norm, fall))
+        return candidates, float(np.linalg.norm(diff))
 
     @cached_property
     def joint_diagonalizer(self):
@@ -306,36 +331,32 @@ def _check_bounded(pair, lam):
     Along t V the objective changes at the constant slope
     lam pen(V) - <V, P1 - P2>. A slope negative by more than UNBOUNDED_MARGIN,
     relative to lam pen(V) + |V|_F |P1 - P2|_F, proves the problem unbounded
-    below. The test is sufficient, not necessary. A full-rank factor offers
-    no candidate. V and P1 - P2 enter divided by their largest entries (if
-    nonzero), so nothing the test forms overflows.
+    below. The test is sufficient, not necessary. It reads the pair's
+    recession analysis (_FactorPair.recession), the one uniqueness_check
+    reads, and divides the inequality through by |V|_F max |P1 - P2|, so it
+    forms no V and nothing it forms overflows. A full-rank factor offers no
+    candidate.
     """
-    largest = pair.largest or 1.0
-    diff = pair.diff / largest
-    for name, k, direction in pair.recession_candidates():
-        direction = direction / (np.max(np.abs(direction)) or 1.0)
-        penalty = lam * off_diagonal_l1(direction) / largest
-        slope = penalty - float(np.sum(direction * diff))
-        norm = float(np.linalg.norm(direction))
-        if slope < -UNBOUNDED_MARGIN * (penalty + norm * float(np.linalg.norm(diff))):
+    candidates, spread = pair.recession
+    for name, k, penalty, fall in candidates:
+        cost = lam * penalty / (pair.largest or 1.0)
+        if cost - fall < -UNBOUNDED_MARGIN * (cost + spread):
             raise UnboundedProblemError(
                 f"the penalized problem is unbounded below: along a direction in the "
                 f"{k}-dimensional null space of {name} the objective falls at rate "
-                f"{-slope / norm * largest:.3e} per unit step at lam = {lam:.6g}; "
+                f"{(fall - cost) * pair.largest:.3e} per unit step at lam = {lam:.6g}; "
                 f"a larger lam or more samples may make it bounded"
             )
 
 
 def _support_product(p1, p2, x, support, out, scratch):
     """out = [P1 X P2 + P2 X P1]_S for symmetric X, with S the 0/1 or boolean mask support."""
-    np.matmul(p1, x, out=scratch)
-    np.matmul(scratch, p2, out=out)
-    np.add(out, out.T, out=scratch)
+    _kkt_product(p1, p2, x, scratch, out)
     np.multiply(scratch, support, out=out)
 
 
 def _kkt_product(p1, p2, x, out, scratch):
-    """out = P1 X P2 + P2 X P1 for symmetric X, in float64: the polish's residuals and gradients."""
+    """out = P1 X P2 + P2 X P1 for symmetric X: the polish's float64 residuals and gradients."""
     np.matmul(p1, x, out=out)
     np.matmul(out, p2, out=scratch)
     np.add(scratch, scratch.T, out=out)
@@ -853,7 +874,7 @@ def exact_delta(b1, b2, sigma_x1, sigma_x2):
         if sigma.shape != b.shape:
             raise InvalidInputError(f"sigma shape {sigma.shape} != b shape {b.shape}")
         eigs = np.linalg.eigvalsh(b)
-        if eigs[0] <= EIG_RELATIVE_FLOOR * max(1.0, abs(eigs[-1])):
+        if eigs[0] <= _relative_floor(abs(eigs[-1])):
             raise NotPsdError(f"b must be positive definite (min eigenvalue {eigs[0]:.6e})")
         root = sqrt_psd(sigma)
         t = root @ np.linalg.solve(b, root)
@@ -900,12 +921,16 @@ def uniqueness_check(psi1, psi2, tau):
     k = dim(range P1 & range P2). Both come from the null bases of the
     factors' _FactorPair in O(p^3): one eigh per factor, none for a factor
     that is a kept PSD root. The two uniqueness conditions are evaluated on
-    the pair's unit recession candidates, which lie in that kernel.
+    the recession candidates of the pair (_FactorPair.recession), which lie
+    in that kernel: the same scale-free analysis the ADMM pre-check
+    _check_bounded reads, so scaling both factors by c scales
+    condition_inner by c and changes nothing else.
 
     Verdicts: a trivial kernel certifies a strongly convex problem
     ("unique"); a candidate violating either condition witnesses
-    "not-unique"; otherwise "inconclusive", because only the candidates
-    (not the whole kernel cone) were examined.
+    "not-unique", the inner one counting above 1e-10 |P1 - P2|_F;
+    otherwise "inconclusive", because only the candidates (not the whole
+    kernel cone) were examined.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidInputError(f"tau must be a positive real, got {tau!r}")
@@ -917,18 +942,15 @@ def uniqueness_check(psi1, psi2, tau):
     shared = p - int(np.linalg.matrix_rank(np.hstack([null1, null2]), tol=EIG_RELATIVE_FLOOR))
     kernel_dim = p * p - 2 * (p - null1.shape[1]) * (p - null2.shape[1]) + shared * shared
 
-    inner_tol = 1e-10 * max(1.0, float(np.linalg.norm(pair.diff)))
-    condition_inner = condition_norm = 0.0
-    for _, _, direction in pair.recession_candidates():
-        norm = float(np.linalg.norm(direction))
-        if norm > inner_tol:  # a smaller candidate is rounding, not a direction
-            condition_inner = max(condition_inner, float(np.sum(direction * pair.diff)) / norm)
-            condition_norm = max(condition_norm, off_diagonal_l1(direction) / norm)
+    candidates, spread = pair.recession
+    condition_norm = max([0.0] + [candidate[2] for candidate in candidates])
+    fall = max([0.0] + [candidate[3] for candidate in candidates])
 
     if kernel_dim == 0:
         verdict = "unique"
-    elif condition_inner > inner_tol or condition_norm > tau:
+    elif fall > 1e-10 * spread or condition_norm > tau:
         verdict = "not-unique"
     else:
         verdict = "inconclusive"
-    return UniquenessReport(kernel_dim, condition_inner, condition_norm, float(tau), verdict)
+    # condition_inner = fall max |P1 - P2| = max <V, P1 - P2> / |V|_F
+    return UniquenessReport(kernel_dim, fall * pair.largest, condition_norm, float(tau), verdict)

@@ -17,7 +17,8 @@ from .errors import InvalidInputError, NotPsdError, SingularMatrixError
 SYMMETRY_ATOL = 1e-12
 
 # Relative floor used when classifying eigenvalues, scaled by max(1, largest
-# eigenvalue) so that tiny matrices are not judged with an absurdly tight bar.
+# eigenvalue) (_relative_floor) so that tiny matrices are not judged with an
+# absurdly tight bar.
 EIG_RELATIVE_FLOOR = 1e-10
 
 # How many of its latest PSD roots each thread keeps with their eigenpairs
@@ -191,8 +192,13 @@ def _is_diagonal(c):
     return np.count_nonzero(c) == np.count_nonzero(np.diagonal(c))
 
 
+def _relative_floor(largest):
+    """EIG_RELATIVE_FLOOR times max(1, largest), for the largest eigenvalue or its magnitude."""
+    return EIG_RELATIVE_FLOOR * max(1.0, largest)
+
+
 def _require_psd(values, name="matrix"):
-    clip = EIG_RELATIVE_FLOOR * max(1.0, values.max())
+    clip = _relative_floor(values.max())
     if values.min() < -clip:
         raise NotPsdError(
             f"{name} must be positive semidefinite: min eigenvalue {values.min():.6e} < -{clip:.1e}"
@@ -200,7 +206,7 @@ def _require_psd(values, name="matrix"):
 
 
 def _require_pd(values):
-    floor = EIG_RELATIVE_FLOOR * max(1.0, values.max())
+    floor = _relative_floor(values.max())
     if values.min() <= floor:
         raise SingularMatrixError(
             f"matrix is numerically singular: min eigenvalue {values.min():.6e} <= {floor:.1e}"

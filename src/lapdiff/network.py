@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NearSingularScenarioError, ReductionError
-from .linalg import EIG_RELATIVE_FLOOR, _eigvalsh, as_symmetric
+from .linalg import _eigvalsh, _relative_floor, as_symmetric
 
 # Constant added to the absolute row sums when building diagonals of
 # synthetic difference matrices; keeps them nonsingular without dominating.
@@ -251,7 +251,7 @@ def _check_nonsingular(name, mat):
     """Raise NearSingularScenarioError unless mat's eigenvalue magnitudes clear both floors."""
     magnitudes = np.abs(np.linalg.eigvalsh(mat))
     margin = float(magnitudes.min())
-    floor = max(SCENARIO_MIN_EIG, EIG_RELATIVE_FLOOR * max(1.0, float(magnitudes.max())))
+    floor = max(SCENARIO_MIN_EIG, _relative_floor(float(magnitudes.max())))
     if margin <= floor:
         raise NearSingularScenarioError(
             f"{name} is too close to singular (min |eigenvalue| {margin:.3e} <= {floor:.3e})"
@@ -272,7 +272,7 @@ def _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed):
             raise InvalidInputError(f"{name} has shape {mat.shape}, expected {(p, p)}")
     for name, sigma in (("sigma_x1", sigma_x1), ("sigma_x2", sigma_x2)):
         eigs = _eigvalsh(sigma)
-        if eigs[0] <= EIG_RELATIVE_FLOOR * max(1.0, eigs[-1]):
+        if eigs[0] <= _relative_floor(eigs[-1]):
             raise InvalidInputError(f"{name} is not positive definite (min eig {eigs[0]:.3e})")
     b2 = b1 + delta
     _check_nonsingular("b2", b2)

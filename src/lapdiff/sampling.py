@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularMatrixError
 from .linalg import (
-    EIG_RELATIVE_FLOOR,
     _congruence,
+    _relative_floor,
     _sqrt_and_inv_sqrt_pd,
     _sqrt_psd_top,
     as_symmetric,
@@ -40,7 +40,7 @@ def sample_potentials(b, sigma_x, n, seed=0):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInputError(f"n must be a positive integer, got {n!r}")
     abs_eigs = np.abs(np.linalg.eigvalsh(b))
-    if abs_eigs.min() <= EIG_RELATIVE_FLOOR * max(1.0, abs_eigs.max()):
+    if abs_eigs.min() <= _relative_floor(abs_eigs.max()):
         raise SingularMatrixError(
             f"b is numerically singular (min |eigenvalue| {abs_eigs.min():.3e})"
         )

@@ -358,6 +358,18 @@ def rank_deficient_psd(rng, p, rank):
     return a @ a.T / p
 
 
+# A singular pair whose null spaces, e3 for the first and e2 for the second,
+# give the recession candidates -3 e3 e3^T and e2 e2^T: both diagonal, so
+# without penalty, with inner products 3 and 1 against P1 - P2.
+SINGULAR_PAIR = (
+    np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+    np.diag([1.0, 0.0, 3.0]),
+)
+
+# scales from near the bottom of float64's range to near its top
+PAIR_SCALES = (1e-200, 1e-12, 1.0, 1e200)
+
+
 @pytest.fixture
 def no_iterations(monkeypatch):
     """Fail the test if the ADMM loop starts (each iteration calls solve first)."""
@@ -432,6 +444,17 @@ class TestUnboundedCertificate:
         for lam in (0.0, 1.0, 1e6):
             with pytest.raises(UnboundedProblemError):
                 estimate_delta(psi1, psi2, SolverConfig(lam=lam, rho=0.1))
+
+    def test_scaled_singular_pair_raises_at_every_scale(self):
+        # with the factors and lam scaled by c, the objective at delta / c is
+        # the unscaled one at delta: the pre-check reads scale-free rates and
+        # certifies the pair at every c, without an overflow warning
+        psi1, psi2 = SINGULAR_PAIR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in PAIR_SCALES:
+                with pytest.raises(UnboundedProblemError, match="null space of psi1"):
+                    estimate_delta(c * psi1, c * psi2, SolverConfig(lam=0.1 * c, rho=0.1))
 
     def test_criterion_5_draw_below_p_stays_bounded(self):
         # first n = p/2 = 30 instance of acceptance criterion 5, where both
@@ -1118,6 +1141,32 @@ class TestUniquenessCheck:
         rep = uniqueness_check(proj, proj, tau=100.0)
         assert rep.kernel_dim > 0
         assert rep.condition_inner <= 1e-10
+
+    def test_verdict_does_not_depend_on_the_scale(self):
+        # c (P1, P2) has the candidates of (P1, P2), and condition_inner scales
+        # by c; the candidates are left out as rounding by a relative rule
+        psi1, psi2 = SINGULAR_PAIR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ref = uniqueness_check(psi1, psi2, tau=1.0)
+            assert (ref.verdict, ref.kernel_dim, ref.condition_norm) == ("not-unique", 2, 0.0)
+            assert ref.condition_inner == pytest.approx(3.0, rel=1e-12)
+            for c in PAIR_SCALES:
+                rep = uniqueness_check(c * psi1, c * psi2, tau=1.0)
+                assert (rep.verdict, rep.kernel_dim, rep.condition_norm) == (
+                    "not-unique", 2, ref.condition_norm
+                ), c
+                assert rep.condition_inner / c == pytest.approx(ref.condition_inner, rel=1e-12)
+
+    def test_skewed_pair_keeps_the_verdict(self):
+        # |P1 - P2|_F of (1e160 P1, P2 / 1e160) overflows unless formed scaled;
+        # its largest inner product is e2 e2^T's, 1e160 P1[1, 1]
+        psi1, psi2 = SINGULAR_PAIR
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = uniqueness_check(1e160 * psi1, psi2 / 1e160, tau=1.0)
+        assert (rep.verdict, rep.kernel_dim, rep.condition_norm) == ("not-unique", 2, 0.0)
+        assert rep.condition_inner == pytest.approx(1e160, rel=1e-12)
 
     def test_common_eigenbasis_kernel_dimension(self):
         # diagonal factors with complementary supports: kernel pairs are the

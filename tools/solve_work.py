@@ -20,12 +20,12 @@ sweep, a tally of its stop reasons (polished, max_iter, raised) and its
 GEMMs split by the same stop reasons.
 
 GEMMs are counted as four per ADMM iteration plus every product polishing
-makes: two per call of estimator._support_product (the primal CG's
-operator and preconditioner products), four per call of
-estimator._apply_inverse (the complement CG's steps and the first product
-of each of its calls) and two per call of estimator._kkt_product (the
-float64 residual that starts each polish round and the gradient test that
-follows each inner solve). The one-off setup (the eigh calls of the
+makes: four per call of estimator._apply_inverse (the complement CG's
+steps and the first product of each of its calls) and two per call of
+estimator._kkt_product (the float64 residual that starts each polish
+round, the gradient test that follows each inner solve, and, through
+estimator._support_product, the primal CG's operator and preconditioner
+products). The one-off setup (the eigh calls of the
 factors and of their joint diagonalization, and the preconditioner build)
 stays excluded. A GEMM counts as one whatever its precision, though a
 float32 one takes about half the time of a float64 one. Work counts do
@@ -54,7 +54,7 @@ import lapdiff  # noqa: E402
 from lapdiff import estimator, experiments  # noqa: E402
 
 ADMM_ITERATION_GEMMS = 4
-PRODUCT_GEMMS = {"_support_product": 2, "_apply_inverse": 4, "_kkt_product": 2}
+PRODUCT_GEMMS = {"_apply_inverse": 4, "_kkt_product": 2}
 INNER_SOLVERS = {"_solve_on_support": "primal", "_solve_on_complement": "complement"}
 
 
