@@ -202,12 +202,13 @@ class _FactorPair:
 
     p1 and p2 are the validated float64 factors, and eigenpairs their
     (values ascending, vectors) from linalg._eigenpairs (no eigh for a kept
-    PSD root), checked PSD before anything divides by them; each error
-    names the factor. nulls are their orthonormal null bases (p x 0 when
-    full rank), definite says both are full rank, scale = lmax(P1) lmax(P2),
-    diff = P1 - P2, largest = max |diff| and tol = POLISH_TOL largest, the
-    KKT tolerance of an accepted polish. The joint diagonalizer and a
-    polish's operators and buffers in its search dtype are built on first use.
+    PSD root), checked finite and PSD before anything divides by them; each
+    error names the factor. nulls are their orthonormal null bases (p x 0
+    when full rank), definite says both are full rank,
+    scale = lmax(P1) lmax(P2), diff = P1 - P2, largest = max |diff| and
+    tol = POLISH_TOL largest, the KKT tolerance of an accepted polish. The joint diagonalizer and the
+    operators a polish applies in its search dtype are built on first use;
+    the pair holds no work array, so one pair serves any number of solves.
     """
 
     def __init__(self, psi1, psi2):
@@ -218,6 +219,12 @@ class _FactorPair:
         self.eigenpairs = []
         for name, factor in (("psi1", self.p1), ("psi2", self.p2)):
             values, vectors = _eigenpairs(factor)
+            # finite PSD factors have a finite difference, each entry being at
+            # most (lmax(P1) + lmax(P2)) / 2 in size
+            if not np.all(np.isfinite(values)):
+                raise InvalidInputError(
+                    f"{name} must have finite eigenvalues: its entries are too large for float64"
+                )
             _require_psd(values, name)
             self.eigenpairs.append((values, vectors))
         self.nulls = [_null_basis(values, vectors) for values, vectors in self.eigenpairs]
@@ -280,19 +287,19 @@ class _FactorPair:
         return m @ v, cvals
 
     def factors(self, dtype):
-        """(P1, P2) in dtype."""
+        """(P1, P2) in dtype: p1 and p2 themselves in float64, not copies."""
         key = "factors", dtype
         if key not in self._built:
-            self._built[key] = self.p1.astype(dtype), self.p2.astype(dtype)
+            self._built[key] = tuple(a.astype(dtype, copy=False) for a in (self.p1, self.p2))
         return self._built[key]
 
-    def primal(self, dtype):
-        """(P1, P2, (G, lmax(P1) lmax(P2))) in dtype for _cg_on_support, G = (P1 # P2)^-1."""
-        key = "primal", dtype
+    def preconditioner(self, dtype):
+        """G = (P1 # P2)^-1 in dtype, _cg_on_support's preconditioner (see
+        linalg.inverse_geometric_mean)."""
+        key = "preconditioner", dtype
         if key not in self._built:
-            g = inverse_geometric_mean(*self.joint_diagonalizer)
-            self._built[key] = g.astype(dtype), self.scale
-        return (*self.factors(dtype), self._built[key])
+            self._built[key] = inverse_geometric_mean(*self.joint_diagonalizer).astype(dtype)
+        return self._built[key]
 
     def inverse(self, dtype):
         """(W, weights, jacobi) in dtype: _apply_inverse's W and weights, and a Jacobi.
@@ -312,16 +319,6 @@ class _FactorPair:
             jacobi = 1.0 / (squares @ weights @ squares.T)
             weights *= 0.5
             self._built[key] = tuple(a.astype(dtype) for a in (w, weights, jacobi))
-        return self._built[key]
-
-    def buffers(self, dtype):
-        """(stacked, mask, work): three (2, p, p) pairs and a p x p mask in dtype for every
-        inner CG, and the float64 (r, correction, product, scratch) of _polish."""
-        key = "buffers", dtype
-        if key not in self._built:
-            shape = self.p1.shape
-            stacked, mask = np.empty((3, 2) + shape, dtype), np.empty(shape, dtype)
-            self._built[key] = stacked, mask, np.empty((4,) + shape)
         return self._built[key]
 
 
@@ -377,48 +374,51 @@ def _apply_inverse(w, weights, y, out, scratch):
     np.add(scratch, scratch.T, out=out)
 
 
-def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
-    """Preconditioned conjugate gradients for [P1 X P2 + P2 X P1]_S = B_S from x, in place.
+def _cg_on_support(pair, dtype, r, support, target, max_steps):
+    """One primal CG call: D, zero off S, with [P1 D P2 + P2 D P1]_S = r_S within target.
 
-    xr is the stacked (2, p, p) pair (x, r) and mask the 0/1 array of S, both
-    in the dtype of the search. On entry r holds the residual
-    B_S - [P1 x P2 + P2 x P1]_S and x is symmetric and zero off S, as both
-    stay. The operator is positive semidefinite on such matrices. work is
-    two more stacked pairs: (direction, product) and scratch. One multiply
-    by [alpha, -alpha] and one add update x and r together, as
-    x += alpha direction and r -= alpha product would.
+    Preconditioned conjugate gradients from D = 0. S is the boolean
+    support, and r, float64, is read on S only. The CG runs in dtype, the
+    search's, on the pair's factors and preconditioner G = (P1 # P2)^-1
+    (see linalg.inverse_geometric_mean) in that dtype, in work arrays it
+    allocates once per call, S among them as a 0/1 mask: at p = 16 and 25
+    the boolean support made a step about 15% slower (one thread of a
+    2-core Xeon VM, numpy 2.4). The iterate and the
+    residual stay symmetric and zero off S, where the operator is positive
+    semidefinite. The preconditioned residual is [G r G + (G r G)^T]_S,
+    which the transpose keeps exactly symmetric.
 
-    precond is (G, lmax(P1) lmax(P2)), G = (P1 # P2)^-1 (see
-    linalg.inverse_geometric_mean), and the preconditioned residual is
-    [G r G + (G r G)^T]_S, which the transpose keeps exactly symmetric.
-    Stops once max |r| <= tol, the entrywise norm of the KKT check, after
-    max_steps steps, or when a search direction finds no curvature above
-    EIG_RELATIVE_FLOOR times the operator's largest eigenvalue,
+    Stops once max |r| <= target, the entrywise norm of the KKT check,
+    after max_steps steps, or when a search direction finds no curvature
+    above EIG_RELATIVE_FLOOR times the operator's largest eigenvalue,
     2 lmax(P1) lmax(P2). max |r| is computed only once |r|_F^2 is at most
-    4 |S| tol^2 (or not finite): above that, max |r| > tol, with room for
-    the rounding of |r|_F^2. Returns (steps taken, whether max |r| <= tol).
+    4 |S| target^2 (or not finite): above that, max |r| > target, with room
+    for the rounding of |r|_F^2; at p = 16 and 25, on the same VM, that
+    made a step about 5% faster. Returns (D, steps taken, whether max |r| <= target),
+    D being the iterate made exactly symmetric in a new float64 array.
     """
-    g, scale = precond
-    flat = EIG_RELATIVE_FLOOR * 2.0 * scale
-    near = 4.0 * np.count_nonzero(mask) * tol * tol
-    r = xr[1]
-    (direction, product), update = work
-    scratch = update[0]
-    step = np.empty((2, 1, 1), xr.dtype)
+    p1, p2 = pair.factors(dtype)
+    g = pair.preconditioner(dtype)
+    flat = EIG_RELATIVE_FLOOR * 2.0 * pair.scale
+    mask = support.astype(dtype)
+    r = np.multiply(r, mask, dtype=dtype)
+    x = np.zeros_like(r)
+    direction, product, scratch = (np.empty_like(r) for _ in range(3))
+    near = 4.0 * np.count_nonzero(mask) * target * target
     largest = _largest_if_near(r, float(np.vdot(r, r)), near)
     _support_product(g, g, r, mask, direction, scratch)
     rz = float(np.vdot(r, direction))
     steps = 0
-    while largest > tol and steps < max_steps:
+    while largest > target and steps < max_steps:
         _support_product(p1, p2, direction, mask, product, scratch)
         curvature = float(np.vdot(direction, product))
         if not curvature > flat * float(np.vdot(direction, direction)):
             break
         alpha = rz / curvature
-        step[0] = alpha
-        step[1] = -alpha
-        np.multiply(work[0], step, out=update)
-        xr += update
+        np.multiply(direction, alpha, out=scratch)
+        x += scratch
+        product *= alpha
+        r -= product
         largest = _largest_if_near(r, float(np.vdot(r, r)), near)
         _support_product(g, g, r, mask, product, scratch)
         rz_next = float(np.vdot(r, product))
@@ -426,59 +426,74 @@ def _cg_on_support(p1, p2, xr, mask, tol, max_steps, work, precond):
         direction += product
         rz = rz_next
         steps += 1
-    return steps, largest <= tol
+    return _symmetric_part(x), steps, largest <= target
 
 
-def _cg_on_complement(inverse, factors, y, masks, tol, gain, max_steps, work):
-    """Preconditioned CG for the multiplier on the complement C of a support, in place.
+def _cg_on_complement(pair, dtype, r, support, target, max_steps):
+    """One complement CG call: D, zero off S, with P1 D P2 + P2 D P1 = r + M, M zero on S.
 
-    inverse is the (W, weights, jacobi) of _FactorPair.inverse, so
-    that A(Y) = _apply_inverse(W, weights, Y) inverts L(X) = P1 X P2 +
-    P2 X P1, with factors = (P1, P2), and is symmetric positive definite on
-    symmetric matrices, and jacobi approximates 1 over its diagonal. The
-    unknown M is zero off C and solves [A(R + M)]_C = 0 for the R with
-    y = A(R) on entry. CG carries not M but y = A(R + M), which it updates in place,
-    and the residual rho = -[y]_C, preconditioned as jacobi rho (Jacobi).
-    masks are the 0/1 array of the support S and the array that is -1 on C
-    and 0 on S, and work is four more arrays: rho, the product
-    A(direction), scratch and the direction, which stays symmetric and zero
-    off C. All are in the dtype of the search. Each step makes one A
-    product, four GEMMs.
+    The range-space method for an equality-constrained quadratic program
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006, sections
+    16.2-16.3): with L(X) = P1 X P2 + P2 X P1 and its exact inverse
+    A(Y) = _apply_inverse(W, weights, Y) from pair.inverse, symmetric
+    positive definite on symmetric matrices, CG finds the multiplier M on
+    the complement C of the boolean support S from [A(r + M)]_C = 0, and
+    D = A(r + M) with C zeroed, to max |[L(D)]_S - r_S| <= target. r is
+    float64 and read on every entry, and its part on C sets where the
+    multiplier starts: for an iterate x with residual B - L(x), x + D has
+    the multiplier [L(x) - B]_C + r_C + M on C, so r_C = 0 starts it at
+    x's own, and r_C = E_C + (B - L(x))_C at an estimate E.
 
-    Zeroing y on C leaves [L(y + rho)]_S = R_S + [L(rho)]_S, so the solve
-    is done once max |[L(rho)]_S| <= tol. That check costs two GEMMs, so it
-    is made only once gain max |rho| <= tol, gain being the caller's guess
-    at the ratio of the two norms; a check that fails replaces gain with the
-    ratio it saw. max |rho| is computed as in _cg_on_support. It stops at
-    max_steps steps, or on a direction without positive curvature, which
-    only rounding or a NaN can give. Returns (steps taken, whether the last
-    check passed).
+    The CG runs in dtype, the search's, in work arrays it allocates once
+    per call, as _cg_on_support does. It carries not M but y = A(r + M),
+    which it updates in place, and the residual rho = -[y]_C,
+    preconditioned as jacobi rho (Jacobi), with pair.inverse's jacobi
+    approximating 1 over A's diagonal. Each step makes one A product, four
+    GEMMs. Zeroing y on C leaves [L(y + rho)]_S = r_S + [L(rho)]_S, so the
+    solve is done once max |[L(rho)]_S| <= target. That check costs two
+    GEMMs, so it is made only once gain max |rho| <= target, gain being a
+    guess at the ratio of the two norms, first lmax(P1) lmax(P2) /
+    COMPLEMENT_SLACK; a check that fails replaces gain with the ratio it
+    saw. max |rho| is computed as in _cg_on_support. It stops at max_steps
+    steps, or on a direction without positive curvature, which only
+    rounding or a NaN can give.
+
+    Returns (D, steps, solved) as _cg_on_support does, the steps counting
+    the first product A(r), which costs what a step does: so every call
+    takes a step, a call with no step left fails at once, with D None, and
+    the polish's step budget bounds its calls.
     """
-    w, weights, jacobi = inverse
-    p1, p2 = factors
-    support, negated = masks
-    rho, product, scratch, direction = work
+    if max_steps < 1:
+        return None, 0, False
+    w, weights, jacobi = pair.inverse(dtype)
+    p1, p2 = pair.factors(dtype)
+    mask = support.astype(dtype)
+    negated = mask - 1.0
+    y, rho, product, scratch, direction = (np.empty_like(mask) for _ in range(5))
+    _apply_inverse(w, weights, r.astype(dtype, copy=False), y, scratch)
     np.multiply(y, negated, out=rho)
     np.multiply(rho, jacobi, out=direction)
     count = np.count_nonzero(negated)
     rr = float(np.vdot(rho, rho))
     rz = float(np.vdot(rho, direction))
-    steps = 0
+    gain = pair.scale / COMPLEMENT_SLACK
+    steps, solved = 1, False
     while True:
-        bound = tol / gain
+        bound = target / gain
         largest = _largest_if_near(rho, rr, 4.0 * count * bound * bound)
         if largest <= bound:
-            _support_product(p1, p2, rho, support, product, scratch)
+            _support_product(p1, p2, rho, mask, product, scratch)
             residual = max(float(product.max()), -float(product.min()))
-            if residual <= tol:
-                return steps, True
+            if residual <= target:
+                solved = True
+                break
             gain = residual / largest
         if steps >= max_steps:
-            return steps, False
+            break
         _apply_inverse(w, weights, direction, product, scratch)
         curvature = float(np.vdot(direction, product))
         if not curvature > 0.0:
-            return steps, False
+            break
         product *= rz / curvature
         y += product
         np.multiply(y, negated, out=rho)
@@ -489,6 +504,8 @@ def _cg_on_complement(inverse, factors, y, masks, tol, gain, max_steps, work):
         direction += product
         rz = rz_next
         steps += 1
+    y += rho
+    return _symmetric_part(y), steps, solved
 
 
 def _largest_if_near(r, squared, near):
@@ -502,86 +519,28 @@ def _largest_if_near(r, squared, near):
     return max(float(r.max()), -float(r.min()))
 
 
-def _solve_on_support(pair, dtype, r, support, target, max_steps, out, scratch):
-    """One primal CG call: out = D, zero off S, with [P1 D P2 + P2 D P1]_S = r_S within target.
-
-    S is the boolean support, and r (read on S only), out and scratch are
-    float64. The CG (_cg_on_support) runs in the search dtype from D = 0,
-    preconditioned, in the pair's buffers of that dtype. Returns its (steps
-    taken, solved).
-    """
-    stacked, mask, _ = pair.buffers(dtype)
-    p1, p2, precond = pair.primal(dtype)
-    correction, r_search = stacked[0]
-    correction.fill(0.0)
-    np.multiply(r, support, out=r_search, casting="same_kind")
-    np.copyto(mask, support)
-    taken, solved = _cg_on_support(
-        p1, p2, stacked[0], mask, target, max_steps, stacked[1:], precond
-    )
-    _symmetric_part(correction, out, scratch)
-    return taken, solved
-
-
-def _solve_on_complement(pair, dtype, r, support, target, max_steps, out, scratch):
-    """One complement CG call: out = D, zero off S, with P1 D P2 + P2 D P1 = r + M, M zero on S.
-
-    The range-space method for an equality-constrained quadratic program
-    (Nocedal & Wright, Numerical Optimization, 2nd ed., 2006, sections
-    16.2-16.3): with L(X) = P1 X P2 + P2 X P1 and its exact inverse
-    (pair.inverse), CG finds the multiplier M on the complement C of S from
-    [L^-1(r + M)]_C = 0, and D = L^-1(r + M) with C zeroed, to
-    max |[L(D)]_S - r_S| <= target. r is read on every entry, and its part
-    on C sets where the multiplier starts: for an iterate x with residual
-    B - L(x), x + D has the multiplier [L(x) - B]_C + r_C + M on C, so
-    r_C = 0 starts it at x's own, and r_C = E_C + (B - L(x))_C at an
-    estimate E. With r, out and scratch as in _solve_on_support, the CG
-    (_cg_on_complement) runs as there, and first checks its residual on S
-    once lmax(P1) lmax(P2) max |D_C| <= COMPLEMENT_SLACK target. Returns
-    (steps, solved), the steps counting the first product A(r), which
-    costs what a step does: so every call takes a step, a call with no
-    step left fails at once, and the polish's step budget bounds its
-    calls.
-    """
-    if max_steps < 1:
-        return 0, False
-    stacked, mask, _ = pair.buffers(dtype)
-    inverse = pair.inverse(dtype)
-    (y, r_search), (rho, product), (work, negated) = stacked
-    np.copyto(r_search, r, casting="same_kind")
-    _apply_inverse(*inverse[:2], r_search, y, work)
-    np.copyto(mask, support)
-    np.subtract(mask, 1.0, out=negated)
-    taken, solved = _cg_on_complement(
-        inverse, pair.factors(dtype), y, (mask, negated), target,
-        pair.scale / COMPLEMENT_SLACK, max_steps - 1, (rho, product, work, r_search),
-    )
-    y += rho
-    _symmetric_part(y, out, scratch)
-    return taken + 1, solved
-
-
-def _symmetric_part(a, out, scratch):
-    """out = (A + A.T) / 2 in float64, for A in the search dtype."""
-    np.copyto(scratch, a)
-    np.add(scratch, scratch.T, out=out)
+def _symmetric_part(a):
+    """(A + A.T) / 2 in a new float64 array, for A in the search dtype."""
+    a = a.astype(float, copy=False)
+    out = np.add(a, a.T)
     out *= 0.5
+    return out
 
 
 def _inner_solver(pair, support):
     """The inner solve of a polish round on the boolean support S.
 
-    _solve_on_complement when both factors are definite, which its exact
+    _cg_on_complement when both factors are definite, which its exact
     inverse needs, and the complement C of S is the smaller side, at most
-    half of the p^2 entries; _solve_on_support otherwise. A step costs four
+    half of the p^2 entries; _cg_on_support otherwise. A step costs four
     GEMMs on either side, and the side with fewer unknowns takes fewer
     steps: on the power config at lambda_scale 2-8 (tools/solve_work.py's
     lam-sweep cases), the two broke even with S at 45-53% of the entries,
     and on a support of 5% the complement did not polish at all.
     """
     if pair.definite and 2 * np.count_nonzero(support) >= support.size:
-        return _solve_on_complement
-    return _solve_on_support
+        return _cg_on_complement
+    return _cg_on_support
 
 
 def _polish(pair, lam, z, estimate, signs, max_steps):
@@ -592,11 +551,11 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
     diagonal, and C, the rest, is where x stays zero. If S and signs are
     those of the optimum, x solves [P1 X P2 + P2 X P1]_S = B_S, with
     B = 2 (P1 - P2 - lam signs) twice the stationarity condition on S. pair
-    (_FactorPair) holds the factors, the KKT tolerance tol, what the inner
-    solves apply and their buffers in the search dtype, z's. estimate is a
+    (_FactorPair) holds the factors, the KKT tolerance tol and what the
+    inner solves apply in the search dtype, z's. estimate is a
     float64 estimate of the optimum's gradient G = sym(P1 X P2) - (P1 - P2);
-    run_admm passes -sigma sym(u) from its scaled dual u. The iterate x is
-    a new float64 array.
+    run_admm passes -sigma sym(u) from its scaled dual u. The iterate x and
+    every temporary of the polish are new float64 arrays.
 
     Every round picks its inner solve from the support (_inner_solver): CG
     on S for x, or CG on C for the multiplier 2 G_C. Either way the polish
@@ -625,7 +584,7 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
     counting as a primal one.
     """
     x = z.astype(float)
-    r, correction, product, scratch = pair.buffers(z.dtype)[2]
+    product, scratch = np.empty_like(x), np.empty_like(x)
     signs = signs.copy()
     support = signs != 0
     np.fill_diagonal(support, True)
@@ -635,47 +594,33 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
     for repair in range(POLISH_ROUNDS + 1):
         solve = _inner_solver(pair, support)
         _kkt_product(pair.p1, pair.p2, x, product, scratch)
-        np.multiply(signs, -lam, out=r)
-        r += diff
-        r *= 2.0
-        r -= product
-        np.multiply(r, support, out=scratch)
-        target = max(tol, POLISH_LOOSE * float(np.max(np.abs(scratch, out=scratch))))
+        r = (signs * -lam + diff) * 2.0 - product
+        target = max(tol, POLISH_LOOSE * float(np.max(np.abs(r * support))))
         if repair:
             r *= support
         else:
             # off S, r holds -2 G(x); adding 2 estimate starts the multiplier
             # of the complement solve at 2 estimate_C instead
-            np.multiply(estimate, ~support, out=scratch)
-            scratch *= 2.0
-            r += scratch
+            r += estimate * ~support * 2.0
         while True:
-            taken, solved = solve(
-                pair, z.dtype, r, support, target, max_steps - steps, correction, scratch
-            )
+            correction, taken, solved = solve(pair, z.dtype, r, support, target, max_steps - steps)
             steps += taken
             if not solved:
                 return None, steps
             x += correction
             _kkt_product(pair.p1, pair.p2, x, product, scratch)
-            grad = np.multiply(product, 0.5, out=r)
-            grad -= diff
+            grad = product * 0.5 - diff
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(grad))):
                 return None, steps
-            flipped = np.sign(x, out=correction) != signs
-            flipped &= support
+            flipped = (np.sign(x) != signs) & support
             np.fill_diagonal(flipped, False)
-            outside = np.abs(grad, out=scratch) > lam + tol
-            outside &= ~support
+            outside = (np.abs(grad) > lam + tol) & ~support
             if flipped.any() or outside.any():
                 break
-            np.multiply(signs, lam, out=correction)
-            correction += grad
             # r = B_S - [P1 x P2 + P2 x P1]_S, from G; its max |r| is twice
             # the largest |G + lam signs| on S
-            np.multiply(correction, -2.0, out=r)
-            r *= support
-            largest = float(np.max(np.abs(r, out=scratch)))
+            r = (signs * lam + grad) * -2.0 * support
+            largest = float(np.max(np.abs(r)))
             if largest <= 2.0 * tol:
                 return x, steps
             target = max(tol, refine * largest)
@@ -756,10 +701,10 @@ def run_admm(pair, config):
 
     The search runs in the precision _search_dtype picks. The iterations
     write into buffers of that dtype allocated once per run, through
-    PxqSolver.solve(r, out=), and a float32 search also polishes in float32,
-    in buffers the pair keeps. The sign pattern, the KKT check and its
-    tolerance stay float64, and the returned z is float64 and the run's
-    own. A float64 search gives the same bits as one that allocates each
+    PxqSolver.solve(r, out=), and a float32 search also runs the polish's
+    inner solves in float32, each in work arrays of its own. The sign
+    pattern, the KKT check and its tolerance stay float64, and the returned
+    z is float64 and the run's own. A float64 search gives the same bits as one that allocates each
     iterate anew.
 
     Returns (z, iterations, stop, cg_steps), which estimate_delta records

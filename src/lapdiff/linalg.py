@@ -294,14 +294,16 @@ def _preconditioner_eigenvalues(values):
     """Ascending PSD eigenvalues, the null ones raised for inversion.
 
     Eigenvalues at most EIG_RELATIVE_FLOOR times the largest are null and
-    rise to the smallest of the others. P # Q is singular wherever a factor
-    is, but X -> P X Q + Q X P is not zero on those directions, and a
-    preconditioner that scaled them by the inverse square root of a small
-    floor made conjugate gradients slower than none on factors from n < p
-    samples.
+    rise to the smallest of the others, or to 1 when all are null (a zero
+    matrix). P # Q is singular wherever a factor is, but X -> P X Q + Q X P
+    is not zero on those directions, and a preconditioner that scaled them
+    by the inverse square root of a small floor made conjugate gradients
+    slower than none on factors from n < p samples.
     """
     null = int(np.count_nonzero(values <= EIG_RELATIVE_FLOOR * values[-1]))
-    return np.maximum(values, values[min(null, values.size - 1)])
+    if null == values.size:
+        return np.ones_like(values)
+    return np.maximum(values, values[null])
 
 
 def _null_basis(values, vectors):
@@ -320,7 +322,8 @@ def solve_pxq(p, q, r, gamma):
     """Solve the linear matrix equation P @ X @ Q + gamma * X = R once.
 
     Validates all four inputs, then solves with a :class:`PxqSolver`, whose
-    docstring gives the method and the requirements on P, Q and gamma.
+    docstring gives the method and the requirements on P, Q and gamma; a P
+    or Q that is not positive semidefinite raises NotPsdError naming it.
 
     Returns
     -------
@@ -338,7 +341,10 @@ def solve_pxq(p, q, r, gamma):
         )
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("right-hand side contains non-finite entries")
-    return PxqSolver(_eigenpairs(p), _eigenpairs(q), gamma).solve(r)
+    eigenpairs = [_eigenpairs(p), _eigenpairs(q)]
+    for name, (values, _) in zip("PQ", eigenpairs):
+        _require_psd(values, name)
+    return PxqSolver(*eigenpairs, gamma).solve(r)
 
 
 def soft_threshold(a, lam, *, off_diagonal_only=False):

@@ -521,6 +521,22 @@ class TestEstimate:
         assert elapsed < 5.0
         assert not (tmp_path / "o").exists()
 
+    def test_all_zero_samples_exit_0(self, tmp_path):
+        # both factors are zero: the polish setup raised a numpy LinAlgError,
+        # and the command exited 1 with a traceback
+        write_samples_csv(tmp_path / "y.csv", np.zeros((20, 4)))
+        out = tmp_path / "o"
+        samples = str(tmp_path / "y.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run(
+                "estimate", "--samples1", samples, "--samples2", samples,
+                "--unknown-sigma", "--lambda", "0.1", "--rho", "0.1", "--out", str(out),
+            )
+        assert rc == 0
+        assert not read_matrix_csv(out / "delta_hat.csv").any()
+        assert read_keyvalue(out / "report.txt")["stop"] == "polished"
+
     def test_unconverged_exit_code(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
         out = tmp_path / "short"

@@ -45,7 +45,7 @@ from lapdiff.experiments import (
     SigmaSpec,
     run_sweep,
 )
-from lapdiff.linalg import PxqSolver, inverse_geometric_mean
+from lapdiff.linalg import PxqSolver
 from lapdiff.network import lattice_delta, random_base_matrix
 from lapdiff.sampling import precision_factor, sample_potentials
 
@@ -231,6 +231,32 @@ class TestRunAdmm:
                 estimate_delta(indefinite, np.eye(3), config)
             with pytest.raises(NotPsdError, match="^psi2 must be positive semidefinite"):
                 estimate_delta(np.eye(3), indefinite, config)
+
+    def test_zero_factors_polish_to_zero_without_a_warning(self):
+        # all-zero samples give all-zero factors: no eigenvalue is above the
+        # null floor, and the polish setup divided by zero and failed in eigh
+        zero = np.zeros((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_delta(zero, zero, SolverConfig(lam=0.1, rho=0.1))
+        assert (est.stop, est.iterations, est.cg_steps) == ("polished", estimator.POLISH_CHECK, 0)
+        assert not est.delta.any() and est.objective == 0.0
+
+    def test_factors_beyond_float64_raise_invalid_input_without_a_warning(self):
+        # each factor's largest eigenvalue is 2e308, and P1 - P2 overflows: the
+        # solve raised SolverDivergedError and uniqueness_check was "inconclusive"
+        psi1 = 1e308 * np.array([[1.0, 1.0], [1.0, 1.0]])
+        psi2 = 1e308 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (
+                lambda: estimate_delta(psi1, psi2, SolverConfig(lam=0.1)),
+                lambda: uniqueness_check(psi1, psi2, 1.0),
+            ):
+                with pytest.raises(InvalidInputError, match="^psi1 must have finite eigenvalues"):
+                    check()
+            with pytest.raises(InvalidInputError, match="^psi2 must have finite eigenvalues"):
+                estimate_delta(np.eye(2), psi2, SolverConfig(lam=0.1))
 
     def test_equal_factors_yield_zero(self):
         rng = np.random.default_rng(7)
@@ -602,13 +628,12 @@ class TestPolish:
         tol = 1e-6
         upper = np.triu(np.sign(rng.standard_normal((6, 6))))
         pair = _FactorPair(p1, p2)
-        precond = inverse_geometric_mean(*pair.joint_diagonalizer), pair.scale
+        full = np.ones((6, 6), dtype=bool)
         for r in (np.full((6, 6), 0.5 * tol), (upper + np.triu(upper, 1).T) * tol):
             assert np.max(np.abs(r)) <= tol < np.linalg.norm(r)
-            xr = np.stack([np.zeros((6, 6)), r])
-            work = np.empty((2, 2, 6, 6))
-            assert _cg_on_support(p1, p2, xr, np.ones((6, 6)), tol, 100, work, precond) == (0, True)
-            assert not xr[0].any()
+            d, steps, solved = _cg_on_support(pair, np.float64, r, full, tol, 100)
+            assert (steps, solved) == (0, True)
+            assert d.dtype == np.float64 and not d.any()
 
     def test_repairs_a_support_wrong_in_a_few_entries(self, power_cells):
         # from each cell's optimum with 4 of its pairs dropped and 4 spurious
@@ -644,9 +669,9 @@ class TestPolish:
         polish = estimator._polish
 
         def counted(*args):
-            taken, solved = cg(*args)
+            d, taken, solved = cg(*args)
             steps.append(taken)
-            return taken, solved
+            return d, taken, solved
 
         def recorded(pair, lam, z, estimate, signs, *rest):
             patterns.append(signs.copy())
@@ -691,9 +716,9 @@ class TestPolish:
 
 
 def reference_cg_on_support(p1, p2, x, r, support, tol, max_steps, precond):
-    """The loop _cg_on_support replaced: 19 numpy calls per step, x and r apart, a boolean support.
+    """The loop of _cg_on_support, written apart: a boolean support, max |r| formed as such.
 
-    Kept to pin the new loop's steps and bits against it.
+    Kept to pin that loop's steps and bits against it, from x = 0.
     """
     g, scale = precond
     flat = estimator.EIG_RELATIVE_FLOOR * 2.0 * scale
@@ -723,11 +748,11 @@ def reference_cg_on_support(p1, p2, x, r, support, tol, max_steps, precond):
 
 
 def cg_case(kind, dtype, p=30):
-    """(p1, p2, x, r, support, tol, precond) in dtype, with a boolean support, for one CG case.
+    """(pair, r, support, tol) of one CG case: a _FactorPair, float64 r, boolean support.
 
     "solve" has PD factors and a sparse support; "singular" has rank-5
     factors (n = 5 < p) and the full support; "nan" is "solve" with a NaN
-    in the residual.
+    in the residual. tol suits a search in dtype.
     """
     rng = np.random.default_rng(8)
     if kind == "singular":
@@ -737,15 +762,12 @@ def cg_case(kind, dtype, p=30):
         p1, p2 = random_pd(rng, p), random_pd(rng, p)
         upper = np.triu(rng.random((p, p)) < 0.3, 1)
         support = upper | upper.T | np.eye(p, dtype=bool)
-    x, r = (rng.standard_normal((p, p)) for _ in range(2))
-    x, r = ((a + a.T) * support for a in (0.1 * x, r))
+    r = rng.standard_normal((p, p))
+    r = (r + r.T) * support
     if kind == "nan":
         r[2, 2] = np.nan
     tol = (1e-9 if dtype == np.float64 else 1e-4) * float(np.nanmax(np.abs(r)))
-    pair = _FactorPair(p1, p2)
-    g, scale = inverse_geometric_mean(*pair.joint_diagonalizer), pair.scale
-    p1, p2, x, r, g = (a.astype(dtype) for a in (p1, p2, x, r, g))
-    return p1, p2, x, r, support, tol, (g, scale)
+    return _FactorPair(p1, p2), r, support, tol
 
 
 def bits(a):
@@ -756,22 +778,24 @@ class TestCgLoop:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kind", ["solve", "singular", "nan"])
     def test_matches_the_reference_loop_bit_for_bit(self, kind, dtype):
-        p1, p2, x, r, support, tol, precond = cg_case(kind, dtype)
+        pair, r, support, tol = cg_case(kind, dtype)
         max_steps = 500
-        ref_x, ref_r = x.copy(), r.copy()
-        expected = reference_cg_on_support(p1, p2, ref_x, ref_r, support, tol, max_steps, precond)
-        xr = np.stack([x, r])
-        work = np.empty((2,) + xr.shape, dtype)
-        got = _cg_on_support(p1, p2, xr, support.astype(dtype), tol, max_steps, work, precond)
-        assert got == expected
-        assert np.array_equal(bits(xr[0]), bits(ref_x))
-        assert np.array_equal(bits(xr[1]), bits(ref_r))
-        steps, solved = got
+        ref_x, ref_r = np.zeros(r.shape, dtype), r.astype(dtype)
+        precond = pair.preconditioner(dtype), pair.scale
+        expected = reference_cg_on_support(
+            *pair.factors(dtype), ref_x, ref_r, support, tol, max_steps, precond
+        )
+        d, *got = _cg_on_support(pair, dtype, r, support, tol, max_steps)
+        assert tuple(got) == expected
+        ref_d = ref_x.astype(float)
+        ref_d = (ref_d + ref_d.T) * 0.5
+        assert d.dtype == np.float64 and np.array_equal(bits(d), bits(ref_d))
+        steps, solved = expected
         if kind == "solve":
             assert solved and steps > 1
         elif kind == "nan":
             # max(r.max(), -r.min()) is NaN, which no tolerance passes
-            assert got == (0, False)
+            assert expected == (0, False)
         elif dtype == np.float64:
             # a direction in the factors' shared null space has no curvature
             assert not solved and 0 < steps < max_steps
@@ -963,7 +987,7 @@ class TestComplementPolish:
         problems.append(dense_support_problem())
         for psi1, psi2, config in problems:
             ests = []
-            for solve in (estimator._solve_on_support, estimator._solve_on_complement):
+            for solve in (estimator._cg_on_support, estimator._cg_on_complement):
                 forced_solver(monkeypatch, solve)
                 est = estimate_delta(psi1, psi2, config)
                 assert est.converged and est.delta.dtype == np.float64
@@ -987,7 +1011,7 @@ class TestComplementPolish:
         upper = np.triu(np.ones(z.shape, dtype=bool), 1)
         for i, j in np.argwhere(upper & (z != 0.0))[:4]:
             z[i, j] = z[j, i] = 0.0
-        forced_solver(monkeypatch, estimator._solve_on_complement)
+        forced_solver(monkeypatch, estimator._cg_on_complement)
         x, steps = polish_from(z, psi1, psi2, config.lam, dtype)
         assert x is not None and 0 < steps
         assert x.dtype == np.float64 and np.array_equal(x, x.T)
@@ -1001,14 +1025,41 @@ class TestComplementPolish:
         support = est.delta != 0.0
         assert np.all(np.diagonal(support)) and 2 * np.count_nonzero(support) > support.size
         diagonal = np.eye(117, dtype=bool)
-        assert estimator._inner_solver(pair, support) is estimator._solve_on_complement
-        assert estimator._inner_solver(pair, diagonal) is estimator._solve_on_support
+        assert estimator._inner_solver(pair, support) is estimator._cg_on_complement
+        assert estimator._inner_solver(pair, diagonal) is estimator._cg_on_support
         # the complement solve needs the exact inverse, which a singular factor lacks
         rng = np.random.default_rng(47)
         singular = _FactorPair(rank_deficient_psd(rng, 12, 6), random_pd(rng, 12))
         assert not singular.definite
         full = np.ones((12, 12), dtype=bool)
-        assert estimator._inner_solver(singular, full) is estimator._solve_on_support
+        assert estimator._inner_solver(singular, full) is estimator._cg_on_support
+
+    def test_one_pair_solves_two_lams_as_fresh_pairs_do(self, monkeypatch):
+        # the lam-path contract: the pair holds no work array, so solving a
+        # second lam on the other inner solve leaves the first estimate as it
+        # was, and each solve on the shared pair matches a fresh pair's bit for bit
+        psi1, psi2, dense = dense_support_problem()
+        sparse = SolverConfig(lam=0.3, rho=dense.rho)
+        solvers = []
+        choose = estimator._inner_solver
+
+        def recorded(pair, support):
+            solvers.append(choose(pair, support))
+            return solvers[-1]
+
+        monkeypatch.setattr(estimator, "_inner_solver", recorded)
+        pair = _FactorPair(psi1, psi2)
+        runs = []
+        cases = ((dense, estimator._cg_on_complement), (sparse, estimator._cg_on_support))
+        for config, solve in cases:
+            solvers.clear()
+            z, *rest = estimator.run_admm(pair, config)
+            assert rest[1] == "polished" and set(solvers) == {solve}
+            runs.append((config, z, z.copy(), rest))
+        for config, z, kept, rest in runs:
+            assert np.array_equal(bits(z), bits(kept))
+            fresh, *fresh_rest = estimator.run_admm(_FactorPair(psi1, psi2), config)
+            assert np.array_equal(bits(z), bits(fresh)) and rest == fresh_rest
 
     def test_power_cells_polish_within_71_cg_steps(self, power_cells):
         # on the complement these cells take 54 and 62 steps; solving for

@@ -1,5 +1,7 @@
 """Tests for the dense symmetric numerics kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -175,6 +177,14 @@ class TestSolvePxq:
         with pytest.raises(InvalidInputError):
             solve_pxq(eye, np.eye(3), eye, 1.0)
 
+    def test_indefinite_operand_raises_not_psd_naming_it(self):
+        # it returned an all-NaN X for Q = -I, whose weights 1 / (d_i e_j + gamma) divide by 0
+        eye = np.eye(3)
+        with pytest.raises(NotPsdError, match="^Q must be positive semidefinite"):
+            solve_pxq(eye, -eye, eye, 1.0)
+        with pytest.raises(NotPsdError, match="^P must be positive semidefinite"):
+            solve_pxq(np.diag([1.0, -2.0, 1.0]), eye, eye, 1.0)
+
 
 class TestPxqSolverTakesRootEigenpairs:
     def test_only_an_unchanged_root_skips_eigh(self, monkeypatch):
@@ -227,6 +237,15 @@ class TestInverseGeometricMean:
         g = inverse_geometric_mean(*_FactorPair(p, q).joint_diagonalizer)
         h = np.linalg.inv(g)
         assert_allclose(h @ np.linalg.solve(p, h), q, atol=1e-10)
+
+    def test_zero_factors_give_a_finite_preconditioner(self):
+        # every eigenvalue is null, so none is left to raise the others to;
+        # raising them to 0 divided by zero and left eigh a NaN matrix
+        zero = np.zeros((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = inverse_geometric_mean(*_FactorPair(zero, zero).joint_diagonalizer)
+        assert_allclose(g, np.eye(4), atol=1e-12)
 
 
 class TestSoftThreshold:

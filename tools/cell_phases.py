@@ -66,7 +66,7 @@ TIMED = (
     (estimator, "_FactorPair", "pxq_solver"),
     (estimator, "PxqSolver", "pxq_solver"),
     (estimator._FactorPair, "factors", "polish_setup"),
-    (estimator._FactorPair, "primal", "polish_setup"),
+    (estimator._FactorPair, "preconditioner", "polish_setup"),
     (estimator._FactorPair, "inverse", "polish_setup"),
     (estimator, "_polish", "polish"),
     (estimator, "penalized_objective", "objective"),

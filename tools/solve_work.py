@@ -14,10 +14,11 @@ prints the ADMM iterations, the CG steps of polishing, the polish
 attempts, the p x p GEMMs all of it costs, the stop reason, the search
 precision (`dtype`, from estimator._search_dtype: float32 or float64, or
 `-` when the solve raised before choosing) and the inner solver of its
-polish rounds (`solver`, from estimator._inner_solver: primal, complement,
-both, or `-` when the solve never polished), then the totals of each
-sweep, a tally of its stop reasons (polished, max_iter, raised) and its
-GEMMs split by the same stop reasons.
+polish rounds (`solver`, from estimator._inner_solver: primal for
+_cg_on_support, complement for _cg_on_complement, both, or `-` when the
+solve never polished), then the totals of each sweep, a tally of its stop
+reasons (polished, max_iter, raised) and its GEMMs split by the same stop
+reasons.
 
 GEMMs are counted as four per ADMM iteration plus every product polishing
 makes: four per call of estimator._apply_inverse (the complement CG's
@@ -55,7 +56,7 @@ from lapdiff import estimator, experiments  # noqa: E402
 
 ADMM_ITERATION_GEMMS = 4
 PRODUCT_GEMMS = {"_apply_inverse": 4, "_kkt_product": 2}
-INNER_SOLVERS = {"_solve_on_support": "primal", "_solve_on_complement": "complement"}
+INNER_SOLVERS = {"_cg_on_support": "primal", "_cg_on_complement": "complement"}
 
 
 class CaptureError(RuntimeError):
