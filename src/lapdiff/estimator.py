@@ -206,9 +206,11 @@ class _FactorPair:
     error names the factor. nulls are their orthonormal null bases (p x 0
     when full rank), definite says both are full rank,
     scale = lmax(P1) lmax(P2), diff = P1 - P2, largest = max |diff| and
-    tol = POLISH_TOL largest, the KKT tolerance of an accepted polish. The joint diagonalizer and the
-    operators a polish applies in its search dtype are built on first use;
-    the pair holds no work array, so one pair serves any number of solves.
+    tol = POLISH_TOL largest, the KKT tolerance of an accepted polish. The
+    recession analysis, the joint diagonalizer and the operators a polish
+    applies are built on first use. Everything the pair holds is float64:
+    a solve casts what it reads to its search dtype, and the pair holds no
+    work array, so one pair serves any number of solves in either dtype.
     """
 
     def __init__(self, psi1, psi2):
@@ -234,7 +236,6 @@ class _FactorPair:
         self.diff = self.p1 - self.p2
         self.largest = float(np.max(np.abs(self.diff)))
         self.tol = POLISH_TOL * self.largest
-        self._built = {}
 
     @cached_property
     def recession(self):
@@ -286,23 +287,15 @@ class _FactorPair:
         cvals, v = np.linalg.eigh(root @ root.T)
         return m @ v, cvals
 
-    def factors(self, dtype):
-        """(P1, P2) in dtype: p1 and p2 themselves in float64, not copies."""
-        key = "factors", dtype
-        if key not in self._built:
-            self._built[key] = tuple(a.astype(dtype, copy=False) for a in (self.p1, self.p2))
-        return self._built[key]
-
-    def preconditioner(self, dtype):
-        """G = (P1 # P2)^-1 in dtype, _cg_on_support's preconditioner (see
+    @cached_property
+    def preconditioner(self):
+        """G = (P1 # P2)^-1, _cg_on_support's preconditioner (see
         linalg.inverse_geometric_mean)."""
-        key = "preconditioner", dtype
-        if key not in self._built:
-            self._built[key] = inverse_geometric_mean(*self.joint_diagonalizer).astype(dtype)
-        return self._built[key]
+        return inverse_geometric_mean(*self.joint_diagonalizer)
 
-    def inverse(self, dtype):
-        """(W, weights, jacobi) in dtype: _apply_inverse's W and weights, and a Jacobi.
+    @cached_property
+    def inverse(self):
+        """(W, weights, jacobi): _apply_inverse's W and weights, and a Jacobi.
 
         W and c are the joint diagonalization, and the weights
         1 / (2 (c_i + c_j)). The diagonal entry of the inverse at (i, j) is
@@ -311,15 +304,12 @@ class _FactorPair:
         two GEMMs give. On a power cell that term was 0.67-1 of the whole
         entry, and preconditioning with it halved the complement CG's steps.
         """
-        key = "inverse", dtype
-        if key not in self._built:
-            w, c = self.joint_diagonalizer
-            weights = 1.0 / np.add.outer(c, c)
-            squares = w * w
-            jacobi = 1.0 / (squares @ weights @ squares.T)
-            weights *= 0.5
-            self._built[key] = tuple(a.astype(dtype) for a in (w, weights, jacobi))
-        return self._built[key]
+        w, c = self.joint_diagonalizer
+        weights = 1.0 / np.add.outer(c, c)
+        squares = w * w
+        jacobi = 1.0 / (squares @ weights @ squares.T)
+        weights *= 0.5
+        return w, weights, jacobi
 
 
 def _check_bounded(pair, lam):
@@ -380,11 +370,11 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     Preconditioned conjugate gradients from D = 0. S is the boolean
     support, and r, float64, is read on S only. The CG runs in dtype, the
     search's, on the pair's factors and preconditioner G = (P1 # P2)^-1
-    (see linalg.inverse_geometric_mean) in that dtype, in work arrays it
-    allocates once per call, S among them as a 0/1 mask: at p = 16 and 25
-    the boolean support made a step about 15% slower (one thread of a
-    2-core Xeon VM, numpy 2.4). The iterate and the
-    residual stay symmetric and zero off S, where the operator is positive
+    (see linalg.inverse_geometric_mean), cast to that dtype once per call,
+    in work arrays it allocates once per call, S among them as a 0/1 mask:
+    at p = 16 and 25 the boolean support made a step about 15% slower (one
+    thread of a 2-core Xeon VM, numpy 2.4). The iterate and the residual
+    stay symmetric and zero off S, where the operator is positive
     semidefinite. The preconditioned residual is [G r G + (G r G)^T]_S,
     which the transpose keeps exactly symmetric.
 
@@ -397,8 +387,7 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     made a step about 5% faster. Returns (D, steps taken, whether max |r| <= target),
     D being the iterate made exactly symmetric in a new float64 array.
     """
-    p1, p2 = pair.factors(dtype)
-    g = pair.preconditioner(dtype)
+    p1, p2, g = (a.astype(dtype, copy=False) for a in (pair.p1, pair.p2, pair.preconditioner))
     flat = EIG_RELATIVE_FLOOR * 2.0 * pair.scale
     mask = support.astype(dtype)
     r = np.multiply(r, mask, dtype=dtype)
@@ -444,11 +433,12 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
     the multiplier [L(x) - B]_C + r_C + M on C, so r_C = 0 starts it at
     x's own, and r_C = E_C + (B - L(x))_C at an estimate E.
 
-    The CG runs in dtype, the search's, in work arrays it allocates once
-    per call, as _cg_on_support does. It carries not M but y = A(r + M),
-    which it updates in place, and the residual rho = -[y]_C,
-    preconditioned as jacobi rho (Jacobi), with pair.inverse's jacobi
-    approximating 1 over A's diagonal. Each step makes one A product, four
+    The CG runs in dtype, the search's, on the factors and pair.inverse
+    cast to it once per call, in work arrays it allocates once per call, as
+    _cg_on_support does. It carries not M but y = A(r + M), which it
+    updates in place, and the residual rho = -[y]_C, preconditioned as
+    jacobi rho (Jacobi), with pair.inverse's jacobi approximating 1 over
+    A's diagonal. Each step makes one A product, four
     GEMMs. Zeroing y on C leaves [L(y + rho)]_S = r_S + [L(rho)]_S, so the
     solve is done once max |[L(rho)]_S| <= target. That check costs two
     GEMMs, so it is made only once gain max |rho| <= target, gain being a
@@ -465,8 +455,8 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
     """
     if max_steps < 1:
         return None, 0, False
-    w, weights, jacobi = pair.inverse(dtype)
-    p1, p2 = pair.factors(dtype)
+    w, weights, jacobi = (a.astype(dtype, copy=False) for a in pair.inverse)
+    p1, p2 = (a.astype(dtype, copy=False) for a in (pair.p1, pair.p2))
     mask = support.astype(dtype)
     negated = mask - 1.0
     y, rho, product, scratch, direction = (np.empty_like(mask) for _ in range(5))
@@ -672,7 +662,10 @@ def run_admm(pair, config):
     _FactorPair of the two factors; run_admm checks neither. First it
     searches the factors' null spaces for a direction along which the
     objective falls without bound (_check_bounded), and raises
-    UnboundedProblemError on finding one.
+    UnboundedProblemError on finding one. It then raises InvalidInputError
+    when both factors are nonzero but lmax(P1) lmax(P2) is below float64's
+    smallest normal number, where the polish's operators overflow and its
+    stopping test divides by zero.
 
     On symmetric D the loss equals 0.5 <P1 D P2, D> - <D, P1 - P2>, so the
     problem splits into that smooth term over any p x p matrix d and the
@@ -699,13 +692,15 @@ def run_admm(pair, config):
     max_iter // CG_STEP_GEMMS CG steps. A passed polish is the only stop
     before max_iter, so a run that is not "max_iter" is KKT-certified.
 
-    The search runs in the precision _search_dtype picks. The iterations
-    write into buffers of that dtype allocated once per run, through
-    PxqSolver.solve(r, out=), and a float32 search also runs the polish's
-    inner solves in float32, each in work arrays of its own. The sign
-    pattern, the KKT check and its tolerance stay float64, and the returned
-    z is float64 and the run's own. A float64 search gives the same bits as one that allocates each
-    iterate anew.
+    The search runs in the precision _search_dtype picks, and the
+    PxqSolver is built in it. The iterations write into buffers of that
+    dtype allocated once per run, through PxqSolver.solve(r, out=), and a
+    float32 search also runs the polish's inner solves in float32, each
+    casting the pair's float64 operators once per call and working in
+    arrays of its own. The sign pattern, the KKT check and its tolerance
+    stay float64, and the returned z is float64 and the run's own. A
+    float64 search gives the same bits as one that allocates each iterate
+    anew.
 
     Returns (z, iterations, stop, cg_steps), which estimate_delta records
     as a DeltaEstimate's delta, iterations, stop and cg_steps. Raises
@@ -716,10 +711,16 @@ def run_admm(pair, config):
     sigma = float(4.0 * config.rho)
     thresh = float(config.lam / sigma)
     _check_bounded(pair, config.lam)
-    solver = PxqSolver(*pair.eigenpairs, sigma)
+    tiny = np.finfo(float).tiny
+    if pair.scale < tiny and pair.p1.any() and pair.p2.any():
+        raise InvalidInputError(
+            f"the factors are too small for float64: lmax(psi1) lmax(psi2) = {pair.scale:.3e} "
+            f"is below {tiny:.3e}; scaling both factors and lam by c > 1 scales the estimate by 1/c"
+        )
     settled = POLISH_SETTLED * p * (p - 1)
 
     dtype = _search_dtype(pair, sigma, thresh)
+    solver = PxqSolver(*pair.eigenpairs, sigma, dtype)
     z, u = (np.zeros((p, p), dtype) for _ in range(2))
     r, d, w = np.empty((3, p, p), dtype)
     diff_search = pair.diff.astype(dtype, copy=False)
@@ -872,10 +873,14 @@ def uniqueness_check(psi1, psi2, tau):
     condition_inner by c and changes nothing else.
 
     Verdicts: a trivial kernel certifies a strongly convex problem
-    ("unique"); a candidate violating either condition witnesses
-    "not-unique", the inner one counting above 1e-10 |P1 - P2|_F;
-    otherwise "inconclusive", because only the candidates (not the whole
-    kernel cone) were examined.
+    ("unique"). "not-unique" is witnessed by a candidate violating either
+    condition, the inner one counting above 1e-10 |P1 - P2|_F, or by a
+    unit vector e_i in both null spaces, whose row of each null basis has
+    unit norm within EIG_RELATIVE_FLOOR: P1 E_ii = P2 E_ii = 0 and
+    <E_ii, P1 - P2> = 0, and the penalty ignores the diagonal, so the
+    objective is constant along E_ii = e_i e_i^T. Otherwise the verdict is
+    "inconclusive", because only these directions (not the whole kernel
+    cone) were examined.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise InvalidInputError(f"tau must be a positive real, got {tau!r}")
@@ -890,10 +895,12 @@ def uniqueness_check(psi1, psi2, tau):
     candidates, spread = pair.recession
     condition_norm = max([0.0] + [candidate[2] for candidate in candidates])
     fall = max([0.0] + [candidate[3] for candidate in candidates])
+    # axes[k][i]: e_i lies in the null space of factor k + 1, its basis row of unit norm
+    axes = [np.abs(np.linalg.norm(n, axis=1) - 1.0) <= EIG_RELATIVE_FLOOR for n in pair.nulls]
 
     if kernel_dim == 0:
         verdict = "unique"
-    elif fall > 1e-10 * spread or condition_norm > tau:
+    elif fall > 1e-10 * spread or condition_norm > tau or np.any(axes[0] & axes[1]):
         verdict = "not-unique"
     else:
         verdict = "inconclusive"

@@ -1,7 +1,7 @@
 """Dense symmetric-matrix numerics shared by the rest of the package.
 
-Everything here works on plain float64 numpy arrays, except that
-PxqSolver.solve can also write its solution in float32. Matrices that are
+Everything here works on plain float64 numpy arrays, except that a
+PxqSolver can be built to solve in float32. Matrices that are
 symmetric by contract are validated and then stored in exactly
 symmetrized form (A + A.T) / 2 so downstream eigendecompositions see a
 bitwise-symmetric operand.
@@ -236,37 +236,34 @@ class PxqSolver:
 
         X = Up (W * (Up.T @ R @ Uq)) Uq.T,   W[i, j] = 1 / (D[i] * E[j] + gamma)
 
-    PxqSolver((D, Up), (E, Uq), gamma) takes the eigenpairs as _eigenpairs
-    gives them, and takes its operands as given: callers validate them once
-    at their own boundary (solve_pxq for outside input,
+    PxqSolver((D, Up), (E, Uq), gamma, dtype) takes the eigenpairs as
+    _eigenpairs gives them, and takes its operands as given: callers
+    validate them once at their own boundary (solve_pxq for outside input,
     estimator._FactorPair for a solve's factors), so the eigenpairs are
     those of PSD matrices of one shape, gamma is finite and positive, and
-    each R is finite with their shape.
+    each R is finite with their shape. The weights are formed in float64,
+    and the solver holds them and the eigenvectors cast to dtype (themselves
+    in float64) with one scratch matrix of that dtype.
     """
 
-    def __init__(self, p_eigenpairs, q_eigenpairs, gamma):
-        (dvals, self._up), (evals, self._uq) = p_eigenpairs, q_eigenpairs
-        self._weights = 1.0 / (np.multiply.outer(dvals, evals) + gamma)
-        self._cast = {}
+    def __init__(self, p_eigenpairs, q_eigenpairs, gamma, dtype=np.float64):
+        (dvals, up), (evals, uq) = p_eigenpairs, q_eigenpairs
+        weights = 1.0 / (np.multiply.outer(dvals, evals) + gamma)
+        self._up, self._uq, self._weights = (a.astype(dtype, copy=False) for a in (up, uq, weights))
+        self._scratch = np.empty_like(self._weights)
 
     def solve(self, r, out=None):
-        """The X with P @ X @ Q + gamma * X = R, written into out (by default a new float64 array).
+        """The X with P @ X @ Q + gamma * X = R, written into out (by default a new array).
 
-        X is formed in out's dtype, from the eigenvectors and weights cast
-        to it (not copied in float64) and one scratch matrix, all kept from
-        the first call in that dtype, so a call with out allocates nothing.
+        X is formed in the solver's dtype, which out must have, so a call
+        with out allocates nothing.
         """
         if out is None:
             out = np.empty_like(self._weights)
-        if out.dtype not in self._cast:
-            up, uq, weights = (
-                a.astype(out.dtype, copy=False) for a in (self._up, self._uq, self._weights)
-            )
-            self._cast[out.dtype] = up, uq, weights, np.empty_like(out)
-        up, uq, weights, scratch = self._cast[out.dtype]
+        up, uq, scratch = self._up, self._uq, self._scratch
         np.matmul(up.T, r, out=scratch)
         np.matmul(scratch, uq, out=out)
-        out *= weights
+        out *= self._weights
         np.matmul(up, out, out=scratch)
         return np.matmul(scratch, uq.T, out=out)
 

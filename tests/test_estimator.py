@@ -258,6 +258,18 @@ class TestRunAdmm:
             with pytest.raises(InvalidInputError, match="^psi2 must have finite eigenvalues"):
                 estimate_delta(np.eye(2), psi2, SolverConfig(lam=0.1))
 
+    @pytest.mark.parametrize("c", [1e-155, 1e-165])
+    def test_bounded_pair_below_float64_raises_invalid_input_without_a_warning(self, c):
+        # lmax(P1) lmax(P2) is subnormal at c = 1e-155, where the polish
+        # overflowed and the solve ran to max_iter, and 0 at c = 1e-165, where
+        # the complement CG raised ZeroDivisionError
+        rng = np.random.default_rng(47)
+        psi1, psi2 = random_pd(rng, 6), random_pd(rng, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="too small for float64"):
+                estimate_delta(c * psi1, c * psi2, SolverConfig(lam=0.0, rho=0.1))
+
     def test_equal_factors_yield_zero(self):
         rng = np.random.default_rng(7)
         psi = random_pd(rng, 5)
@@ -781,9 +793,9 @@ class TestCgLoop:
         pair, r, support, tol = cg_case(kind, dtype)
         max_steps = 500
         ref_x, ref_r = np.zeros(r.shape, dtype), r.astype(dtype)
-        precond = pair.preconditioner(dtype), pair.scale
+        p1, p2, g = (a.astype(dtype) for a in (pair.p1, pair.p2, pair.preconditioner))
         expected = reference_cg_on_support(
-            *pair.factors(dtype), ref_x, ref_r, support, tol, max_steps, precond
+            p1, p2, ref_x, ref_r, support, tol, max_steps, (g, pair.scale)
         )
         d, *got = _cg_on_support(pair, dtype, r, support, tol, max_steps)
         assert tuple(got) == expected
@@ -965,6 +977,32 @@ class TestSearchPrecision:
             assert exact.converged
             gap = np.max(np.abs(est.delta - exact.delta)) / np.max(np.abs(exact.delta))
             assert gap <= 1e-8, gap
+
+
+def held_arrays(value):
+    """The arrays in value, a pair's attributes: nested in tuples, lists and dicts too."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from held_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from held_arrays(item)
+
+
+class TestFactorPairPrecision:
+    def test_pair_holds_float64_only_after_solves_in_both_dtypes(self):
+        pair, r, support, tol = cg_case("solve", np.float32)
+        _, _, stop, _ = estimator.run_admm(pair, SolverConfig(lam=0.05, rho=0.1))
+        assert stop == "polished"
+        for dtype in (np.float32, np.float64):
+            for solve in (_cg_on_support, estimator._cg_on_complement):
+                d, _, solved = solve(pair, dtype, r, support, tol, 500)
+                assert solved and d.dtype == np.float64
+        held = vars(pair)
+        assert "preconditioner" in held and "inverse" in held
+        assert {a.dtype for a in held_arrays(held)} == {np.dtype(np.float64)}
 
 
 def forced_solver(monkeypatch, solve):
@@ -1183,6 +1221,19 @@ class TestUniquenessCheck:
             assert rep.kernel_dim == kernel_pair_count(psi1, psi2)
             assert rep.kernel_dim > 0
             assert rep.verdict in ("not-unique", "inconclusive")
+
+    @pytest.mark.parametrize(
+        "psi1, psi2",
+        [(np.zeros((3, 3)), np.zeros((3, 3))), (np.diag([0.0, 1, 1]), np.diag([0.0, 2, 1]))],
+        ids=["zero", "shared-axis"],
+    )
+    def test_unit_vector_in_both_null_spaces_is_not_unique(self, psi1, psi2):
+        # P1 E_00 = P2 E_00 = 0 and <E_00, P1 - P2> = 0, and the penalty skips
+        # the diagonal: the objective is constant along t E_00. Both pairs were
+        # "inconclusive", having no candidate that violates a condition
+        rep = uniqueness_check(psi1, psi2, tau=1.0)
+        assert rep.kernel_dim > 0 and rep.verdict == "not-unique"
+        assert (rep.condition_inner, rep.condition_norm) == (0.0, 0.0)
 
     def test_equal_projectors_have_zero_inner_condition(self):
         rng = np.random.default_rng(21)

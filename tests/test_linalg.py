@@ -1,5 +1,6 @@
 """Tests for the dense symmetric numerics kernel."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -216,6 +217,29 @@ class TestPxqSolverTakesRootEigenpairs:
             assert len(calls) == decompositions
             assert_allclose(x, solve_pxq(factor, factor, r, 0.3), rtol=0, atol=1e-12)
             assert_allclose(x, kron_solve_pxq(factor, factor, r, 0.3), rtol=0, atol=1e-10)
+
+
+class TestPxqSolverPrecision:
+    def test_float32_solver_writes_out_without_allocating(self):
+        # the solver casts its eigenvectors and weights and allocates its
+        # scratch when built, so even its first call with out allocates no
+        # p x p array
+        rng = np.random.default_rng(14)
+        p = 40
+        eigenpairs = _FactorPair(random_pd(rng, p), random_pd(rng, p)).eigenpairs
+        r = rng.standard_normal((p, p))
+        solver = PxqSolver(*eigenpairs, 0.3, np.float32)
+        r32, out = r.astype(np.float32), np.empty((p, p), np.float32)
+        tracemalloc.start()
+        try:
+            got = solver.solve(r32, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got is out and peak < out.nbytes
+        exact = PxqSolver(*eigenpairs, 0.3).solve(r)
+        assert exact.dtype == np.float64
+        assert_allclose(got, exact, rtol=0, atol=1e-5 * np.max(np.abs(exact)))
 
 
 class TestInverseGeometricMean:

@@ -85,3 +85,42 @@ def test_solve_work_and_row_digest_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# 8 code lines: blank lines, comment lines and the three docstrings do not
+# count, a string that is not a docstring counts on both of its lines
+CODE_LINES_MODULE = '''"""Module docstring,
+on two lines."""
+
+import os  # a comment after code
+
+
+def f(x):
+    """Function docstring."""
+    # a comment line
+    text = """a string
+that is not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    y = 2
+'''
+
+
+def test_code_lines_counts_a_fixture(tmp_path):
+    (tmp_path / "a.py").write_text(CODE_LINES_MODULE)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"8 {tmp_path / 'a.py'}", f"1 {tmp_path / 'sub' / 'b.py'}", "9 total"
+    ]

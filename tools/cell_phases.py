@@ -20,9 +20,11 @@ less that of the other phases they call:
 - admm_loop: the rest of estimator.run_admm, its iterations and
   null-space check;
 - polish_setup: what the factor pair builds on first use for the polish:
-  the operators in the search dtype, and the joint diagonalizer they
-  come from;
-- polish: the rest of estimator._polish;
+  its float64 preconditioner and inverse operators, timed through the
+  function each of these cached properties caches the result of, and the
+  joint diagonalizer they come from;
+- polish: the rest of estimator._polish, the inner solves' casts of those
+  operators to the search dtype among it;
 - objective: estimate_delta's penalized_objective;
 - scoring: support_recovered, sup_norm_error and default_support_epsilon;
 - other: the rest of each cell (bookkeeping and the wrappers themselves).
@@ -65,9 +67,8 @@ TIMED = (
     (estimator, "run_admm", "admm_loop"),
     (estimator, "_FactorPair", "pxq_solver"),
     (estimator, "PxqSolver", "pxq_solver"),
-    (estimator._FactorPair, "factors", "polish_setup"),
-    (estimator._FactorPair, "preconditioner", "polish_setup"),
-    (estimator._FactorPair, "inverse", "polish_setup"),
+    (vars(estimator._FactorPair)["preconditioner"], "func", "polish_setup"),
+    (vars(estimator._FactorPair)["inverse"], "func", "polish_setup"),
     (estimator, "_polish", "polish"),
     (estimator, "penalized_objective", "objective"),
     (experiments, "support_recovered", "scoring"),
