@@ -63,7 +63,7 @@ POLISH_LOOSE = 1e-3
 # primal step (_cg_on_support) makes two for the operator and two for the
 # preconditioner, a complement step (_cg_on_complement) four for the exact
 # inverse, and a complement call counts its first inverse product as a step.
-# An ADMM iteration costs four, and all polish attempts of a run share a
+# An ADMM iteration costs four too, and all polish attempts of a run share a
 # budget of max_iter GEMMs, so a run that never polishes does at most a
 # quarter more GEMMs than its iterations.
 CG_STEP_GEMMS = 4
@@ -122,7 +122,11 @@ class DeltaEstimate:
     objective there. stop says why the ADMM loop ended: "polished" (a
     polish passed the KKT check, and delta is the polished optimum) or
     "max_iter". iterations counts ADMM iterations, cg_steps the CG steps of
-    all polish attempts.
+    all polish attempts, complement_steps the part of them _cg_on_complement
+    took, and attempts the polish attempts. gemms counts every p x p GEMM
+    of the ADMM loop and the polish, whatever its precision, but none of the
+    one-off setup (the eigh calls and the preconditioner). dtype is the
+    search precision, "float32" or "float64" (run_admm).
 
     The KKT check certifies every entry against one tolerance,
     POLISH_TOL max |P1 - P2|, not against that entry's own scale, so in a
@@ -137,6 +141,10 @@ class DeltaEstimate:
     objective: float
     stop: str
     cg_steps: int
+    complement_steps: int
+    attempts: int
+    gemms: int
+    dtype: str
 
     @property
     def converged(self):
@@ -337,24 +345,32 @@ def _check_bounded(pair, lam):
 
 
 def _support_product(p1, p2, x, support, out, scratch):
-    """out = [P1 X P2 + P2 X P1]_S for symmetric X, with S the 0/1 or boolean mask support."""
-    _kkt_product(p1, p2, x, scratch, out)
+    """out = [P1 X P2 + P2 X P1]_S for symmetric X, with S the 0/1 or boolean mask support.
+
+    Returns its GEMMs, those of _kkt_product.
+    """
+    gemms = _kkt_product(p1, p2, x, scratch, out)
     np.multiply(scratch, support, out=out)
+    return gemms
 
 
 def _kkt_product(p1, p2, x, out, scratch):
-    """out = P1 X P2 + P2 X P1 for symmetric X: the polish's float64 residuals and gradients."""
+    """out = P1 X P2 + P2 X P1 for symmetric X: the polish's float64 residuals and gradients.
+
+    Returns its GEMMs, 2.
+    """
     np.matmul(p1, x, out=out)
     np.matmul(out, p2, out=scratch)
     np.add(scratch, scratch.T, out=out)
+    return 2
 
 
 def _apply_inverse(w, weights, y, out, scratch):
-    """out = W [(W.T Y W) * weights] W.T plus its transpose, for symmetric Y: four GEMMs.
+    """out = W [(W.T Y W) * weights] W.T plus its transpose, for symmetric Y.
 
     With weights 1 / (2 (c_i + c_j)) and (W, c) from
     _FactorPair.joint_diagonalizer, this is the inverse of
-    X -> P1 X P2 + P2 X P1, made exactly symmetric.
+    X -> P1 X P2 + P2 X P1, made exactly symmetric. Returns its GEMMs, 4.
     """
     np.matmul(y, w, out=out)
     np.matmul(w.T, out, out=scratch)
@@ -362,6 +378,7 @@ def _apply_inverse(w, weights, y, out, scratch):
     np.matmul(w, scratch, out=out)
     np.matmul(out, w.T, out=scratch)
     np.add(scratch, scratch.T, out=out)
+    return 4
 
 
 def _cg_on_support(pair, dtype, r, support, target, max_steps):
@@ -384,8 +401,10 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     2 lmax(P1) lmax(P2). max |r| is computed only once |r|_F^2 is at most
     4 |S| target^2 (or not finite): above that, max |r| > target, with room
     for the rounding of |r|_F^2; at p = 16 and 25, on the same VM, that
-    made a step about 5% faster. Returns (D, steps taken, whether max |r| <= target),
-    D being the iterate made exactly symmetric in a new float64 array.
+    made a step about 5% faster. Returns (D, steps taken, GEMMs made, whether
+    max |r| <= target), D being the iterate made exactly symmetric in a new
+    float64 array. The GEMMs are what its products return, an operator
+    product made before a curvature stop included.
     """
     p1, p2, g = (a.astype(dtype, copy=False) for a in (pair.p1, pair.p2, pair.preconditioner))
     flat = EIG_RELATIVE_FLOOR * 2.0 * pair.scale
@@ -395,11 +414,11 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     direction, product, scratch = (np.empty_like(r) for _ in range(3))
     near = 4.0 * np.count_nonzero(mask) * target * target
     largest = _largest_if_near(r, float(np.vdot(r, r)), near)
-    _support_product(g, g, r, mask, direction, scratch)
+    gemms = _support_product(g, g, r, mask, direction, scratch)
     rz = float(np.vdot(r, direction))
     steps = 0
     while largest > target and steps < max_steps:
-        _support_product(p1, p2, direction, mask, product, scratch)
+        gemms += _support_product(p1, p2, direction, mask, product, scratch)
         curvature = float(np.vdot(direction, product))
         if not curvature > flat * float(np.vdot(direction, direction)):
             break
@@ -409,13 +428,13 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
         product *= alpha
         r -= product
         largest = _largest_if_near(r, float(np.vdot(r, r)), near)
-        _support_product(g, g, r, mask, product, scratch)
+        gemms += _support_product(g, g, r, mask, product, scratch)
         rz_next = float(np.vdot(r, product))
         direction *= rz_next / rz
         direction += product
         rz = rz_next
         steps += 1
-    return _symmetric_part(x), steps, largest <= target
+    return _symmetric_part(x), steps, gemms, largest <= target
 
 
 def _cg_on_complement(pair, dtype, r, support, target, max_steps):
@@ -448,19 +467,19 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
     steps, or on a direction without positive curvature, which only
     rounding or a NaN can give.
 
-    Returns (D, steps, solved) as _cg_on_support does, the steps counting
-    the first product A(r), which costs what a step does: so every call
-    takes a step, a call with no step left fails at once, with D None, and
-    the polish's step budget bounds its calls.
+    Returns (D, steps, GEMMs, solved) as _cg_on_support does, the steps
+    counting the first product A(r), which costs what a step does: so every
+    call takes a step, a call with no step left fails at once, with D None,
+    and the polish's step budget bounds its calls.
     """
     if max_steps < 1:
-        return None, 0, False
+        return None, 0, 0, False
     w, weights, jacobi = (a.astype(dtype, copy=False) for a in pair.inverse)
     p1, p2 = (a.astype(dtype, copy=False) for a in (pair.p1, pair.p2))
     mask = support.astype(dtype)
     negated = mask - 1.0
     y, rho, product, scratch, direction = (np.empty_like(mask) for _ in range(5))
-    _apply_inverse(w, weights, r.astype(dtype, copy=False), y, scratch)
+    gemms = _apply_inverse(w, weights, r.astype(dtype, copy=False), y, scratch)
     np.multiply(y, negated, out=rho)
     np.multiply(rho, jacobi, out=direction)
     count = np.count_nonzero(negated)
@@ -472,7 +491,7 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
         bound = target / gain
         largest = _largest_if_near(rho, rr, 4.0 * count * bound * bound)
         if largest <= bound:
-            _support_product(p1, p2, rho, mask, product, scratch)
+            gemms += _support_product(p1, p2, rho, mask, product, scratch)
             residual = max(float(product.max()), -float(product.min()))
             if residual <= target:
                 solved = True
@@ -480,7 +499,7 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
             gain = residual / largest
         if steps >= max_steps:
             break
-        _apply_inverse(w, weights, direction, product, scratch)
+        gemms += _apply_inverse(w, weights, direction, product, scratch)
         curvature = float(np.vdot(direction, product))
         if not curvature > 0.0:
             break
@@ -495,7 +514,7 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
         rz = rz_next
         steps += 1
     y += rho
-    return _symmetric_part(y), steps, solved
+    return _symmetric_part(y), steps, gemms, solved
 
 
 def _largest_if_near(r, squared, near):
@@ -534,7 +553,7 @@ def _inner_solver(pair, support):
 
 
 def _polish(pair, lam, z, estimate, signs, max_steps):
-    """Solve for the optimum on the support of z; (x or None, CG steps taken).
+    """Solve for the optimum on the support of z; (x or None, CG steps, complement steps, GEMMs).
 
     signs is the off-diagonal sign pattern of z (int8, 0 on the diagonal),
     and _polish works on a copy of it. S holds its nonzeros plus the
@@ -572,6 +591,11 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
     S with |G| > lam + tol at sign -sign(G), and solve again, loosely
     first. max_steps caps the CG steps of all rounds, a complement step
     counting as a primal one.
+
+    Besides x, it returns the CG steps of all rounds, the part of them
+    _cg_on_complement took, and the p x p GEMMs of the polish: those its
+    inner solves return, and two for each round's residual and each
+    solved iterate's gradient.
     """
     x = z.astype(float)
     product, scratch = np.empty_like(x), np.empty_like(x)
@@ -580,10 +604,10 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
     np.fill_diagonal(support, True)
     diff, tol = pair.diff, pair.tol
     refine = POLISH_LOOSE if z.dtype == np.float32 else 0.0
-    steps = 0
+    steps = complement = gemms = 0
     for repair in range(POLISH_ROUNDS + 1):
         solve = _inner_solver(pair, support)
-        _kkt_product(pair.p1, pair.p2, x, product, scratch)
+        gemms += _kkt_product(pair.p1, pair.p2, x, product, scratch)
         r = (signs * -lam + diff) * 2.0 - product
         target = max(tol, POLISH_LOOSE * float(np.max(np.abs(r * support))))
         if repair:
@@ -593,15 +617,19 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
             # of the complement solve at 2 estimate_C instead
             r += estimate * ~support * 2.0
         while True:
-            correction, taken, solved = solve(pair, z.dtype, r, support, target, max_steps - steps)
+            correction, taken, work, solved = solve(
+                pair, z.dtype, r, support, target, max_steps - steps
+            )
             steps += taken
+            complement += taken if solve is _cg_on_complement else 0
+            gemms += work
             if not solved:
-                return None, steps
+                return None, steps, complement, gemms
             x += correction
-            _kkt_product(pair.p1, pair.p2, x, product, scratch)
+            gemms += _kkt_product(pair.p1, pair.p2, x, product, scratch)
             grad = product * 0.5 - diff
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(grad))):
-                return None, steps
+                return None, steps, complement, gemms
             flipped = (np.sign(x) != signs) & support
             np.fill_diagonal(flipped, False)
             outside = (np.abs(grad) > lam + tol) & ~support
@@ -612,7 +640,7 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
             r = (signs * lam + grad) * -2.0 * support
             largest = float(np.max(np.abs(r)))
             if largest <= 2.0 * tol:
-                return x, steps
+                return x, steps, complement, gemms
             target = max(tol, refine * largest)
         if repair == POLISH_ROUNDS:
             break
@@ -621,7 +649,7 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
         x[flipped] = 0.0
         support[outside] = True
         signs[outside] = -np.sign(grad[outside])
-    return None, steps
+    return None, steps, complement, gemms
 
 
 def _search_dtype(pair, sigma, thresh):
@@ -665,7 +693,8 @@ def run_admm(pair, config):
     UnboundedProblemError on finding one. It then raises InvalidInputError
     when both factors are nonzero but lmax(P1) lmax(P2) is below float64's
     smallest normal number, where the polish's operators overflow and its
-    stopping test divides by zero.
+    stopping test divides by zero, or overflows to inf, where the polish's
+    curvature and stopping tests compare against inf and no polish passes.
 
     On symmetric D the loss equals 0.5 <P1 D P2, D> - <D, P1 - P2>, so the
     problem splits into that smooth term over any p x p matrix d and the
@@ -702,20 +731,25 @@ def run_admm(pair, config):
     float64 search gives the same bits as one that allocates each iterate
     anew.
 
-    Returns (z, iterations, stop, cg_steps), which estimate_delta records
-    as a DeltaEstimate's delta, iterations, stop and cg_steps. Raises
-    SolverDivergedError if z is not finite at a check or after the last
-    iteration.
+    Returns (z, iterations, stop, cg_steps, complement_steps, attempts,
+    gemms, dtype), which estimate_delta records as the DeltaEstimate fields
+    of those names, delta being z. The run counts its own work: the polish
+    attempts, their CG steps (_polish), and every p x p GEMM of the loop and
+    the polish, CG_STEP_GEMMS per iteration plus what each _polish returns.
+    dtype is the name of the search dtype. Raises SolverDivergedError if z
+    is not finite at a check or after the last iteration.
     """
     p = pair.p1.shape[0]
     sigma = float(4.0 * config.rho)
     thresh = float(config.lam / sigma)
     _check_bounded(pair, config.lam)
     tiny = np.finfo(float).tiny
-    if pair.scale < tiny and pair.p1.any() and pair.p2.any():
+    if not tiny <= pair.scale < math.inf and pair.p1.any() and pair.p2.any():
+        side, c = ("small", "c > 1") if pair.scale < tiny else ("large", "c < 1")
         raise InvalidInputError(
-            f"the factors are too small for float64: lmax(psi1) lmax(psi2) = {pair.scale:.3e} "
-            f"is below {tiny:.3e}; scaling both factors and lam by c > 1 scales the estimate by 1/c"
+            f"the factors are too {side} for float64: lmax(psi1) lmax(psi2) = {pair.scale:.3e} "
+            f"is outside [{tiny:.3e}, inf); scaling both factors and lam by {c} scales the "
+            f"estimate by 1/c"
         )
     settled = POLISH_SETTLED * p * (p - 1)
 
@@ -729,7 +763,7 @@ def run_admm(pair, config):
     pattern = np.zeros((p, p), dtype=np.int8)
     tried = None
     budget = config.max_iter // CG_STEP_GEMMS
-    cg_steps = 0
+    cg_steps = complement_steps = attempts = polish_gemms = 0
     for iteration in range(1, config.max_iter + 1):
         # d solves P1 d P2 + sigma d = (P1 - P2) + sigma (z - u)
         np.subtract(z, u, out=r)
@@ -759,8 +793,13 @@ def run_admm(pair, config):
         # at the fixed point the d-step gives G = sym(P1 z P2) - (P1 - P2) = -sigma sym(u)
         estimate = np.add(u, u.T, dtype=float)
         estimate *= -0.5 * sigma
-        polished, taken = _polish(pair, config.lam, z, estimate, pattern, budget - cg_steps)
+        polished, taken, on_complement, gemms = _polish(
+            pair, config.lam, z, estimate, pattern, budget - cg_steps
+        )
+        attempts += 1
         cg_steps += taken
+        complement_steps += on_complement
+        polish_gemms += gemms
         if polished is not None:
             z = polished
             stop = "polished"
@@ -768,7 +807,8 @@ def run_admm(pair, config):
 
     z = z.astype(float, copy=False)
     _check_finite(z, iteration)
-    return z, iteration, stop, cg_steps
+    gemms = CG_STEP_GEMMS * iteration + polish_gemms
+    return z, iteration, stop, cg_steps, complement_steps, attempts, gemms, np.dtype(dtype).name
 
 
 def estimate_delta(psi1, psi2, config):
@@ -778,7 +818,8 @@ def estimate_delta(psi1, psi2, config):
     checks config, builds their _FactorPair (NotPsdError names a factor
     that is not PSD) and runs the ADMM loop run_admm on it. Returns a
     DeltaEstimate holding the symmetric sparse iterate, its penalized
-    objective, the iteration count, the stop reason and the CG steps.
+    objective, the iteration count, the stop reason and the work of the
+    solve.
 
     With unknown injection covariances, whiten with the identity:
     estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
@@ -789,9 +830,9 @@ def estimate_delta(psi1, psi2, config):
     if not isinstance(config, SolverConfig):
         raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
     pair = _FactorPair(psi1, psi2)
-    z, iterations, stop, cg_steps = run_admm(pair, config)
+    z, iterations, stop, *work = run_admm(pair, config)
     objective = penalized_objective(z, pair.p1, pair.p2, config)
-    return DeltaEstimate(z, iterations, objective, stop, cg_steps)
+    return DeltaEstimate(z, iterations, objective, stop, *work)
 
 
 def _wrapped_root_difference(regimes):

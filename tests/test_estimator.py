@@ -270,6 +270,31 @@ class TestRunAdmm:
             with pytest.raises(InvalidInputError, match="too small for float64"):
                 estimate_delta(c * psi1, c * psi2, SolverConfig(lam=0.0, rho=0.1))
 
+    @pytest.mark.parametrize("c", [1e154, 1e155])
+    def test_bounded_pair_beyond_float64_raises_invalid_input_without_a_warning(self, c):
+        # lmax(P1) lmax(P2) overflows to inf: at c = 1e154 the solve ran to
+        # max_iter, 8.5e-2 from the optimum, with overflow warnings, and at
+        # c = 1e155 it returned an estimate with relative error 1.0
+        rng = np.random.default_rng(47)
+        psi1, psi2 = random_pd(rng, 6), random_pd(rng, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="too large for float64.* c < 1 "):
+                estimate_delta(c * psi1, c * psi2, SolverConfig(lam=0.0, rho=0.1))
+
+    def test_bounded_pair_just_inside_float64_polishes_without_a_warning(self):
+        # at c = 3e153, lmax(P1) lmax(P2) = 8.4e307 is still finite
+        rng = np.random.default_rng(47)
+        psi1, psi2 = random_pd(rng, 6), random_pd(rng, 6)
+        config = SolverConfig(lam=0.0, rho=0.1)
+        optimum = estimate_delta(psi1, psi2, config).delta
+        c = 3e153
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_delta(c * psi1, c * psi2, config)
+        assert est.converged
+        assert np.max(np.abs(c * est.delta - optimum)) <= 1e-8 * np.max(np.abs(optimum))
+
     def test_equal_factors_yield_zero(self):
         rng = np.random.default_rng(7)
         psi = random_pd(rng, 5)
@@ -374,13 +399,15 @@ class TestRunAdmm:
             assert 1 <= info.value.iteration <= max_iter
 
     def test_converged_is_the_polished_stop(self):
-        est = DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "max_iter", 0)
+        est = DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "max_iter", 0, 0, 0, 28, "float32")
         assert not est.converged
-        assert DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "polished", 3).converged
+        assert DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "polished", 3, 3, 1, 50, "float32").converged
         with pytest.raises(AttributeError):
             est.converged = True
         with pytest.raises(TypeError):
-            DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "max_iter", 0, converged=False)
+            DeltaEstimate(
+                np.zeros((2, 2)), 7, 0.0, "max_iter", 0, 0, 0, 28, "float32", converged=False
+            )
 
     def test_accepts_precision_factor_wrappers(self):
         b = random_base_matrix(4, 1.0, margin=1.0, seed=6)
@@ -628,7 +655,7 @@ class TestPolish:
         one_flipped[i, j] = one_flipped[j, i] = -optimum[i, j]
         monkeypatch.setattr(estimator, "POLISH_ROUNDS", 0)
         for wrong in (-optimum, one_flipped):
-            x, steps = polish_from(wrong, psi1, psi2, lam)
+            x, steps, *_ = polish_from(wrong, psi1, psi2, lam)
             assert x is None and steps > 0
 
     def test_cg_stops_once_every_residual_entry_is_within_tol(self):
@@ -643,7 +670,7 @@ class TestPolish:
         full = np.ones((6, 6), dtype=bool)
         for r in (np.full((6, 6), 0.5 * tol), (upper + np.triu(upper, 1).T) * tol):
             assert np.max(np.abs(r)) <= tol < np.linalg.norm(r)
-            d, steps, solved = _cg_on_support(pair, np.float64, r, full, tol, 100)
+            d, steps, _, solved = _cg_on_support(pair, np.float64, r, full, tol, 100)
             assert (steps, solved) == (0, True)
             assert d.dtype == np.float64 and not d.any()
 
@@ -661,7 +688,7 @@ class TestPolish:
                 z[i, j] = z[j, i] = 0.0
             for i, j in added:
                 z[i, j] = z[j, i] = rng.choice((-1e-3, 1e-3))
-            x, steps = polish_from(z, psi1, psi2, config.lam)
+            x, steps, *_ = polish_from(z, psi1, psi2, config.lam)
             assert x is not None and steps <= 250
             assert kkt_residual(x, psi1, psi2, config.lam) <= _FactorPair(psi1, psi2).tol
 
@@ -669,7 +696,7 @@ class TestPolish:
         psi1, psi2, lam, optimum, (i, j) = polished_problem()
         dropped = optimum.copy()
         dropped[i, j] = dropped[j, i] = 0.0
-        x, _ = polish_from(dropped, psi1, psi2, lam)
+        x, *_ = polish_from(dropped, psi1, psi2, lam)
         assert x is not None
         assert np.max(np.abs(x - optimum)) <= 1e-8
 
@@ -681,9 +708,9 @@ class TestPolish:
         polish = estimator._polish
 
         def counted(*args):
-            d, taken, solved = cg(*args)
+            d, taken, gemms, solved = cg(*args)
             steps.append(taken)
-            return d, taken, solved
+            return d, taken, gemms, solved
 
         def recorded(pair, lam, z, estimate, signs, *rest):
             patterns.append(signs.copy())
@@ -797,8 +824,8 @@ class TestCgLoop:
         expected = reference_cg_on_support(
             p1, p2, ref_x, ref_r, support, tol, max_steps, (g, pair.scale)
         )
-        d, *got = _cg_on_support(pair, dtype, r, support, tol, max_steps)
-        assert tuple(got) == expected
+        d, steps, _, solved = _cg_on_support(pair, dtype, r, support, tol, max_steps)
+        assert (steps, solved) == expected
         ref_d = ref_x.astype(float)
         ref_d = (ref_d + ref_d.T) * 0.5
         assert d.dtype == np.float64 and np.array_equal(bits(d), bits(ref_d))
@@ -994,11 +1021,11 @@ def held_arrays(value):
 class TestFactorPairPrecision:
     def test_pair_holds_float64_only_after_solves_in_both_dtypes(self):
         pair, r, support, tol = cg_case("solve", np.float32)
-        _, _, stop, _ = estimator.run_admm(pair, SolverConfig(lam=0.05, rho=0.1))
+        _, _, stop, *_ = estimator.run_admm(pair, SolverConfig(lam=0.05, rho=0.1))
         assert stop == "polished"
         for dtype in (np.float32, np.float64):
             for solve in (_cg_on_support, estimator._cg_on_complement):
-                d, _, solved = solve(pair, dtype, r, support, tol, 500)
+                d, _, _, solved = solve(pair, dtype, r, support, tol, 500)
                 assert solved and d.dtype == np.float64
         held = vars(pair)
         assert "preconditioner" in held and "inverse" in held
@@ -1050,7 +1077,7 @@ class TestComplementPolish:
         for i, j in np.argwhere(upper & (z != 0.0))[:4]:
             z[i, j] = z[j, i] = 0.0
         forced_solver(monkeypatch, estimator._cg_on_complement)
-        x, steps = polish_from(z, psi1, psi2, config.lam, dtype)
+        x, steps, *_ = polish_from(z, psi1, psi2, config.lam, dtype)
         assert x is not None and 0 < steps
         assert x.dtype == np.float64 and np.array_equal(x, x.T)
         assert kkt_residual(x, psi1, psi2, config.lam) <= _FactorPair(psi1, psi2).tol
@@ -1106,6 +1133,88 @@ class TestComplementPolish:
         for _, _, _, est in solves:
             assert est.stop == "polished"
             assert 0 < est.cg_steps <= 71
+
+
+@pytest.fixture
+def counted_work(monkeypatch):
+    """The polish work of the solves that follow, counted apart from their records.
+
+    Wrappers around the estimator's helpers add 2 GEMMs per _kkt_product
+    call and 4 per _apply_inverse call, count the _polish calls, add up the
+    steps each _cg_on_complement call returns and collect the inner solves
+    _inner_solver picks, as "primal" or "complement". Sweeps run inline on
+    one worker, where the wrappers see their cells.
+    """
+    work = {"gemms": 0, "attempts": 0, "complement_steps": 0, "picks": set()}
+    kkt, inverse = estimator._kkt_product, estimator._apply_inverse
+    polish, choose = estimator._polish, estimator._inner_solver
+    complement = estimator._cg_on_complement
+
+    def kkt_counted(*args):
+        work["gemms"] += 2
+        return kkt(*args)
+
+    def inverse_counted(*args):
+        work["gemms"] += 4
+        return inverse(*args)
+
+    def polish_counted(*args):
+        work["attempts"] += 1
+        return polish(*args)
+
+    def complement_counted(*args):
+        d, steps, *rest = complement(*args)
+        work["complement_steps"] += steps
+        return (d, steps, *rest)
+
+    def choose_counted(*args):
+        solve = choose(*args)
+        work["picks"].add("complement" if solve is complement_counted else "primal")
+        return solve
+
+    monkeypatch.setattr(estimator, "_kkt_product", kkt_counted)
+    monkeypatch.setattr(estimator, "_apply_inverse", inverse_counted)
+    monkeypatch.setattr(estimator, "_polish", polish_counted)
+    monkeypatch.setattr(estimator, "_cg_on_complement", complement_counted)
+    monkeypatch.setattr(estimator, "_inner_solver", choose_counted)
+    monkeypatch.setenv("LAPDIFF_THREADS", "1")
+    return work
+
+
+class TestSolveWork:
+    """A solve's record of its work against counted_work's count of the same solve."""
+
+    @staticmethod
+    def assert_recorded(est, work, picks):
+        assert est.gemms - CG_STEP_GEMMS * est.iterations == work["gemms"]
+        assert est.attempts == work["attempts"] >= 1
+        assert est.complement_steps == work["complement_steps"]
+        assert work["picks"] == picks
+
+    def test_bounded_power_cell_polishes_on_the_complement(self, power_cells, counted_work):
+        _, solves = power_cells
+        psi1, psi2, config, _ = solves[0]
+        est = estimate_delta(psi1, psi2, config)
+        self.assert_recorded(est, counted_work, {"complement"})
+        assert est.complement_steps == est.cg_steps > 0 and est.dtype == "float32"
+
+    def test_sparse_optimum_polishes_on_the_support(self, counted_work):
+        psi1, psi2, dense = dense_support_problem()
+        est = estimate_delta(psi1, psi2, SolverConfig(lam=0.3, rho=dense.rho))
+        self.assert_recorded(est, counted_work, {"primal"})
+        assert est.complement_steps == 0 < est.cg_steps and est.dtype == "float32"
+
+    def test_curvature_stop_row_counts_the_product_before_the_stop(
+        self, counted_work, monkeypatch
+    ):
+        # the dense-sweep row p = 16, n = 10, instance 0, sqrt: a primal CG
+        # makes its operator product before its curvature test breaks the
+        # loop, and adding 2 GEMMs per step instead counted 82 360
+        cfg = ExperimentConfig(dims=(16,), sample_sizes=(10,), instances=1, **DENSE_SWEEP)
+        _, [(*_, est)] = captured_solves(monkeypatch, cfg)
+        self.assert_recorded(est, counted_work, {"primal"})
+        assert (est.stop, est.gemms, est.cg_steps, est.attempts) == ("max_iter", 82370, 585, 5)
+        assert est.complement_steps == 0 and est.dtype == "float64"
 
 
 class TestPluginDelta:

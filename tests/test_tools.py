@@ -38,14 +38,16 @@ cfg = lapdiff.ExperimentConfig(
 # polish solves on their complement; at the default, on the support
 dense = dataclasses.replace(cfg, lambda_scale=0.05)
 work = solve_work.solve_work(cfg) + solve_work.solve_work(dense)
-assert [row.estimator for row, *_ in work] == ["dtrace", "sqrt"] * 2, work
-for row, est, polish_gemms, attempts, dtype, solver in work:
-    assert est.converged and attempts >= 1, (row, est, attempts)
-    assert dtype == "float32", (row, dtype)  # n = 20 > p: both factors are full rank
+assert [row.estimator for row, _ in work] == ["dtrace", "sqrt"] * 2, work
+for row, est in work:
+    assert est.converged and est.attempts >= 1, (row, est)
+    assert est.dtype == "float32", (row, est)  # n = 20 > p: both factors are full rank
     # besides its CG steps, a polish computes each round's residual and tests
     # each solved iterate's gradient
+    polish_gemms = est.gemms - CG_STEP_GEMMS * est.iterations
     assert polish_gemms > CG_STEP_GEMMS * est.cg_steps, (row, est, polish_gemms)
-assert [solver for *_, solver in work] == ["primal"] * 2 + ["complement"] * 2, work
+solvers = [solve_work.inner_solver(est) for _, est in work]
+assert solvers == ["primal"] * 2 + ["complement"] * 2, work
 with tempfile.TemporaryDirectory() as workdir:
     digest = row_digest.masked_sweep_digest(cfg, workdir)
 assert len(digest) == 64, digest

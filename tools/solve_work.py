@@ -10,32 +10,30 @@ lam-sweep-8, -33, -133 and -333: the power config at seed 1 and ratios 3
 and 5 with lambda_scale 8, 33, 133 and 333 in place of 2, whose polished
 supports hold about 45%, 16%, 2-3% and at most 1% of the off-diagonal
 pairs, against 75-78% at lambda_scale 2. For each dtrace and sqrt cell it
-prints the ADMM iterations, the CG steps of polishing, the polish
-attempts, the p x p GEMMs all of it costs, the stop reason, the search
-precision (`dtype`, from estimator._search_dtype: float32 or float64, or
-`-` when the solve raised before choosing) and the inner solver of its
-polish rounds (`solver`, from estimator._inner_solver: primal for
-_cg_on_support, complement for _cg_on_complement, both, or `-` when the
-solve never polished), then the totals of each sweep, a tally of its stop
+prints what the solve's DeltaEstimate records of its work: the ADMM
+iterations, the CG steps of polishing, the polish attempts, the p x p
+GEMMs all of it costs, the stop reason and the search precision (`dtype`:
+float32 or float64, or `-` when the solve raised). The last column,
+`solver`, says where the CG steps of its polish rounds ran: primal when
+all on the support (estimator._cg_on_support), complement when all on its
+complement (estimator._cg_on_complement), both, or `-` when the solve took
+no CG step. Then come the totals of each sweep, a tally of its stop
 reasons (polished, max_iter, raised) and its GEMMs split by the same stop
 reasons.
 
-GEMMs are counted as four per ADMM iteration plus every product polishing
-makes: four per call of estimator._apply_inverse (the complement CG's
-steps and the first product of each of its calls) and two per call of
-estimator._kkt_product (the float64 residual that starts each polish
-round, the gradient test that follows each inner solve, and, through
-estimator._support_product, the primal CG's operator and preconditioner
-products). The one-off setup (the eigh calls of the
-factors and of their joint diagonalization, and the preconditioner build)
-stays excluded. A GEMM counts as one whatever its precision, though a
-float32 one takes about half the time of a float64 one. Work counts do
-not carry the timing noise of a shared machine, so they compare two
-checkouts directly. Like row_digest.py it imports lapdiff from the `src/`
-of the checkout it sits in and runs sweeps on one worker and one BLAS
-thread. The wrappers see only solves made in this process, so it checks
-that it captured exactly one solve per dtrace/sqrt row, with that row's
-iterations and convergence flag, and exits with status 1 otherwise.
+The solve counts its GEMMs itself (estimator.run_admm): four per ADMM
+iteration plus every product polishing makes, the one-off setup (the eigh
+calls of the factors and of their joint diagonalization, and the
+preconditioner build) excluded. A GEMM counts as one whatever its
+precision, though a float32 one takes about half the time of a float64
+one. Work counts do not carry the timing noise of a shared machine, so
+they compare two checkouts directly. Like row_digest.py it imports
+lapdiff from the `src/` of the checkout it sits in and runs sweeps on one
+worker and one BLAS thread. It reads each estimate where the sweep calls
+experiments.estimate_delta, so it sees only solves made in this process:
+it checks that it captured exactly one solve per dtrace/sqrt row, with
+that row's iterations and convergence flag, and exits with status 1
+otherwise.
 """
 
 import dataclasses
@@ -51,88 +49,56 @@ from row_digest import (  # noqa: E402
     power_sweep_config,
 )
 
-import lapdiff  # noqa: E402
-from lapdiff import estimator, experiments  # noqa: E402
-
-ADMM_ITERATION_GEMMS = 4
-PRODUCT_GEMMS = {"_apply_inverse": 4, "_kkt_product": 2}
-INNER_SOLVERS = {"_cg_on_support": "primal", "_cg_on_complement": "complement"}
+from lapdiff import experiments  # noqa: E402
 
 
 class CaptureError(RuntimeError):
-    """The wrappers did not capture exactly one solve per dtrace/sqrt row."""
+    """The sweep's solves were not captured exactly one per dtrace/sqrt row."""
 
 
 def solve_work(cfg):
-    """(row, DeltaEstimate or None, polish GEMMs, attempts, dtype, solver) per dtrace/sqrt row.
+    """(row, DeltaEstimate or None) per dtrace/sqrt row, the estimate None where the solve raised.
 
-    The estimate is None where the solve raised, dtype is the name of
-    run_admm's search precision, or "-" where the solve raised before
-    choosing it, and solver the inner solver of its polish rounds:
-    "primal", "complement", "both", or "-" where it never polished. With
-    one sweep worker, cells run inline and report in the order they were
-    queued, so the n-th solve belongs to the n-th penalized row reported.
-    Raises CaptureError unless every such row has its solve.
+    With one sweep worker, cells run inline and report in the order they
+    were queued, so the n-th solve belongs to the n-th penalized row
+    reported. Raises CaptureError unless every such row has its solve.
     """
     solves, rows = [], []
-    count = {"gemms": 0, "attempts": 0, "dtype": "-", "solvers": set()}
-
-    def product(name):
-        def counted(*args):
-            count["gemms"] += PRODUCT_GEMMS[name]
-            return originals[name](*args)
-        return counted
-
-    def inner_solver(*args):
-        solve = originals["_inner_solver"](*args)
-        count["solvers"].add(INNER_SOLVERS[solve.__name__])
-        return solve
-
-    def polish(*args):
-        count["attempts"] += 1
-        return originals["_polish"](*args)
-
-    def search_dtype(*args):
-        dtype = originals["_search_dtype"](*args)
-        count["dtype"] = dtype.__name__
-        return dtype
+    solve = experiments.estimate_delta
 
     def recorded(psi1, psi2, config):
-        count.update(gemms=0, attempts=0, dtype="-", solvers=set())
         est = None
         try:
-            est = lapdiff.estimate_delta(psi1, psi2, config)
+            est = solve(psi1, psi2, config)
         finally:
-            names = sorted(count["solvers"])
-            solver = "-" if not names else names[0] if len(names) == 1 else "both"
-            solves.append((est, count["gemms"], count["attempts"], count["dtype"], solver))
+            solves.append(est)
         return est
 
-    counted = {name: product(name) for name in PRODUCT_GEMMS}
-    counted.update(_inner_solver=inner_solver, _polish=polish, _search_dtype=search_dtype)
-    originals = {name: getattr(estimator, name) for name in counted}
-    solve = experiments.estimate_delta
     experiments.estimate_delta = recorded
-    for name, wrapper in counted.items():
-        setattr(estimator, name, wrapper)
     try:
         experiments.run_sweep(cfg, row_callback=rows.append)
     finally:
         experiments.estimate_delta = solve
-        for name, original in originals.items():
-            setattr(estimator, name, original)
     penalized = [row for row in rows if row.estimator != "plugin"]
     if len(penalized) != len(solves):
         raise CaptureError(
             f"captured {len(solves)} solves for {len(penalized)} dtrace/sqrt rows; "
             "did the sweep run its cells in other processes?"
         )
-    for row, (est, *_) in zip(penalized, solves):
+    for row, est in zip(penalized, solves):
         seen = (0, False) if est is None else (est.iterations, est.converged)
         if seen != (row.iterations, row.converged):
             raise CaptureError(f"a captured solve ({seen}) does not match its row {row}")
-    pairs = sorted(zip(penalized, solves), key=lambda pair: pair[0].sort_key())
-    return [(row, *solve) for row, solve in pairs]
+    return sorted(zip(penalized, solves), key=lambda pair: pair[0].sort_key())
+
+
+def inner_solver(est):
+    """The `solver` column of an estimate: where its CG steps ran."""
+    if not est.cg_steps:
+        return "-"
+    if not est.complement_steps:
+        return "primal"
+    return "complement" if est.complement_steps == est.cg_steps else "both"
 
 
 def lam_sweep_config(lambda_scale):
@@ -154,15 +120,17 @@ def main():
         totals = [0, 0, 0, 0]
         stops = dict.fromkeys(("polished", "max_iter", "raised"), 0)
         stop_gemms = dict.fromkeys(stops, 0)
-        for row, est, polish_gemms, attempts, dtype, solver in work:
-            cg_steps, stop = (est.cg_steps, est.stop) if est else (0, "raised")
-            gemms = ADMM_ITERATION_GEMMS * row.iterations + polish_gemms
-            work = (row.iterations, cg_steps, attempts, gemms)
+        for row, est in work:
+            if est is None:
+                counts, stop, dtype, solver = (0, 0, 0, 0), "raised", "-", "-"
+            else:
+                counts = (est.iterations, est.cg_steps, est.attempts, est.gemms)
+                stop, dtype, solver = est.stop, est.dtype, inner_solver(est)
             print(f"{name} {row.p} {row.n} {row.instance} {row.estimator} "
-                  f"{' '.join(map(str, work))} {stop} {dtype} {solver}")
-            totals = [t + v for t, v in zip(totals, work)]
+                  f"{' '.join(map(str, counts))} {stop} {dtype} {solver}")
+            totals = [t + v for t, v in zip(totals, counts)]
             stops[stop] += 1
-            stop_gemms[stop] += gemms
+            stop_gemms[stop] += counts[-1]
         tally = ",".join(f"{stop}={count}" for stop, count in stops.items())
         split = ",".join(f"{stop}={count}" for stop, count in stop_gemms.items())
         print(f"{name} total - - - {' '.join(map(str, totals))} {tally} gemms:{split} - -",
