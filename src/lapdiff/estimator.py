@@ -7,6 +7,7 @@ potentials (see sampling.precision_factor).
 """
 
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -128,6 +129,15 @@ class DeltaEstimate:
     one-off setup (the eigh calls and the preconditioner). dtype is the
     search precision, "float32" or "float64" (run_admm).
 
+    The last three fields time the solve's phases in seconds, wall clock.
+    polish_s covers the polish attempts, and with them what the factor pair
+    builds on first use for the polish: its joint diagonalizer, inverse and
+    preconditioner. loop_s covers the rest of the ADMM loop, and setup_s
+    the rest of the solve: the pair build, the boundedness pre-check, the
+    PxqSolver and the objective. They sum to the solve's time
+    (estimate_delta) and are the only fields two runs of one solve may
+    differ in.
+
     The KKT check certifies every entry against one tolerance,
     POLISH_TOL max |P1 - P2|, not against that entry's own scale, so in a
     badly scaled problem a small entry of a "polished" delta can be far
@@ -145,6 +155,9 @@ class DeltaEstimate:
     attempts: int
     gemms: int
     dtype: str
+    setup_s: float
+    loop_s: float
+    polish_s: float
 
     @property
     def converged(self):
@@ -732,12 +745,15 @@ def run_admm(pair, config):
     anew.
 
     Returns (z, iterations, stop, cg_steps, complement_steps, attempts,
-    gemms, dtype), which estimate_delta records as the DeltaEstimate fields
-    of those names, delta being z. The run counts its own work: the polish
-    attempts, their CG steps (_polish), and every p x p GEMM of the loop and
-    the polish, CG_STEP_GEMMS per iteration plus what each _polish returns.
-    dtype is the name of the search dtype. Raises SolverDivergedError if z
-    is not finite at a check or after the last iteration.
+    gemms, dtype, loop_s, polish_s), which estimate_delta records as the
+    DeltaEstimate fields of those names, delta being z. The run counts its
+    own work: the polish attempts, their CG steps (_polish), and every
+    p x p GEMM of the loop and the polish, CG_STEP_GEMMS per iteration plus
+    what each _polish returns. dtype is the name of the search dtype. It
+    times its own phases in seconds: polish_s sums the _polish calls, and
+    loop_s is the rest of the time from the first iteration to the return.
+    Raises SolverDivergedError if z is not finite at a check or after the
+    last iteration.
     """
     p = pair.p1.shape[0]
     sigma = float(4.0 * config.rho)
@@ -764,6 +780,8 @@ def run_admm(pair, config):
     tried = None
     budget = config.max_iter // CG_STEP_GEMMS
     cg_steps = complement_steps = attempts = polish_gemms = 0
+    polish_s = 0.0
+    loop_start = time.perf_counter()
     for iteration in range(1, config.max_iter + 1):
         # d solves P1 d P2 + sigma d = (P1 - P2) + sigma (z - u)
         np.subtract(z, u, out=r)
@@ -793,9 +811,11 @@ def run_admm(pair, config):
         # at the fixed point the d-step gives G = sym(P1 z P2) - (P1 - P2) = -sigma sym(u)
         estimate = np.add(u, u.T, dtype=float)
         estimate *= -0.5 * sigma
+        polish_start = time.perf_counter()
         polished, taken, on_complement, gemms = _polish(
             pair, config.lam, z, estimate, pattern, budget - cg_steps
         )
+        polish_s += time.perf_counter() - polish_start
         attempts += 1
         cg_steps += taken
         complement_steps += on_complement
@@ -807,8 +827,9 @@ def run_admm(pair, config):
 
     z = z.astype(float, copy=False)
     _check_finite(z, iteration)
-    gemms = CG_STEP_GEMMS * iteration + polish_gemms
-    return z, iteration, stop, cg_steps, complement_steps, attempts, gemms, np.dtype(dtype).name
+    loop_s = time.perf_counter() - loop_start - polish_s
+    work = cg_steps, complement_steps, attempts, CG_STEP_GEMMS * iteration + polish_gemms
+    return z, iteration, stop, *work, np.dtype(dtype).name, loop_s, polish_s
 
 
 def estimate_delta(psi1, psi2, config):
@@ -818,8 +839,10 @@ def estimate_delta(psi1, psi2, config):
     checks config, builds their _FactorPair (NotPsdError names a factor
     that is not PSD) and runs the ADMM loop run_admm on it. Returns a
     DeltaEstimate holding the symmetric sparse iterate, its penalized
-    objective, the iteration count, the stop reason and the work of the
-    solve.
+    objective, the iteration count, the stop reason, the work of the
+    solve and the seconds of its phases: setup_s is the solve's time less
+    the loop_s and polish_s run_admm returns. A solve that raises returns
+    no record.
 
     With unknown injection covariances, whiten with the identity:
     estimate_delta(precision_factor(y1, np.eye(p)), precision_factor(y2, np.eye(p)),
@@ -827,12 +850,14 @@ def estimate_delta(psi1, psi2, config):
     of the two potential distributions, which is (b2 - b1) / 2 when both
     injection covariances equal 4 I.
     """
+    start = time.perf_counter()
     if not isinstance(config, SolverConfig):
         raise InvalidInputError(f"config must be a SolverConfig, got {type(config).__name__}")
     pair = _FactorPair(psi1, psi2)
-    z, iterations, stop, *work = run_admm(pair, config)
+    z, iterations, stop, *work, loop_s, polish_s = run_admm(pair, config)
     objective = penalized_objective(z, pair.p1, pair.p2, config)
-    return DeltaEstimate(z, iterations, objective, stop, *work)
+    setup_s = time.perf_counter() - start - loop_s - polish_s
+    return DeltaEstimate(z, iterations, objective, stop, *work, setup_s, loop_s, polish_s)
 
 
 def _wrapped_root_difference(regimes):

@@ -399,14 +399,18 @@ class TestRunAdmm:
             assert 1 <= info.value.iteration <= max_iter
 
     def test_converged_is_the_polished_stop(self):
-        est = DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "max_iter", 0, 0, 0, 28, "float32")
+        times = (1e-3, 2e-3, 3e-3)
+        est = DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "max_iter", 0, 0, 0, 28, "float32", *times)
         assert not est.converged
-        assert DeltaEstimate(np.zeros((2, 2)), 7, 0.0, "polished", 3, 3, 1, 50, "float32").converged
+        assert DeltaEstimate(
+            np.zeros((2, 2)), 7, 0.0, "polished", 3, 3, 1, 50, "float32", *times
+        ).converged
         with pytest.raises(AttributeError):
             est.converged = True
         with pytest.raises(TypeError):
             DeltaEstimate(
-                np.zeros((2, 2)), 7, 0.0, "max_iter", 0, 0, 0, 28, "float32", converged=False
+                np.zeros((2, 2)), 7, 0.0, "max_iter", 0, 0, 0, 28, "float32", *times,
+                converged=False,
             )
 
     def test_accepts_precision_factor_wrappers(self):
@@ -1124,7 +1128,8 @@ class TestComplementPolish:
         for config, z, kept, rest in runs:
             assert np.array_equal(bits(z), bits(kept))
             fresh, *fresh_rest = estimator.run_admm(_FactorPair(psi1, psi2), config)
-            assert np.array_equal(bits(z), bits(fresh)) and rest == fresh_rest
+            # all but the last two values, loop_s and polish_s, which are wall-clock times
+            assert np.array_equal(bits(z), bits(fresh)) and rest[:-2] == fresh_rest[:-2]
 
     def test_power_cells_polish_within_71_cg_steps(self, power_cells):
         # on the complement these cells take 54 and 62 steps; solving for
@@ -1215,6 +1220,36 @@ class TestSolveWork:
         self.assert_recorded(est, counted_work, {"primal"})
         assert (est.stop, est.gemms, est.cg_steps, est.attempts) == ("max_iter", 82370, 585, 5)
         assert est.complement_steps == 0 and est.dtype == "float64"
+
+
+class TestSolveTimes:
+    """The seconds a solve records of its setup, ADMM loop and polish."""
+
+    @staticmethod
+    def timed_solve(psi1, psi2, config):
+        start = time.perf_counter()
+        est = estimate_delta(psi1, psi2, config)
+        wall = time.perf_counter() - start
+        times = (est.setup_s, est.loop_s, est.polish_s)
+        assert all(np.isfinite(t) and t >= 0.0 for t in times), times
+        assert sum(times) <= wall, (times, wall)
+        return est
+
+    def test_bounded_power_cell_times_its_phases_within_the_solve(self, power_cells):
+        _, solves = power_cells
+        psi1, psi2, config, _ = solves[0]
+        est = self.timed_solve(psi1, psi2, config)
+        assert est.attempts >= 1 and est.polish_s > 0.0 and est.loop_s > 0.0
+
+    def test_dense_support_problem_times_its_phases_within_the_solve(self):
+        est = self.timed_solve(*dense_support_problem())
+        assert est.attempts >= 1 and est.polish_s > 0.0 and est.loop_s > 0.0
+
+    def test_a_solve_that_ends_before_the_first_check_spends_nothing_polishing(self):
+        psi1, psi2, dense = dense_support_problem()
+        assert estimator.POLISH_CHECK > 5
+        est = self.timed_solve(psi1, psi2, SolverConfig(lam=dense.lam, rho=dense.rho, max_iter=5))
+        assert (est.iterations, est.attempts, est.polish_s) == (5, 0, 0.0)
 
 
 class TestPluginDelta:

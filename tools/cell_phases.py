@@ -6,38 +6,34 @@ Runs the power-sweep config of tools/row_digest.py at seeds 1, 11 and 12
 (18 cells at p = 117) on one sweep worker and one BLAS thread, after one
 warm-up pass, and prints for each phase the milliseconds the cells spent
 in it, summed over the three sweeps: the median of N passes (default 5).
-Each phase is the self time of the functions it names, that is their time
-less that of the other phases they call:
+Outside the solve, each phase is the self time of the lapdiff.experiments
+functions it names, that is their time less that of the other phases they
+call; inside it, the phases are the seconds the solve records in its
+DeltaEstimate (estimator.estimate_delta):
 
 - scenario: experiments.draw_scenario (the lattice difference, the
   sigmas, and the eigenvalue checks of b2 and the sigmas);
 - sampling: the two sample_potentials draws;
 - factor: the two precision_factor calls;
-- pxq_solver: building the estimator._FactorPair that estimate_delta
-  hands to its ADMM loop estimator.run_admm (the factors' checks,
-  eigenpairs and null bases), and the loop's PxqSolver from those
-  eigenpairs;
-- admm_loop: the rest of estimator.run_admm, its iterations and
-  null-space check;
-- polish_setup: what the factor pair builds on first use for the polish:
-  its float64 preconditioner and inverse operators, timed through the
-  function each of these cached properties caches the result of, and the
-  joint diagonalizer they come from;
-- polish: the rest of estimator._polish, the inner solves' casts of those
-  operators to the search dtype among it;
-- objective: estimate_delta's penalized_objective;
+- setup: the rest of experiments.estimate_delta besides the record's
+  loop_s and polish_s, or all of it when the solve raised: building the
+  factor pair (the factors' checks, eigenpairs and null bases), the
+  boundedness pre-check, the loop's PxqSolver and the objective;
+- admm_loop: the record's loop_s, the ADMM iterations and their checks;
+- polish: the record's polish_s, the polish attempts and what the factor
+  pair builds on first use for them (the joint diagonalizer, the inverse
+  and the preconditioner);
 - scoring: support_recovered, sup_norm_error and default_support_epsilon;
 - other: the rest of each cell (bookkeeping and the wrappers themselves).
 
-It then prints the cell total, and the np.linalg.eigh and
-linalg.as_symmetric calls of one pass, which repeat exactly. Like
+It then prints the cell total and the np.linalg.eigh calls of one pass,
+which repeat exactly. It replaces no function of lapdiff.estimator. Like
 row_digest.py it imports lapdiff from the `src/` of the checkout it sits
 in, so running it on two checkouts compares them layer by layer.
 """
 
 import argparse
 import collections
-import importlib
 import os
 import statistics
 import sys
@@ -50,33 +46,21 @@ from row_digest import power_sweep_config  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-import lapdiff  # noqa: E402
-from lapdiff import estimator, experiments  # noqa: E402
+from lapdiff import DeltaEstimate, experiments  # noqa: E402
 
-PHASES = (
-    "scenario", "sampling", "factor", "pxq_solver", "admm_loop",
-    "polish_setup", "polish", "objective", "scoring", "other",
-)
+PHASES = ("scenario", "sampling", "factor", "setup", "admm_loop", "polish", "scoring", "other")
 
-# (owner, attribute, phase): every function timed, where its caller finds it
+# (name in lapdiff.experiments, phase): every function timed
 TIMED = (
-    (experiments, "_run_cell", "other"),
-    (experiments, "draw_scenario", "scenario"),
-    (experiments, "sample_potentials", "sampling"),
-    (experiments, "precision_factor", "factor"),
-    (estimator, "run_admm", "admm_loop"),
-    (estimator, "_FactorPair", "pxq_solver"),
-    (estimator, "PxqSolver", "pxq_solver"),
-    (vars(estimator._FactorPair)["preconditioner"], "func", "polish_setup"),
-    (vars(estimator._FactorPair)["inverse"], "func", "polish_setup"),
-    (estimator, "_polish", "polish"),
-    (estimator, "penalized_objective", "objective"),
-    (experiments, "support_recovered", "scoring"),
-    (experiments, "sup_norm_error", "scoring"),
-    (experiments, "default_support_epsilon", "scoring"),
+    ("_run_cell", "other"),
+    ("draw_scenario", "scenario"),
+    ("sample_potentials", "sampling"),
+    ("precision_factor", "factor"),
+    ("estimate_delta", "setup"),
+    ("support_recovered", "scoring"),
+    ("sup_norm_error", "scoring"),
+    ("default_support_epsilon", "scoring"),
 )
-
-LAPDIFF_MODULES = ("cli", "estimator", "experiments", "linalg", "matpower", "network", "sampling")
 
 
 class CaptureError(RuntimeError):
@@ -84,7 +68,7 @@ class CaptureError(RuntimeError):
 
 
 def cell_phases(configs):
-    """({phase: ms}, {"cells", "eigh", "as_symmetric": calls}) of one pass over the sweeps.
+    """({phase: ms}, {"cells", "eigh": calls}) of one pass over the sweeps.
 
     The sweeps must run their cells in this process (one worker); raises
     CaptureError when the wrappers saw fewer cells than the sweeps made.
@@ -102,12 +86,19 @@ def cell_phases(configs):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             nested.append(0.0)
+            result = None
             start = time.perf_counter()
             try:
-                return original(*args, **kwargs)
+                result = original(*args, **kwargs)
+                return result
             finally:
                 elapsed = time.perf_counter() - start
-                ms[phase] += (elapsed - nested.pop()) * 1e3
+                own = elapsed - nested.pop()
+                if isinstance(result, DeltaEstimate):  # the solve timed its loop and polish
+                    ms["admm_loop"] += result.loop_s * 1e3
+                    ms["polish"] += result.polish_s * 1e3
+                    own -= result.loop_s + result.polish_s
+                ms[phase] += own * 1e3
                 if nested:
                     nested[-1] += elapsed
         return wrapper
@@ -119,14 +110,9 @@ def cell_phases(configs):
         return wrapper
 
     try:
-        for owner, attr, phase in TIMED:
-            install(owner, attr, timed(getattr(owner, attr), attr, phase))
+        for attr, phase in TIMED:
+            install(experiments, attr, timed(getattr(experiments, attr), attr, phase))
         install(np.linalg, "eigh", counted(np.linalg.eigh, "eigh"))
-        as_symmetric = counted(lapdiff.linalg.as_symmetric, "as_symmetric")
-        for name in LAPDIFF_MODULES:
-            module = importlib.import_module(f"lapdiff.{name}")
-            if hasattr(module, "as_symmetric"):
-                install(module, "as_symmetric", as_symmetric)
         made = 0
         for cfg in configs:
             made += len(experiments.run_sweep(cfg).rows) // len(cfg.estimators)
@@ -138,7 +124,7 @@ def cell_phases(configs):
             f"timed {calls['_run_cell']} of {made} cells; "
             "did the sweeps run them in other processes?"
         )
-    return ms, {"cells": made, "eigh": calls["eigh"], "as_symmetric": calls["as_symmetric"]}
+    return ms, {"cells": made, "eigh": calls["eigh"]}
 
 
 def main():
@@ -162,7 +148,6 @@ def main():
         print(f"{phase} {statistics.median(ms[phase] for ms, _ in passes):.1f}")
     print(f"total {statistics.median(sum(ms.values()) for ms, _ in passes):.1f}")
     print(f"eigh_calls {counts['eigh']}")
-    print(f"as_symmetric_calls {counts['as_symmetric']}")
     return 0
 
 
