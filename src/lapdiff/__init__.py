@@ -2,162 +2,30 @@
 
 The package estimates the difference B2 - B1 between the weighted-Laplacian
 system matrices of two conservation-law networks, using only node-potential
-observations from each regime. The main entry points are re-exported here;
-see the module docstrings for details.
+observations from each regime. Each module's `__all__` is its public
+surface, and the package re-exports those names; `lapdiff.__all__` is their
+sorted union. See the module docstrings for details.
 """
 
-from .errors import (
-    CaseFileError,
-    CaseIntegrityError,
-    CaseParseError,
-    ConnectivityError,
-    InvalidInputError,
-    LapdiffError,
-    NearSingularScenarioError,
-    NotPsdError,
-    NumericalError,
-    PluginUndefinedError,
-    ReductionError,
-    SingularMatrixError,
-    SolverDivergedError,
-    SweepWorkerError,
-    UnboundedProblemError,
-)
-from .estimator import (
-    DeltaEstimate,
-    SolverConfig,
-    UniquenessReport,
-    dtrace_loss,
-    estimate_delta,
-    exact_delta,
-    penalized_objective,
-    plugin_delta,
-    uniqueness_check,
-)
-from .experiments import (
-    ExperimentConfig,
-    GridDeltaSpec,
-    MatpowerBaseSpec,
-    RandomBaseSpec,
-    SigmaSpec,
-    SweepInterrupted,
-    SweepResult,
-    SweepRow,
-    run_instance,
-    run_sweep,
-    sup_norm_error,
-    support_recovered,
-    write_sweep_csv,
-)
-from .linalg import (
-    as_symmetric,
-    inv_sqrt_pd,
-    off_diagonal_l1,
-    soft_threshold,
-    solve_pxq,
-    sqrt_psd,
-    vec,
-)
-from .matio import (
-    read_matrix_csv,
-    read_samples_csv,
-    write_matrix_csv,
-    write_samples_csv,
-)
-from .matpower import (
-    BranchRecord,
-    BusRecord,
-    PowerCase,
-    bundled_case_text,
-    case_laplacian,
-    format_case,
-    load_case118,
-    parse_case,
-)
-from .network import (
-    NetworkScenario,
-    WeightedGraph,
-    assemble_scenario,
-    laplacian_from_graph,
-    lattice_delta,
-    random_base_matrix,
-    reduce_ground_node,
-)
-from .sampling import (
-    precision_factor,
-    precision_factor_from_covariance,
-    sample_covariance,
-    sample_potentials,
-)
+from . import errors, estimator, experiments, linalg, matio, matpower, network, sampling
+from .errors import *  # noqa: F403
+from .estimator import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .matio import *  # noqa: F403
+from .matpower import *  # noqa: F403
+from .network import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchRecord",
-    "BusRecord",
-    "CaseFileError",
-    "CaseIntegrityError",
-    "CaseParseError",
-    "ConnectivityError",
-    "DeltaEstimate",
-    "ExperimentConfig",
-    "GridDeltaSpec",
-    "InvalidInputError",
-    "LapdiffError",
-    "MatpowerBaseSpec",
-    "NearSingularScenarioError",
-    "NetworkScenario",
-    "NotPsdError",
-    "NumericalError",
-    "PluginUndefinedError",
-    "PowerCase",
-    "RandomBaseSpec",
-    "ReductionError",
-    "SigmaSpec",
-    "SingularMatrixError",
-    "SolverConfig",
-    "SolverDivergedError",
-    "SweepInterrupted",
-    "SweepResult",
-    "SweepRow",
-    "SweepWorkerError",
-    "UnboundedProblemError",
-    "UniquenessReport",
-    "WeightedGraph",
-    "as_symmetric",
-    "assemble_scenario",
-    "bundled_case_text",
-    "case_laplacian",
-    "dtrace_loss",
-    "estimate_delta",
-    "exact_delta",
-    "format_case",
-    "inv_sqrt_pd",
-    "laplacian_from_graph",
-    "lattice_delta",
-    "load_case118",
-    "off_diagonal_l1",
-    "parse_case",
-    "penalized_objective",
-    "plugin_delta",
-    "precision_factor",
-    "precision_factor_from_covariance",
-    "random_base_matrix",
-    "read_matrix_csv",
-    "read_samples_csv",
-    "reduce_ground_node",
-    "run_instance",
-    "run_sweep",
-    "sample_covariance",
-    "sample_potentials",
-    "soft_threshold",
-    "solve_pxq",
-    "sqrt_psd",
-    "sup_norm_error",
-    "support_recovered",
-    "uniqueness_check",
-    "vec",
-    "write_matrix_csv",
-    "write_samples_csv",
-    "write_sweep_csv",
-]
+__all__ = sorted(
+    errors.__all__
+    + estimator.__all__
+    + experiments.__all__
+    + linalg.__all__
+    + matio.__all__
+    + matpower.__all__
+    + network.__all__
+    + sampling.__all__
+)

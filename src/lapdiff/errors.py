@@ -5,6 +5,24 @@ failures onto a small set of outcomes: bad inputs, numerical failures,
 and malformed case files.
 """
 
+__all__ = [
+    "CaseFileError",
+    "CaseIntegrityError",
+    "CaseParseError",
+    "ConnectivityError",
+    "InvalidInputError",
+    "LapdiffError",
+    "NearSingularScenarioError",
+    "NotPsdError",
+    "NumericalError",
+    "PluginUndefinedError",
+    "ReductionError",
+    "SingularMatrixError",
+    "SolverDivergedError",
+    "SweepWorkerError",
+    "UnboundedProblemError",
+]
+
 
 class LapdiffError(Exception):
     """Base class for all errors raised by this package."""

@@ -29,6 +29,7 @@ from .linalg import (
     _preconditioner_eigenvalues,
     _relative_floor,
     _require_psd,
+    _soft_threshold_into,
     as_symmetric,
     inv_sqrt_pd,
     inverse_geometric_mean,
@@ -36,6 +37,18 @@ from .linalg import (
     sqrt_psd,
 )
 from .sampling import sample_covariance
+
+__all__ = [
+    "DeltaEstimate",
+    "SolverConfig",
+    "UniquenessReport",
+    "dtrace_loss",
+    "estimate_delta",
+    "exact_delta",
+    "penalized_objective",
+    "plugin_delta",
+    "uniqueness_check",
+]
 
 # Relative margin by which a recession direction's objective slope must be
 # negative before a solve declares the problem unbounded.
@@ -680,15 +693,6 @@ def _search_dtype(pair, sigma, thresh):
     return np.float32 if span and max(thresh, pair.largest) <= FLOAT32_SPAN else np.float64
 
 
-def _shrink_off_diagonal(a, thresh, out, scratch):
-    """out = soft_threshold(a, thresh, off_diagonal_only=True), allocating nothing."""
-    np.abs(a, out=out)
-    out -= thresh
-    np.maximum(out, 0.0, out=out)
-    out *= np.sign(a, out=scratch)
-    np.fill_diagonal(out, np.diagonal(a))
-
-
 def _check_finite(z, iteration):
     if not np.all(np.isfinite(z)):
         raise SolverDivergedError(
@@ -795,7 +799,8 @@ def run_admm(pair, config):
         w += u
         np.add(w, w.T, out=d)
         d /= 2.0
-        _shrink_off_diagonal(d, thresh, z, r)
+        _soft_threshold_into(d, thresh, z, r)
+        np.fill_diagonal(z, np.diagonal(d))
         np.subtract(w, z, out=u)
         if iteration % POLISH_CHECK:
             continue

@@ -48,6 +48,22 @@ from .sampling import precision_factor
 # sampling.sample span wraps
 from .sampling import _draw_potentials as sample_potentials
 
+__all__ = [
+    "ExperimentConfig",
+    "GridDeltaSpec",
+    "MatpowerBaseSpec",
+    "RandomBaseSpec",
+    "SigmaSpec",
+    "SweepInterrupted",
+    "SweepResult",
+    "SweepRow",
+    "run_instance",
+    "run_sweep",
+    "sup_norm_error",
+    "support_recovered",
+    "write_sweep_csv",
+]
+
 ESTIMATOR_TAGS = ("dtrace", "plugin", "sqrt")
 
 # Relative rule for the default support threshold: a fraction of the

@@ -13,6 +13,16 @@ import numpy as np
 
 from .errors import InvalidInputError, NotPsdError, SingularMatrixError
 
+__all__ = [
+    "as_symmetric",
+    "inv_sqrt_pd",
+    "off_diagonal_l1",
+    "soft_threshold",
+    "solve_pxq",
+    "sqrt_psd",
+    "vec",
+]
+
 # Absolute tolerance for accepting a matrix as symmetric.
 SYMMETRY_ATOL = 1e-12
 
@@ -353,12 +363,22 @@ def soft_threshold(a, lam, *, off_diagonal_only=False):
     if not np.isfinite(lam) or lam < 0:
         raise InvalidInputError(f"threshold must be a nonnegative real, got {lam!r}")
     a = np.asarray(a, dtype=float)
-    out = np.sign(a) * np.maximum(np.abs(a) - lam, 0.0)
+    out = np.empty_like(a)
+    _soft_threshold_into(a, lam, out, np.empty_like(a))
     if off_diagonal_only:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInputError("off_diagonal_only requires a square matrix")
         np.fill_diagonal(out, np.diagonal(a))
-    return out
+    # a 0-d input gives a scalar, as a ufunc would
+    return out if out.ndim else out[()]
+
+
+def _soft_threshold_into(a, lam, out, scratch):
+    """out = sign(a) * max(|a| - lam, 0), allocating nothing; scratch takes sign(a)."""
+    np.abs(a, out=out)
+    out -= lam
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(a, out=scratch)
 
 
 def vec(a):

@@ -15,6 +15,13 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+__all__ = [
+    "read_matrix_csv",
+    "read_samples_csv",
+    "write_matrix_csv",
+    "write_samples_csv",
+]
+
 FLOAT_FORMAT = "%.9g"
 
 

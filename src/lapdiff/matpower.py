@@ -22,6 +22,17 @@ from .errors import (
 )
 from .network import WeightedGraph, laplacian_from_graph
 
+__all__ = [
+    "BranchRecord",
+    "BusRecord",
+    "PowerCase",
+    "bundled_case_text",
+    "case_laplacian",
+    "format_case",
+    "load_case118",
+    "parse_case",
+]
+
 PQ, PV, SLACK, ISOLATED = 1, 2, 3, 4
 
 _BUS_TYPES = (PQ, PV, SLACK, ISOLATED)

@@ -14,6 +14,16 @@ import numpy as np
 from .errors import InvalidInputError, NearSingularScenarioError, ReductionError
 from .linalg import _eigvalsh, _relative_floor, as_symmetric
 
+__all__ = [
+    "NetworkScenario",
+    "WeightedGraph",
+    "assemble_scenario",
+    "laplacian_from_graph",
+    "lattice_delta",
+    "random_base_matrix",
+    "reduce_ground_node",
+]
+
 # Constant added to the absolute row sums when building diagonals of
 # synthetic difference matrices; keeps them nonsingular without dominating.
 DELTA_DIAGONAL_SHIFT = 0.1

@@ -17,6 +17,13 @@ from .linalg import (
     sqrt_psd,
 )
 
+__all__ = [
+    "precision_factor",
+    "precision_factor_from_covariance",
+    "sample_covariance",
+    "sample_potentials",
+]
+
 
 def sample_potentials(b, sigma_x, n, seed=0):
     """Draw n potential vectors y = b^{-1} x with x ~ N(0, sigma_x).

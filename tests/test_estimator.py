@@ -1252,6 +1252,99 @@ class TestSolveTimes:
         assert (est.iterations, est.attempts, est.polish_s) == (5, 0, 0.0)
 
 
+@pytest.fixture(scope="module")
+def default_rho_singular_solves():
+    """captured_solves of tools/row_digest.py's default-rho-sweep case at n = 6 and 10 < p = 16.
+
+    Each factor is singular, so all eight dtrace and sqrt solves search in
+    float64.
+    """
+    cfg = ExperimentConfig(
+        dims=(16,),
+        sample_sizes=(6, 10),
+        instances=2,
+        **{
+            **DENSE_SWEEP,
+            "sigma_spec": SigmaSpec(kind="diagonal"),
+            "seed": 1,
+            "estimators": ("dtrace", "sqrt"),
+        },
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _, solves = captured_solves(monkeypatch, cfg)
+    assert len(solves) == 8
+    assert all(est.dtype == "float64" for *_, est in solves)
+    return solves
+
+
+@pytest.fixture(params=["power_cells", "default_rho_singular_solves"])
+def polished_solves(request):
+    """(psi1, psi2, config, estimate) of solves that all stop polished."""
+    solves = request.getfixturevalue(request.param)
+    if request.param == "power_cells":
+        _, solves = solves
+    assert all(est.stop == "polished" for *_, est in solves)
+    return solves
+
+
+# Flat bound of the equivariance tests, relative to max |delta|. Measured
+# errors were at most 3.1e-12 (swap) and 2.5e-11 (permutation) on the power
+# cells, and 9.6e-10 and 7.1e-12 on the singular default-rho solves.
+EQUIVARIANCE_RTOL = 1e-8
+
+
+class TestEquivariance:
+    """The optimum negates when the regimes swap and permutes with the nodes."""
+
+    def test_swapping_the_regimes_negates_the_estimate(self, polished_solves):
+        for psi1, psi2, config, est in polished_solves:
+            swapped = estimate_delta(psi2, psi1, config)
+            assert swapped.stop == "polished"
+            gap = np.max(np.abs(swapped.delta + est.delta))
+            assert gap <= EQUIVARIANCE_RTOL * np.max(np.abs(est.delta))
+
+    def test_permuting_the_nodes_permutes_the_estimate(self, polished_solves):
+        rng = np.random.default_rng(5)
+        for psi1, psi2, config, est in polished_solves:
+            perm = np.ix_(*[rng.permutation(psi1.shape[0])] * 2)
+            permuted = estimate_delta(psi1[perm], psi2[perm], config)
+            assert permuted.stop == "polished"
+            gap = np.max(np.abs(permuted.delta - est.delta[perm]))
+            assert gap <= EQUIVARIANCE_RTOL * np.max(np.abs(est.delta))
+
+
+def diagonal_only_optimum(psi1, psi2):
+    """(x, lam_max): the best diagonal-only difference diag(x), optimal from lam = lam_max up.
+
+    [sym(P1 diag(x) P2)]_ii = ((P1 o P2) x)_i, so x solves
+    (P1 o P2) x = diag(P1 - P2); lam_max is the largest off-diagonal
+    |entry| of the gradient sym(P1 diag(x) P2) - (P1 - P2) there.
+    """
+    diff = psi1 - psi2
+    x = np.linalg.solve(psi1 * psi2, np.diagonal(diff))
+    product = psi1 @ (x[:, None] * psi2)
+    grad = (product + product.T) / 2.0 - diff
+    return x, float(np.max(np.abs(grad[~np.eye(len(x), dtype=bool)])))
+
+
+class TestLambdaMax:
+    def test_diagonal_only_optimum_holds_exactly_from_lambda_max(self, power_cells):
+        # measured: at 1.01 lam_max both cells polish in 10 iterations within
+        # 1.1e-9 and 7.0e-10 of diag(x), relative to max |x|; at 0.99 lam_max
+        # they keep 2 and 4 off-diagonal nonzeros
+        _, solves = power_cells
+        for psi1, psi2, config, _ in solves:
+            x, lam_max = diagonal_only_optimum(psi1, psi2)
+            off = ~np.eye(len(x), dtype=bool)
+            rho, max_iter = config.rho, config.max_iter
+            above = estimate_delta(psi1, psi2, SolverConfig(1.01 * lam_max, rho, max_iter))
+            below = estimate_delta(psi1, psi2, SolverConfig(0.99 * lam_max, rho, max_iter))
+            assert above.stop == below.stop == "polished"
+            assert np.count_nonzero(above.delta[off]) == 0
+            assert np.max(np.abs(above.delta - np.diag(x))) <= 1e-8 * np.max(np.abs(x))
+            assert np.count_nonzero(below.delta[off]) > 0
+
+
 class TestPluginDelta:
     def test_undefined_at_n_equal_p(self):
         rng = np.random.default_rng(16)
