@@ -133,7 +133,8 @@ class DeltaEstimate:
     """A difference estimate and the bookkeeping of the solve that made it.
 
     delta is the symmetric estimate, float64, and objective the penalized
-    objective there. stop says why the ADMM loop ended: "polished" (a
+    objective there; the copy a sweep row carries (SweepRow.solve) has
+    delta None. stop says why the ADMM loop ended: "polished" (a
     polish passed the KKT check, and delta is the polished optimum) or
     "max_iter". iterations counts ADMM iterations, cg_steps the CG steps of
     all polish attempts, complement_steps the part of them _cg_on_complement

@@ -24,14 +24,14 @@ import subprocess
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, SweepWorkerError
-from .estimator import SolverConfig, estimate_delta, plugin_delta
-from .linalg import as_symmetric
+from .estimator import DeltaEstimate, SolverConfig, estimate_delta, plugin_delta
+from .linalg import EIG_RELATIVE_FLOOR, as_symmetric
 from .matio import FLOAT_FORMAT
 from .matpower import case_laplacian, load_case118, parse_case
 from .network import (
@@ -173,6 +173,13 @@ class SigmaSpec:
             raise InvalidInputError(f"value_range must satisfy 0 < lo <= hi, got {self.value_range}")
         if not (self.condition >= 1):
             raise InvalidInputError(f"condition must be >= 1, got {self.condition}")
+        # a dense sigma's smallest eigenvalue, 1, must clear the scenario
+        # check's relative floor, EIG_RELATIVE_FLOOR times the largest
+        if self.condition > 1.0 / EIG_RELATIVE_FLOOR:
+            raise InvalidInputError(
+                f"condition must be <= 1 / EIG_RELATIVE_FLOOR = {1.0 / EIG_RELATIVE_FLOOR:.0e}, "
+                f"got {self.condition}"
+            )
 
 
 @dataclass(frozen=True)
@@ -235,7 +242,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One estimator's result on one (p, n, instance) cell."""
+    """One estimator's result on one (p, n, instance) cell.
+
+    solve is the DeltaEstimate of a dtrace or sqrt solve, without its delta
+    (None on plugin rows and where the solve raised). It travels with the
+    row from a worker process, but is no column: to_csv, equality and
+    hashing read the ten other fields alone.
+    """
 
     p: int
     n: int
@@ -247,6 +260,7 @@ class SweepRow:
     iterations: int
     converged: bool
     wall_time_ms: float
+    solve: DeltaEstimate | None = field(default=None, compare=False, repr=False)
 
     def sort_key(self):
         return (self.p, self.ratio, self.instance, self.estimator)
@@ -411,10 +425,12 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
     """Sample both regimes once and score every requested estimator.
 
     Returns a list of partial row dicts (everything but the sweep bookkeeping
-    columns). Estimator failures that are expected in context (plug-in
-    undefined below n = p, solver divergence) produce flagged rows with NaN
-    error instead of aborting. The scenario's b1 and b2 are sampled without
-    checking their eigenvalues again (see NetworkScenario).
+    columns); the `solve` key holds a dtrace or sqrt solve's DeltaEstimate
+    without its delta, or None (see SweepRow). Estimator failures that are
+    expected in context (plug-in undefined below n = p, solver divergence)
+    produce flagged rows with NaN error instead of aborting. The scenario's
+    b1 and b2 are sampled without checking their eigenvalues again (see
+    NetworkScenario).
     """
     for tag in estimators:
         if tag not in ESTIMATOR_TAGS:
@@ -429,7 +445,7 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
     results = []
     for tag in estimators:
         start = time.perf_counter()
-        delta_hat = None
+        delta_hat = solve = None
         iterations = 0
         converged = False
         try:
@@ -446,6 +462,7 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
                     precision_factor(y1, sigma1), precision_factor(y2, sigma2), config
                 )
                 delta_hat, iterations, converged = est.delta, est.iterations, est.converged
+                solve = replace(est, delta=None)
         except NumericalError:
             pass
         wall_ms = (time.perf_counter() - start) * 1000.0
@@ -458,6 +475,7 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
                 iterations=iterations,
                 converged=converged,
                 wall_time_ms=wall_ms,
+                solve=solve,
             )
         )
     return results

@@ -161,7 +161,8 @@ def lattice_delta(p, weight_range=(0.4, 1.0), sign_mode="mixed", seed=0):
 
     Off-diagonal entries on lattice edges get weights drawn uniformly from
     weight_range (with random signs under sign_mode="mixed"); each diagonal
-    entry is its row's absolute off-diagonal sum plus 0.1.
+    entry is its row's absolute off-diagonal sum plus 0.1. Raises
+    InvalidInputError when a diagonal entry overflows.
     """
     edges = lattice_edges(p)
     rng = np.random.default_rng(seed)
@@ -170,7 +171,9 @@ def lattice_delta(p, weight_range=(0.4, 1.0), sign_mode="mixed", seed=0):
     for (i, j), w in zip(edges, weights):
         delta[i, j] = w
         delta[j, i] = w
-    np.fill_diagonal(delta, np.sum(np.abs(delta), axis=1) + DELTA_DIAGONAL_SHIFT)
+    _fill_finite_diagonal(
+        delta, DELTA_DIAGONAL_SHIFT, "difference", f"weight_range {tuple(weight_range)}"
+    )
     return delta
 
 
@@ -188,6 +191,7 @@ def random_base_matrix(p, density, margin=0.5, scale=1.0, seed=0):
     linearly with p; small scales keep the norm near `margin`, which is
     the regime where a fixed-magnitude difference between two such
     matrices remains statistically visible at moderate sample sizes.
+    Raises InvalidInputError when a diagonal entry overflows.
     """
     if p < 1:
         raise InvalidInputError(f"p must be >= 1, got {p}")
@@ -206,8 +210,18 @@ def random_base_matrix(p, density, margin=0.5, scale=1.0, seed=0):
     vals = np.where(present, signs * magnitudes, 0.0)
     base[rows, cols] = vals
     base[cols, rows] = vals
-    np.fill_diagonal(base, np.sum(np.abs(base), axis=1) + margin)
+    _fill_finite_diagonal(base, margin, "base matrix", f"scale {scale} and margin {margin}")
     return base
+
+
+def _fill_finite_diagonal(mat, shift, name, settings):
+    """Set mat's diagonal to its absolute row sums plus shift; raise if one overflows."""
+    with np.errstate(over="ignore"):
+        diagonal = np.sum(np.abs(mat), axis=1) + shift
+    if not np.isfinite(diagonal).all():
+        p = mat.shape[0]
+        raise InvalidInputError(f"the diagonal of the {p} x {p} {name} overflows at {settings}")
+    np.fill_diagonal(mat, diagonal)
 
 
 @dataclass(frozen=True)
@@ -282,8 +296,12 @@ def _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed):
             raise InvalidInputError(f"{name} has shape {mat.shape}, expected {(p, p)}")
     for name, sigma in (("sigma_x1", sigma_x1), ("sigma_x2", sigma_x2)):
         eigs = _eigvalsh(sigma)
-        if eigs[0] <= _relative_floor(eigs[-1]):
-            raise InvalidInputError(f"{name} is not positive definite (min eig {eigs[0]:.3e})")
+        floor = _relative_floor(eigs[-1])
+        if eigs[0] <= floor:
+            raise InvalidInputError(
+                f"{name} is not positive definite within the relative floor "
+                f"(min eig {eigs[0]:.3e} <= {floor:.3e})"
+            )
     b2 = b1 + delta
     _check_nonsingular("b2", b2)
     return NetworkScenario(

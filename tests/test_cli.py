@@ -110,6 +110,41 @@ class TestGen:
         rc = run("gen", "--p", "16", "--out", str(blocker / "sub"))
         assert rc == 4
 
+    @pytest.mark.parametrize(
+        "condition, rc", [("1e10", 0), ("1e12", 2)], ids=["at-limit", "past-limit"]
+    )
+    def test_dense_sigma_condition_limit(self, tmp_path, capsys, condition, rc):
+        out = tmp_path / "scenario"
+        argv = ("gen", "--p", "9", "--sigma", "dense", "--sigma-condition", condition)
+        assert run(*argv, "--out", str(out)) == rc
+        if rc:
+            assert "condition must be <= 1 / EIG_RELATIVE_FLOOR = 1e+10" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, setting",
+    [
+        (("gen", "--p", "9", "--weight-min", "1e308", "--weight-max", "1e308"), "weight_range"),
+        (("gen", "--p", "9", "--scale", "1e308"), "scale 1e+308"),
+        (
+            ("experiment", "synth", "--dims", "9", "--instances", "1", "--ratios", "1",
+             "--base-scale", "1e308"),
+            "scale 1e+308",
+        ),
+    ],
+    ids=["gen-weights", "gen-scale", "synth-base-scale"],
+)
+def test_overflowing_scenario_draw_exits_2(tmp_path, capsys, argv, setting):
+    # the diagonal sums overflowed to inf, and eigvalsh raised a LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the run
+        rc = run(*argv, "--out", str(tmp_path / "out"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the diagonal of the 9 x 9 ") and setting in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
 
 @pytest.fixture
 def scenario_with_samples(tmp_path):

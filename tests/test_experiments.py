@@ -20,6 +20,7 @@ import lapdiff.experiments as experiments
 from lapdiff.errors import InvalidInputError, NearSingularScenarioError, SweepWorkerError
 from lapdiff.experiments import (
     CSV_HEADER,
+    ESTIMATOR_TAGS,
     ExperimentConfig,
     GridDeltaSpec,
     MatpowerBaseSpec,
@@ -226,6 +227,25 @@ class TestRunInstance:
         assert math.isnan(dtrace["sup_norm_error"])
         assert not dtrace["converged"]
         assert dtrace["iterations"] == 0
+
+    def test_rows_carry_each_solve_record_without_matrices(self):
+        delta = lattice_delta(6, seed=11)
+        base = random_base_matrix(6, 1.0, seed=11)
+        scenario = assemble_scenario(base, delta, np.eye(6), np.eye(6), seed=11)
+        from lapdiff.estimator import DeltaEstimate, SolverConfig
+
+        config = SolverConfig(lam=0.1, rho=0.1)
+        # at n = 4 < p = 6 the dtrace solve raises (unbounded) and the plugin is undefined
+        raised = run_instance(scenario, 4, 4, config, ("dtrace", "plugin"))
+        assert [row["solve"] for row in raised] == [None, None]
+        solved = run_instance(scenario, 40, 40, config, ESTIMATOR_TAGS)
+        assert [row["solve"] is None for row in solved] == [tag == "plugin" for tag in ESTIMATOR_TAGS]
+        for row in solved:
+            record = row["solve"]
+            if record is not None:
+                assert isinstance(record, DeltaEstimate) and record.delta is None
+                assert (record.iterations, record.converged) == (row["iterations"], row["converged"])
+                assert not any(isinstance(value, np.ndarray) for value in vars(record).values())
 
     def test_unknown_estimator_rejected(self):
         delta = lattice_delta(4, seed=0)
@@ -509,6 +529,20 @@ class TestRunSweep:
 
 
 class TestCsv:
+    def test_solve_record_is_no_column(self):
+        # built from the ten CSV columns alone, as callers outside the sweep build rows
+        bare = SweepRow(
+            p=9, n=36, ratio=1.0, instance=0, estimator="dtrace", support_recovered=True,
+            sup_norm_error=0.125, iterations=212, converged=True, wall_time_ms=8.5,
+        )
+        assert bare.solve is None
+        (swept,) = run_sweep(small_config(ratios=(2.0,), instances=1)).rows
+        carried = dataclasses.replace(bare, solve=swept.solve)
+        assert carried.solve is swept.solve is not None
+        assert carried == bare and hash(carried) == hash(bare)
+        assert carried.to_csv() == bare.to_csv() == "9,36,1,0,dtrace,1,0.125,212,1,8.5"
+        assert repr(carried) == repr(bare)
+
     def test_header_and_formatting(self, tmp_path):
         rows = [
             SweepRow(
@@ -642,6 +676,14 @@ def masked_rows(rows):
     return [repr(dataclasses.replace(row, wall_time_ms=0.0)) for row in rows]
 
 
+def untimed_solves(rows):
+    """Each row's solve record with its three timings zeroed, or None."""
+    return [
+        row.solve and dataclasses.replace(row.solve, setup_s=0.0, loop_s=0.0, polish_s=0.0)
+        for row in rows
+    ]
+
+
 # Runs one sweep config inline and then on 2 worker processes, with one BLAS
 # thread for both, and checks that their rows agree apart from wall time.
 POOL_VS_INLINE = """
@@ -704,8 +746,14 @@ class TestWorkerPool:
             # 2 sample sizes x 2 instances x 3 estimators; one sqrt row at
             # n = 10 runs to max_iter on an unbounded problem
             ("dense_config()", "len(rows) == 12 and 20000 in [r.iterations for r in rows]"),
+            # every solve's record comes back from its worker, timings aside
+            (
+                "small_config(estimators=('dtrace', 'plugin', 'sqrt'))",
+                "t.untimed_solves(rows) == t.untimed_solves(inline)"
+                " and [r.solve is None for r in rows] == [r.estimator == 'plugin' for r in rows]",
+            ),
         ],
-        ids=["power-seed11", "dense-unbounded-sqrt"],
+        ids=["power-seed11", "dense-unbounded-sqrt", "solve-records"],
     )
     def test_pool_rows_equal_inline_rows(self, config, expect):
         code = POOL_VS_INLINE.format(config=config, expect=expect)

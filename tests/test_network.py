@@ -252,3 +252,8 @@ class TestAssembleScenario:
             assemble_scenario(b1, np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0]), np.eye(3))
         with pytest.raises(InvalidInputError, match="min eig -1.000e"):
             assemble_scenario(b1, np.zeros((3, 3)), np.eye(3), np.diag([2.0, -1.0, 1.0]))
+
+    def test_sigma_message_states_its_floor(self):
+        # 1 is positive but at or below 1e-10 times the largest eigenvalue, 1e12
+        with pytest.raises(InvalidInputError, match=r"min eig 1\.000e\+00 <= 1\.000e\+02\)"):
+            assemble_scenario(np.eye(2), np.zeros((2, 2)), np.diag([1.0, 1e12]), np.eye(2))

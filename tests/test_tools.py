@@ -63,16 +63,24 @@ assert all(ms[phase] > 0.0 for phase in cell_phases.PHASES[:-1]), ms
 # plugin's two inverse roots: PxqSolver reuses the roots' eigenpairs
 assert (counts["cells"], counts["eigh"]) == (1, 8), counts
 
-# cells run in worker processes, where the wrappers cannot see the solves
+# on 2 workers the cells run in worker processes: solve_work reads the
+# records that come back on the rows, and cell_phases' wrappers see no cell
+two_cells = lapdiff.ExperimentConfig(dims=(9,), ratios=(1.0, 2.0), instances=1)
+
+
+def work_counts(work):
+    return [
+        (row.sort_key(), est.iterations, est.cg_steps, est.attempts, est.gemms, est.stop, est.dtype)
+        for row, est in work
+    ]
+
+
+inline = work_counts(solve_work.solve_work(two_cells))
+assert len(inline) == 2, inline
 os.environ["LAPDIFF_THREADS"] = "2"
+assert work_counts(solve_work.solve_work(two_cells)) == inline
 try:
-    solve_work.solve_work(lapdiff.ExperimentConfig(dims=(9,), ratios=(1.0, 2.0), instances=1))
-except solve_work.CaptureError as exc:
-    assert "captured 0 solves for 2 dtrace/sqrt rows" in str(exc), exc
-else:
-    raise AssertionError("solve_work printed work it did not capture")
-try:
-    cell_phases.cell_phases([lapdiff.ExperimentConfig(dims=(9,), ratios=(1.0, 2.0), instances=1)])
+    cell_phases.cell_phases([two_cells])
 except cell_phases.CaptureError as exc:
     assert "timed 0 of 2 cells" in str(exc), exc
 else:

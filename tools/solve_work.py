@@ -29,11 +29,9 @@ precision, though a float32 one takes about half the time of a float64
 one. Work counts do not carry the timing noise of a shared machine, so
 they compare two checkouts directly. Like row_digest.py it imports
 lapdiff from the `src/` of the checkout it sits in and runs sweeps on one
-worker and one BLAS thread. It reads each estimate where the sweep calls
-experiments.estimate_delta, so it sees only solves made in this process:
-it checks that it captured exactly one solve per dtrace/sqrt row, with
-that row's iterations and convergence flag, and exits with status 1
-otherwise.
+worker and one BLAS thread. It reads each solve's record from its sweep
+row (SweepRow.solve), which comes back from a worker process with the
+row, so the output is the same on any number of sweep workers.
 """
 
 import dataclasses
@@ -52,44 +50,10 @@ from row_digest import (  # noqa: E402
 from lapdiff import experiments  # noqa: E402
 
 
-class CaptureError(RuntimeError):
-    """The sweep's solves were not captured exactly one per dtrace/sqrt row."""
-
-
 def solve_work(cfg):
-    """(row, DeltaEstimate or None) per dtrace/sqrt row, the estimate None where the solve raised.
-
-    With one sweep worker, cells run inline and report in the order they
-    were queued, so the n-th solve belongs to the n-th penalized row
-    reported. Raises CaptureError unless every such row has its solve.
-    """
-    solves, rows = [], []
-    solve = experiments.estimate_delta
-
-    def recorded(psi1, psi2, config):
-        est = None
-        try:
-            est = solve(psi1, psi2, config)
-        finally:
-            solves.append(est)
-        return est
-
-    experiments.estimate_delta = recorded
-    try:
-        experiments.run_sweep(cfg, row_callback=rows.append)
-    finally:
-        experiments.estimate_delta = solve
-    penalized = [row for row in rows if row.estimator != "plugin"]
-    if len(penalized) != len(solves):
-        raise CaptureError(
-            f"captured {len(solves)} solves for {len(penalized)} dtrace/sqrt rows; "
-            "did the sweep run its cells in other processes?"
-        )
-    for row, est in zip(penalized, solves):
-        seen = (0, False) if est is None else (est.iterations, est.converged)
-        if seen != (row.iterations, row.converged):
-            raise CaptureError(f"a captured solve ({seen}) does not match its row {row}")
-    return sorted(zip(penalized, solves), key=lambda pair: pair[0].sort_key())
+    """(row, DeltaEstimate or None) per dtrace/sqrt row, the estimate None where the solve raised."""
+    rows = experiments.run_sweep(cfg).rows
+    return [(row, row.solve) for row in rows if row.estimator != "plugin"]
 
 
 def inner_solver(est):
@@ -112,15 +76,10 @@ def main():
     cases += [(f"lam-sweep-{scale}", lam_sweep_config(scale)) for scale in (8, 33, 133, 333)]
     print("case p n instance estimator iterations cg_steps attempts gemms stop dtype solver")
     for name, cfg in cases:
-        try:
-            work = solve_work(cfg)
-        except CaptureError as exc:
-            print(f"error: {name}: {exc}", file=sys.stderr)
-            return 1
         totals = [0, 0, 0, 0]
         stops = dict.fromkeys(("polished", "max_iter", "raised"), 0)
         stop_gemms = dict.fromkeys(stops, 0)
-        for row, est in work:
+        for row, est in solve_work(cfg):
             if est is None:
                 counts, stop, dtype, solver = (0, 0, 0, 0), "raised", "-", "-"
             else:
@@ -135,8 +94,7 @@ def main():
         split = ",".join(f"{stop}={count}" for stop, count in stop_gemms.items())
         print(f"{name} total - - - {' '.join(map(str, totals))} {tally} gemms:{split} - -",
               flush=True)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
