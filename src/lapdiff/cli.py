@@ -32,6 +32,7 @@ from .errors import CaseFileError, InvalidInputError, NumericalError
 from .estimator import SolverConfig, estimate_delta, plugin_delta
 from .experiments import (
     ESTIMATOR_TAGS,
+    SIGMA_KINDS,
     ExperimentConfig,
     GridDeltaSpec,
     MatpowerBaseSpec,
@@ -55,8 +56,8 @@ from .matio import (
     write_keyvalue,
     write_matrix_csv,
 )
-from .matpower import case_laplacian, parse_case
-from .network import reduce_ground_node
+from .matpower import WEIGHT_MODES, case_laplacian, parse_case
+from .network import SIGN_MODES, reduce_ground_node
 from .sampling import precision_factor, precision_factor_from_covariance
 
 EXIT_OK = 0
@@ -123,8 +124,8 @@ def _pick_range(settings, field, lo_key, hi_key, spec):
 _SCENARIO_KEYS = {
     "weight_min": _Key(parse_float),
     "weight_max": _Key(parse_float),
-    "sign_mode": _Key(_parse_word, choices=("mixed", "positive")),
-    "sigma": _Key(_parse_word, choices=("identity", "diagonal", "dense")),
+    "sign_mode": _Key(_parse_word, choices=SIGN_MODES),
+    "sigma": _Key(_parse_word, choices=SIGMA_KINDS),
     "sigma_min": _Key(parse_float),
     "sigma_max": _Key(parse_float),
     "sigma_condition": _Key(parse_float),
@@ -165,7 +166,7 @@ _POWER_KEYS = dict(
     _COMMON_EXPERIMENT_KEYS,
     ratios=_RATIOS_KEY,
     case=_Key(_parse_word, help="case file path (default: bundled 118-bus case)"),
-    weight_mode=_Key(_parse_word, choices=("dc", "magnitude_y")),
+    weight_mode=_Key(_parse_word, choices=WEIGHT_MODES),
     base_scale=_Key(parse_float),
 )
 
@@ -567,7 +568,7 @@ def build_parser():
 
     pm = sub.add_parser("parse-matpower", help="convert a power case to Laplacian CSVs")
     pm.add_argument("--case", required=True)
-    pm.add_argument("--weight-mode", choices=("dc", "magnitude_y"), default="dc", dest="weight_mode")
+    pm.add_argument("--weight-mode", choices=WEIGHT_MODES, default="dc", dest="weight_mode")
     pm.add_argument("--ground", type=int, help="bus id to ground (default: the slack bus)")
     pm.add_argument("--out", default=".")
     pm.set_defaults(entry=cmd_parse_matpower)

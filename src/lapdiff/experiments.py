@@ -33,10 +33,15 @@ from .errors import InvalidInputError, NumericalError, SweepWorkerError
 from .estimator import DeltaEstimate, SolverConfig, estimate_delta, plugin_delta
 from .linalg import EIG_RELATIVE_FLOOR, as_symmetric
 from .matio import FLOAT_FORMAT
-from .matpower import case_laplacian, load_case118, parse_case
+from .matpower import _check_weight_mode, case_laplacian, load_case118, parse_case
 from .network import (
     _assemble_on_checked_base,
+    _check_base_settings,
+    _check_diagonal,
+    _check_lattice_settings,
     _check_nonsingular,
+    _check_positive,
+    _check_range,
     lattice_delta,
     random_base_matrix,
     reduce_ground_node,
@@ -66,6 +71,9 @@ __all__ = [
 
 ESTIMATOR_TAGS = ("dtrace", "plugin", "sqrt")
 
+# The injection covariance families make_sigma draws.
+SIGMA_KINDS = ("identity", "diagonal", "dense")
+
 # Relative rule for the default support threshold: a fraction of the
 # largest off-diagonal magnitude of the truth.
 DEFAULT_EPSILON_FRACTION = 1e-3
@@ -94,11 +102,7 @@ class GridDeltaSpec:
     sign_mode: str = "mixed"
 
     def __post_init__(self):
-        lo, hi = self.weight_range
-        if not (0 < lo <= hi):
-            raise InvalidInputError(f"weight_range must satisfy 0 < lo <= hi, got {self.weight_range}")
-        if self.sign_mode not in ("mixed", "positive"):
-            raise InvalidInputError(f"unknown sign_mode {self.sign_mode!r}")
+        _check_lattice_settings(self.weight_range, self.sign_mode)
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,7 @@ class RandomBaseSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.density <= 1):
-            raise InvalidInputError(f"density must lie in (0, 1], got {self.density}")
-        if not (self.margin > 0):
-            raise InvalidInputError(f"margin must be positive, got {self.margin}")
-        if not (self.scale > 0):
-            raise InvalidInputError(f"scale must be positive, got {self.scale}")
+        _check_base_settings(self.density, self.margin, self.scale)
 
 
 @dataclass(frozen=True)
@@ -131,10 +130,8 @@ class MatpowerBaseSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.weight_mode not in ("dc", "magnitude_y"):
-            raise InvalidInputError(f"unknown weight_mode {self.weight_mode!r}")
-        if not (self.scale > 0):
-            raise InvalidInputError(f"scale must be positive, got {self.scale}")
+        _check_weight_mode(self.weight_mode)
+        _check_positive("scale", self.scale)
 
     @cached_property
     def matrix(self):
@@ -143,7 +140,8 @@ class MatpowerBaseSpec:
         Every sweep over this spec object shares one parse, so a case file
         edited after the first access is not read again. The matrix is
         checked against the scenario floors here, once, so each cell checks
-        only its b2.
+        only its b2. A scale that takes the base's diagonal past
+        network.MAX_DIAGONAL raises InvalidInputError.
         """
         if self.path is None:
             case = load_case118()
@@ -151,7 +149,11 @@ class MatpowerBaseSpec:
             with open(self.path) as fh:
                 case = parse_case(fh)
         lap, ground = case_laplacian(case, self.weight_mode)
-        reduced = as_symmetric(reduce_ground_node(lap, ground) * self.scale)
+        with np.errstate(over="ignore"):
+            reduced = reduce_ground_node(lap, ground) * self.scale
+        # a grounded Laplacian is diagonally dominant, as the generators' matrices are
+        _check_diagonal(np.diagonal(reduced), "base matrix", f"scale {self.scale}")
+        reduced = as_symmetric(reduced)
         _check_nonsingular("b1", reduced)
         reduced.flags.writeable = False
         return reduced
@@ -166,11 +168,9 @@ class SigmaSpec:
     condition: float = 10.0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "diagonal", "dense"):
-            raise InvalidInputError(f"unknown sigma kind {self.kind!r}")
-        lo, hi = self.value_range
-        if not (0 < lo <= hi):
-            raise InvalidInputError(f"value_range must satisfy 0 < lo <= hi, got {self.value_range}")
+        if self.kind not in SIGMA_KINDS:
+            raise InvalidInputError(f"unknown sigma kind {self.kind!r}; use one of {SIGMA_KINDS}")
+        _check_range("value_range", self.value_range)
         if not (self.condition >= 1):
             raise InvalidInputError(f"condition must be >= 1, got {self.condition}")
         # a dense sigma's smallest eigenvalue, 1, must clear the scenario
@@ -224,9 +224,7 @@ class ExperimentConfig:
             raise InvalidInputError(f"support_epsilon must be positive, got {self.support_epsilon}")
         if not self.estimators:
             raise InvalidInputError("estimators must not be empty")
-        for tag in self.estimators:
-            if tag not in ESTIMATOR_TAGS:
-                raise InvalidInputError(f"unknown estimator {tag!r}; known: {ESTIMATOR_TAGS}")
+        _check_estimators(self.estimators)
         if self.sample_sizes is not None and any(n < 1 for n in self.sample_sizes):
             raise InvalidInputError(f"sample sizes must be >= 1, got {self.sample_sizes}")
         if not isinstance(self.base_spec, (RandomBaseSpec, MatpowerBaseSpec)):
@@ -315,6 +313,12 @@ class SweepInterrupted(Exception):
     def __init__(self, rows):
         super().__init__(f"sweep interrupted after {len(rows)} completed rows")
         self.rows = tuple(rows)
+
+
+def _check_estimators(tags):
+    for tag in tags:
+        if tag not in ESTIMATOR_TAGS:
+            raise InvalidInputError(f"unknown estimator {tag!r}; known: {ESTIMATOR_TAGS}")
 
 
 def support_recovered(estimate, truth, epsilon):
@@ -432,9 +436,7 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
     b1 and b2 are sampled without checking their eigenvalues again (see
     NetworkScenario).
     """
-    for tag in estimators:
-        if tag not in ESTIMATOR_TAGS:
-            raise InvalidInputError(f"unknown estimator {tag!r}; known: {ESTIMATOR_TAGS}")
+    _check_estimators(estimators)
     for n in (n1, n2):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise InvalidInputError(f"n must be a positive integer, got {n!r}")

@@ -35,6 +35,9 @@ __all__ = [
 
 PQ, PV, SLACK, ISOLATED = 1, 2, 3, 4
 
+# case_laplacian's branch weights: 1/|x|, or |x|/(r^2+x^2).
+WEIGHT_MODES = ("dc", "magnitude_y")
+
 _BUS_TYPES = (PQ, PV, SLACK, ISOLATED)
 
 
@@ -259,14 +262,16 @@ def format_case(case):
     return "\n".join(out) + "\n"
 
 
+def _check_weight_mode(weight_mode):
+    """case_laplacian's check of its weight mode, which MatpowerBaseSpec makes too."""
+    if weight_mode not in WEIGHT_MODES:
+        raise InvalidInputError(f"unknown weight_mode {weight_mode!r}; use one of {WEIGHT_MODES}")
+
+
 def _branch_weight(branch, weight_mode):
     if weight_mode == "dc":
         return 1.0 / abs(branch.x)
-    if weight_mode == "magnitude_y":
-        return abs(branch.x) / (branch.r**2 + branch.x**2)
-    raise InvalidInputError(
-        f"unknown weight_mode {weight_mode!r}; use 'dc' or 'magnitude_y'"
-    )
+    return abs(branch.x) / (branch.r**2 + branch.x**2)
 
 
 def _connected_components(n, edges):
@@ -314,6 +319,8 @@ def case_laplacian(case, weight_mode="dc", ground_bus=None):
 
     Raises
     ------
+    InvalidInputError
+        If weight_mode is not one of WEIGHT_MODES.
     ConnectivityError
         If the in-service branches do not connect all buses.
     CaseIntegrityError
@@ -321,6 +328,7 @@ def case_laplacian(case, weight_mode="dc", ground_bus=None):
     """
     if not isinstance(case, PowerCase):
         raise InvalidInputError(f"expected a PowerCase, got {type(case).__name__}")
+    _check_weight_mode(weight_mode)
     ids = case.bus_ids
     index_of = {bus_id: k for k, bus_id in enumerate(ids)}
     edges = []

@@ -36,6 +36,15 @@ REDUCTION_MIN_EIG = 1e-12
 # above this, or sampling from the implied covariance is meaningless.
 SCENARIO_MIN_EIG = 1e-6
 
+# The sign modes of lattice_delta's weights.
+SIGN_MODES = ("mixed", "positive")
+
+# Largest diagonal entry a generated matrix may have. Each generator builds a
+# diagonally dominant matrix, whose eigenvalues are at most twice its largest
+# diagonal entry (Gershgorin), so they stay finite, and so do the entries of
+# b2 = b1 + delta.
+MAX_DIAGONAL = float(np.finfo(float).max) / 2
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -121,18 +130,6 @@ def reduce_ground_node(laplacian, ground):
     return reduced
 
 
-def _signed_weights(rng, count, weight_range, sign_mode):
-    lo, hi = float(weight_range[0]), float(weight_range[1])
-    if not (0 < lo <= hi):
-        raise InvalidInputError(f"weight range must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-    if sign_mode not in ("mixed", "positive"):
-        raise InvalidInputError(f"unknown sign_mode {sign_mode!r}; use 'mixed' or 'positive'")
-    weights = rng.uniform(lo, hi, size=count)
-    if sign_mode == "mixed":
-        weights *= rng.choice([-1.0, 1.0], size=count)
-    return weights
-
-
 def lattice_edges(p):
     """Edge list of the truncated square lattice on p nodes.
 
@@ -162,11 +159,14 @@ def lattice_delta(p, weight_range=(0.4, 1.0), sign_mode="mixed", seed=0):
     Off-diagonal entries on lattice edges get weights drawn uniformly from
     weight_range (with random signs under sign_mode="mixed"); each diagonal
     entry is its row's absolute off-diagonal sum plus 0.1. Raises
-    InvalidInputError when a diagonal entry overflows.
+    InvalidInputError when a diagonal entry passes MAX_DIAGONAL.
     """
     edges = lattice_edges(p)
+    lo, hi = _check_lattice_settings(weight_range, sign_mode)
     rng = np.random.default_rng(seed)
-    weights = _signed_weights(rng, len(edges), weight_range, sign_mode)
+    weights = rng.uniform(lo, hi, size=len(edges))
+    if sign_mode == "mixed":
+        weights *= rng.choice([-1.0, 1.0], size=len(edges))
     delta = np.zeros((p, p))
     for (i, j), w in zip(edges, weights):
         delta[i, j] = w
@@ -191,16 +191,11 @@ def random_base_matrix(p, density, margin=0.5, scale=1.0, seed=0):
     linearly with p; small scales keep the norm near `margin`, which is
     the regime where a fixed-magnitude difference between two such
     matrices remains statistically visible at moderate sample sizes.
-    Raises InvalidInputError when a diagonal entry overflows.
+    Raises InvalidInputError when a diagonal entry passes MAX_DIAGONAL.
     """
     if p < 1:
         raise InvalidInputError(f"p must be >= 1, got {p}")
-    if not (0 < density <= 1):
-        raise InvalidInputError(f"density must lie in (0, 1], got {density}")
-    if not (margin > 0):
-        raise InvalidInputError(f"margin must be positive, got {margin}")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise InvalidInputError(f"scale must be positive and finite, got {scale}")
+    _check_base_settings(density, margin, scale)
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(p, k=1)
     present = rng.random(rows.size) < density
@@ -214,13 +209,50 @@ def random_base_matrix(p, density, margin=0.5, scale=1.0, seed=0):
     return base
 
 
+def _check_positive(name, value):
+    if not (0 < value < math.inf):
+        raise InvalidInputError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_range(name, value_range):
+    """value_range as floats (lo, hi); raises InvalidInputError unless 0 < lo <= hi < inf."""
+    lo, hi = map(float, value_range)
+    if not (0 < lo <= hi < math.inf):
+        raise InvalidInputError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
+    return lo, hi
+
+
+def _check_lattice_settings(weight_range, sign_mode):
+    """lattice_delta's check of its settings, which GridDeltaSpec makes too; returns (lo, hi)."""
+    if sign_mode not in SIGN_MODES:
+        raise InvalidInputError(f"unknown sign_mode {sign_mode!r}; use one of {SIGN_MODES}")
+    return _check_range("weight_range", weight_range)
+
+
+def _check_base_settings(density, margin, scale):
+    """random_base_matrix's check of its settings, which RandomBaseSpec makes too."""
+    if not (0 < density <= 1):
+        raise InvalidInputError(f"density must lie in (0, 1], got {density}")
+    _check_positive("margin", margin)
+    _check_positive("scale", scale)
+
+
+def _check_diagonal(diagonal, name, settings):
+    """Raise InvalidInputError when a diagonally dominant matrix's diagonal passes MAX_DIAGONAL."""
+    top = float(np.max(diagonal))
+    if not top <= MAX_DIAGONAL:
+        p = len(diagonal)
+        raise InvalidInputError(
+            f"the diagonal of the {p} x {p} {name} reaches {top:.3e} at {settings}, "
+            f"past {MAX_DIAGONAL:.3e}, where its eigenvalues could overflow"
+        )
+
+
 def _fill_finite_diagonal(mat, shift, name, settings):
-    """Set mat's diagonal to its absolute row sums plus shift; raise if one overflows."""
+    """Set mat's diagonal to its absolute row sums plus shift; raise past MAX_DIAGONAL."""
     with np.errstate(over="ignore"):
         diagonal = np.sum(np.abs(mat), axis=1) + shift
-    if not np.isfinite(diagonal).all():
-        p = mat.shape[0]
-        raise InvalidInputError(f"the diagonal of the {p} x {p} {name} overflows at {settings}")
+    _check_diagonal(diagonal, name, settings)
     np.fill_diagonal(mat, diagonal)
 
 
@@ -258,7 +290,8 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
     Raises
     ------
     InvalidInputError
-        On shape mismatches or covariances that are not positive definite.
+        On shape mismatches, covariances that are not positive definite, or
+        a b1 or b2 with an eigenvalue past float64's range.
     NearSingularScenarioError
         If b1 or b2 = b1 + delta has an eigenvalue of magnitude <= 1e-6, or
         at or below EIG_RELATIVE_FLOOR times max(1, its largest eigenvalue
@@ -272,10 +305,16 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
 
 
 def _check_nonsingular(name, mat):
-    """Raise NearSingularScenarioError unless mat's eigenvalue magnitudes clear both floors."""
+    """Raise NearSingularScenarioError unless mat's eigenvalue magnitudes clear both floors.
+
+    A spectrum past float64's range is an InvalidInputError: its floor would be inf.
+    """
     magnitudes = np.abs(np.linalg.eigvalsh(mat))
+    top = float(magnitudes.max())
+    if not math.isfinite(top):
+        raise InvalidInputError(f"{name} has an eigenvalue past float64's range")
     margin = float(magnitudes.min())
-    floor = max(SCENARIO_MIN_EIG, _relative_floor(float(magnitudes.max())))
+    floor = max(SCENARIO_MIN_EIG, _relative_floor(top))
     if margin <= floor:
         raise NearSingularScenarioError(
             f"{name} is too close to singular (min |eigenvalue| {margin:.3e} <= {floor:.3e})"

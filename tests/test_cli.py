@@ -21,14 +21,21 @@ from procs import HAS_PROC, alive, wait_for_children
 import lapdiff
 from lapdiff.cli import build_parser, main
 from lapdiff.estimator import SolverConfig
-from lapdiff.experiments import CSV_HEADER, SweepInterrupted, SweepRow, default_lambda
+from lapdiff.experiments import (
+    CSV_HEADER,
+    SIGMA_KINDS,
+    SweepInterrupted,
+    SweepRow,
+    default_lambda,
+)
 from lapdiff.matio import (
     read_keyvalue,
     read_matrix_csv,
     write_matrix_csv,
     write_samples_csv,
 )
-from lapdiff.matpower import bundled_case_text
+from lapdiff.matpower import WEIGHT_MODES, bundled_case_text
+from lapdiff.network import SIGN_MODES
 from lapdiff.sampling import sample_potentials
 
 TWO_BUS = """\
@@ -127,13 +134,15 @@ class TestGen:
     [
         (("gen", "--p", "9", "--weight-min", "1e308", "--weight-max", "1e308"), "weight_range"),
         (("gen", "--p", "9", "--scale", "1e308"), "scale 1e+308"),
+        # a finite diagonal whose largest eigenvalue overflows
+        (("gen", "--p", "9", "--scale", "2e307"), "scale 2e+307 and margin 0.5"),
         (
             ("experiment", "synth", "--dims", "9", "--instances", "1", "--ratios", "1",
              "--base-scale", "1e308"),
             "scale 1e+308",
         ),
     ],
-    ids=["gen-weights", "gen-scale", "synth-base-scale"],
+    ids=["gen-weights", "gen-scale", "gen-spectrum", "synth-base-scale"],
 )
 def test_overflowing_scenario_draw_exits_2(tmp_path, capsys, argv, setting):
     # the diagonal sums overflowed to inf, and eigvalsh raised a LinAlgError
@@ -143,6 +152,19 @@ def test_overflowing_scenario_draw_exits_2(tmp_path, capsys, argv, setting):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the diagonal of the 9 x 9 ") and setting in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_overflowing_power_base_scale_exits_2(tmp_path, capsys):
+    # the scaled base overflowed with a RuntimeWarning, then as_symmetric
+    # reported only "matrix contains non-finite entries"
+    argv = ("experiment", "power", "--instances", "1", "--ratios", "1", "--base-scale", "1e306")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(*argv, "--out", str(tmp_path / "out.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the diagonal of the 117 x 117 base matrix") and "scale 1e+306" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
@@ -1055,6 +1077,20 @@ PINNED_FLAGS = {
         "--ground": "ground", "--out": "out",
     },
 }
+
+
+def test_flag_choices_are_the_library_tuples():
+    commands = _subparsers(build_parser())
+    variants = _subparsers(commands["experiment"])
+
+    def choices(parser, dest):
+        return next(action.choices for action in parser._actions if action.dest == dest)
+
+    for parser in (commands["gen"], *variants.values()):
+        assert choices(parser, "sign_mode") is SIGN_MODES
+        assert choices(parser, "sigma") is SIGMA_KINDS
+    for parser in (variants["power"], commands["parse-matpower"]):
+        assert choices(parser, "weight_mode") is WEIGHT_MODES
 
 
 def test_flags_match_pinned_set():

@@ -21,6 +21,7 @@ from lapdiff.errors import InvalidInputError, NearSingularScenarioError, SweepWo
 from lapdiff.experiments import (
     CSV_HEADER,
     ESTIMATOR_TAGS,
+    SIGMA_KINDS,
     ExperimentConfig,
     GridDeltaSpec,
     MatpowerBaseSpec,
@@ -40,6 +41,7 @@ from lapdiff.experiments import (
     usable_cores,
     write_sweep_csv,
 )
+from lapdiff.matpower import case_laplacian, load_case118
 from lapdiff.network import assemble_scenario, lattice_delta, random_base_matrix
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
@@ -111,6 +113,114 @@ class TestConfigValidation:
     def test_rejects_unknown_weight_mode(self):
         with pytest.raises(InvalidInputError):
             MatpowerBaseSpec(weight_mode="ac")
+
+
+def verdict(build):
+    """"ok" when build() returns, "invalid" when it raises InvalidInputError; anything else propagates."""
+    try:
+        build()
+    except InvalidInputError:
+        return "invalid"
+    return "ok"
+
+
+INF, NAN = math.inf, math.nan
+
+
+class TestSpecsAgreeWithGenerators:
+    """Each spec accepts exactly the settings its generator accepts, and rejects the rest
+    with InvalidInputError (an OverflowError or a numpy error propagates and fails)."""
+
+    @pytest.mark.parametrize(
+        "weight_range, sign_mode, expected",
+        [
+            ((0.4, 1.0), "mixed", "ok"),
+            ((0.4, 1.0), "positive", "ok"),
+            ((1.0, 1.0), "mixed", "ok"),
+            ((0.0, 1.0), "mixed", "invalid"),
+            ((-1.0, 1.0), "mixed", "invalid"),
+            ((NAN, 1.0), "mixed", "invalid"),
+            ((0.4, NAN), "mixed", "invalid"),
+            ((1.0, INF), "mixed", "invalid"),
+            ((INF, INF), "positive", "invalid"),
+            ((1.0, 0.4), "mixed", "invalid"),
+            ((0.4, 1.0), "negative", "invalid"),
+            ((0.4, 1.0), "Mixed", "invalid"),
+        ],
+    )
+    def test_grid_delta(self, weight_range, sign_mode, expected):
+        spec = verdict(lambda: GridDeltaSpec(weight_range=weight_range, sign_mode=sign_mode))
+        draw = verdict(lambda: lattice_delta(9, weight_range=weight_range, sign_mode=sign_mode))
+        assert spec == draw == expected
+
+    @pytest.mark.parametrize(
+        "density, margin, scale, expected",
+        [
+            (1.0, 0.5, 1.0, "ok"),
+            (0.3, 2.0, 0.01, "ok"),
+            (0.0, 0.5, 1.0, "invalid"),
+            (-0.5, 0.5, 1.0, "invalid"),
+            (NAN, 0.5, 1.0, "invalid"),
+            (INF, 0.5, 1.0, "invalid"),
+            (1.5, 0.5, 1.0, "invalid"),
+            (1.0, 0.0, 1.0, "invalid"),
+            (1.0, -1.0, 1.0, "invalid"),
+            (1.0, NAN, 1.0, "invalid"),
+            (1.0, INF, 1.0, "invalid"),
+            (1.0, 0.5, 0.0, "invalid"),
+            (1.0, 0.5, -1.0, "invalid"),
+            (1.0, 0.5, NAN, "invalid"),
+            (1.0, 0.5, INF, "invalid"),
+        ],
+    )
+    def test_random_base(self, density, margin, scale, expected):
+        spec = verdict(lambda: RandomBaseSpec(density=density, margin=margin, scale=scale))
+        draw = verdict(lambda: random_base_matrix(9, density, margin=margin, scale=scale))
+        assert spec == draw == expected
+
+    @pytest.fixture(scope="class")
+    def case118(self):
+        return load_case118()
+
+    @pytest.mark.parametrize(
+        "weight_mode, expected",
+        [("dc", "ok"), ("magnitude_y", "ok"), ("ac", "invalid"), ("", "invalid"),
+         ("DC", "invalid"), (None, "invalid")],
+    )
+    def test_matpower_weight_mode(self, case118, weight_mode, expected):
+        spec = verdict(lambda: MatpowerBaseSpec(weight_mode=weight_mode))
+        laplacian = verdict(lambda: case_laplacian(case118, weight_mode))
+        assert spec == laplacian == expected
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, NAN, INF])
+    def test_matpower_scale_rejected_at_construction(self, scale):
+        with pytest.raises(InvalidInputError, match="scale must be positive and finite"):
+            MatpowerBaseSpec(scale=scale)
+
+    def test_overflowing_matpower_scale_names_it(self):
+        # the scaled base overflowed with a RuntimeWarning, then as_symmetric
+        # reported only "matrix contains non-finite entries"
+        spec = MatpowerBaseSpec(scale=1e306)
+        with pytest.raises(InvalidInputError, match=r"117 x 117 base matrix .* scale 1e\+306"):
+            spec.matrix
+
+    @pytest.mark.parametrize(
+        "value_range",
+        [(0.0, 1.0), (-1.0, 1.0), (NAN, 1.0), (1.0, NAN), (1.0, INF), (INF, INF), (2.0, 1.0)],
+    )
+    def test_sigma_range_rejected_at_construction(self, value_range):
+        # (1.0, inf) constructed, and the sweep's draw raised numpy's OverflowError
+        with pytest.raises(InvalidInputError, match="value_range must satisfy"):
+            SigmaSpec(kind="diagonal", value_range=value_range)
+
+    @pytest.mark.parametrize("kind", SIGMA_KINDS)
+    def test_every_sigma_kind_draws(self, kind):
+        sigma = make_sigma(SigmaSpec(kind=kind), 4, np.random.default_rng(0))
+        assert sigma.shape == (4, 4) and np.linalg.eigvalsh(sigma)[0] > 0
+
+    def test_unknown_sigma_kind_names_the_kinds(self):
+        with pytest.raises(InvalidInputError, match="'identity', 'diagonal', 'dense'"):
+            SigmaSpec(kind="wishart")
 
 
 class TestMetrics:

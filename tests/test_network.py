@@ -199,6 +199,14 @@ class TestRandomBaseMatrix:
         with pytest.raises(InvalidInputError):
             random_base_matrix(5, 0.5, scale=0.0)
 
+    def test_scale_whose_spectrum_overflows_names_scale_and_margin(self):
+        # the diagonal was finite but the largest eigenvalue overflowed, so the
+        # scenario check's relative floor was inf and called the base near singular
+        with pytest.raises(InvalidInputError, match=r"at scale 2e\+307 and margin 0.5"):
+            random_base_matrix(9, 1.0, scale=2e307)
+        b = random_base_matrix(9, 1.0, scale=1e307)
+        assert np.isfinite(np.linalg.eigvalsh(b)).all()
+
 
 class TestAssembleScenario:
     def test_b2_exact_sum(self):
@@ -212,6 +220,20 @@ class TestAssembleScenario:
         assert isinstance(scen, NetworkScenario)
         assert np.array_equal(scen.b2, scen.b1 + scen.delta_true)
         assert scen.seed == 5 and scen.p == 10
+
+    @pytest.mark.parametrize(
+        "b1, delta, name",
+        [
+            (np.array([[1.0, 0.9], [0.9, 1.0]]) * 1e308, np.zeros((2, 2)), "b1"),
+            (np.array([[1.0, 0.9], [0.9, 1.0]]) * 5e307, np.array([[1.0, 0.9], [0.9, 1.0]]) * 5e307, "b2"),
+        ],
+        ids=["b1", "b2"],
+    )
+    def test_spectrum_past_float64_range_is_invalid_input(self, b1, delta, name):
+        # finite entries whose largest eigenvalue overflows: the relative floor
+        # was inf, and the report called the matrix near singular
+        with pytest.raises(InvalidInputError, match=f"^{name} has an eigenvalue past float64's range"):
+            assemble_scenario(b1, delta, np.eye(2), np.eye(2))
 
     def test_near_singular_rejected(self):
         b1 = np.eye(3)
