@@ -425,13 +425,14 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     Stops once max |r| <= target, the entrywise norm of the KKT check,
     after max_steps steps, or when a search direction finds no curvature
     above EIG_RELATIVE_FLOOR times the operator's largest eigenvalue,
-    2 lmax(P1) lmax(P2). max |r| is computed only once |r|_F^2 is at most
-    4 |S| target^2 (or not finite): above that, max |r| > target, with room
-    for the rounding of |r|_F^2; at p = 16 and 25, on the same VM, that
-    made a step about 5% faster. Returns (D, steps taken, GEMMs made, whether
-    max |r| <= target), D being the iterate made exactly symmetric in a new
-    float64 array. The GEMMs are what its products return, an operator
-    product made before a curvature stop included.
+    2 lmax(P1) lmax(P2). max |r| is computed only once |r|_F is at most
+    2 sqrt(|S|) target (or not finite): above that, max |r| > target, with
+    room for the rounding of |r|_F^2 (see _largest_if_near); at p = 16 and
+    25, on the same VM, that made a step about 5% faster. Returns (D, steps
+    taken, GEMMs made, whether max |r| <= target), D being the iterate made
+    exactly symmetric in a new float64 array. The GEMMs are what its
+    products return, an operator product made before a curvature stop
+    included.
     """
     p1, p2, g = (a.astype(dtype, copy=False) for a in (pair.p1, pair.p2, pair.preconditioner))
     flat = EIG_RELATIVE_FLOOR * 2.0 * pair.scale
@@ -439,7 +440,7 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     r = np.multiply(r, mask, dtype=dtype)
     x = np.zeros_like(r)
     direction, product, scratch = (np.empty_like(r) for _ in range(3))
-    near = 4.0 * np.count_nonzero(mask) * target * target
+    near = 2.0 * math.sqrt(np.count_nonzero(mask)) * float(target)
     largest = _largest_if_near(r, float(np.vdot(r, r)), near)
     gemms = _support_product(g, g, r, mask, direction, scratch)
     rz = float(np.vdot(r, direction))
@@ -516,7 +517,7 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
     steps, solved = 1, False
     while True:
         bound = target / gain
-        largest = _largest_if_near(rho, rr, 4.0 * count * bound * bound)
+        largest = _largest_if_near(rho, rr, 2.0 * math.sqrt(count) * bound)
         if largest <= bound:
             gemms += _support_product(p1, p2, rho, mask, product, scratch)
             residual = max(float(product.max()), -float(product.min()))
@@ -545,12 +546,13 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
 
 
 def _largest_if_near(r, squared, near):
-    """max |r| when squared, the float |r|_F^2, is not a finite number above near, else inf.
+    """max |r|, or inf when sqrt(squared), squared being the float |r|_F^2, is finite and > near.
 
-    A NaN in r makes the squared norm NaN and comes back as max |r| = NaN,
-    which no tolerance passes.
+    Comparing norms, not their squares, keeps the test free of overflow at
+    any finite near. A NaN in r makes the squared norm NaN and comes back as
+    max |r| = NaN, which no tolerance passes.
     """
-    if near < squared < math.inf:
+    if near < math.sqrt(squared) < math.inf:
         return math.inf
     return max(float(r.max()), -float(r.min()))
 

@@ -290,8 +290,9 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
     Raises
     ------
     InvalidInputError
-        On shape mismatches, covariances that are not positive definite, or
-        a b1 or b2 with an eigenvalue past float64's range.
+        On shape mismatches, covariances that are not positive definite, a
+        b2 = b1 + delta whose entries overflow, or a b1 or b2 with an
+        eigenvalue past float64's range.
     NearSingularScenarioError
         If b1 or b2 = b1 + delta has an eigenvalue of magnitude <= 1e-6, or
         at or below EIG_RELATIVE_FLOOR times max(1, its largest eigenvalue
@@ -341,7 +342,10 @@ def _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed):
                 f"{name} is not positive definite within the relative floor "
                 f"(min eig {eigs[0]:.3e} <= {floor:.3e})"
             )
-    b2 = b1 + delta
+    with np.errstate(over="ignore"):  # reported below by name, not by a numpy warning
+        b2 = b1 + delta
+    if not np.all(np.isfinite(b2)):
+        raise InvalidInputError("b2 = b1 + delta has entries past float64's range")
     _check_nonsingular("b2", b2)
     return NetworkScenario(
         b1=b1, b2=b2, delta_true=delta, sigma_x1=sigma_x1, sigma_x2=sigma_x2, seed=int(seed)

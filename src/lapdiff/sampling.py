@@ -111,7 +111,8 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
     observations behind cov_y (0 for a population covariance); at
     0 < n_used < p, s has rank n_used, so only its n_used largest eigenvalues
     are kept: the rest are rounding, which would hide part of the factor's
-    null space. Returns the symmetric p x p factor.
+    null space. Returns the symmetric p x p factor. A whitened covariance s
+    with entries past float64's range is an InvalidInputError naming sigma_x.
     """
     cov_y = as_symmetric(cov_y)
     sigma_x = as_symmetric(sigma_x)
@@ -120,9 +121,16 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"
         )
     root, m_inv = _sqrt_and_inv_sqrt_pd(sigma_x)
-    # the product is symmetric only to rounding, which grows with its entries
-    s = _congruence(root, cov_y)
-    s = (s + s.T) / 2.0
+    # the product is symmetric only to rounding, which grows with its entries;
+    # an overflow is reported below by name, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _congruence(root, cov_y)
+        s = (s + s.T) / 2.0
+    if not np.all(np.isfinite(s)):
+        raise InvalidInputError(
+            "sigma_x is too large for these potentials: the whitened covariance "
+            "sigma_x^(1/2) cov_y sigma_x^(1/2) has entries past float64's range"
+        )
     n_used = int(n_used)
     # a root that drops no eigenvalue goes through sqrt_psd, the name
     # perfbench's linalg.root span wraps

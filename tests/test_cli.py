@@ -168,6 +168,20 @@ def test_overflowing_power_base_scale_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
+def test_overflowing_whitened_covariance_exits_2(tmp_path, capsys):
+    # the whitened covariance overflowed with a RuntimeWarning, then
+    # as_symmetric reported only "matrix contains non-finite entries"
+    argv = ("experiment", "synth", "--dims", "9", "--instances", "1", "--ratios", "1",
+            "--sigma", "diagonal", "--sigma-min", "1e300", "--sigma-max", "1e308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(*argv, "--out", str(tmp_path / "out.csv"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma_x is too large") and "whitened covariance" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 @pytest.fixture
 def scenario_with_samples(tmp_path):
     gen_scenario(tmp_path, p=16, seed=7)

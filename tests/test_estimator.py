@@ -844,6 +844,23 @@ class TestCgLoop:
             assert not solved and 0 < steps < max_steps
 
 
+    def test_a_target_whose_square_overflows_solves_silently(self):
+        # the near-gate once formed 4 |S| target^2, which overflowed here
+        rng = np.random.default_rng(3)
+        p1, p2 = random_pd(rng, 12), random_pd(rng, 12)
+        large = _FactorPair(p1 * 1e75, p2 * 1e75)
+        assert 1e150 <= large.scale <= 1e152
+        support = np.abs(np.subtract.outer(np.arange(12), np.arange(12))) <= 2
+        r = rng.standard_normal((12, 12))
+        r = r + r.T
+        target = np.float64(1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, steps, _, solved = _cg_on_support(large, np.float64, r * 1e160, support, target, 500)
+        assert solved and steps >= 1 and np.all(np.isfinite(d))
+        unscaled, *_ = _cg_on_support(_FactorPair(p1, p2), np.float64, r, support, 1e-5, 500)
+        assert_allclose(d * 1e150 / 1e160, unscaled, rtol=1e-6, atol=0)
+
 
 @pytest.fixture(scope="module")
 def dense_sweep_rows():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lapdiff import matio
 from lapdiff.errors import InvalidInputError
 from lapdiff.matio import (
     parse_float,
@@ -159,6 +160,63 @@ class TestSamplesCsv:
         path = tmp_path / "y.csv"
         path.write_text("1,2\n3,4\n")
         assert read_samples_csv(path).shape == (2, 2)
+
+
+def oracle_bytes(path, a, header=""):
+    """What np.savetxt writes for a with the writers' format, delimiter and header."""
+    np.savetxt(path, a, fmt="%.9g", delimiter=",", header=header, comments="# ")
+    return path.read_bytes()
+
+
+def writer_cases():
+    """Arrays at the edges of %.9g and of the writers' blocks, each with its id."""
+    rng = np.random.default_rng(5)
+    rows = matio._BLOCK_VALUES // 100
+    cases = {
+        "specials": np.array([[np.nan, np.inf], [-np.inf, -0.0]]),
+        "extremes": np.array([[5e-324, 1.7976931348623157e308, -5e-324, -1.7976931348623157e308]]),
+        "notation-switch": np.array([[9.99999999e-5, 1e-4, -9.99999999e-5, -1e-4]]),
+        "rounding-carry": np.array([[999999999.5, -999999999.5, 9.999999995, 0.5]]),
+        "zero-rows": np.zeros((0, 3)),
+        "zero-columns": np.zeros((4, 0)),
+        "one-by-one": np.array([[-3.25]]),
+        "transposed": rng.standard_normal((7, 5)).T,
+        "float32": rng.standard_normal((6, 3)).astype(np.float32) * 1e20,
+        "int": np.arange(-6, 6).reshape(3, 4) * 123456789,
+        "partial-last-block": rng.standard_normal((2 * rows + 3, 100)) * 1e-3,
+        "row-wider-than-a-block": rng.standard_normal((3, matio._BLOCK_VALUES + 5)),
+    }
+    return [pytest.param(a, id=name) for name, a in cases.items()]
+
+
+def nine_digits(a):
+    """a as read back from its %.9g text."""
+    return np.array([[float("%.9g" % v) for v in row] for row in np.asarray(a, dtype=float)])
+
+
+class TestWritersMatchTheOracle:
+    @pytest.mark.parametrize("a", writer_cases())
+    def test_matrix_bytes_and_round_trip(self, tmp_path, a):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, a)
+        assert path.read_bytes() == oracle_bytes(tmp_path / "oracle.csv", a)
+        if a.size:
+            assert np.array_equal(read_matrix_csv(path), nine_digits(a), equal_nan=True)
+        else:
+            with pytest.raises(InvalidInputError, match="no data rows"):
+                read_matrix_csv(path)
+
+    @pytest.mark.parametrize("a", writer_cases())
+    def test_samples_bytes_and_round_trip(self, tmp_path, a):
+        path = tmp_path / "y.csv"
+        write_samples_csv(path, a)
+        header = f"n={a.shape[0]} p={a.shape[1]}"
+        assert path.read_bytes() == oracle_bytes(tmp_path / "oracle.csv", a, header)
+        if a.size:
+            assert np.array_equal(read_samples_csv(path), nine_digits(a), equal_nan=True)
+        else:
+            with pytest.raises(InvalidInputError, match="no data rows"):
+                read_samples_csv(path)
 
 
 class TestKeyValue:

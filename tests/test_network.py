@@ -235,6 +235,12 @@ class TestAssembleScenario:
         with pytest.raises(InvalidInputError, match=f"^{name} has an eigenvalue past float64's range"):
             assemble_scenario(b1, delta, np.eye(2), np.eye(2))
 
+    def test_b2_whose_entries_overflow_is_invalid_input(self):
+        # b2 = b1 + delta overflowed to inf with a numpy warning before it was checked
+        delta = np.diag([1e308, 1e308, 0.0])
+        with pytest.raises(InvalidInputError, match="^b2 = b1 \\+ delta has entries past float64's range"):
+            assemble_scenario(1e308 * np.eye(3), delta, np.eye(3), np.eye(3))
+
     def test_near_singular_rejected(self):
         b1 = np.eye(3)
         delta = -np.eye(3) * (1.0 - 1e-9)
