@@ -425,11 +425,12 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     Stops once max |r| <= target, the entrywise norm of the KKT check,
     after max_steps steps, or when a search direction finds no curvature
     above EIG_RELATIVE_FLOOR times the operator's largest eigenvalue,
-    2 lmax(P1) lmax(P2). max |r| is computed only once |r|_F is at most
-    2 sqrt(|S|) target (or not finite): above that, max |r| > target, with
-    room for the rounding of |r|_F^2 (see _largest_if_near); at p = 16 and
-    25, on the same VM, that made a step about 5% faster. Returns (D, steps
-    taken, GEMMs made, whether max |r| <= target), D being the iterate made
+    2 lmax(P1) lmax(P2), or one that overflows. max |r| is computed only
+    once |r|_F is at most 2 sqrt(|S|) target (or not finite): above that,
+    max |r| > target, with room for the rounding of |r|_F^2 (see
+    _largest_if_near); at p = 16 and 25, on the same VM, that made a step
+    about 5% faster. Returns (D, steps taken, GEMMs made, whether
+    max |r| <= target), D being the iterate made
     exactly symmetric in a new float64 array. The GEMMs are what its
     products return, an operator product made before a curvature stop
     included.
@@ -448,7 +449,7 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     while largest > target and steps < max_steps:
         gemms += _support_product(p1, p2, direction, mask, product, scratch)
         curvature = float(np.vdot(direction, product))
-        if not curvature > flat * float(np.vdot(direction, direction)):
+        if not flat * float(np.vdot(direction, direction)) < curvature < math.inf:
             break
         alpha = rz / curvature
         np.multiply(direction, alpha, out=scratch)
@@ -492,8 +493,8 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
     guess at the ratio of the two norms, first lmax(P1) lmax(P2) /
     COMPLEMENT_SLACK; a check that fails replaces gain with the ratio it
     saw. max |rho| is computed as in _cg_on_support. It stops at max_steps
-    steps, or on a direction without positive curvature, which only
-    rounding or a NaN can give.
+    steps, or on a direction without positive finite curvature, which only
+    rounding, a NaN or an overflow can give.
 
     Returns (D, steps, GEMMs, solved) as _cg_on_support does, the steps
     counting the first product A(r), which costs what a step does: so every
@@ -529,7 +530,7 @@ def _cg_on_complement(pair, dtype, r, support, target, max_steps):
             break
         gemms += _apply_inverse(w, weights, direction, product, scratch)
         curvature = float(np.vdot(direction, product))
-        if not curvature > 0.0:
+        if not 0.0 < curvature < math.inf:
             break
         product *= rz / curvature
         y += product

@@ -218,10 +218,10 @@ class ExperimentConfig:
             raise InvalidInputError(f"instances must be an integer >= 1, got {self.instances!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (self.lambda_scale >= 0):
-            raise InvalidInputError(f"lambda_scale must be >= 0, got {self.lambda_scale}")
-        if self.support_epsilon is not None and not (self.support_epsilon > 0):
-            raise InvalidInputError(f"support_epsilon must be positive, got {self.support_epsilon}")
+        if not (0 <= self.lambda_scale < math.inf):
+            raise InvalidInputError(f"lambda_scale must be finite and >= 0, got {self.lambda_scale}")
+        if self.support_epsilon is not None:
+            _check_positive("support_epsilon", self.support_epsilon)
         if not self.estimators:
             raise InvalidInputError("estimators must not be empty")
         _check_estimators(self.estimators)
@@ -243,9 +243,13 @@ class SweepRow:
     """One estimator's result on one (p, n, instance) cell.
 
     solve is the DeltaEstimate of a dtrace or sqrt solve, without its delta
-    (None on plugin rows and where the solve raised). It travels with the
-    row from a worker process, but is no column: to_csv, equality and
-    hashing read the ten other fields alone.
+    (None on plugin rows and where the solve raised). phases maps the
+    cell's phases outside the solve to their seconds: "scenario" (drawing
+    the cell's scenario), "sampling", "factor" and "scoring" (see
+    run_instance), and "cell", the whole cell; the rows of one cell share
+    its "scenario", "sampling" and "cell" times. Both travel with the row
+    from a worker process, but are no column: to_csv, equality and hashing
+    read the ten other fields alone.
     """
 
     p: int
@@ -259,6 +263,7 @@ class SweepRow:
     converged: bool
     wall_time_ms: float
     solve: DeltaEstimate | None = field(default=None, compare=False, repr=False)
+    phases: dict = field(default_factory=dict, compare=False, repr=False)
 
     def sort_key(self):
         return (self.p, self.ratio, self.instance, self.estimator)
@@ -430,7 +435,11 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
 
     Returns a list of partial row dicts (everything but the sweep bookkeeping
     columns); the `solve` key holds a dtrace or sqrt solve's DeltaEstimate
-    without its delta, or None (see SweepRow). Estimator failures that are
+    without its delta, or None (see SweepRow), and the `phases` key the
+    seconds spent drawing both samples ("sampling", the same in every row),
+    making the row's two precision factors ("factor", 0 on plugin rows) and
+    scoring the row ("scoring"). wall_time_ms covers the factors and the
+    solve, or the plug-in estimate. Estimator failures that are
     expected in context (plug-in undefined below n = p, solver divergence)
     produce flagged rows with NaN error instead of aborting. The scenario's
     b1 and b2 are sampled without checking their eigenvalues again (see
@@ -441,12 +450,15 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise InvalidInputError(f"n must be a positive integer, got {n!r}")
     epsilon = default_support_epsilon(scenario.delta_true) if support_epsilon is None else support_epsilon
+    start = time.perf_counter()
     y1 = sample_potentials(scenario.b1, scenario.sigma_x1, n1, seed=[scenario.seed, _ROLE_SAMPLES1])
     y2 = sample_potentials(scenario.b2, scenario.sigma_x2, n2, seed=[scenario.seed, _ROLE_SAMPLES2])
+    sampling_s = time.perf_counter() - start
 
     results = []
     for tag in estimators:
         start = time.perf_counter()
+        factor_s = 0.0
         delta_hat = solve = None
         iterations = 0
         converged = False
@@ -460,24 +472,31 @@ def run_instance(scenario, n1, n2, config, estimators, support_epsilon=None):
                     sigma1, sigma2 = scenario.sigma_x1, scenario.sigma_x2
                 else:
                     sigma1 = sigma2 = np.eye(y1.shape[1])
-                est = estimate_delta(
-                    precision_factor(y1, sigma1), precision_factor(y2, sigma2), config
-                )
+                psi1, psi2 = precision_factor(y1, sigma1), precision_factor(y2, sigma2)
+                factor_s = time.perf_counter() - start
+                est = estimate_delta(psi1, psi2, config)
                 delta_hat, iterations, converged = est.delta, est.iterations, est.converged
                 solve = replace(est, delta=None)
         except NumericalError:
             pass
-        wall_ms = (time.perf_counter() - start) * 1000.0
+        scoring_start = time.perf_counter()
         scored = delta_hat is not None
+        recovered = scored and support_recovered(delta_hat, scenario.delta_true, epsilon)
+        error = sup_norm_error(delta_hat, scenario.delta_true) if scored else math.nan
         results.append(
             dict(
                 estimator=tag,
-                support_recovered=scored and support_recovered(delta_hat, scenario.delta_true, epsilon),
-                sup_norm_error=sup_norm_error(delta_hat, scenario.delta_true) if scored else math.nan,
+                support_recovered=recovered,
+                sup_norm_error=error,
                 iterations=iterations,
                 converged=converged,
-                wall_time_ms=wall_ms,
+                wall_time_ms=(scoring_start - start) * 1000.0,
                 solve=solve,
+                phases=dict(
+                    sampling=sampling_s,
+                    factor=factor_s,
+                    scoring=time.perf_counter() - scoring_start,
+                ),
             )
         )
     return results
@@ -515,8 +534,10 @@ def _sample_grid(cfg):
 
 
 def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance):
+    start = time.perf_counter()
     instance_seed = _instance_seed(cfg.seed, p, axis_key, instance)
     scenario = draw_scenario(p, instance_seed, cfg.delta_spec, cfg.base_spec, cfg.sigma_spec)
+    scenario_s = time.perf_counter() - start
     d = max_degree(scenario.delta_true)
     rescale = d * d * math.log(p)
     if n_explicit is not None:
@@ -529,16 +550,10 @@ def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance):
     partial = run_instance(
         scenario, n, n, cfg.solver_config(lam), cfg.estimators, support_epsilon=cfg.support_epsilon
     )
-    return [
-        SweepRow(
-            p=p,
-            n=n,
-            ratio=ratio_out,
-            instance=instance,
-            **row,
-        )
-        for row in partial
-    ]
+    cell_s = time.perf_counter() - start
+    for row in partial:
+        row["phases"].update(scenario=scenario_s, cell=cell_s)
+    return [SweepRow(p=p, n=n, ratio=ratio_out, instance=instance, **row) for row in partial]
 
 
 # The command a worker process runs. The parent's package directory goes

@@ -861,6 +861,29 @@ class TestCgLoop:
         unscaled, *_ = _cg_on_support(_FactorPair(p1, p2), np.float64, r, support, 1e-5, 500)
         assert_allclose(d * 1e150 / 1e160, unscaled, rtol=1e-6, atol=0)
 
+    @pytest.mark.parametrize(
+        "solve, factor_scale, r_scale, target, steps",
+        [
+            # the first curvature overflows: a step of rz / inf = 0 would then
+            # repeat the same residual until max_steps
+            (estimator._cg_on_complement, 1.0, 1e153, 1e153, 1),
+            # the curvature overflows where |direction|^2 does not, and
+            # rz / curvature = inf / inf would make the iterate NaN
+            (_cg_on_support, 100.0, 1e155, 1e150, 0),
+        ],
+    )
+    def test_an_overflowing_curvature_stops_the_search(self, solve, factor_scale, r_scale, target, steps):
+        rng = np.random.default_rng(3)
+        p1, p2 = random_pd(rng, 12), random_pd(rng, 12)
+        pair = _FactorPair(p1 * factor_scale, p2 * factor_scale)
+        support = np.abs(np.subtract.outer(np.arange(12), np.arange(12))) <= 2
+        r = rng.standard_normal((12, 12))
+        r = (r + r.T) * r_scale
+        d, taken, gemms, solved = solve(pair, np.float64, r, support, target, 28)
+        # the first preconditioned residual and the product that overflowed
+        assert (taken, gemms, solved) == (steps, 8 if steps else 4, False)
+        assert np.all(np.isfinite(d))
+
 
 @pytest.fixture(scope="module")
 def dense_sweep_rows():

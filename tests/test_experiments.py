@@ -82,9 +82,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError, match="unknown estimator"):
             ExperimentConfig(dims=(9,), estimators=("dtrace", "oracle"))
 
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(InvalidInputError):
-            ExperimentConfig(dims=(9,), support_epsilon=0.0)
+    @pytest.mark.parametrize(
+        "name, value",
+        [("support_epsilon", value) for value in (0.0, -1.0, math.nan, math.inf)]
+        + [("lambda_scale", value) for value in (-1.0, math.nan, math.inf)],
+    )
+    def test_rejects_bad_epsilon_or_lambda_scale(self, name, value):
+        with pytest.raises(InvalidInputError, match=name):
+            ExperimentConfig(dims=(9,), **{name: value})
 
     def test_rejects_bad_solver_fields_at_construction(self):
         with pytest.raises(InvalidInputError, match="max_iter"):
@@ -418,7 +423,8 @@ class TestRunInstance:
 
     def test_cell_reaches_every_traced_binding(self, monkeypatch):
         # perfbench's tracer wraps these names where their callers find them;
-        # a cell that bypassed one would leave that span empty
+        # a cell that bypassed one would leave that span empty. np.linalg.eigh
+        # is counted beside them
         import lapdiff.estimator as estimator
         import lapdiff.sampling as sampling
 
@@ -431,6 +437,7 @@ class TestRunInstance:
             (experiments, "precision_factor"),
             (experiments, "estimate_delta"),
             (sampling, "sqrt_psd"),
+            (np.linalg, "eigh"),
         ]
         calls = {name: 0 for _, name in bindings}
         for module, name in bindings:
@@ -441,19 +448,39 @@ class TestRunInstance:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        # sqrt_psd takes the root of each sigma_x to sample, and at n = 18 >= p = 9
-        # the whitened root of each factor, which keeps all its eigenvalues
-        (row,) = run_sweep(small_config(ratios=(2.0,), instances=1, estimators=("dtrace",))).rows
-        assert row.converged and row.n >= 9
+        # sqrt_psd takes the root of each sigma_x to sample, and at n = 71 >= p = 9
+        # the whitened root of each factor of the dtrace and the sqrt solve,
+        # which keeps all its eigenvalues. eigh runs for those four roots, for
+        # the joint diagonalizer of each polish and for the plugin's two
+        # inverse roots: PxqSolver reuses the roots' eigenpairs
+        cfg = small_config(ratios=(2.0,), instances=1, estimators=ESTIMATOR_TAGS)
+        rows = run_sweep(cfg).rows
+        assert [row.estimator for row in rows] == list(ESTIMATOR_TAGS)
+        assert all(row.converged and row.n == 71 for row in rows), rows
         assert calls == {
-            "run_admm": 1,
-            "penalized_objective": 1,
+            "run_admm": 2,
+            "penalized_objective": 2,
             "run_instance": 1,
             "sample_potentials": 2,
-            "precision_factor": 2,
-            "estimate_delta": 1,
-            "sqrt_psd": 4,
+            "precision_factor": 4,
+            "estimate_delta": 2,
+            "sqrt_psd": 6,
+            "eigh": 8,
         }, calls
+
+    def test_rows_carry_their_cell_phase_times(self):
+        rows = run_sweep(small_config(ratios=(2.0,), instances=1, estimators=ESTIMATOR_TAGS)).rows
+        shared = {(row.phases["scenario"], row.phases["sampling"], row.phases["cell"]) for row in rows}
+        assert len(shared) == 1, shared
+        # the plugin makes no precision factor
+        assert [row.phases["factor"] > 0.0 for row in rows] == [True, False, True]
+        assert all(row.phases["scoring"] > 0.0 for row in rows)
+        # the phases and the rows' wall times are disjoint spans of the cell
+        ((scenario, sampling, cell),) = shared
+        spans = scenario + sampling + sum(row.wall_time_ms / 1e3 + row.phases["scoring"] for row in rows)
+        assert 0.0 < scenario and 0.0 < sampling and spans < cell
+        for row in rows:
+            assert row.phases["factor"] < row.wall_time_ms / 1e3
 
 
 def power_cell_config(ratio):
@@ -645,10 +672,11 @@ class TestCsv:
             p=9, n=36, ratio=1.0, instance=0, estimator="dtrace", support_recovered=True,
             sup_norm_error=0.125, iterations=212, converged=True, wall_time_ms=8.5,
         )
-        assert bare.solve is None
+        assert bare.solve is None and bare.phases == {}
         (swept,) = run_sweep(small_config(ratios=(2.0,), instances=1)).rows
-        carried = dataclasses.replace(bare, solve=swept.solve)
+        carried = dataclasses.replace(bare, solve=swept.solve, phases=swept.phases)
         assert carried.solve is swept.solve is not None
+        assert set(carried.phases) == {"scenario", "sampling", "factor", "scoring", "cell"}
         assert carried == bare and hash(carried) == hash(bare)
         assert carried.to_csv() == bare.to_csv() == "9,36,1,0,dtrace,1,0.125,212,1,8.5"
         assert repr(carried) == repr(bare)
@@ -787,9 +815,10 @@ def masked_rows(rows):
 
 
 def untimed_solves(rows):
-    """Each row's solve record with its three timings zeroed, or None."""
+    """Each row's solve record with its three timings zeroed, or None, and its phase names."""
     return [
-        row.solve and dataclasses.replace(row.solve, setup_s=0.0, loop_s=0.0, polish_s=0.0)
+        (row.solve and dataclasses.replace(row.solve, setup_s=0.0, loop_s=0.0, polish_s=0.0),
+         sorted(row.phases))
         for row in rows
     ]
 
@@ -856,11 +885,13 @@ class TestWorkerPool:
             # 2 sample sizes x 2 instances x 3 estimators; one sqrt row at
             # n = 10 runs to max_iter on an unbounded problem
             ("dense_config()", "len(rows) == 12 and 20000 in [r.iterations for r in rows]"),
-            # every solve's record comes back from its worker, timings aside
+            # every solve's record and every row's phases come back from its
+            # worker, timings aside
             (
                 "small_config(estimators=('dtrace', 'plugin', 'sqrt'))",
                 "t.untimed_solves(rows) == t.untimed_solves(inline)"
-                " and [r.solve is None for r in rows] == [r.estimator == 'plugin' for r in rows]",
+                " and [r.solve is None for r in rows] == [r.estimator == 'plugin' for r in rows]"
+                " and all(len(r.phases) == 5 for r in rows)",
             ),
         ],
         ids=["power-seed11", "dense-unbounded-sqrt", "solve-records"],
