@@ -220,17 +220,14 @@ def cmd_gen(args):
     scenario = draw_scenario(args.p, args.seed, delta_spec, base_spec, sigma_spec)
 
     os.makedirs(args.out, exist_ok=True)
-    write_matrix_csv(os.path.join(args.out, "b1.csv"), scenario.b1)
-    write_matrix_csv(os.path.join(args.out, "b2.csv"), scenario.b2)
-    write_matrix_csv(os.path.join(args.out, "delta_true.csv"), scenario.delta_true)
-    write_matrix_csv(os.path.join(args.out, "sigma_x1.csv"), scenario.sigma_x1)
-    write_matrix_csv(os.path.join(args.out, "sigma_x2.csv"), scenario.sigma_x2)
+    for name in ("b1", "b2", "delta_true", "sigma_x1", "sigma_x2"):
+        write_matrix_csv(os.path.join(args.out, f"{name}.csv"), getattr(scenario, name))
     write_keyvalue(
         os.path.join(args.out, "manifest.txt"),
         {
             "command": "gen",
             "p": args.p,
-            "delta": args.delta,
+            "delta": "grid",
             "seed": args.seed,
             "density": base_spec.density,
             "margin": base_spec.margin,
@@ -249,7 +246,13 @@ def cmd_gen(args):
 
 
 def _load_estimate_inputs(args):
-    """Resolve the sample-vs-covariance input mode and load everything."""
+    """Check the inputs against every rule, then read both regimes.
+
+    Returns (data, sigmas, counts, factor): each regime's sample array or
+    covariance, its injection covariance and its number of observations, as
+    two-item lists, and the function that makes a regime's precision factor
+    from those three.
+    """
     use_samples = args.samples1 is not None or args.samples2 is not None
     use_cov = args.cov1 is not None or args.cov2 is not None
     if use_samples and use_cov:
@@ -282,54 +285,52 @@ def _load_estimate_inputs(args):
             "--sigma-x1 and --sigma-x2 are required unless --unknown-sigma is set"
         )
 
-    paths = [args.samples1, args.samples2] if use_samples else [args.cov1, args.cov2]
+    # the factor functions are looked up in this module at call time
+    if use_samples:
+        paths, read = [args.samples1, args.samples2], read_samples_csv
+        factor = lambda y, sigma, n: precision_factor(y, sigma)
+    else:
+        paths, read = [args.cov1, args.cov2], read_matrix_csv
+        factor = lambda c, sigma, n: precision_factor_from_covariance(c, sigma, n_used=n)
     for path in paths + [args.sigma_x1, args.sigma_x2]:
         if path is not None:
             require_readable(path, "input")
 
+    data = [read(path) for path in paths]
+    first, second = (d.shape for d in data)
     if use_samples:
-        y1 = read_samples_csv(args.samples1)
-        y2 = read_samples_csv(args.samples2)
-        if y1.shape[1] != y2.shape[1]:
-            raise InvalidInputError(
-                f"sample files disagree on dimension: {y1.shape[1]} vs {y2.shape[1]}"
-            )
-        p = y1.shape[1]
-        n1, n2 = y1.shape[0], y2.shape[0]
-        first, second = y1, y2
+        if first[1] != second[1]:
+            raise InvalidInputError(f"sample files disagree on dimension: {first[1]} vs {second[1]}")
+        counts = [first[0], second[0]]
     else:
-        c1 = read_matrix_csv(args.cov1)
-        c2 = read_matrix_csv(args.cov2)
-        if c1.shape != c2.shape or c1.shape[0] != c1.shape[1]:
+        if first != second or first[0] != first[1]:
             raise InvalidInputError(
-                f"covariance files must be square and same-shaped, got {c1.shape} and {c2.shape}"
+                f"covariance files must be square and same-shaped, got {first} and {second}"
             )
-        p = c1.shape[0]
-        n1, n2 = args.n1, args.n2
-        first, second = c1, c2
+        counts = [args.n1, args.n2]
 
+    p = first[1]
     if args.unknown_sigma:
-        sigma1 = sigma2 = np.eye(p)
-    else:
-        sigma1 = read_matrix_csv(args.sigma_x1)
-        sigma2 = read_matrix_csv(args.sigma_x2)
-        if sigma1.shape != (p, p) or sigma2.shape != (p, p):
-            raise InvalidInputError(
-                f"injection covariances must be {p} x {p}, got "
-                f"{sigma1.shape} and {sigma2.shape}"
-            )
-    return use_samples, first, second, sigma1, sigma2, p, n1, n2
+        return data, [np.eye(p)] * 2, counts, factor
+    sigmas = [read_matrix_csv(path) for path in (args.sigma_x1, args.sigma_x2)]
+    if any(sigma.shape != (p, p) for sigma in sigmas):
+        raise InvalidInputError(
+            f"injection covariances must be {p} x {p}, got "
+            f"{sigmas[0].shape} and {sigmas[1].shape}"
+        )
+    return data, sigmas, counts, factor
 
 
 def cmd_estimate(args):
     settings = _settings(args, _SOLVER_KEYS)
-    use_samples, first, second, sigma1, sigma2, p, n1, n2 = _load_estimate_inputs(args)
+    data, sigmas, counts, factor = _load_estimate_inputs(args)
+    p = len(sigmas[0])
 
     if args.lam is not None:
         lam = args.lam
     else:
         lambda_scale = settings.get("lambda_scale", ExperimentConfig.lambda_scale)
-        lam = default_lambda(lambda_scale, p, min(n1, n2))
+        lam = default_lambda(lambda_scale, p, min(counts))
     config = SolverConfig(lam=lam, **_pick(settings, "rho", "max_iter"))
 
     report = {
@@ -337,21 +338,15 @@ def cmd_estimate(args):
         "unknown_sigma": args.unknown_sigma,
         "p": p,
         "lambda": lam,
-        "n1": n1,
-        "n2": n2,
+        "n1": counts[0],
+        "n2": counts[1],
     }
 
     if args.estimator == "plugin":
-        delta_hat = plugin_delta(first, second, sigma1, sigma2)
+        delta_hat = plugin_delta(*data, *sigmas)
         report.update(iterations=0, converged=True)
     else:
-        if use_samples:
-            psi1 = precision_factor(first, sigma1)
-            psi2 = precision_factor(second, sigma2)
-        else:
-            psi1 = precision_factor_from_covariance(first, sigma1, n_used=n1)
-            psi2 = precision_factor_from_covariance(second, sigma2, n_used=n2)
-        est = estimate_delta(psi1, psi2, config)
+        est = estimate_delta(*map(factor, data, sigmas, counts), config)
         delta_hat = est.delta
         report.update(
             rho=config.rho,
@@ -514,7 +509,6 @@ def build_parser():
 
     gen = sub.add_parser("gen", help="write a synthetic two-regime scenario")
     gen.add_argument("--p", type=int, required=True)
-    gen.add_argument("--delta", choices=("grid",), default="grid")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", default=".")
     _add_key_flags(gen, _GEN_KEYS)

@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     EIG_RELATIVE_FLOOR,
     PxqSolver,
+    _at_unit_scale,
     _eigenpairs,
     _null_basis,
     _preconditioner_eigenvalues,
@@ -897,6 +898,7 @@ def exact_delta(b1, b2, sigma_x1, sigma_x2):
         eigs = np.linalg.eigvalsh(b)
         if eigs[0] <= _relative_floor(abs(eigs[-1])):
             raise NotPsdError(f"b must be positive definite (min eigenvalue {eigs[0]:.6e})")
+        (sigma,) = _at_unit_scale(sigma)
         root = sqrt_psd(sigma)
         t = root @ np.linalg.solve(b, root)
         t = (t + t.T) / 2.0
@@ -923,8 +925,9 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
         n, p = samples.shape
         if n <= p:
             raise PluginUndefinedError(f"plugin undefined for n <= p: got n = {n}, p = {p}")
+        sigma, cov = _at_unit_scale(sigma, sample_covariance(samples))
         root = sqrt_psd(sigma)
-        cov = root @ sample_covariance(samples) @ root
+        cov = root @ cov @ root
         regimes.append((root, (cov + cov.T) / 2.0))
     try:
         return _wrapped_root_difference(regimes)

@@ -7,6 +7,7 @@ symmetrized form (A + A.T) / 2 so downstream eigendecompositions see a
 bitwise-symmetric operand.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -23,13 +24,20 @@ __all__ = [
     "vec",
 ]
 
-# Absolute tolerance for accepting a matrix as symmetric.
+# Tolerance for accepting a matrix as symmetric, relative to its largest
+# entry in magnitude.
 SYMMETRY_ATOL = 1e-12
 
-# Relative floor used when classifying eigenvalues, scaled by max(1, largest
-# eigenvalue) (_relative_floor) so that tiny matrices are not judged with an
-# absurdly tight bar.
+# Relative floor used when classifying eigenvalues: one at or below this
+# times the largest (in magnitude), or at or below float64's smallest normal
+# number, is singular (_relative_floor), so a matrix passes or fails at any
+# scale down to where its eigenvalues lose precision. Only the clip band of
+# negative rounding in PSD checks (_require_psd) is scaled by
+# max(1, largest) instead: a rank-deficient matrix read at 9 significant
+# digits can have negative eigenvalues past this times its largest, and
+# below 1 the absolute band forgives them.
 EIG_RELATIVE_FLOOR = 1e-10
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 # How many of its latest PSD roots each thread keeps with their eigenpairs
 # (see _keep_root): enough for the two factors of a solve and two more.
@@ -54,7 +62,7 @@ def as_symmetric(a):
     ------
     InvalidInputError
         If `a` is not square, contains non-finite entries, or is asymmetric
-        beyond SYMMETRY_ATOL.
+        beyond SYMMETRY_ATOL times its largest entry in magnitude.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -70,10 +78,9 @@ def as_symmetric(a):
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix contains non-finite entries")
     gap = np.max(np.abs(a - a.T))
-    if gap > SYMMETRY_ATOL:
-        raise InvalidInputError(
-            f"matrix is asymmetric: max |a - a.T| = {gap:.3e} > {SYMMETRY_ATOL:.0e}"
-        )
+    tol = SYMMETRY_ATOL * np.max(np.abs(a))
+    if gap > tol:
+        raise InvalidInputError(f"matrix is asymmetric: max |a - a.T| = {gap:.3e} > {tol:.3e}")
     # halving first is exact (barring subnormals) and cannot overflow
     return a / 2.0 + a.T / 2.0
 
@@ -139,8 +146,8 @@ def inv_sqrt_pd(c):
     Raises
     ------
     SingularMatrixError
-        If the smallest eigenvalue is at or below
-        1e-10 * max(1, largest eigenvalue).
+        If the smallest eigenvalue is at or below 1e-10 * largest eigenvalue,
+        or at or below float64's smallest normal number.
     """
     values, vectors = _eigh(as_symmetric(c))
     _require_pd(values)
@@ -203,12 +210,33 @@ def _is_diagonal(c):
 
 
 def _relative_floor(largest):
-    """EIG_RELATIVE_FLOOR times max(1, largest), for the largest eigenvalue or its magnitude."""
-    return EIG_RELATIVE_FLOOR * max(1.0, largest)
+    """EIG_RELATIVE_FLOOR times the largest eigenvalue (or magnitude), or the smallest normal."""
+    return max(EIG_RELATIVE_FLOOR * largest, _SMALLEST_NORMAL)
+
+
+def _at_unit_scale(sigma, *others):
+    """(sigma, *others), all divided by a power of four when sigma is small.
+
+    The power of four brings sigma's largest diagonal entry into [1, 4)
+    when that entry is below 1; otherwise nothing is divided. A regime's
+    whitened covariance sigma^(1/2) C sigma^(1/2), whose roots
+    sampling.precision_factor_from_covariance and estimator.plugin_delta
+    take, scales with the square of sigma and underflows for a sigma below
+    about 1e-154, but what those functions return is unchanged when sigma
+    and C are divided by one number. A power of four divides exactly and
+    has an exact square root. An `other` pushed past float64's range comes
+    back with infinite entries.
+    """
+    _, exponent = math.frexp(np.max(np.diagonal(sigma)))
+    if exponent >= 1:
+        return (sigma, *others)
+    scale = math.ldexp(1.0, 2 * ((exponent - 1) // 2))
+    with np.errstate(over="ignore"):
+        return tuple(a / scale for a in (sigma, *others))
 
 
 def _require_psd(values, name="matrix"):
-    clip = _relative_floor(values.max())
+    clip = EIG_RELATIVE_FLOOR * max(1.0, values.max())
     if values.min() < -clip:
         raise NotPsdError(
             f"{name} must be positive semidefinite: min eigenvalue {values.min():.6e} < -{clip:.1e}"

@@ -262,8 +262,8 @@ class NetworkScenario:
 
     b2 equals b1 + delta_true exactly; both are symmetric and nonsingular,
     with every eigenvalue magnitude above SCENARIO_MIN_EIG and above
-    EIG_RELATIVE_FLOOR times max(1, largest eigenvalue magnitude), the
-    relative floor sample_potentials checks, so run_instance samples them
+    EIG_RELATIVE_FLOOR times the largest eigenvalue magnitude, the relative
+    floor sample_potentials checks, so run_instance samples them
     without checking again. sigma_x1 and sigma_x2 are the positive definite
     injection covariances of the two regimes, and seed keys every random
     draw made on the scenario's behalf.
@@ -290,13 +290,15 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
     Raises
     ------
     InvalidInputError
-        On shape mismatches, covariances that are not positive definite, a
+        On shape mismatches, covariances that are not positive definite (a
+        smallest eigenvalue at or below EIG_RELATIVE_FLOOR times the
+        largest, or at or below float64's smallest normal number), a
         b2 = b1 + delta whose entries overflow, or a b1 or b2 with an
         eigenvalue past float64's range.
     NearSingularScenarioError
         If b1 or b2 = b1 + delta has an eigenvalue of magnitude <= 1e-6, or
-        at or below EIG_RELATIVE_FLOOR times max(1, its largest eigenvalue
-        magnitude), the relative floor of sample_potentials.
+        at or below EIG_RELATIVE_FLOOR times its largest eigenvalue
+        magnitude, the relative floor of sample_potentials.
     """
     b1 = as_symmetric(b1)
     _check_nonsingular("b1", b1)

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularMatrixError
 from .linalg import (
+    _at_unit_scale,
     _congruence,
     _relative_floor,
     _sqrt_and_inv_sqrt_pd,
@@ -30,9 +31,9 @@ def sample_potentials(b, sigma_x, n, seed=0):
 
     Returns an (n, p) array. Deterministic for fixed inputs and seed; `seed`
     may be anything numpy's default_rng accepts (int or a sequence of ints).
-    b must keep its smallest |eigenvalue| above EIG_RELATIVE_FLOOR times
-    max(1, largest |eigenvalue|), the relative floor every NetworkScenario's
-    b1 and b2 already clear.
+    b must keep its smallest |eigenvalue| above EIG_RELATIVE_FLOOR times its
+    largest |eigenvalue| (and above float64's smallest normal number), the
+    relative floor every NetworkScenario's b1 and b2 already clear.
 
     Raises
     ------
@@ -111,8 +112,11 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
     observations behind cov_y (0 for a population covariance); at
     0 < n_used < p, s has rank n_used, so only its n_used largest eigenvalues
     are kept: the rest are rounding, which would hide part of the factor's
-    null space. Returns the symmetric p x p factor. A whitened covariance s
-    with entries past float64's range is an InvalidInputError naming sigma_x.
+    null space. Returns the symmetric p x p factor, which is unchanged when
+    cov_y and sigma_x are divided by one number: a sigma_x below scale 1 is
+    brought to it first (linalg._at_unit_scale), so s does not underflow. A
+    whitened covariance s with entries past float64's range is an
+    InvalidInputError naming sigma_x.
     """
     cov_y = as_symmetric(cov_y)
     sigma_x = as_symmetric(sigma_x)
@@ -120,6 +124,7 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
         raise InvalidInputError(
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"
         )
+    sigma_x, cov_y = _at_unit_scale(sigma_x, cov_y)
     root, m_inv = _sqrt_and_inv_sqrt_pd(sigma_x)
     # the product is symmetric only to rounding, which grows with its entries;
     # an overflow is reported below by name, not by a numpy warning

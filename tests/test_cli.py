@@ -111,6 +111,13 @@ class TestGen:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_removed_delta_flag_exits_2_and_manifest_keeps_grid(self, tmp_path, capsys):
+        # --delta had one choice, grid, which gen still draws and records
+        assert run("gen", "--p", "16", "--delta", "grid", "--out", str(tmp_path / "o")) == 2
+        assert "unrecognized arguments: --delta grid" in capsys.readouterr().err
+        gen_scenario(tmp_path)
+        assert read_keyvalue(tmp_path / "manifest.txt")["delta"] == "grid"
+
     def test_unwritable_out_is_io_error(self, tmp_path):
         blocker = tmp_path / "file.txt"
         blocker.write_text("x")
@@ -166,6 +173,17 @@ def test_overflowing_power_base_scale_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the diagonal of the 117 x 117 base matrix") and "scale 1e+306" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_small_well_conditioned_sigma_is_accepted(tmp_path):
+    # a diagonal of condition number 2 at scale 1e-20: the definiteness
+    # floor was an absolute 1e-10 below scale 1, so it exited 2 as "not
+    # positive definite within the relative floor"
+    argv = ("experiment", "synth", "--dims", "9", "--instances", "1", "--ratios", "1",
+            "--sigma", "diagonal", "--sigma-min", "1e-20", "--sigma-max", "2e-20")
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_overflowing_whitened_covariance_exits_2(tmp_path, capsys):
@@ -1058,7 +1076,7 @@ _COMMON_EXPERIMENT_FLAGS = {
 # Option strings and dests of every subcommand, pinned as a scripting contract.
 PINNED_FLAGS = {
     "gen": {
-        "-h": "help", "--help": "help", "--p": "p", "--delta": "delta", "--seed": "seed",
+        "-h": "help", "--help": "help", "--p": "p", "--seed": "seed",
         "--out": "out", "--density": "density", "--margin": "margin", "--scale": "scale",
         "--weight-min": "weight_min", "--weight-max": "weight_max", "--sign-mode": "sign_mode",
         "--sigma": "sigma", "--sigma-min": "sigma_min", "--sigma-max": "sigma_max",

@@ -66,6 +66,18 @@ class TestAsSymmetric:
         with pytest.raises(InvalidInputError):
             as_symmetric(a)
 
+    def test_tolerance_scales_with_the_largest_entry(self):
+        # symmetric up to rounding at scale 1e5: the gap, 2.9e-11, exceeded an
+        # absolute 1e-12 and was rejected
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((50, 50)))
+        a = 1e5 * (q * np.geomspace(1.0, 10.0, 50)) @ q.T
+        assert not np.array_equal(a, a.T)
+        out = as_symmetric(a)
+        assert np.array_equal(out, out.T)
+        # clearly asymmetric at scale 1e-15: it was silently symmetrized
+        with pytest.raises(InvalidInputError, match=r"1\.000e-15 > 1\.000e-27$"):
+            as_symmetric(np.array([[0.0, 1e-15], [0.0, 0.0]]))
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(InvalidInputError):
             as_symmetric(np.zeros((2, 3)))

@@ -13,6 +13,7 @@ from lapdiff.errors import (
     ReductionError,
     SingularMatrixError,
 )
+from lapdiff.estimator import exact_delta, plugin_delta
 from lapdiff.network import (
     NetworkScenario,
     WeightedGraph,
@@ -23,7 +24,7 @@ from lapdiff.network import (
     random_base_matrix,
     reduce_ground_node,
 )
-from lapdiff.sampling import sample_potentials
+from lapdiff.sampling import precision_factor, sample_potentials
 
 
 class TestWeightedGraph:
@@ -285,3 +286,33 @@ class TestAssembleScenario:
         # 1 is positive but at or below 1e-10 times the largest eigenvalue, 1e12
         with pytest.raises(InvalidInputError, match=r"min eig 1\.000e\+00 <= 1\.000e\+02\)"):
             assemble_scenario(np.eye(2), np.zeros((2, 2)), np.diag([1.0, 1e12]), np.eye(2))
+
+    @pytest.mark.parametrize("k", [-600, -60, 0, 60])
+    def test_any_sigma_scale_gives_the_same_estimates(self, k):
+        # the floors were an absolute 1e-10 below scale 1, so sigmas scaled
+        # by 2^-60 or 2^-600 were "not positive definite"; below about
+        # 2^-512 the whitened covariances underflowed too. Scaling both
+        # sigmas by one number changes no factor or plug-in estimate. At
+        # 2^600 the whitened covariance overflows, which has its own error.
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((9, 9))
+        sigmas = [m @ m.T / 9 + 0.5 * np.eye(9), np.diag(rng.uniform(1.0, 2.0, 9))]
+        b1, delta = random_base_matrix(9, 0.5, seed=1), lattice_delta(9, seed=2)
+
+        def estimates(scale):
+            scenario = assemble_scenario(b1, delta, *(scale * s for s in sigmas))
+            pairs = [(scenario.b1, scenario.sigma_x1), (scenario.b2, scenario.sigma_x2)]
+            ys = [sample_potentials(b, sigma, 40, seed=3) for b, sigma in pairs]
+            factors = [precision_factor(y, sigma) for y, (_, sigma) in zip(ys, pairs)]
+            plugin = plugin_delta(*ys, scenario.sigma_x1, scenario.sigma_x2)
+            exact = exact_delta(scenario.b1, scenario.b2, scenario.sigma_x1, scenario.sigma_x2)
+            return [*factors, plugin, exact]
+
+        for got, expected in zip(estimates(2.0**k), estimates(1.0)):
+            assert_allclose(got, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_subnormal_sigma_is_not_positive_definite(self):
+        # both eigenvalues are below float64's smallest normal number, where
+        # 1e-10 times the largest underflows and would pass the smallest
+        with pytest.raises(InvalidInputError, match=r"min eig 1\.000e-313 <= 2\.225e-308\)"):
+            assemble_scenario(np.eye(2), np.zeros((2, 2)), np.diag([1e-313, 2e-313]), np.eye(2))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lapdiff.errors import InvalidInputError, SingularMatrixError
+from lapdiff.errors import InvalidInputError, NotPsdError, SingularMatrixError
 from lapdiff.linalg import as_symmetric, inv_sqrt_pd, sqrt_psd
 from lapdiff.network import random_base_matrix
 from lapdiff.sampling import (
@@ -186,6 +186,16 @@ class TestPrecisionFactor:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
                 precision_factor(y, np.eye(3))
+
+    def test_indefinite_covariance_is_rejected_beside_a_small_sigma(self):
+        # eigenvalues (1, -0.5): beside sigma = 1e-12 I the whitened
+        # covariance has eigenvalues (1e-12, -5e-13), which an absolute clip
+        # band of 1e-10 forgives; it is judged at sigma's unit scale instead
+        q = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        cov = q @ np.diag([1.0, -0.5]) @ q.T
+        for sigma in (np.eye(2), 1e-12 * np.eye(2)):
+            with pytest.raises(NotPsdError):
+                precision_factor_from_covariance(cov, sigma)
 
     def test_from_covariance_shape_mismatch(self):
         with pytest.raises(InvalidInputError):

@@ -2,10 +2,11 @@
 
     python3 tools/cell_phases.py [--passes N]
 
-Runs the power-sweep config of tools/row_digest.py at seeds 1, 11 and 12
-(18 cells at p = 117) on one sweep worker and one BLAS thread, after one
-warm-up pass, and prints for each phase the milliseconds the cells spent
-in it, summed over the three sweeps: the median of N passes (default 5).
+Runs the benchmark's power-sweep config (perfbench/workloads.py, through
+tools/row_digest.py) at seeds 1, 11 and 12 (18 cells at p = 117) on one
+sweep worker and one BLAS thread, after one warm-up pass, and prints for
+each phase the milliseconds the cells spent in it, summed over the three
+sweeps: the median of N passes (default 5).
 Every phase is read from the sweep rows: outside the solve, from the
 seconds lapdiff.experiments records on each row (SweepRow.phases); inside
 it, from those the solve records in its DeltaEstimate (SweepRow.solve):

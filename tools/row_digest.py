@@ -11,7 +11,7 @@ so the rows do not depend on the machine's core count.
 The cases:
 - power-sweep-seed1, power-sweep-seed11: the benchmark's power-sweep
   config (118-bus case, p = 117, ratios 1/3/5, two instances, rho 0.1),
-  rebuilt here;
+  taken from perfbench/workloads.py;
 - dense-sweep: p = 16 and 25 with a dense injection covariance, running
   dtrace, plugin and sqrt at n = 10 (below both p), 20 and 64 (above both);
 - default-rho-sweep: the dense-sweep base at seed 1 and p = 16 with a
@@ -46,10 +46,12 @@ import tempfile
 # set before numpy loads: BLAS reads its thread count once, at load time
 os.environ["LAPDIFF_THREADS"] = "1"
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 import lapdiff  # noqa: E402
 from lapdiff.cli import main as cli_main  # noqa: E402
+from perfbench import workloads  # noqa: E402
 
 
 def masked_csv_digest(path):
@@ -68,19 +70,8 @@ def masked_sweep_digest(cfg, workdir):
 
 
 def power_sweep_config(seed):
-    return lapdiff.ExperimentConfig(
-        dims=(117,),
-        ratios=(1.0, 3.0, 5.0),
-        instances=2,
-        lambda_scale=2.0,
-        delta_spec=lapdiff.GridDeltaSpec(weight_range=(4.0, 4.0), sign_mode="mixed"),
-        base_spec=lapdiff.MatpowerBaseSpec(scale=1.0 / 600.0),
-        sigma_spec=lapdiff.SigmaSpec(kind="identity"),
-        support_epsilon=2.0,
-        seed=seed,
-        rho=0.1,
-        max_iter=2000,
-    )
+    """The benchmark's power-sweep config at seed, on the bundled 118-bus case (p = 117)."""
+    return workloads.power_sweep_config(seed, 117)
 
 
 def dense_sweep_config():

@@ -2,10 +2,11 @@
 
     python3 tools/solve_work.py
 
-The sweeps are the power-sweep config of tools/row_digest.py at seeds 1,
-11 and 12 (p = 117), its dense-sweep case (p = 16 and 25, n = 10, 20 and
-64), its default-rho-sweep case (p = 16 at the solver defaults, where a
-solve polishes late or runs to max_iter) and the lam-sweep cases
+The sweeps are the benchmark's power-sweep config (perfbench/workloads.py,
+through tools/row_digest.py) at seeds 1, 11 and 12 (p = 117), the
+dense-sweep case of row_digest.py (p = 16 and 25, n = 10, 20 and 64), its
+default-rho-sweep case (p = 16 at the solver defaults, where a solve
+polishes late or runs to max_iter) and the lam-sweep cases
 lam-sweep-8, -33, -133 and -333: the power config at seed 1 and ratios 3
 and 5 with lambda_scale 8, 33, 133 and 333 in place of 2, whose polished
 supports hold about 45%, 16%, 2-3% and at most 1% of the off-diagonal
