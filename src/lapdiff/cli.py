@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CaseFileError, InvalidInputError, NumericalError
-from .estimator import SolverConfig, estimate_delta, plugin_delta
+from .estimator import SolverConfig, default_lambda, estimate_delta, plugin_delta
 from .experiments import (
     ESTIMATOR_TAGS,
     SIGMA_KINDS,
@@ -39,7 +39,6 @@ from .experiments import (
     RandomBaseSpec,
     SigmaSpec,
     SweepInterrupted,
-    default_lambda,
     draw_scenario,
     run_sweep,
     write_sweep_csv,
@@ -249,9 +248,9 @@ def _load_estimate_inputs(args):
     """Check the inputs against every rule, then read both regimes.
 
     Returns (data, sigmas, counts, factor): each regime's sample array or
-    covariance, its injection covariance and its number of observations, as
-    two-item lists, and the function that makes a regime's precision factor
-    from those three.
+    covariance, its injection covariance (the identity under the sqrt
+    estimator) and its number of observations, as two-item lists, and the
+    function that makes a regime's precision factor from those three.
     """
     use_samples = args.samples1 is not None or args.samples2 is not None
     use_cov = args.cov1 is not None or args.cov2 is not None
@@ -268,8 +267,6 @@ def _load_estimate_inputs(args):
         raise InvalidInputError(f"{flag} needs --cov1/--cov2; sample CSVs give n as their row count")
     if args.estimator == "plugin" and use_cov:
         raise InvalidInputError("the plugin estimator needs sample CSVs, not covariances")
-    if args.estimator == "plugin" and args.unknown_sigma:
-        raise InvalidInputError("the plugin estimator needs known injection covariances")
     if use_cov:
         for flag, n in (("--n1", args.n1), ("--n2", args.n2)):
             if n is None:
@@ -278,12 +275,11 @@ def _load_estimate_inputs(args):
                 )
             if n < 1:
                 raise InvalidInputError(f"{flag} must be an integer >= 1, got {n}")
-    if args.unknown_sigma and (args.sigma_x1 is not None or args.sigma_x2 is not None):
-        raise InvalidInputError("--unknown-sigma conflicts with --sigma-x1/--sigma-x2")
-    if not args.unknown_sigma and (args.sigma_x1 is None or args.sigma_x2 is None):
-        raise InvalidInputError(
-            "--sigma-x1 and --sigma-x2 are required unless --unknown-sigma is set"
-        )
+    unknown_sigma = args.estimator == "sqrt"
+    if unknown_sigma and (args.sigma_x1 is not None or args.sigma_x2 is not None):
+        raise InvalidInputError("--estimator sqrt conflicts with --sigma-x1/--sigma-x2")
+    if not unknown_sigma and (args.sigma_x1 is None or args.sigma_x2 is None):
+        raise InvalidInputError("--sigma-x1 and --sigma-x2 are required unless --estimator is sqrt")
 
     # the factor functions are looked up in this module at call time
     if use_samples:
@@ -310,7 +306,7 @@ def _load_estimate_inputs(args):
         counts = [args.n1, args.n2]
 
     p = first[1]
-    if args.unknown_sigma:
+    if unknown_sigma:
         return data, [np.eye(p)] * 2, counts, factor
     sigmas = [read_matrix_csv(path) for path in (args.sigma_x1, args.sigma_x2)]
     if any(sigma.shape != (p, p) for sigma in sigmas):
@@ -326,16 +322,14 @@ def cmd_estimate(args):
     data, sigmas, counts, factor = _load_estimate_inputs(args)
     p = len(sigmas[0])
 
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        lambda_scale = settings.get("lambda_scale", ExperimentConfig.lambda_scale)
-        lam = default_lambda(lambda_scale, p, min(counts))
+    lam = args.lam
+    if lam is None:
+        lam = default_lambda(p, min(counts), **_pick(settings, "lambda_scale"))
     config = SolverConfig(lam=lam, **_pick(settings, "rho", "max_iter"))
 
     report = {
         "estimator": args.estimator,
-        "unknown_sigma": args.unknown_sigma,
+        "unknown_sigma": args.estimator == "sqrt",
         "p": p,
         "lambda": lam,
         "n1": counts[0],
@@ -522,13 +516,11 @@ def build_parser():
     est.add_argument("--sigma-x1", dest="sigma_x1")
     est.add_argument("--sigma-x2", dest="sigma_x2")
     est.add_argument(
-        "--unknown-sigma",
-        action="store_true",
-        dest="unknown_sigma",
-        help="injection covariances unknown: whiten with the identity and "
-        "estimate the difference of inverse-covariance square roots",
+        "--estimator",
+        choices=ESTIMATOR_TAGS,
+        default="dtrace",
+        help="sqrt is for unknown injection covariances: it whitens with the identity",
     )
-    est.add_argument("--estimator", choices=("dtrace", "plugin"), default="dtrace")
     est.add_argument("--lambda", type=float, dest="lam")
     est.add_argument("--n1", type=int, help="observations behind --cov1 (required with it)")
     est.add_argument("--n2", type=int, help="observations behind --cov2 (required with it)")

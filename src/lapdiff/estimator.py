@@ -98,6 +98,9 @@ POLISH_TOL = 1e-9
 # float32's range (1e-38 to 3e38), room for the squares CG forms.
 FLOAT32_SPAN = 2.0**96
 
+# The scale of default_lambda's penalty, for sweeps and `lapdiff estimate` alike.
+DEFAULT_LAMBDA_SCALE = 0.5
+
 
 @dataclass
 class SolverConfig:
@@ -107,8 +110,9 @@ class SolverConfig:
     penalty 4 rho, and with it the shrink threshold lam / (4 rho), both of
     which must be finite; run_admm stops when a polish passes the KKT check
     or at max_iter. The penalty falls on the off-diagonal entries only.
-    These are the package's only solver defaults; the sweep config and the
-    command line take theirs from here.
+    These defaults, and default_lambda's DEFAULT_LAMBDA_SCALE, are the
+    package's only solver defaults; the sweep config and the command line
+    take theirs from here.
     """
 
     lam: float
@@ -127,6 +131,11 @@ class SolverConfig:
             raise InvalidInputError(
                 f"4 rho and lam / (4 rho) must be finite, got lam = {self.lam!r}, rho = {self.rho!r}"
             )
+
+
+def default_lambda(p, n, lambda_scale=DEFAULT_LAMBDA_SCALE):
+    """The default penalty lambda_scale * sqrt(log p / n) for n observations at dimension p."""
+    return lambda_scale * math.sqrt(math.log(p) / n)
 
 
 @dataclass

@@ -30,7 +30,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, SweepWorkerError
-from .estimator import DeltaEstimate, SolverConfig, estimate_delta, plugin_delta
+from .estimator import (
+    DEFAULT_LAMBDA_SCALE,
+    DeltaEstimate,
+    SolverConfig,
+    default_lambda,
+    estimate_delta,
+    plugin_delta,
+)
 from .linalg import EIG_RELATIVE_FLOOR, as_symmetric
 from .matio import FLOAT_FORMAT
 from .matpower import _check_weight_mode, case_laplacian, load_case118, parse_case
@@ -69,6 +76,9 @@ __all__ = [
     "write_sweep_csv",
 ]
 
+# The estimators of sweep rows and of `lapdiff estimate --estimator`: dtrace
+# and the plug-in baseline whiten with the injection covariances, and sqrt,
+# for unknown covariances, is dtrace whitened with the identity.
 ESTIMATOR_TAGS = ("dtrace", "plugin", "sqrt")
 
 # The injection covariance families make_sigma draws.
@@ -189,7 +199,7 @@ class ExperimentConfig:
     dims: tuple
     ratios: tuple = (0.5, 1.0, 2.0, 3.0, 5.0)
     instances: int = 100
-    lambda_scale: float = 0.5
+    lambda_scale: float = DEFAULT_LAMBDA_SCALE
     delta_spec: GridDeltaSpec = field(default_factory=GridDeltaSpec)
     base_spec: object = field(default_factory=RandomBaseSpec)
     sigma_spec: SigmaSpec = field(default_factory=SigmaSpec)
@@ -355,11 +365,6 @@ def default_support_epsilon(truth):
     if top <= 0:
         raise InvalidInputError("truth has no off-diagonal support; no threshold is meaningful")
     return DEFAULT_EPSILON_FRACTION * top
-
-
-def default_lambda(lambda_scale, p, n):
-    """The default penalty lambda_scale * sqrt(log p / n) for n observations at dimension p."""
-    return lambda_scale * math.sqrt(math.log(p) / n)
 
 
 def max_degree(matrix):
@@ -546,7 +551,7 @@ def _run_cell(cfg, p, axis_key, ratio, n_explicit, instance):
     else:
         n = int(math.ceil(ratio * rescale))
         ratio_out = ratio
-    lam = default_lambda(cfg.lambda_scale, p, n)
+    lam = default_lambda(p, n, cfg.lambda_scale)
     partial = run_instance(
         scenario, n, n, cfg.solver_config(lam), cfg.estimators, support_epsilon=cfg.support_epsilon
     )

@@ -28,10 +28,6 @@ __all__ = [
 # synthetic difference matrices; keeps them nonsingular without dominating.
 DELTA_DIAGONAL_SHIFT = 0.1
 
-# A grounded Laplacian whose smallest eigenvalue falls at or below this is
-# treated as evidence of a disconnected graph.
-REDUCTION_MIN_EIG = 1e-12
-
 # Matrices in an assembled scenario must keep all eigenvalue magnitudes
 # above this, or sampling from the implied covariance is meaningless.
 SCENARIO_MIN_EIG = 1e-6
@@ -109,8 +105,10 @@ def reduce_ground_node(laplacian, ground):
     Raises
     ------
     ReductionError
-        If the reduced matrix is not positive definite (smallest eigenvalue
-        <= 1e-12), which means the graph is disconnected.
+        If the reduced matrix is not positive definite, which means the
+        graph is disconnected: its smallest eigenvalue is at or below
+        EIG_RELATIVE_FLOOR (1e-10) times its largest, or float64's smallest
+        normal number, so the verdict does not depend on the weights' scale.
     """
     lap = as_symmetric(laplacian)
     n = lap.shape[0]
@@ -121,10 +119,10 @@ def reduce_ground_node(laplacian, ground):
     keep = np.array([k for k in range(n) if k != ground])
     reduced = lap[np.ix_(keep, keep)]
     reduced = (reduced + reduced.T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(reduced)[0])
-    if min_eig <= REDUCTION_MIN_EIG:
+    eigs = np.linalg.eigvalsh(reduced)
+    if eigs[0] <= _relative_floor(abs(eigs[-1])):
         raise ReductionError(
-            f"reduced matrix is not positive definite (min eigenvalue {min_eig:.3e}); "
+            f"reduced matrix is not positive definite (min eigenvalue {eigs[0]:.3e}); "
             "the graph is likely disconnected"
         )
     return reduced

@@ -20,23 +20,24 @@ from procs import HAS_PROC, alive, wait_for_children
 
 import lapdiff
 from lapdiff.cli import build_parser, main
-from lapdiff.estimator import SolverConfig
+from lapdiff.estimator import DEFAULT_LAMBDA_SCALE, SolverConfig, default_lambda, estimate_delta
 from lapdiff.experiments import (
     CSV_HEADER,
+    ESTIMATOR_TAGS,
     SIGMA_KINDS,
     SweepInterrupted,
     SweepRow,
-    default_lambda,
 )
 from lapdiff.matio import (
     read_keyvalue,
     read_matrix_csv,
+    read_samples_csv,
     write_matrix_csv,
     write_samples_csv,
 )
 from lapdiff.matpower import WEIGHT_MODES, bundled_case_text
 from lapdiff.network import SIGN_MODES
-from lapdiff.sampling import sample_potentials
+from lapdiff.sampling import precision_factor, sample_potentials
 
 TWO_BUS = """\
 function mpc = case2
@@ -347,20 +348,30 @@ class TestEstimate:
             "estimate",
             "--samples1", str(d / "y1.csv"),
             "--samples2", str(d / "y2.csv"),
-            "--unknown-sigma",
+            "--estimator", "sqrt",
             "--lambda", "0.05",
             "--rho", "0.1",
             "--out", str(out),
         )
         assert rc == 0
+        # the sqrt estimator is dtrace whitened with the identity, bit for bit
+        y1, y2 = read_samples_csv(d / "y1.csv"), read_samples_csv(d / "y2.csv")
+        identity = np.eye(y1.shape[1])
+        est = estimate_delta(
+            precision_factor(y1, identity),
+            precision_factor(y2, identity),
+            SolverConfig(lam=0.05, rho=0.1),
+        )
+        write_matrix_csv(tmp_path / "library.csv", est.delta)
+        assert (out / "delta_hat.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
         report = read_keyvalue(out / "report.txt")
-        assert report["unknown_sigma"] == "true"
-        assert (out / "delta_hat.csv").exists()
+        assert (report["estimator"], report["unknown_sigma"]) == ("sqrt", "true")
 
-    def test_sigma_flags_conflict_with_unknown_sigma(self, scenario_with_samples, tmp_path):
+    def test_sigma_flags_conflict_with_unknown_sigma(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
-        rc = run(*estimate_flags(d, tmp_path / "x", "--unknown-sigma"))
+        rc = run(*estimate_flags(d, tmp_path / "x", "--estimator", "sqrt"))
         assert rc == 2
+        assert "--estimator sqrt conflicts with --sigma-x1/--sigma-x2" in capsys.readouterr().err
 
     def test_missing_sigma_flags_rejected(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
@@ -373,7 +384,7 @@ class TestEstimate:
         assert rc == 2
         assert "--sigma-x1" in capsys.readouterr().err
 
-    def test_both_input_modes_rejected(self, scenario_with_samples, tmp_path):
+    def test_both_input_modes_rejected(self, scenario_with_samples, tmp_path, capsys):
         d = scenario_with_samples
         rc = run(
             "estimate",
@@ -381,17 +392,18 @@ class TestEstimate:
             "--samples2", str(d / "y2.csv"),
             "--cov1", str(d / "y1.csv"),
             "--cov2", str(d / "y2.csv"),
-            "--unknown-sigma",
+            "--estimator", "sqrt",
             "--out", str(tmp_path / "x"),
         )
         assert rc == 2
+        assert "give sample CSVs or covariance CSVs, not both" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = run(
             "estimate",
             "--samples1", str(tmp_path / "absent.csv"),
             "--samples2", str(tmp_path / "absent.csv"),
-            "--unknown-sigma",
+            "--estimator", "sqrt",
             "--out", str(tmp_path),
         )
         assert rc == 2
@@ -426,6 +438,8 @@ class TestEstimate:
         assert report["estimator"] == "plugin"
         assert report["iterations"] == "0"
         assert report["converged"] == "true"
+        # no --lambda or --lambda-scale: the estimator module's default penalty
+        assert report["lambda"] == "%.9g" % default_lambda(16, 4000, DEFAULT_LAMBDA_SCALE)
 
     @pytest.fixture
     def rule_files(self, tmp_path):
@@ -442,12 +456,12 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            ("--unknown-sigma", "inputs required"),
-            ("--samples1 y3 --unknown-sigma", "both --samples1 and --samples2 are required"),
-            ("--cov1 c3 --n1 5 --n2 5 --unknown-sigma", "both --cov1 and --cov2 are required"),
-            ("--samples1 y3 --samples2 y4 --unknown-sigma", "sample files disagree on dimension"),
+            ("--estimator sqrt", "inputs required"),
+            ("--samples1 y3 --estimator sqrt", "both --samples1 and --samples2 are required"),
+            ("--cov1 c3 --n1 5 --n2 5 --estimator sqrt", "both --cov1 and --cov2 are required"),
+            ("--samples1 y3 --samples2 y4 --estimator sqrt", "sample files disagree on dimension"),
             (
-                "--cov1 c3 --cov2 c4 --n1 5 --n2 5 --unknown-sigma",
+                "--cov1 c3 --cov2 c4 --n1 5 --n2 5 --estimator sqrt",
                 "covariance files must be square and same-shaped",
             ),
             (
@@ -458,16 +472,12 @@ class TestEstimate:
                 "--estimator plugin --cov1 bad --cov2 bad --n1 5 --n2 5 --sigma-x1 s4 --sigma-x2 s4",
                 "the plugin estimator needs sample CSVs, not covariances",
             ),
-            (
-                "--estimator plugin --samples1 bad --samples2 bad --unknown-sigma",
-                "the plugin estimator needs known injection covariances",
-            ),
-            ("--samples1 bad --samples2 bad --n1 3 --n2 3 --unknown-sigma", "--n1 needs --cov1/--cov2"),
-            ("--samples1 bad --samples2 bad --n2 3 --unknown-sigma", "--n2 needs --cov1/--cov2"),
+            ("--samples1 bad --samples2 bad --n1 3 --n2 3 --estimator sqrt", "--n1 needs --cov1/--cov2"),
+            ("--samples1 bad --samples2 bad --n2 3 --estimator sqrt", "--n2 needs --cov1/--cov2"),
         ],
         ids=[
             "no-inputs", "no-samples2", "no-cov2", "sample-widths", "cov-shapes",
-            "sigma-shape", "plugin-cov", "plugin-unknown-sigma", "samples-n1", "samples-n2",
+            "sigma-shape", "plugin-cov", "samples-n1", "samples-n2",
         ],
     )
     def test_input_rules_exit_2(self, rule_files, flags, message, capsys):
@@ -482,7 +492,7 @@ class TestEstimate:
         "flag, value, message",
         [
             ("--lambda-scale", "-5", f"lam must be a finite nonnegative real, got "
-             f"{default_lambda(-5.0, 4, 5)!r}"),
+             f"{default_lambda(4, 5, -5.0)!r}"),
             ("--rho", "-1", "rho must be a finite positive real, got -1.0"),
             ("--lambda", "-1", "lam must be a finite nonnegative real, got -1.0"),
         ],
@@ -581,7 +591,7 @@ class TestEstimate:
         write_samples_csv(tmp_path / "y2.csv", 1.5 * rng.standard_normal((10, 16)))
         flags = (
             "estimate", "--samples1", str(tmp_path / "y1.csv"),
-            "--samples2", str(tmp_path / "y2.csv"), "--unknown-sigma",
+            "--samples2", str(tmp_path / "y2.csv"), "--estimator", "sqrt",
             "--max-iter", "100000000", "--out", str(tmp_path / "o"),
         )
         proc = subprocess.Popen(
@@ -620,7 +630,7 @@ class TestEstimate:
             warnings.simplefilter("error")
             rc = run(
                 "estimate", "--samples1", samples, "--samples2", samples,
-                "--unknown-sigma", "--lambda", "0.1", "--rho", "0.1", "--out", str(out),
+                "--estimator", "sqrt", "--lambda", "0.1", "--rho", "0.1", "--out", str(out),
             )
         assert rc == 0
         assert not read_matrix_csv(out / "delta_hat.csv").any()
@@ -1085,7 +1095,7 @@ PINNED_FLAGS = {
     "estimate": {
         "-h": "help", "--help": "help", "--samples1": "samples1", "--samples2": "samples2",
         "--cov1": "cov1", "--cov2": "cov2", "--sigma-x1": "sigma_x1", "--sigma-x2": "sigma_x2",
-        "--unknown-sigma": "unknown_sigma", "--estimator": "estimator", "--lambda": "lam",
+        "--estimator": "estimator", "--lambda": "lam",
         "--lambda-scale": "lambda_scale", "--n1": "n1", "--n2": "n2", "--rho": "rho",
         "--max-iter": "max_iter", "--out": "out",
     },
@@ -1123,6 +1133,7 @@ def test_flag_choices_are_the_library_tuples():
         assert choices(parser, "sigma") is SIGMA_KINDS
     for parser in (variants["power"], commands["parse-matpower"]):
         assert choices(parser, "weight_mode") is WEIGHT_MODES
+    assert choices(commands["estimate"], "estimator") is ESTIMATOR_TAGS
 
 
 def test_flags_match_pinned_set():

@@ -41,6 +41,7 @@ from lapdiff.experiments import (
     usable_cores,
     write_sweep_csv,
 )
+from lapdiff.estimator import DEFAULT_LAMBDA_SCALE, SolverConfig
 from lapdiff.matpower import case_laplacian, load_case118
 from lapdiff.network import assemble_scenario, lattice_delta, random_base_matrix
 
@@ -66,6 +67,11 @@ def small_config(**overrides):
 
 
 class TestConfigValidation:
+    def test_solver_defaults_are_the_estimator_modules(self):
+        cfg = ExperimentConfig(dims=(9,))
+        assert cfg.lambda_scale == DEFAULT_LAMBDA_SCALE
+        assert (cfg.rho, cfg.max_iter) == (SolverConfig.rho, SolverConfig.max_iter)
+
     def test_rejects_empty_dims(self):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(dims=())

@@ -14,6 +14,7 @@ from lapdiff.errors import (
     SingularMatrixError,
 )
 from lapdiff.estimator import exact_delta, plugin_delta
+from lapdiff.matpower import case_laplacian, load_case118
 from lapdiff.network import (
     NetworkScenario,
     WeightedGraph,
@@ -84,6 +85,21 @@ class TestReduceGroundNode:
         lap = laplacian_from_graph(g)
         with pytest.raises(ReductionError):
             reduce_ground_node(lap, 0)
+
+    # the floor is relative to the largest eigenvalue, so the verdict does not
+    # depend on the weights' scale; an absolute 1e-12 rejected the 118-bus case
+    # (condition number 2.9e3) at every scale from about 1e-12 down
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-13, 2.0**-40, 2.0**-600, 1e12])
+    def test_connected_case_reduces_at_any_scale(self, scale):
+        lap, ground = case_laplacian(load_case118(), "dc")
+        reduced = reduce_ground_node(lap * scale, ground)
+        assert_allclose(reduced, reduce_ground_node(lap, ground) * scale, rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12, 2.0**-600])
+    def test_disconnected_raises_at_any_scale(self, scale):
+        lap = laplacian_from_graph(WeightedGraph(4, ((0, 1, 1.0), (2, 3, 1.0))))
+        with pytest.raises(ReductionError, match="likely disconnected"):
+            reduce_ground_node(lap * scale, 0)
 
     def test_bad_arguments(self):
         lap = laplacian_from_graph(WeightedGraph(2, ((0, 1, 1.0),)))

@@ -25,6 +25,8 @@ The cases:
   uncentered covariances of the estimate-cli samples;
 - estimate-plugin: `lapdiff estimate --estimator plugin` on the
   estimate-cli samples;
+- estimate-sqrt: `lapdiff estimate --estimator sqrt` on the estimate-cli
+  samples, whitened with the identity instead of the sigma CSVs;
 - gen-files: the five matrix CSVs and manifest.txt of
   `lapdiff gen --p 25 --seed 4 --sigma dense`;
 - config-sweep: `lapdiff experiment synth --config` running dtrace, sqrt
@@ -134,22 +136,20 @@ def estimate_digest(flags, workdir):
     return digest.hexdigest()
 
 
-def sample_file_flags(workdir):
-    """`lapdiff estimate` input flags for the estimate-cli samples, written as sample CSVs."""
-    flags = []
+def estimate_samples_digest(workdir, estimator="dtrace"):
+    """estimate_digest of `lapdiff estimate --estimator <estimator>` on the estimate-cli samples.
+
+    The samples are written as sample CSVs. The sigma CSVs go along, except
+    to sqrt, which whitens with the identity.
+    """
+    flags = ["--estimator", estimator]
     for regime, sigma, samples in estimate_samples(workdir):
         path = os.path.join(workdir, f"samples{regime}.csv")
         lapdiff.write_samples_csv(path, samples)
-        flags += [f"--samples{regime}", path, f"--sigma-x{regime}", sigma]
-    return flags
-
-
-def estimate_cli_digest(workdir):
-    return estimate_digest(sample_file_flags(workdir), workdir)
-
-
-def estimate_plugin_digest(workdir):
-    return estimate_digest([*sample_file_flags(workdir), "--estimator", "plugin"], workdir)
+        flags += [f"--samples{regime}", path]
+        if estimator != "sqrt":
+            flags += [f"--sigma-x{regime}", sigma]
+    return estimate_digest(flags, workdir)
 
 
 def estimate_cov_digest(workdir):
@@ -222,9 +222,10 @@ def main():
         ("power-sweep-seed11", lambda d: masked_sweep_digest(power_sweep_config(11), d)),
         ("dense-sweep", lambda d: masked_sweep_digest(dense_sweep_config(), d)),
         ("default-rho-sweep", lambda d: masked_sweep_digest(default_rho_sweep_config(), d)),
-        ("estimate-cli", estimate_cli_digest),
+        ("estimate-cli", estimate_samples_digest),
         ("estimate-cov", estimate_cov_digest),
-        ("estimate-plugin", estimate_plugin_digest),
+        ("estimate-plugin", lambda d: estimate_samples_digest(d, "plugin")),
+        ("estimate-sqrt", lambda d: estimate_samples_digest(d, "sqrt")),
         ("gen-files", gen_files_digest),
         ("config-sweep", config_sweep_digest),
         ("flag-sweep", flag_sweep_digest),
