@@ -44,6 +44,7 @@ from .experiments import (
     write_sweep_csv,
 )
 from .matio import (
+    TEXT_PRECISION,
     parse_float,
     parse_float_list,
     parse_int,
@@ -287,7 +288,10 @@ def _load_estimate_inputs(args):
         factor = lambda y, sigma, n: precision_factor(y, sigma)
     else:
         paths, read = [args.cov1, args.cov2], read_matrix_csv
-        factor = lambda c, sigma, n: precision_factor_from_covariance(c, sigma, n_used=n)
+        # a covariance read from text is judged at the precision of its digits
+        factor = lambda c, sigma, n: precision_factor_from_covariance(
+            c, sigma, n_used=n, _precision=TEXT_PRECISION
+        )
     for path in paths + [args.sigma_x1, args.sigma_x2]:
         if path is not None:
             require_readable(path, "input")

@@ -25,11 +25,10 @@ from .linalg import (
     EIG_RELATIVE_FLOOR,
     PxqSolver,
     _at_unit_scale,
+    _classify,
     _eigenpairs,
-    _null_basis,
+    _eigvalsh,
     _preconditioner_eigenvalues,
-    _relative_floor,
-    _require_psd,
     _soft_threshold_into,
     as_symmetric,
     inv_sqrt_pd,
@@ -247,9 +246,10 @@ class _FactorPair:
 
     p1 and p2 are the validated float64 factors, and eigenpairs their
     (values ascending, vectors) from linalg._eigenpairs (no eigh for a kept
-    PSD root), checked finite and PSD before anything divides by them; each
-    error names the factor. nulls are their orthonormal null bases (p x 0
-    when full rank), definite says both are full rank,
+    PSD root), checked finite and PSD (linalg._classify) before anything
+    divides by them; each error names the factor. nulls are their
+    orthonormal null bases, the eigenvectors of the null eigenvalues
+    _classify finds (p x 0 when full rank), definite says both are full rank,
     scale = lmax(P1) lmax(P2), diff = P1 - P2, largest = max |diff| and
     tol = POLISH_TOL largest, the KKT tolerance of an accepted polish. The
     recession analysis, the joint diagonalizer and the operators a polish
@@ -263,18 +263,13 @@ class _FactorPair:
         self.p2 = _factor_matrix(psi2, "psi2")
         if self.p2.shape != self.p1.shape:
             raise InvalidInputError(f"factor shapes differ: {self.p1.shape} vs {self.p2.shape}")
-        self.eigenpairs = []
+        self.eigenpairs, self.nulls = [], []
         for name, factor in (("psi1", self.p1), ("psi2", self.p2)):
             values, vectors = _eigenpairs(factor)
             # finite PSD factors have a finite difference, each entry being at
             # most (lmax(P1) + lmax(P2)) / 2 in size
-            if not np.all(np.isfinite(values)):
-                raise InvalidInputError(
-                    f"{name} must have finite eigenvalues: its entries are too large for float64"
-                )
-            _require_psd(values, name)
+            self.nulls.append(vectors[:, _classify(values, name, "psd")])
             self.eigenpairs.append((values, vectors))
-        self.nulls = [_null_basis(values, vectors) for values, vectors in self.eigenpairs]
         self.definite = not any(basis.shape[1] for basis in self.nulls)
         # a product of Python floats overflows to inf without a warning
         self.scale = math.prod(float(values[-1]) for values, _ in self.eigenpairs)
@@ -904,9 +899,7 @@ def exact_delta(b1, b2, sigma_x1, sigma_x2):
         sigma = as_symmetric(sigma)
         if sigma.shape != b.shape:
             raise InvalidInputError(f"sigma shape {sigma.shape} != b shape {b.shape}")
-        eigs = np.linalg.eigvalsh(b)
-        if eigs[0] <= _relative_floor(abs(eigs[-1])):
-            raise NotPsdError(f"b must be positive definite (min eigenvalue {eigs[0]:.6e})")
+        _classify(_eigvalsh(b), "b", "definite", NotPsdError)
         (sigma,) = _at_unit_scale(sigma)
         root = sqrt_psd(sigma)
         t = root @ np.linalg.solve(b, root)

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 FLOAT_FORMAT = "%.9g"
+# The relative precision of a value read back from FLOAT_FORMAT's text: half
+# a unit in its last significant digit.
+TEXT_PRECISION = 0.5 * 10.0 ** (1 - int(FLOAT_FORMAT[2:-1]))
 # values per formatted block: one % operation per block, a bounded string at any width
 _BLOCK_VALUES = 8192
 

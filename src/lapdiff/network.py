@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NearSingularScenarioError, ReductionError
-from .linalg import _eigvalsh, _relative_floor, as_symmetric
+from .errors import InvalidInputError, NearSingularScenarioError, ReductionError, SingularMatrixError
+from .linalg import _classify, _eigvalsh, as_symmetric
 
 __all__ = [
     "NetworkScenario",
@@ -105,10 +105,9 @@ def reduce_ground_node(laplacian, ground):
     Raises
     ------
     ReductionError
-        If the reduced matrix is not positive definite, which means the
-        graph is disconnected: its smallest eigenvalue is at or below
-        EIG_RELATIVE_FLOOR (1e-10) times its largest, or float64's smallest
-        normal number, so the verdict does not depend on the weights' scale.
+        If the reduced matrix is not positive definite (linalg._classify,
+        whose verdict does not depend on the weights' scale), which means
+        the graph is disconnected.
     """
     lap = as_symmetric(laplacian)
     n = lap.shape[0]
@@ -119,12 +118,10 @@ def reduce_ground_node(laplacian, ground):
     keep = np.array([k for k in range(n) if k != ground])
     reduced = lap[np.ix_(keep, keep)]
     reduced = (reduced + reduced.T) / 2.0
-    eigs = np.linalg.eigvalsh(reduced)
-    if eigs[0] <= _relative_floor(abs(eigs[-1])):
-        raise ReductionError(
-            f"reduced matrix is not positive definite (min eigenvalue {eigs[0]:.3e}); "
-            "the graph is likely disconnected"
-        )
+    try:
+        _classify(np.linalg.eigvalsh(reduced), "reduced matrix", "definite")
+    except SingularMatrixError as err:
+        raise ReductionError(f"{err}; the graph is likely disconnected") from None
     return reduced
 
 
@@ -258,13 +255,12 @@ def _fill_finite_diagonal(mat, shift, name, settings):
 class NetworkScenario:
     """A fully specified two-regime ground truth.
 
-    b2 equals b1 + delta_true exactly; both are symmetric and nonsingular,
-    with every eigenvalue magnitude above SCENARIO_MIN_EIG and above
-    EIG_RELATIVE_FLOOR times the largest eigenvalue magnitude, the relative
-    floor sample_potentials checks, so run_instance samples them
-    without checking again. sigma_x1 and sigma_x2 are the positive definite
-    injection covariances of the two regimes, and seed keys every random
-    draw made on the scenario's behalf.
+    b2 equals b1 + delta_true exactly; both are symmetric and nonsingular
+    (linalg._classify), the check sample_potentials makes, with every
+    eigenvalue magnitude above SCENARIO_MIN_EIG too, so run_instance samples
+    them without checking again. sigma_x1 and sigma_x2 are the positive
+    definite injection covariances of the two regimes, and seed keys every
+    random draw made on the scenario's behalf.
     """
 
     b1: np.ndarray
@@ -288,15 +284,12 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
     Raises
     ------
     InvalidInputError
-        On shape mismatches, covariances that are not positive definite (a
-        smallest eigenvalue at or below EIG_RELATIVE_FLOOR times the
-        largest, or at or below float64's smallest normal number), a
-        b2 = b1 + delta whose entries overflow, or a b1 or b2 with an
-        eigenvalue past float64's range.
+        On shape mismatches, covariances that are not positive definite
+        (linalg._classify), a b2 = b1 + delta whose entries overflow, or a b1
+        or b2 with an eigenvalue past float64's range.
     NearSingularScenarioError
-        If b1 or b2 = b1 + delta has an eigenvalue of magnitude <= 1e-6, or
-        at or below EIG_RELATIVE_FLOOR times its largest eigenvalue
-        magnitude, the relative floor of sample_potentials.
+        If b1 or b2 = b1 + delta is not nonsingular (linalg._classify), the
+        check of sample_potentials, or has an eigenvalue of magnitude <= 1e-6.
     """
     b1 = as_symmetric(b1)
     _check_nonsingular("b1", b1)
@@ -306,19 +299,17 @@ def assemble_scenario(b1, delta, sigma_x1, sigma_x2, seed=0):
 
 
 def _check_nonsingular(name, mat):
-    """Raise NearSingularScenarioError unless mat's eigenvalue magnitudes clear both floors.
+    """Raise NearSingularScenarioError unless mat is nonsingular and clear of SCENARIO_MIN_EIG.
 
-    A spectrum past float64's range is an InvalidInputError: its floor would be inf.
+    Nonsingular is linalg._classify's verdict; every eigenvalue magnitude
+    must also be above SCENARIO_MIN_EIG.
     """
-    magnitudes = np.abs(np.linalg.eigvalsh(mat))
-    top = float(magnitudes.max())
-    if not math.isfinite(top):
-        raise InvalidInputError(f"{name} has an eigenvalue past float64's range")
-    margin = float(magnitudes.min())
-    floor = max(SCENARIO_MIN_EIG, _relative_floor(top))
-    if margin <= floor:
+    values = np.linalg.eigvalsh(mat)
+    _classify(values, name, "nonsingular", NearSingularScenarioError)
+    margin = float(np.abs(values).min())
+    if margin <= SCENARIO_MIN_EIG:
         raise NearSingularScenarioError(
-            f"{name} is too close to singular (min |eigenvalue| {margin:.3e} <= {floor:.3e})"
+            f"{name} is too close to singular (min |eig| {margin:.3e} <= {SCENARIO_MIN_EIG:.3e})"
         )
 
 
@@ -335,13 +326,7 @@ def _assemble_on_checked_base(b1, delta, sigma_x1, sigma_x2, seed):
         if mat.shape != (p, p):
             raise InvalidInputError(f"{name} has shape {mat.shape}, expected {(p, p)}")
     for name, sigma in (("sigma_x1", sigma_x1), ("sigma_x2", sigma_x2)):
-        eigs = _eigvalsh(sigma)
-        floor = _relative_floor(eigs[-1])
-        if eigs[0] <= floor:
-            raise InvalidInputError(
-                f"{name} is not positive definite within the relative floor "
-                f"(min eig {eigs[0]:.3e} <= {floor:.3e})"
-            )
+        _classify(_eigvalsh(sigma), name, "definite", InvalidInputError)
     with np.errstate(over="ignore"):  # reported below by name, not by a numpy warning
         b2 = b1 + delta
     if not np.all(np.isfinite(b2)):

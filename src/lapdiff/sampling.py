@@ -7,11 +7,11 @@ b @ y = x. Rows of all sample arrays are observations, columns are nodes.
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularMatrixError
+from .errors import InvalidInputError
 from .linalg import (
     _at_unit_scale,
+    _classify,
     _congruence,
-    _relative_floor,
     _sqrt_and_inv_sqrt_pd,
     _sqrt_psd_top,
     as_symmetric,
@@ -31,15 +31,17 @@ def sample_potentials(b, sigma_x, n, seed=0):
 
     Returns an (n, p) array. Deterministic for fixed inputs and seed; `seed`
     may be anything numpy's default_rng accepts (int or a sequence of ints).
-    b must keep its smallest |eigenvalue| above EIG_RELATIVE_FLOOR times its
-    largest |eigenvalue| (and above float64's smallest normal number), the
-    relative floor every NetworkScenario's b1 and b2 already clear.
+    b must be nonsingular (linalg._classify), as every NetworkScenario's b1
+    and b2 already are.
 
     Raises
     ------
     SingularMatrixError
-        If b is numerically singular (smallest |eigenvalue| at or below that
-        relative floor).
+        If b is numerically singular: its smallest |eigenvalue| is at or
+        below EIG_RELATIVE_FLOOR times its largest, or float64's smallest
+        normal number.
+    InvalidInputError
+        If an eigenvalue of b is past float64's range.
     """
     b = as_symmetric(b)
     sigma_x = as_symmetric(sigma_x)
@@ -47,11 +49,7 @@ def sample_potentials(b, sigma_x, n, seed=0):
         raise InvalidInputError(f"sigma_x shape {sigma_x.shape} != b shape {b.shape}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInputError(f"n must be a positive integer, got {n!r}")
-    abs_eigs = np.abs(np.linalg.eigvalsh(b))
-    if abs_eigs.min() <= _relative_floor(abs_eigs.max()):
-        raise SingularMatrixError(
-            f"b is numerically singular (min |eigenvalue| {abs_eigs.min():.3e})"
-        )
+    _classify(np.linalg.eigvalsh(b), "b", "nonsingular")
     return _draw_potentials(b, sigma_x, n, seed)
 
 
@@ -102,21 +100,29 @@ def precision_factor(samples, sigma_x):
     return precision_factor_from_covariance(sample_covariance(samples), sigma_x, len(samples))
 
 
-def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
+def precision_factor_from_covariance(cov_y, sigma_x, n_used=0, *, _precision=0.0):
     """Square-root precision factor from the uncentered covariance of the potentials.
 
     With m = sigma_x^{1/2}, the whitened potentials y @ m have second moment
     s = m @ cov_y @ m, and the factor is m^{-1} @ sqrt_psd(s) @ m^{-1}, which
     for a population cov_y equals b^{-1}, the inverse system matrix. PSD
-    square roots keep it defined for every sample size. n_used counts the
-    observations behind cov_y (0 for a population covariance); at
-    0 < n_used < p, s has rank n_used, so only its n_used largest eigenvalues
-    are kept: the rest are rounding, which would hide part of the factor's
-    null space. Returns the symmetric p x p factor, which is unchanged when
-    cov_y and sigma_x are divided by one number: a sigma_x below scale 1 is
-    brought to it first (linalg._at_unit_scale), so s does not underflow. A
-    whitened covariance s with entries past float64's range is an
-    InvalidInputError naming sigma_x.
+    square roots keep it defined for every sample size. The null
+    eigenvalues of s, judged on s's own scale (linalg._classify), are set
+    to zero before the root is taken, so the factor has s's null space
+    exactly, whether the samples were fewer than p, repeated or collinear.
+    n_used counts the observations behind cov_y (0 for a population
+    covariance); at 0 < n_used < p, s has rank n_used, so only its n_used
+    largest eigenvalues are kept: the rest are rounding. All p eigenvalues
+    decide whether s is PSD. _precision is the relative precision of
+    cov_y's entries when it was read from text (matio.TEXT_PRECISION), 0
+    for float64: each eigenvalue of s is then judged with the band by which
+    rounding cov_y's entries can have moved it (linalg._rounding_band), so
+    a null eigenvalue of the exact covariance stays null, and a small real
+    one that clears its own band is kept. Returns the symmetric p x p factor, which is
+    unchanged when cov_y and sigma_x are divided by one number: a sigma_x
+    below scale 1 is brought to it first (linalg._at_unit_scale), so s does
+    not underflow. A whitened covariance s with entries past float64's range
+    is an InvalidInputError naming sigma_x.
     """
     cov_y = as_symmetric(cov_y)
     sigma_x = as_symmetric(sigma_x)
@@ -137,8 +143,12 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0):
             "sigma_x^(1/2) cov_y sigma_x^(1/2) has entries past float64's range"
         )
     n_used = int(n_used)
-    # a root that drops no eigenvalue goes through sqrt_psd, the name
-    # perfbench's linalg.root span wraps
-    whitened_root = _sqrt_psd_top(s, n_used) if 0 < n_used < len(s) else sqrt_psd(s)
+    # a float64 root that keeps every eigenvalue goes through sqrt_psd, the
+    # name perfbench's linalg.root span wraps
+    if 0 < n_used < len(s) or _precision:
+        rounded = (root, _precision * np.abs(cov_y)) if _precision else None
+        whitened_root = _sqrt_psd_top(s, n_used, rounded)
+    else:
+        whitened_root = sqrt_psd(s)
     factor = _congruence(m_inv, whitened_root)
     return (factor + factor.T) / 2.0

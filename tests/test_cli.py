@@ -25,10 +25,14 @@ from lapdiff.experiments import (
     CSV_HEADER,
     ESTIMATOR_TAGS,
     SIGMA_KINDS,
+    MatpowerBaseSpec,
+    SigmaSpec,
     SweepInterrupted,
     SweepRow,
+    make_sigma,
 )
 from lapdiff.matio import (
+    TEXT_PRECISION,
     read_keyvalue,
     read_matrix_csv,
     read_samples_csv,
@@ -37,7 +41,7 @@ from lapdiff.matio import (
 )
 from lapdiff.matpower import WEIGHT_MODES, bundled_case_text
 from lapdiff.network import SIGN_MODES
-from lapdiff.sampling import precision_factor, sample_potentials
+from lapdiff.sampling import precision_factor, precision_factor_from_covariance, sample_potentials
 
 TWO_BUS = """\
 function mpc = case2
@@ -306,10 +310,85 @@ class TestEstimate:
         assert run(*covariance_flags_below_p, "--n1", "0", "--n2", "8") == 2
         assert "--n1" in capsys.readouterr().err
 
-    def test_covariance_below_p_certified_unbounded(self, covariance_flags_below_p, tmp_path, capsys):
+    @pytest.mark.parametrize("scale", [1.0, 100.0, 1e4])
+    def test_covariance_below_p_certified_unbounded(
+        self, covariance_flags_below_p, tmp_path, capsys, scale
+    ):
+        # the PSD clip band was 1e-10 max(1, largest eigenvalue): below 1 it was
+        # absolute, so at x100 the 9-digit rounding of the discarded
+        # eigenvalues exited 3 as "not positive semidefinite"
+        for tag in ("1", "2"):
+            path = tmp_path / f"c{tag}.csv"
+            write_matrix_csv(path, scale * read_matrix_csv(path))
         assert run(*covariance_flags_below_p, "--n1", "8", "--n2", "8") == 3
         assert "8-dimensional null space" in capsys.readouterr().err
         assert not (tmp_path / "o" / "delta_hat.csv").exists()
+
+    @pytest.mark.parametrize(
+        "n, collinear, kind",
+        [(8, False, "identity"), (80, True, "identity"), (80, True, "dense")],
+        ids=["n8", "n80-collinear", "n80-collinear-dense-sigma"],
+    )
+    def test_nine_digit_covariance_keeps_its_null_space(self, tmp_path, capsys, n, collinear, kind):
+        # 9-digit rounding moves a null eigenvalue of the covariance by about
+        # 1e-9 of the largest: at n = 8 the discarded ones were "not positive
+        # semidefinite" in 40 of 40 draws, and at n = 80 the collinear column's
+        # null direction was rejected or kept as a tiny positive eigenvalue
+        rng = np.random.default_rng(24)
+        paths = []
+        for tag in ("1", "2"):
+            y = rng.standard_normal((n, 16))
+            if collinear and tag == "2":
+                y[:, -1] = y[:, 0] + y[:, 1]
+            paths += ["--cov" + tag, str(tmp_path / f"c{tag}.csv"), f"--n{tag}", str(n)]
+            write_matrix_csv(paths[-3], y.T @ y / n)
+            if kind == "dense":
+                paths += ["--sigma-x" + tag, str(tmp_path / f"s{tag}.csv")]
+                write_matrix_csv(paths[-1], make_sigma(SigmaSpec(kind="dense"), 16, rng))
+        sigma = ("--estimator", "sqrt") if kind == "identity" else ()
+        argv = ("estimate", *paths, *sigma, "--lambda", "0.01", "--max-iter", "200")
+        assert run(*argv, "--out", str(tmp_path / "o")) == 3
+        name, null = ("psi2", 1) if collinear else ("psi1", 16 - n)
+        assert f"{null}-dimensional null space of {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["identity", "dense"])
+    def test_nine_digit_118_bus_covariance_keeps_full_rank(self, tmp_path, capsys, kind):
+        # the population covariance b^-1 sigma b^-1 of the 118-bus base
+        # (cond(b) 2.9e3) has whitened eigenvalues down to 4.3e-8 of the
+        # largest, at least 240 times the floor each is judged at; one floor
+        # of p x 5e-9 (5.85e-7) times the largest would make them null, and
+        # the solve would exit 3 on an unbounded problem
+        b = MatpowerBaseSpec().matrix
+        binv = np.linalg.inv(b)
+        argv = ["estimate", "--n1", "117", "--n2", "117", "--lambda", "0.01"]
+        for tag in ("1", "2"):
+            sigma = np.eye(117)
+            if kind == "dense":
+                argv += ["--sigma-x" + tag, str(tmp_path / f"s{tag}.csv")]
+                write_matrix_csv(argv[-1], make_sigma(SigmaSpec(kind="dense"), 117, np.random.default_rng(1)))
+                sigma = read_matrix_csv(argv[-1])
+            argv += ["--cov" + tag, str(tmp_path / f"c{tag}.csv")]
+            write_matrix_csv(argv[-1], binv @ sigma @ binv)
+            factor = precision_factor_from_covariance(
+                read_matrix_csv(argv[-1]), sigma, 117, _precision=TEXT_PRECISION
+            )
+            assert_allclose(factor, binv, rtol=0, atol=1e-6 * np.abs(binv).max())
+        if kind == "identity":
+            argv += ["--estimator", "sqrt"]
+        assert run(*argv, "--out", str(tmp_path / "o")) == 0, capsys.readouterr().err
+        assert np.abs(read_matrix_csv(tmp_path / "o" / "delta_hat.csv")).max() < 1e-6
+
+    @pytest.mark.parametrize("n", [16, 4])
+    def test_indefinite_covariance_rejected(self, tmp_path, capsys, n):
+        # an eigenvalue of -1e-3 times the largest is not rounding, whether
+        # the n largest eigenvalues keep it (n = p) or discard it (n < p)
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))
+        values = np.concatenate([[-1e-3], np.linspace(0.1, 1.0, 15)])
+        write_matrix_csv(tmp_path / "c.csv", (q * values) @ q.T)
+        cov = str(tmp_path / "c.csv")
+        argv = ("estimate", "--cov1", cov, "--cov2", cov, "--n1", str(n), "--n2", str(n))
+        assert run(*argv, "--estimator", "sqrt", "--out", str(tmp_path / "o")) == 3
+        assert re.search(r"must be positive semidefinite\W+min eig\w* -1\.0+e-03", capsys.readouterr().err)
 
     def test_covariance_route_matches_samples_route(self, scenario_with_samples, tmp_path):
         d = scenario_with_samples

@@ -31,6 +31,7 @@ from lapdiff.estimator import (
     _check_bounded,
     _FactorPair,
     _polish,
+    default_lambda,
     dtrace_loss,
     estimate_delta,
     exact_delta,
@@ -253,9 +254,9 @@ class TestRunAdmm:
                 lambda: estimate_delta(psi1, psi2, SolverConfig(lam=0.1)),
                 lambda: uniqueness_check(psi1, psi2, 1.0),
             ):
-                with pytest.raises(InvalidInputError, match="^psi1 must have finite eigenvalues"):
+                with pytest.raises(InvalidInputError, match="^psi1 has an eigenvalue past float64's range"):
                     check()
-            with pytest.raises(InvalidInputError, match="^psi2 must have finite eigenvalues"):
+            with pytest.raises(InvalidInputError, match="^psi2 has an eigenvalue past float64's range"):
                 estimate_delta(np.eye(2), psi2, SolverConfig(lam=0.1))
 
     @pytest.mark.parametrize("c", [1e-155, 1e-165])
@@ -513,6 +514,30 @@ class TestUnboundedCertificate:
         for lam in (0.0, 1.0, 1e6):
             with pytest.raises(UnboundedProblemError):
                 estimate_delta(psi1, psi2, SolverConfig(lam=lam, rho=0.1))
+
+    @pytest.mark.parametrize(
+        "p, n, kind",
+        [(6, 40, "collinear"), (16, 80, "collinear"), (16, 80, "repeated"), (16, 200, "collinear")],
+    )
+    def test_rank_deficient_samples_above_p_keep_their_null_space(self, p, n, kind, no_iterations):
+        # P2's samples span fewer than p dimensions although n > p. The null
+        # eigenvalues of the whitened covariance came out of eigh as rounding,
+        # about 1e-16 of the largest, which the root raised to about 1e-8 of
+        # its largest, above the factor's null floor: 27-50 of each row's 60
+        # draws lost the null direction and ran the loop.
+        config = SolverConfig(lam=default_lambda(p, n), rho=0.1)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            y1 = rng.standard_normal((n, p))
+            if kind == "collinear":
+                y2 = rng.standard_normal((n, p))
+                y2[:, -1] = y2[:, 0] + y2[:, 1]
+            else:
+                y2 = rng.standard_normal((14, p))[rng.integers(0, 14, n)]
+            null = p - np.linalg.matrix_rank(y2)
+            psi1, psi2 = (precision_factor(y, np.eye(p)) for y in (y1, y2))
+            with pytest.raises(UnboundedProblemError, match=f" {null}-dimensional null space of psi2"):
+                estimate_delta(psi1, psi2, config)
 
     def test_scaled_singular_pair_raises_at_every_scale(self):
         # with the factors and lam scaled by c, the objective at delta / c is

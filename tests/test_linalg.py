@@ -9,7 +9,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from lapdiff.errors import InvalidInputError, NotPsdError, SingularMatrixError
-from lapdiff.estimator import _FactorPair
+from lapdiff.estimator import _FactorPair, exact_delta
 from lapdiff.linalg import (
     PxqSolver,
     as_symmetric,
@@ -21,7 +21,7 @@ from lapdiff.linalg import (
     sqrt_psd,
     vec,
 )
-from lapdiff.sampling import precision_factor
+from lapdiff.sampling import precision_factor, sample_potentials
 
 
 def random_psd(rng, p, rank=None):
@@ -119,6 +119,20 @@ class TestSqrtPsd:
         c = np.diag([1.0, -1e-12])
         root = sqrt_psd(c)
         assert root[1, 1] == 0.0
+
+
+def test_spectrum_past_float64_range_is_invalid_input():
+    # finite entries, eigenvalues (1e307, inf): sqrt_psd returned an all-inf
+    # root, and the others called b singular or not positive definite
+    b = np.array([[1.0, 0.9], [0.9, 1.0]]) * 1e308
+    for name, check in (
+        ("matrix", lambda: sqrt_psd(b)),
+        ("matrix", lambda: inv_sqrt_pd(b)),
+        ("b", lambda: sample_potentials(b, np.eye(2), 5)),
+        ("b", lambda: exact_delta(b, b, np.eye(2), np.eye(2))),
+    ):
+        with pytest.raises(InvalidInputError, match=f"^{name} has an eigenvalue past float64's range"):
+            check()
 
 
 class TestInvSqrtPd:

@@ -1,9 +1,12 @@
 """Smoke test: the measuring tools under tools/ still run against the package.
 
 The tools pin thread environment variables at import, before numpy loads,
-so they run in a fresh interpreter rather than in the test process.
+so they run in a fresh interpreter rather than in the test process. Two
+structural tests go with them: a pass of the tools leaves every lapdiff
+module as it found it, and src/ names its eigenvalue floors in one place.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +158,46 @@ def test_tools_leave_every_lapdiff_module_alone(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+# The functions of src/lapdiff that may name EIG_RELATIVE_FLOOR or float64's
+# smallest normal number. linalg._classify makes every verdict on an
+# eigenvalue (null, PSD, definite, nonsingular); the others use the numbers
+# for something else.
+FLOOR_USERS = {
+    "linalg._classify": "every eigenvalue verdict",
+    "estimator._FactorPair.recession": "a candidate direction below rounding offers none",
+    "estimator._cg_on_support": "the CG stops on curvature below rounding",
+    "estimator.run_admm": "the scale bound on lmax(P1) lmax(P2)",
+    "estimator.uniqueness_check": "the rank tolerance of [N1 N2] and its unit-row test",
+    "experiments.SigmaSpec.__post_init__": "the condition bound of a drawn sigma",
+}
+
+
+def floor_users(tree, module):
+    """Qualified names of the functions of a parsed module that name a floor."""
+    users, scopes = set(), [(tree, module)]
+    while scopes:
+        node, scope = scopes.pop()
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+            elif (
+                isinstance(child, ast.Name) and child.id in ("EIG_RELATIVE_FLOOR", "_SMALLEST_NORMAL")
+                or isinstance(child, ast.Attribute) and child.attr in ("tiny", "smallest_normal")
+            ):
+                users.add(scope)
+            scopes.append((child, name))
+    return users
+
+
+def test_eigenvalue_floors_are_named_only_by_the_classifier():
+    users = set()
+    for path in sorted((ROOT / "src" / "lapdiff").glob("*.py")):
+        users |= floor_users(ast.parse(path.read_text()), path.stem)
+    # linalg's module level defines the constants
+    assert users - {"linalg"} == set(FLOOR_USERS), sorted(users)
 
 
 # 8 code lines: blank lines, comment lines and the three docstrings do not
