@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CaseFileError, InvalidInputError, NumericalError
+from .errors import CaseFileError, InvalidInputError, NotPsdError, NumericalError
 from .estimator import SolverConfig, default_lambda, estimate_delta, plugin_delta
 from .experiments import (
     ESTIMATOR_TAGS,
@@ -248,10 +248,11 @@ def cmd_gen(args):
 def _load_estimate_inputs(args):
     """Check the inputs against every rule, then read both regimes.
 
-    Returns (data, sigmas, counts, factor): each regime's sample array or
-    covariance, its injection covariance (the identity under the sqrt
-    estimator) and its number of observations, as two-item lists, and the
-    function that makes a regime's precision factor from those three.
+    Returns (flags, data, sigmas, counts, factor): each regime's input
+    flag, its sample array or covariance, its injection covariance (the
+    identity under the sqrt estimator) and its number of observations, as
+    two-item lists, and the function that makes a regime's precision
+    factor from those four, a NotPsdError naming the regime's input flag.
     """
     use_samples = args.samples1 is not None or args.samples2 is not None
     use_cov = args.cov1 is not None or args.cov2 is not None
@@ -284,14 +285,22 @@ def _load_estimate_inputs(args):
 
     # the factor functions are looked up in this module at call time
     if use_samples:
-        paths, read = [args.samples1, args.samples2], read_samples_csv
-        factor = lambda y, sigma, n: precision_factor(y, sigma)
+        flags, read = ["--samples1", "--samples2"], read_samples_csv
+        make = lambda y, sigma, n: precision_factor(y, sigma)
     else:
-        paths, read = [args.cov1, args.cov2], read_matrix_csv
+        flags, read = ["--cov1", "--cov2"], read_matrix_csv
         # a covariance read from text is judged at the precision of its digits
-        factor = lambda c, sigma, n: precision_factor_from_covariance(
+        make = lambda c, sigma, n: precision_factor_from_covariance(
             c, sigma, n_used=n, _precision=TEXT_PRECISION
         )
+
+    def factor(flag, *inputs):
+        try:
+            return make(*inputs)
+        except NotPsdError as exc:
+            raise NotPsdError(f"{flag}: {exc}") from None
+
+    paths = [getattr(args, flag[2:]) for flag in flags]
     for path in paths + [args.sigma_x1, args.sigma_x2]:
         if path is not None:
             require_readable(path, "input")
@@ -311,19 +320,19 @@ def _load_estimate_inputs(args):
 
     p = first[1]
     if unknown_sigma:
-        return data, [np.eye(p)] * 2, counts, factor
+        return flags, data, [np.eye(p)] * 2, counts, factor
     sigmas = [read_matrix_csv(path) for path in (args.sigma_x1, args.sigma_x2)]
     if any(sigma.shape != (p, p) for sigma in sigmas):
         raise InvalidInputError(
             f"injection covariances must be {p} x {p}, got "
             f"{sigmas[0].shape} and {sigmas[1].shape}"
         )
-    return data, sigmas, counts, factor
+    return flags, data, sigmas, counts, factor
 
 
 def cmd_estimate(args):
     settings = _settings(args, _SOLVER_KEYS)
-    data, sigmas, counts, factor = _load_estimate_inputs(args)
+    flags, data, sigmas, counts, factor = _load_estimate_inputs(args)
     p = len(sigmas[0])
 
     lam = args.lam
@@ -344,7 +353,7 @@ def cmd_estimate(args):
         delta_hat = plugin_delta(*data, *sigmas)
         report.update(iterations=0, converged=True)
     else:
-        est = estimate_delta(*map(factor, data, sigmas, counts), config)
+        est = estimate_delta(*map(factor, flags, data, sigmas, counts), config)
         delta_hat = est.delta
         report.update(
             rho=config.rho,

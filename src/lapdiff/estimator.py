@@ -8,6 +8,7 @@ potentials (see sampling.precision_factor).
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,7 +37,7 @@ from .linalg import (
     off_diagonal_l1,
     sqrt_psd,
 )
-from .sampling import sample_covariance
+from .sampling import _at_sample_scale, sample_covariance
 
 __all__ = [
     "DeltaEstimate",
@@ -70,7 +71,7 @@ POLISH_ROUNDS = 6
 
 # A polish round first solves its support to this fraction of the round's
 # initial max |r|, and solves to the KKT tolerance only once the support
-# passed the flip and outside-support test.
+# passed the KKT certificate's flip and outside-support test.
 POLISH_LOOSE = 1e-3
 
 # p x p GEMMs of one CG step of a polish, on either side of its support: a
@@ -107,9 +108,9 @@ class SolverConfig:
 
     lam is the l1 penalty weight; rho sets run_admm's augmented-Lagrangian
     penalty 4 rho, and with it the shrink threshold lam / (4 rho), both of
-    which must be finite; run_admm stops when a polish passes the KKT check
-    or at max_iter. The penalty falls on the off-diagonal entries only.
-    These defaults, and default_lambda's DEFAULT_LAMBDA_SCALE, are the
+    which must be finite; run_admm stops when the KKT certificate accepts
+    a polish or at max_iter. The penalty falls on the off-diagonal entries
+    only. These defaults, and default_lambda's DEFAULT_LAMBDA_SCALE, are the
     package's only solver defaults; the sweep config and the command line
     take theirs from here.
     """
@@ -143,8 +144,8 @@ class DeltaEstimate:
 
     delta is the symmetric estimate, float64, and objective the penalized
     objective there; the copy a sweep row carries (SweepRow.solve) has
-    delta None. stop says why the ADMM loop ended: "polished" (a
-    polish passed the KKT check, and delta is the polished optimum) or
+    delta None. stop says why the ADMM loop ended: "polished" (the KKT
+    certificate _kkt_check accepted a polish, and delta is it) or
     "max_iter". iterations counts ADMM iterations, cg_steps the CG steps of
     all polish attempts, complement_steps the part of them _cg_on_complement
     took, and attempts the polish attempts. gemms counts every p x p GEMM
@@ -161,12 +162,8 @@ class DeltaEstimate:
     (estimate_delta) and are the only fields two runs of one solve may
     differ in.
 
-    The KKT check certifies every entry against one tolerance,
-    POLISH_TOL max |P1 - P2|, not against that entry's own scale, so in a
-    badly scaled problem a small entry of a "polished" delta can be far
-    from its optimum: with factors diag(1, 1e25) and 1e-30 I at lam = 0.1,
-    the solve stops "polished" with delta[0, 0] = 1.0004e5, where the optimum
-    is about 1e30.
+    What "polished" certifies, and where its one tolerance falls short in a
+    badly scaled problem, is _kkt_check's to say.
     """
 
     delta: np.ndarray
@@ -427,7 +424,7 @@ def _cg_on_support(pair, dtype, r, support, target, max_steps):
     semidefinite. The preconditioned residual is [G r G + (G r G)^T]_S,
     which the transpose keeps exactly symmetric.
 
-    Stops once max |r| <= target, the entrywise norm of the KKT check,
+    Stops once max |r| <= target, the entrywise norm of the KKT certificate,
     after max_steps steps, or when a search direction finds no curvature
     above EIG_RELATIVE_FLOOR times the operator's largest eigenvalue,
     2 lmax(P1) lmax(P2), or one that overflows. max |r| is computed only
@@ -587,6 +584,55 @@ def _inner_solver(pair, support):
     return _cg_on_support
 
 
+# _kkt_check's record of an iterate (see there)
+_Kkt = namedtuple("_Kkt", "verdict flipped outside residual largest", defaults=(None,) * 4)
+
+
+def _kkt_check(pair, lam, x, grad, signs, support):
+    """The KKT certificate: whether x is an optimum of the penalized problem at lam, as a _Kkt.
+
+    x is a float64 estimate, zero off the boolean support S, and
+    grad = sym(P1 x P2) - (P1 - P2) its gradient G, P1 and P2 being the
+    factors of the _FactorPair pair; signs (int8, 0 on the diagonal) is
+    the off-diagonal sign pattern x claims on S, and S holds its nonzeros
+    and the diagonal. With tol = pair.tol, POLISH_TOL max |P1 - P2|, x is
+    accepted when, in this order:
+    - x and G are finite ("not-finite" otherwise);
+    - no off-diagonal sign of x on S differs from signs (flipped), and
+      |G| <= lam + tol off S (outside; "wrong-support" when either holds
+      an entry);
+    - max |G + lam signs| <= tol on S ("inexact" otherwise). The residual
+      -2 (G + lam signs) on S is B_S - [P1 x P2 + P2 x P1]_S, with
+      B = 2 (P1 - P2 - lam signs), the system the next refinement solves,
+      so its max, largest, is compared with 2 tol.
+    An unbounded problem has no KKT point, so nothing passes it. Every
+    "polished" stop of run_admm is this verdict, and nothing else in the
+    package decides it.
+
+    Returns a _Kkt: the verdict, then the boolean masks flipped and
+    outside of the support test, None when x or G is not finite, and the
+    residual with its max |.|, largest, None once the support test failed.
+    They are what the polish repairs the support from, or refines from.
+
+    The test holds every entry to one tolerance, POLISH_TOL max |P1 - P2|,
+    not to that entry's own scale, so in a badly scaled problem a small
+    entry of an accepted x can be far from its optimum: with factors
+    diag(1, 1e25) and 1e-30 I at lam = 0.1, the solve stops "polished"
+    with delta[0, 0] = 1.0004e5, where the optimum is about 1e30.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(grad))):
+        return _Kkt("not-finite")
+    flipped = (np.sign(x) != signs) & support
+    np.fill_diagonal(flipped, False)
+    outside = (np.abs(grad) > lam + pair.tol) & ~support
+    if flipped.any() or outside.any():
+        return _Kkt("wrong-support", flipped, outside)
+    residual = (signs * lam + grad) * -2.0 * support
+    largest = float(np.max(np.abs(residual)))
+    verdict = "accepted" if largest <= 2.0 * pair.tol else "inexact"
+    return _Kkt(verdict, flipped, outside, residual, largest)
+
+
 def _polish(pair, lam, z, estimate, signs, max_steps):
     """Solve for the optimum on the support of z; (x or None, CG steps, complement steps, GEMMs).
 
@@ -611,21 +657,19 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
     the multiplier at 2 estimate_C, the later ones at the iterate's own.
 
     Each round first solves loosely, to max |r| <= max(tol, POLISH_LOOSE
-    times the round's initial max |r|), and tests that iterate, with
-    gradient G = sym(P1 x P2) - (P1 - P2): x and G are finite, no sign
-    flipped, and |G| <= lam + tol off S. A support that passes is refined
-    from the recomputed residual to max(tol, refine max |r|) at a time,
-    refine being POLISH_LOOSE in a float32 search and 0 in a float64 one,
-    and tested again. x is returned as soon as an iterate that passed the
-    test also passes the rest of the KKT check, |G + lam signs| <= tol on
-    S, whatever the target of the solve that gave it; an inner solve's stop
-    on the doubled system at target tol leaves that a margin of tol / 2.
-    An unbounded problem has no KKT point, so it never passes. When the
-    test fails on a flipped sign or an entry off S, up to POLISH_ROUNDS
-    repair rounds drop the entries whose sign flipped, add the entries off
-    S with |G| > lam + tol at sign -sign(G), and solve again, loosely
-    first. max_steps caps the CG steps of all rounds, a complement step
-    counting as a primal one.
+    times the round's initial max |r|), and hands the iterate x, with its
+    gradient G, to the KKT certificate (_kkt_check), which alone decides
+    whether x is accepted. An "inexact" iterate, whose support passed, is
+    refined from the certificate's residual to max(tol, refine max |r|) at
+    a time, refine being POLISH_LOOSE in a float32 search and 0 in a
+    float64 one, and handed over again; an inner solve's stop on the
+    doubled system at target tol leaves the certificate a margin of tol / 2.
+    x is returned as soon as it is accepted, whatever the target of the
+    solve that gave it, and None when it is not finite. On a
+    "wrong-support" verdict, up to POLISH_ROUNDS repair rounds drop the
+    entries whose sign flipped, add the entries outside S at sign
+    -sign(G), and solve again, loosely first. max_steps caps the CG steps
+    of all rounds, a complement step counting as a primal one.
 
     Besides x, it returns the CG steps of all rounds, the part of them
     _cg_on_complement took, and the p x p GEMMs of the polish: those its
@@ -663,27 +707,20 @@ def _polish(pair, lam, z, estimate, signs, max_steps):
             x += correction
             gemms += _kkt_product(pair.p1, pair.p2, x, product, scratch)
             grad = product * 0.5 - diff
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(grad))):
-                return None, steps, complement, gemms
-            flipped = (np.sign(x) != signs) & support
-            np.fill_diagonal(flipped, False)
-            outside = (np.abs(grad) > lam + tol) & ~support
-            if flipped.any() or outside.any():
+            kkt = _kkt_check(pair, lam, x, grad, signs, support)
+            if kkt.verdict != "inexact":
                 break
-            # r = B_S - [P1 x P2 + P2 x P1]_S, from G; its max |r| is twice
-            # the largest |G + lam signs| on S
-            r = (signs * lam + grad) * -2.0 * support
-            largest = float(np.max(np.abs(r)))
-            if largest <= 2.0 * tol:
-                return x, steps, complement, gemms
-            target = max(tol, refine * largest)
-        if repair == POLISH_ROUNDS:
+            r = kkt.residual
+            target = max(tol, refine * kkt.largest)
+        if kkt.verdict == "accepted":
+            return x, steps, complement, gemms
+        if kkt.verdict == "not-finite" or repair == POLISH_ROUNDS:
             break
-        support[flipped] = False
-        signs[flipped] = 0
-        x[flipped] = 0.0
-        support[outside] = True
-        signs[outside] = -np.sign(grad[outside])
+        support[kkt.flipped] = False
+        signs[kkt.flipped] = 0
+        x[kkt.flipped] = 0.0
+        support[kkt.outside] = True
+        signs[kkt.outside] = -np.sign(grad[kkt.outside])
     return None, steps, complement, gemms
 
 
@@ -742,9 +779,9 @@ def run_admm(pair, config):
     (_polish; OSQP's solution polishing, Stellato et al. 2020, section 5),
     its complement solves warm-started from -2 sigma sym(u), ADMM's
     estimate of twice the gradient, u being the scaled dual. A polish that
-    passes the KKT check at the pair's tol ends the run; one that fails
+    the KKT certificate (_kkt_check) accepts ends the run; one that fails
     leaves the iterates untouched. All attempts together take at most
-    max_iter // CG_STEP_GEMMS CG steps. A passed polish is the only stop
+    max_iter // CG_STEP_GEMMS CG steps. An accepted polish is the only stop
     before max_iter, so a run that is not "max_iter" is KKT-certified.
 
     The search runs in the precision _search_dtype picks, and the
@@ -752,8 +789,8 @@ def run_admm(pair, config):
     dtype allocated once per run, through PxqSolver.solve(r, out=), and a
     float32 search also runs the polish's inner solves in float32, each
     casting the pair's float64 operators once per call and working in
-    arrays of its own. The sign pattern, the KKT check and its tolerance
-    stay float64, and the returned z is float64 and the run's own. A
+    arrays of its own. The sign pattern and the KKT certificate stay
+    float64, and the returned z is float64 and the run's own. A
     float64 search gives the same bits as one that allocates each iterate
     anew.
 
@@ -875,11 +912,11 @@ def estimate_delta(psi1, psi2, config):
 
 
 def _wrapped_root_difference(regimes):
-    """Symmetrized t2 - t1 for the two (m, c) regimes, where t = m @ inv_sqrt_pd(c) @ m.
+    """Symmetrized t2 - t1 for the two (m, c, s) regimes, where t = m @ inv_sqrt_pd(c) @ m / s.
 
     Raises SingularMatrixError when a c is not positive definite.
     """
-    t1, t2 = (root @ inv_sqrt_pd(cov) @ root for root, cov in regimes)
+    t1, t2 = (root @ inv_sqrt_pd(cov) @ root / scale for root, cov, scale in regimes)
     delta = t2 - t1
     return (delta + delta.T) / 2.0
 
@@ -905,7 +942,7 @@ def exact_delta(b1, b2, sigma_x1, sigma_x2):
         t = root @ np.linalg.solve(b, root)
         t = (t + t.T) / 2.0
         cov = t @ t
-        regimes.append((root, (cov + cov.T) / 2.0))
+        regimes.append((root, (cov + cov.T) / 2.0, 1.0))
     return _wrapped_root_difference(regimes)
 
 
@@ -914,11 +951,13 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
 
     Substitutes the inverse square root of each whitened sample covariance
     for the population inverse root in the exact identity. Only defined when
-    both sample covariances are invertible, which requires n > p.
+    both sample covariances are invertible, which requires n > p. Each
+    regime's term is inversely proportional to its samples at any scale
+    (sampling._at_sample_scale).
     """
     regimes = []
     for samples, sigma in ((samples1, sigma_x1), (samples2, sigma_x2)):
-        samples = np.asarray(samples, dtype=float)
+        samples, scale = _at_sample_scale(samples)
         sigma = as_symmetric(sigma)
         if samples.ndim != 2 or samples.shape[1] != sigma.shape[0]:
             raise InvalidInputError(
@@ -930,7 +969,7 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
         sigma, cov = _at_unit_scale(sigma, sample_covariance(samples))
         root = sqrt_psd(sigma)
         cov = root @ cov @ root
-        regimes.append((root, (cov + cov.T) / 2.0))
+        regimes.append((root, (cov + cov.T) / 2.0, scale))
     try:
         return _wrapped_root_difference(regimes)
     except SingularMatrixError as exc:

@@ -184,17 +184,18 @@ def inv_sqrt_pd(c):
     return _inv_sqrt_from(values, vectors)
 
 
-def _sqrt_and_inv_sqrt_pd(c):
+def _sqrt_and_inv_sqrt_pd(c, name):
     """(sqrt_psd(c), inv_sqrt_pd(c)) from one eigendecomposition of c, which as_symmetric gave.
 
     A diagonal c gives both as the 1-D diagonals of the roots, for scaling
     by broadcasting (see _congruence) rather than by p x p products with
     diagonal matrices. Raises NotPsdError where sqrt_psd would, and
-    otherwise SingularMatrixError where inv_sqrt_pd would.
+    otherwise SingularMatrixError where inv_sqrt_pd would, each naming c
+    as name.
     """
     values, vectors = _eigh(c)
-    _classify(values, require="psd")
-    _classify(values, require="definite")
+    _classify(values, name, "psd")
+    _classify(values, name, "definite")
     if vectors is None:
         return np.sqrt(values), 1.0 / np.sqrt(values)
     return _sqrt_from(values, vectors), _inv_sqrt_from(values, vectors)

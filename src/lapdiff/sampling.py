@@ -5,6 +5,8 @@ symmetric nonsingular system matrix b, and the observed potentials solve
 b @ y = x. Rows of all sample arrays are observations, columns are nodes.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -24,6 +26,11 @@ __all__ = [
     "sample_covariance",
     "sample_potentials",
 ]
+
+# Samples whose largest |entry| lies in [1 / SAMPLE_SPAN, SAMPLE_SPAN] are
+# used as they are: their uncentered covariance's largest entries then lie
+# within 2^+-512, far from float64's subnormals (below 2^-1022) and overflow.
+SAMPLE_SPAN = 2.0**256
 
 
 def sample_potentials(b, sigma_x, n, seed=0):
@@ -90,14 +97,35 @@ def sample_covariance(samples):
     return cov
 
 
+def _at_sample_scale(samples):
+    """(samples / s, s), s a power of two that is 1 unless max |samples| is outside SAMPLE_SPAN.
+
+    Outside it, s brings the largest |entry| into [0.5, 1). The uncentered
+    covariance squares the samples, so it would underflow or overflow
+    there, but the precision factor is proportional to the samples, and
+    plugin_delta's estimate to their inverse, so each is computed from
+    samples / s and scaled back exactly, as linalg._at_unit_scale does for
+    sigma. Samples that are not finite, or not a matrix, come back as they
+    are, for sample_covariance to reject.
+    """
+    samples = np.asarray(samples, dtype=float)
+    largest = max(float(samples.max(initial=0.0)), -float(samples.min(initial=0.0)))
+    if 1.0 / SAMPLE_SPAN <= largest <= SAMPLE_SPAN or not math.isfinite(largest):
+        return samples, 1.0
+    scale = math.ldexp(1.0, math.frexp(largest)[1])
+    return samples / scale, scale
+
+
 def precision_factor(samples, sigma_x):
     """Square-root precision factor of one regime from raw potentials.
 
     precision_factor_from_covariance applied to the uncentered covariance of
     the rows, with the row count as n_used. Returns the symmetric p x p
-    factor.
+    factor, proportional to the samples at any scale (_at_sample_scale).
     """
-    return precision_factor_from_covariance(sample_covariance(samples), sigma_x, len(samples))
+    samples, scale = _at_sample_scale(samples)
+    factor = precision_factor_from_covariance(sample_covariance(samples), sigma_x, len(samples))
+    return factor * scale
 
 
 def precision_factor_from_covariance(cov_y, sigma_x, n_used=0, *, _precision=0.0):
@@ -131,7 +159,7 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0, *, _precision=0.0
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"
         )
     sigma_x, cov_y = _at_unit_scale(sigma_x, cov_y)
-    root, m_inv = _sqrt_and_inv_sqrt_pd(sigma_x)
+    root, m_inv = _sqrt_and_inv_sqrt_pd(sigma_x, "sigma_x")
     # the product is symmetric only to rounding, which grows with its entries;
     # an overflow is reported below by name, not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -193,16 +193,36 @@ def test_small_well_conditioned_sigma_is_accepted(tmp_path):
 
 def test_overflowing_whitened_covariance_exits_2(tmp_path, capsys):
     # the whitened covariance overflowed with a RuntimeWarning, then
-    # as_symmetric reported only "matrix contains non-finite entries"
-    argv = ("experiment", "synth", "--dims", "9", "--instances", "1", "--ratios", "1",
-            "--sigma", "diagonal", "--sigma-min", "1e300", "--sigma-max", "1e308")
+    # as_symmetric reported only "matrix contains non-finite entries"; a
+    # covariance and a sigma_x at 1e300 whiten to entries near 1e600
+    for name in ("cov", "sigma"):
+        write_matrix_csv(tmp_path / f"{name}.csv", 1e300 * np.eye(9))
+    cov, sigma = str(tmp_path / "cov.csv"), str(tmp_path / "sigma.csv")
+    argv = ("estimate", "--cov1", cov, "--cov2", cov, "--n1", "40", "--n2", "40",
+            "--sigma-x1", sigma, "--sigma-x2", sigma)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = run(*argv, "--out", str(tmp_path / "out.csv"))
+        rc = run(*argv, "--out", str(tmp_path / "out"))
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sigma_x is too large") and "whitened covariance" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_huge_sigma_gives_the_rows_of_a_unit_one(tmp_path, capsys):
+    # at sigma_x 1e300..1e308 the samples' covariance overflowed and the
+    # sweep exited 2; the samples are scaled first, and the row is the one
+    # at 1..1e8, wall time apart
+    rows = []
+    for low, high in (("1", "1e8"), ("1e300", "1e308")):
+        out = tmp_path / f"{low}.csv"
+        argv = ("experiment", "synth", "--dims", "9", "--instances", "1", "--ratios", "1",
+                "--sigma", "diagonal", "--sigma-min", low, "--sigma-max", high)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--out", str(out)) == 0, capsys.readouterr().err
+        rows.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert rows[0] == rows[1] and len(rows[0]) == 2, rows
 
 
 @pytest.fixture
@@ -379,16 +399,22 @@ class TestEstimate:
         assert np.abs(read_matrix_csv(tmp_path / "o" / "delta_hat.csv")).max() < 1e-6
 
     @pytest.mark.parametrize("n", [16, 4])
-    def test_indefinite_covariance_rejected(self, tmp_path, capsys, n):
+    @pytest.mark.parametrize("bad", ["--cov1", "--cov2"])
+    def test_indefinite_covariance_rejected(self, tmp_path, capsys, n, bad):
         # an eigenvalue of -1e-3 times the largest is not rounding, whether
-        # the n largest eigenvalues keep it (n = p) or discard it (n < p)
+        # the n largest eigenvalues keep it (n = p) or discard it (n < p);
+        # the error names the regime whose file holds it
         q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))
         values = np.concatenate([[-1e-3], np.linspace(0.1, 1.0, 15)])
-        write_matrix_csv(tmp_path / "c.csv", (q * values) @ q.T)
-        cov = str(tmp_path / "c.csv")
-        argv = ("estimate", "--cov1", cov, "--cov2", cov, "--n1", str(n), "--n2", str(n))
+        write_matrix_csv(tmp_path / "bad.csv", (q * values) @ q.T)
+        write_matrix_csv(tmp_path / "good.csv", (q * np.abs(values)) @ q.T)
+        argv = ["estimate", "--n1", str(n), "--n2", str(n)]
+        for flag in ("--cov1", "--cov2"):
+            argv += [flag, str(tmp_path / ("bad.csv" if flag == bad else "good.csv"))]
         assert run(*argv, "--estimator", "sqrt", "--out", str(tmp_path / "o")) == 3
-        assert re.search(r"must be positive semidefinite\W+min eig\w* -1\.0+e-03", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(r"must be positive semidefinite\W+min eig\w* -1\.0+e-03", err), err
+        assert f"error: {bad}: " in err, err
 
     def test_covariance_route_matches_samples_route(self, scenario_with_samples, tmp_path):
         d = scenario_with_samples

@@ -30,6 +30,7 @@ from lapdiff.estimator import (
     _cg_on_support,
     _check_bounded,
     _FactorPair,
+    _kkt_check,
     _polish,
     default_lambda,
     dtrace_loss,
@@ -573,7 +574,7 @@ class TestUnboundedCertificate:
         assert row.converged and row.iterations > 0
 
 
-# the dense-sweep case of tools/row_digest.py, running sqrt alone
+# the dense-sweep case of tools/solve_work.py, running sqrt alone
 DENSE_SWEEP = dict(
     ratios=(),
     lambda_scale=2.0,
@@ -761,7 +762,7 @@ class TestPolish:
         assert all(np.count_nonzero(a != b) > settled for a, b in zip(patterns, patterns[1:]))
 
     def test_default_rho_row_polishes_within_300_iterations(self):
-        # the default-rho-sweep case of tools/row_digest.py at n = 6 < p = 16.
+        # the default-rho-sweep case of tools/solve_work.py at n = 6 < p = 16.
         # When a retry waited until the budget left covered twice the failed
         # attempt's CG steps, this row took 6 680 iterations, and when a retry
         # waited for the pattern to hold exactly, 400
@@ -912,7 +913,7 @@ class TestCgLoop:
 
 @pytest.fixture(scope="module")
 def dense_sweep_rows():
-    """(config, rows) of the dense-sweep case of tools/row_digest.py, all three estimators."""
+    """(config, rows) of the dense-sweep case of tools/solve_work.py, all three estimators."""
     cfg = ExperimentConfig(
         dims=(16, 25),
         sample_sizes=(10, 20, 64),
@@ -1319,7 +1320,7 @@ class TestSolveTimes:
 
 @pytest.fixture(scope="module")
 def default_rho_singular_solves():
-    """captured_solves of tools/row_digest.py's default-rho-sweep case at n = 6 and 10 < p = 16.
+    """captured_solves of tools/solve_work.py's default-rho-sweep case at n = 6 and 10 < p = 16.
 
     Each factor is singular, so all eight dtrace and sqrt solves search in
     float64.
@@ -1408,6 +1409,73 @@ class TestLambdaMax:
             assert np.count_nonzero(above.delta[off]) == 0
             assert np.max(np.abs(above.delta - np.diag(x))) <= 1e-8 * np.max(np.abs(x))
             assert np.count_nonzero(below.delta[off]) > 0
+
+
+def certificate(psi1, psi2, lam, x, signs=None):
+    """(_kkt_check's record, G) for x at lam, signs defaulting to x's off-diagonal sign pattern."""
+    product = psi1 @ x @ psi2
+    grad = (product + product.T) / 2.0 - (psi1 - psi2)
+    if signs is None:
+        signs = np.sign(x).astype(np.int8)
+        np.fill_diagonal(signs, 0)
+    support = signs != 0
+    np.fill_diagonal(support, True)
+    return _kkt_check(_FactorPair(psi1, psi2), lam, x, grad, signs, support), grad
+
+
+class TestKktCheck:
+    """The one KKT certificate, on estimates the polish did not make.
+
+    kkt_residual, the tests' own KKT oracle, shares no code with it.
+    """
+
+    def test_diagonal_optimum_is_accepted_only_from_lambda_max(self, power_cells):
+        _, solves = power_cells
+        for psi1, psi2, _, _ in solves:
+            x, lam_max = diagonal_only_optimum(psi1, psi2)
+            above, _ = certificate(psi1, psi2, 1.01 * lam_max, np.diag(x))
+            assert above.verdict == "accepted" and above.largest <= 2.0 * _FactorPair(psi1, psi2).tol
+            assert kkt_residual(np.diag(x), psi1, psi2, 1.01 * lam_max) <= _FactorPair(psi1, psi2).tol
+            below, grad = certificate(psi1, psi2, 0.99 * lam_max, np.diag(x))
+            assert below.verdict == "wrong-support" and below.residual is None
+            assert not below.flipped.any() and below.outside.any()
+            # the pair where |G| attains lam_max lies outside the diagonal support
+            off = np.where(np.eye(len(x), dtype=bool), 0.0, np.abs(grad))
+            assert below.outside[np.unravel_index(np.argmax(off), off.shape)]
+
+    def test_a_diagonal_off_its_optimum_is_inexact(self, power_cells):
+        _, solves = power_cells
+        psi1, psi2, _, _ = solves[0]
+        x, lam_max = diagonal_only_optimum(psi1, psi2)
+        x[3] *= 1.0 + 1e-6
+        kkt, grad = certificate(psi1, psi2, 1.01 * lam_max, np.diag(x))
+        assert kkt.verdict == "inexact" and not (kkt.flipped.any() or kkt.outside.any())
+        # the residual of the next refinement: -2 G on the diagonal support, zero off it
+        assert_allclose(kkt.residual, np.diag(-2.0 * np.diagonal(grad)), rtol=0, atol=0)
+        assert kkt.largest == np.max(np.abs(kkt.residual)) > 2.0 * _FactorPair(psi1, psi2).tol
+
+    def test_a_negated_support_sign_is_flipped(self, power_cells):
+        _, solves = power_cells
+        psi1, psi2, config, _ = solves[0]
+        est = estimate_delta(psi1, psi2, config)
+        kkt, _ = certificate(psi1, psi2, config.lam, est.delta)
+        assert est.converged and kkt.verdict == "accepted"
+        signs = np.sign(est.delta).astype(np.int8)
+        np.fill_diagonal(signs, 0)
+        i, j = np.argwhere(signs)[0]
+        signs[i, j] = signs[j, i] = -signs[i, j]
+        kkt, _ = certificate(psi1, psi2, config.lam, est.delta, signs)
+        assert kkt.verdict == "wrong-support" and kkt.residual is None
+        assert sorted(map(tuple, np.argwhere(kkt.flipped))) == sorted({(i, j), (j, i)})
+
+    def test_a_nan_entry_is_not_finite(self, power_cells):
+        _, solves = power_cells
+        psi1, psi2, _, _ = solves[0]
+        x, lam_max = diagonal_only_optimum(psi1, psi2)
+        x[0] = np.nan
+        with np.errstate(invalid="ignore"):
+            kkt, _ = certificate(psi1, psi2, 1.01 * lam_max, np.diag(x))
+        assert kkt.verdict == "not-finite" and kkt.flipped is None and kkt.outside is None
 
 
 class TestPluginDelta:

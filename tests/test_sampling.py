@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lapdiff.errors import InvalidInputError, NotPsdError, SingularMatrixError
+from lapdiff.estimator import plugin_delta
 from lapdiff.linalg import as_symmetric, inv_sqrt_pd, sqrt_psd
 from lapdiff.network import random_base_matrix
 from lapdiff.sampling import (
@@ -180,12 +181,35 @@ class TestPrecisionFactor:
 
     def test_overflowing_covariance_raises_without_a_warning(self):
         # finite samples whose uncentered covariance overflows are reported by
-        # the library's error alone: numpy's overflow warning stays silent
+        # the library's error alone: numpy's overflow warning stays silent.
+        # precision_factor scales such samples first (next test)
         y = np.full((4, 3), 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
-                precision_factor(y, np.eye(3))
+                sample_covariance(y)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [2.0**-600, 2.0**600, 1e-200, 1e200, 1e-160, 1e160],
+        ids=["2^-600", "2^600", "1e-200", "1e200", "1e-160", "1e160"],
+    )
+    def test_samples_at_any_scale_give_the_scaled_factor(self, scale):
+        # their covariance is subnormal or overflows, but the factor is
+        # proportional to the samples: exactly so at a power of two. The
+        # plug-in estimate is inversely proportional to them
+        rng = np.random.default_rng(0)
+        y1, y2 = rng.standard_normal((40, 6)), rng.standard_normal((40, 6))
+        base, estimate = precision_factor(y1, np.eye(6)), plugin_delta(y1, y2, np.eye(6), np.eye(6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = precision_factor(scale * y1, np.eye(6))
+            inverse = plugin_delta(scale * y1, scale * y2, np.eye(6), np.eye(6))
+        if scale in (2.0**-600, 2.0**600):
+            assert np.array_equal(scaled, scale * base) and np.array_equal(inverse, estimate / scale)
+        tol = 1e-12 * np.max(np.abs(base))
+        assert_allclose(scaled / scale, base, rtol=0, atol=tol)
+        assert_allclose(inverse * scale, estimate, rtol=0, atol=1e-12 * np.max(np.abs(estimate)))
 
     def test_indefinite_covariance_is_rejected_beside_a_small_sigma(self):
         # eigenvalues (1, -0.5): beside sigma = 1e-12 I the whitened

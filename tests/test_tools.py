@@ -1,12 +1,16 @@
-"""Smoke test: the measuring tools under tools/ still run against the package.
+"""The measuring tools under tools/: a smoke test, and the ledger of their output.
 
 The tools pin thread environment variables at import, before numpy loads,
-so they run in a fresh interpreter rather than in the test process. Two
-structural tests go with them: a pass of the tools leaves every lapdiff
-module as it found it, and src/ names its eigenvalue floors in one place.
+so they run in a fresh interpreter rather than in the test process. The
+ledger test compares their whole output with the checked-in copy under
+tests/ledger/. Three structural tests go with them: a pass of the tools
+leaves every lapdiff module as it found it, src/ names its eigenvalue
+floors in one place, and it reads the KKT tolerance in one verdict.
 """
 
 import ast
+import difflib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # a p = 9 sweep, one instance at n = 20, all three estimators
 SMOKE = """\
 import dataclasses
+import hashlib
 import os
 import sys
 import tempfile
@@ -27,6 +32,7 @@ import solve_work
 
 import lapdiff
 from lapdiff.estimator import CG_STEP_GEMMS
+from lapdiff.experiments import CSV_HEADER
 
 cfg = lapdiff.ExperimentConfig(
     dims=(9,),
@@ -40,7 +46,8 @@ cfg = lapdiff.ExperimentConfig(
 # at this lambda_scale the polished supports hold most entries, and the
 # polish solves on their complement; at the default, on the support
 dense = dataclasses.replace(cfg, lambda_scale=0.05)
-work = solve_work.solve_work(cfg) + solve_work.solve_work(dense)
+rows = lapdiff.run_sweep(cfg).rows
+work = [(row, row.solve) for row in rows + lapdiff.run_sweep(dense).rows if row.solve is not None]
 assert [row.estimator for row, _ in work] == ["dtrace", "sqrt"] * 2, work
 for row, est in work:
     assert est.converged and est.attempts >= 1, (row, est)
@@ -51,9 +58,28 @@ for row, est in work:
     assert polish_gemms > CG_STEP_GEMMS * est.cg_steps, (row, est, polish_gemms)
 solvers = [solve_work.inner_solver(est) for _, est in work]
 assert solvers == ["primal"] * 2 + ["complement"] * 2, work
+
+# a line per row, its CSV fields with the wall time masked beside its work,
+# then the totals of the penalized solves
+lines = solve_work.case_lines("smoke", cfg)
+assert [row.estimator for row in rows] == ["dtrace", "plugin", "sqrt"] and len(lines) == 4, lines
+for line, row in zip(lines, rows):
+    name, fields, *columns = line.split(" ")
+    assert name == "smoke" and fields == row.to_csv().rsplit(",", 1)[0] + ",-", (line, row)
+    est = row.solve
+    expected = ["-"] * 7 if est is None else [
+        str(est.iterations), str(est.cg_steps), str(est.attempts), str(est.gemms),
+        est.stop, est.dtype, solve_work.inner_solver(est),
+    ]
+    assert columns == expected and len(columns) == len(solve_work.WORK_COLUMNS), (line, est)
+assert lines[-1].startswith("smoke total ") and " polished=2,max_iter=0,raised=0 " in lines[-1]
+# the rows' fields are the sweep CSV's, whose masked digest they reproduce
 with tempfile.TemporaryDirectory() as workdir:
-    digest = row_digest.masked_sweep_digest(cfg, workdir)
-assert len(digest) == 64, digest
+    path = os.path.join(workdir, "rows.csv")
+    lapdiff.write_sweep_csv(path, rows)
+    digest = row_digest.masked_csv_digest(path)
+masked = "\\n".join([CSV_HEADER] + [line.split(" ")[1] for line in lines[:-1]])
+assert digest == hashlib.sha256(masked.encode()).hexdigest(), digest
 
 ms, cells = cell_phases.cell_phases([cfg])
 assert list(ms) == list(cell_phases.PHASES) and min(ms.values()) >= 0.0, ms
@@ -67,20 +93,11 @@ assert cells == 1, cells
 # on 2 workers the cells run in worker processes: solve_work and cell_phases
 # read the records and times that come back on the rows
 two_cells = lapdiff.ExperimentConfig(dims=(9,), ratios=(1.0, 2.0), instances=1)
-
-
-def work_counts(work):
-    return [
-        (row.sort_key(), est.iterations, est.cg_steps, est.attempts, est.gemms, est.stop, est.dtype)
-        for row, est in work
-    ]
-
-
-inline = work_counts(solve_work.solve_work(two_cells))
-assert len(inline) == 2, inline
+inline = solve_work.case_lines("two", two_cells)
+assert len(inline) == 3, inline
 inline_ms, inline_cells = cell_phases.cell_phases([two_cells])
 os.environ["LAPDIFF_THREADS"] = "2"
-assert work_counts(solve_work.solve_work(two_cells)) == inline
+assert solve_work.case_lines("two", two_cells) == inline
 pool_ms, pool_cells = cell_phases.cell_phases([two_cells])
 assert pool_cells == inline_cells == 2, (pool_cells, inline_cells)
 assert list(pool_ms) == list(inline_ms) and min(pool_ms.values()) >= 0.0, pool_ms
@@ -93,6 +110,30 @@ def test_solve_work_and_row_digest_run(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_ledger_matches_the_tools():
+    # the ledger is the tools' stdout, redirected; a line that differs is a
+    # row, a digest or a solve's work that moved. Regenerate it only for a
+    # change meant to move those lines, and say which moved and why.
+    env = dict(os.environ, LAPDIFF_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    runs = {
+        name: subprocess.Popen(
+            [sys.executable, str(ROOT / "tools" / f"{name}.py")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for name in ("row_digest", "solve_work")
+    }
+    moved = []
+    for name, run in runs.items():
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err[-2000:]
+        ledger = ROOT / "tests" / "ledger" / f"{name}.txt"
+        moved += difflib.unified_diff(
+            ledger.read_text().splitlines(), out.splitlines(),
+            str(ledger), f"tools/{name}.py", n=0, lineterm="",
+        )
+    assert not moved, "\n".join(moved)
 
 
 # a pass of cell_phases and one of solve_work, checked from inside by a
@@ -145,7 +186,7 @@ assert before[1], "no cached property found on _FactorPair"
 cfg = lapdiff.ExperimentConfig(dims=(9,), ratios=(2.0,), instances=1)
 try:
     cell_phases.cell_phases([cfg])
-    solve_work.solve_work(cfg)
+    solve_work.case_lines("untouched", cfg)
 finally:
     experiments.support_recovered = score
 assert len(changed) == 2 and not any(changed), changed
@@ -174,30 +215,46 @@ FLOOR_USERS = {
 }
 
 
-def floor_users(tree, module):
-    """Qualified names of the functions of a parsed module that name a floor."""
-    users, scopes = set(), [(tree, module)]
-    while scopes:
-        node, scope = scopes.pop()
-        for child in ast.iter_child_nodes(node):
-            name = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = f"{scope}.{child.name}"
-            elif (
-                isinstance(child, ast.Name) and child.id in ("EIG_RELATIVE_FLOOR", "_SMALLEST_NORMAL")
-                or isinstance(child, ast.Attribute) and child.attr in ("tiny", "smallest_normal")
-            ):
-                users.add(scope)
-            scopes.append((child, name))
+def users_of(names, attributes):
+    """Qualified names of the functions of src/lapdiff that name one of names or attributes."""
+    users = set()
+    for path in sorted((ROOT / "src" / "lapdiff").glob("*.py")):
+        scopes = [(ast.parse(path.read_text()), path.stem)]
+        while scopes:
+            node, scope = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                name = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = f"{scope}.{child.name}"
+                elif (
+                    isinstance(child, ast.Name) and child.id in names
+                    or isinstance(child, ast.Attribute) and child.attr in attributes
+                ):
+                    users.add(scope)
+                scopes.append((child, name))
     return users
 
 
 def test_eigenvalue_floors_are_named_only_by_the_classifier():
-    users = set()
-    for path in sorted((ROOT / "src" / "lapdiff").glob("*.py")):
-        users |= floor_users(ast.parse(path.read_text()), path.stem)
+    users = users_of(("EIG_RELATIVE_FLOOR", "_SMALLEST_NORMAL"), ("tiny", "smallest_normal"))
     # linalg's module level defines the constants
     assert users - {"linalg"} == set(FLOOR_USERS), sorted(users)
+
+
+# The functions of src/lapdiff that may name POLISH_TOL or read a factor
+# pair's tol. estimator._kkt_check alone decides whether an estimate is a KKT
+# point; a second KKT test would read the tolerance too, and fail here.
+TOL_USERS = {
+    "estimator._FactorPair.__init__": "defines tol = POLISH_TOL max |P1 - P2|",
+    "estimator._polish": "the inner solves' targets",
+    "estimator._kkt_check": "the verdict",
+}
+
+
+def test_the_kkt_tolerance_is_read_only_by_the_certificate():
+    users = users_of(("POLISH_TOL",), ("tol",))
+    # estimator's module level defines POLISH_TOL
+    assert users - {"estimator"} == set(TOL_USERS), sorted(users)
 
 
 # 8 code lines: blank lines, comment lines and the three docstrings do not

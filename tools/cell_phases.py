@@ -3,7 +3,7 @@
     python3 tools/cell_phases.py [--passes N]
 
 Runs the benchmark's power-sweep config (perfbench/workloads.py, through
-tools/row_digest.py) at seeds 1, 11 and 12 (18 cells at p = 117) on one
+tools/solve_work.py) at seeds 1, 11 and 12 (18 cells at p = 117) on one
 sweep worker and one BLAS thread, after one warm-up pass, and prints for
 each phase the milliseconds the cells spent in it, summed over the three
 sweeps: the median of N passes (default 5).
@@ -42,8 +42,9 @@ import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-# row_digest pins the sweep workers and BLAS threads before numpy loads
-from row_digest import power_sweep_config  # noqa: E402
+# solve_work imports row_digest, which pins the sweep workers and BLAS
+# threads before numpy loads
+from solve_work import power_sweep_config  # noqa: E402
 
 from lapdiff import experiments  # noqa: E402
 

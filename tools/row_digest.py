@@ -1,23 +1,18 @@
-"""Print one SHA-256 per fixed, seeded case of the program's outputs.
+"""Print one SHA-256 per fixed, seeded case of the program's command-line outputs.
 
     python3 tools/row_digest.py
 
-Run it on two checkouts: equal digests mean the sweep CSVs agree byte for
-byte apart from wall time, and `lapdiff estimate` writes the same
-delta_hat.csv and report.txt. It imports lapdiff from the `src/` of the
-checkout it sits in, and pins sweep workers and BLAS to one thread each,
-so the rows do not depend on the machine's core count.
+Its output is the command-line half of the ledger that tier-1 compares
+(tests/ledger/row_digest.txt; tests/test_tools.py); tools/solve_work.py
+prints the sweep half, row by row. Run it on two checkouts: equal
+digests mean `lapdiff estimate` writes the same delta_hat.csv and
+report.txt, `lapdiff gen` the same files, and `lapdiff experiment synth`
+the same sweep CSVs apart from wall time. It imports lapdiff from the
+`src/` of the checkout it sits in, and pins sweep workers and BLAS to one
+thread each, so the outputs do not depend on the machine's core count.
+tools/solve_work.py and tools/cell_phases.py import it first for that.
 
 The cases:
-- power-sweep-seed1, power-sweep-seed11: the benchmark's power-sweep
-  config (118-bus case, p = 117, ratios 1/3/5, two instances, rho 0.1),
-  taken from perfbench/workloads.py;
-- dense-sweep: p = 16 and 25 with a dense injection covariance, running
-  dtrace, plugin and sqrt at n = 10 (below both p), 20 and 64 (above both);
-- default-rho-sweep: the dense-sweep base at seed 1 and p = 16 with a
-  diagonal injection covariance, running dtrace and sqrt at n = 6, 10, 20
-  and 40 with every solver setting at the library's default (rho 0.001,
-  max_iter 20000), the regime where a solve polishes late or retries;
 - estimate-cli: `lapdiff estimate` on sample CSVs drawn from a
   `lapdiff gen` scenario at p = 16, n = 40, with a dense injection
   covariance;
@@ -38,7 +33,6 @@ The cases:
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import os
@@ -53,7 +47,6 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 import lapdiff  # noqa: E402
 from lapdiff.cli import main as cli_main  # noqa: E402
-from perfbench import workloads  # noqa: E402
 
 
 def masked_csv_digest(path):
@@ -62,43 +55,6 @@ def masked_csv_digest(path):
         header, *rows = fh.read().splitlines()
     text = "\n".join([header] + [row.rsplit(",", 1)[0] + ",-" for row in rows])
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def masked_sweep_digest(cfg, workdir):
-    """SHA-256 of the sweep's CSV with every wall_time_ms field masked."""
-    path = os.path.join(workdir, "rows.csv")
-    lapdiff.write_sweep_csv(path, lapdiff.run_sweep(cfg).rows)
-    return masked_csv_digest(path)
-
-
-def power_sweep_config(seed):
-    """The benchmark's power-sweep config at seed, on the bundled 118-bus case (p = 117)."""
-    return workloads.power_sweep_config(seed, 117)
-
-
-def dense_sweep_config():
-    return lapdiff.ExperimentConfig(
-        dims=(16, 25),
-        ratios=(),
-        sample_sizes=(10, 20, 64),
-        instances=2,
-        lambda_scale=2.0,
-        base_spec=lapdiff.RandomBaseSpec(density=0.5, margin=0.3, scale=0.05),
-        sigma_spec=lapdiff.SigmaSpec(kind="dense"),
-        seed=3,
-        estimators=("dtrace", "plugin", "sqrt"),
-    )
-
-
-def default_rho_sweep_config():
-    return dataclasses.replace(
-        dense_sweep_config(),
-        dims=(16,),
-        sample_sizes=(6, 10, 20, 40),
-        sigma_spec=lapdiff.SigmaSpec(kind="diagonal"),
-        seed=1,
-        estimators=("dtrace", "sqrt"),
-    )
 
 
 def quiet_cli(argv):
@@ -218,10 +174,6 @@ def flag_sweep_digest(workdir):
 
 def main():
     cases = (
-        ("power-sweep-seed1", lambda d: masked_sweep_digest(power_sweep_config(1), d)),
-        ("power-sweep-seed11", lambda d: masked_sweep_digest(power_sweep_config(11), d)),
-        ("dense-sweep", lambda d: masked_sweep_digest(dense_sweep_config(), d)),
-        ("default-rho-sweep", lambda d: masked_sweep_digest(default_rho_sweep_config(), d)),
         ("estimate-cli", estimate_samples_digest),
         ("estimate-cov", estimate_cov_digest),
         ("estimate-plugin", lambda d: estimate_samples_digest(d, "plugin")),
