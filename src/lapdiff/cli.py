@@ -43,6 +43,7 @@ from .experiments import (
     run_sweep,
     write_sweep_csv,
 )
+from .linalg import _classify, _eigvalsh, as_symmetric
 from .matio import (
     TEXT_PRECISION,
     parse_float,
@@ -245,8 +246,29 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+def _checked_matrix(flag, matrix, definite=False):
+    """as_symmetric of the matrix read from flag's file; with definite, also sigma_x's verdicts.
+
+    A sigma_x file must be positive definite, as the whitening judges it
+    (sampling._whitened); a diagonal one needs no eigenvalue routine
+    (linalg._eigvalsh). Every error names flag and keeps its class:
+    InvalidInputError for a matrix that is not finite or not symmetric,
+    NotPsdError or SingularMatrixError for a sigma_x that is not positive
+    definite.
+    """
+    try:
+        matrix = as_symmetric(matrix)
+        if definite:
+            values = _eigvalsh(matrix)
+            _classify(values, "sigma_x", "psd")
+            _classify(values, "sigma_x", "definite")
+    except (InvalidInputError, NumericalError) as exc:
+        raise type(exc)(f"{flag}: {exc}") from None
+    return matrix
+
+
 def _load_estimate_inputs(args):
-    """Check the inputs against every rule, then read both regimes.
+    """Check the inputs against every rule, then read and check both regimes.
 
     Returns (flags, data, sigmas, counts, factor): each regime's input
     flag, its sample array or covariance, its injection covariance (the
@@ -316,6 +338,7 @@ def _load_estimate_inputs(args):
             raise InvalidInputError(
                 f"covariance files must be square and same-shaped, got {first} and {second}"
             )
+        data = list(map(_checked_matrix, flags, data))
         counts = [args.n1, args.n2]
 
     p = first[1]
@@ -327,6 +350,7 @@ def _load_estimate_inputs(args):
             f"injection covariances must be {p} x {p}, got "
             f"{sigmas[0].shape} and {sigmas[1].shape}"
         )
+    sigmas = [_checked_matrix(f"--sigma-x{k}", s, definite=True) for k, s in enumerate(sigmas, 1)]
     return flags, data, sigmas, counts, factor
 
 

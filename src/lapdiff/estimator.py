@@ -25,8 +25,8 @@ from .errors import (
 from .linalg import (
     EIG_RELATIVE_FLOOR,
     PxqSolver,
-    _at_unit_scale,
     _classify,
+    _congruence,
     _eigenpairs,
     _eigvalsh,
     _preconditioner_eigenvalues,
@@ -35,9 +35,8 @@ from .linalg import (
     inv_sqrt_pd,
     inverse_geometric_mean,
     off_diagonal_l1,
-    sqrt_psd,
 )
-from .sampling import _at_sample_scale, sample_covariance
+from .sampling import _at_sample_scale, _whitened, sample_covariance
 
 __all__ = [
     "DeltaEstimate",
@@ -911,51 +910,45 @@ def estimate_delta(psi1, psi2, config):
     return DeltaEstimate(z, iterations, objective, stop, *work, setup_s, loop_s, polish_s)
 
 
-def _wrapped_root_difference(regimes):
-    """Symmetrized t2 - t1 for the two (m, c, s) regimes, where t = m @ inv_sqrt_pd(c) @ m / s.
-
-    Raises SingularMatrixError when a c is not positive definite.
-    """
-    t1, t2 = (root @ inv_sqrt_pd(cov) @ root / scale for root, cov, scale in regimes)
-    delta = t2 - t1
-    return (delta + delta.T) / 2.0
-
-
 def exact_delta(b1, b2, sigma_x1, sigma_x2):
     """Population identity: recover b2 - b1 through the square-root pipeline.
 
-    For each regime, forms the population covariance of the multiplied
-    potentials, ( sigma^{1/2} b^{-1} sigma^{1/2} )^2, takes its inverse PSD
-    square root, and wraps it with sigma^{1/2} on both sides. The difference
-    of the two wrapped roots equals b2 - b1 up to floating-point error; this
-    is the identity the sample estimator plugs into.
+    For each regime, whitens the population covariance b^{-1} sigma b^{-1}
+    of the potentials (sampling._whitened, with m = sigma^{1/2}), which
+    gives s = (m b^{-1} m)^2, and wraps its inverse PSD square root with m
+    on both sides: m s^{-1/2} m = b. The difference of the two wrapped
+    roots equals b2 - b1 up to floating-point error; this is the identity
+    the sample estimator plugs into. A b that is not positive definite is
+    a NotPsdError naming b; a sigma that is not is the NotPsdError or
+    SingularMatrixError of the whitening, naming sigma_x.
     """
-    regimes = []
+    terms = []
     for b, sigma in ((b1, sigma_x1), (b2, sigma_x2)):
         b = as_symmetric(b)
         sigma = as_symmetric(sigma)
         if sigma.shape != b.shape:
             raise InvalidInputError(f"sigma shape {sigma.shape} != b shape {b.shape}")
         _classify(_eigvalsh(b), "b", "definite", NotPsdError)
-        (sigma,) = _at_unit_scale(sigma)
-        root = sqrt_psd(sigma)
-        t = root @ np.linalg.solve(b, root)
-        t = (t + t.T) / 2.0
-        cov = t @ t
-        regimes.append((root, (cov + cov.T) / 2.0, 1.0))
-    return _wrapped_root_difference(regimes)
+        cov = np.linalg.solve(b, np.linalg.solve(b, sigma).T)
+        root, _, _, s = _whitened((cov + cov.T) / 2.0, sigma)
+        terms.append(_congruence(root, inv_sqrt_pd(s)))
+    delta = terms[1] - terms[0]
+    return (delta + delta.T) / 2.0
 
 
 def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
     """Plug-in baseline: inverse square roots of the sample covariances.
 
     Substitutes the inverse square root of each whitened sample covariance
-    for the population inverse root in the exact identity. Only defined when
-    both sample covariances are invertible, which requires n > p. Each
-    regime's term is inversely proportional to its samples at any scale
-    (sampling._at_sample_scale).
+    s (sampling._whitened, with m = sigma^{1/2}) for the population inverse
+    root in the exact identity: each regime's term is m s^{-1/2} m. Only
+    defined when both sample covariances are invertible, which requires
+    n > p: a singular s is a PluginUndefinedError, while a sigma that is
+    not positive definite is the whitening's NotPsdError or
+    SingularMatrixError naming sigma_x. Each regime's term is inversely
+    proportional to its samples at any scale (sampling._at_sample_scale).
     """
-    regimes = []
+    whitened = []
     for samples, sigma in ((samples1, sigma_x1), (samples2, sigma_x2)):
         samples, scale = _at_sample_scale(samples)
         sigma = as_symmetric(sigma)
@@ -966,14 +959,14 @@ def plugin_delta(samples1, samples2, sigma_x1, sigma_x2):
         n, p = samples.shape
         if n <= p:
             raise PluginUndefinedError(f"plugin undefined for n <= p: got n = {n}, p = {p}")
-        sigma, cov = _at_unit_scale(sigma, sample_covariance(samples))
-        root = sqrt_psd(sigma)
-        cov = root @ cov @ root
-        regimes.append((root, (cov + cov.T) / 2.0, scale))
+        root, _, _, s = _whitened(sample_covariance(samples), sigma)
+        whitened.append((root, s, scale))
     try:
-        return _wrapped_root_difference(regimes)
+        t1, t2 = (_congruence(root, inv_sqrt_pd(s)) / scale for root, s, scale in whitened)
     except SingularMatrixError as exc:
         raise PluginUndefinedError(f"sample covariance is singular: {exc}") from None
+    delta = t2 - t1
+    return (delta + delta.T) / 2.0
 
 
 def uniqueness_check(psi1, psi2, tau):

@@ -7,7 +7,6 @@ symmetrized form (A + A.T) / 2 so downstream eigendecompositions see a
 bitwise-symmetric operand.
 """
 
-import math
 import threading
 
 import numpy as np
@@ -289,27 +288,6 @@ def _classify(values, name="matrix", require=None, error=None, rounding=0.0):
     return magnitudes <= floor
 
 
-def _at_unit_scale(sigma, *others):
-    """(sigma, *others), all divided by a power of four when sigma is small.
-
-    The power of four brings sigma's largest diagonal entry into [1, 4)
-    when that entry is below 1; otherwise nothing is divided. A regime's
-    whitened covariance sigma^(1/2) C sigma^(1/2), whose roots
-    sampling.precision_factor_from_covariance and estimator.plugin_delta
-    take, scales with the square of sigma and underflows for a sigma below
-    about 1e-154, but what those functions return is unchanged when sigma
-    and C are divided by one number. A power of four divides exactly and
-    has an exact square root. An `other` pushed past float64's range comes
-    back with infinite entries.
-    """
-    _, exponent = math.frexp(np.max(np.diagonal(sigma)))
-    if exponent >= 1:
-        return (sigma, *others)
-    scale = math.ldexp(1.0, 2 * ((exponent - 1) // 2))
-    with np.errstate(over="ignore"):
-        return tuple(a / scale for a in (sigma, *others))
-
-
 def _sqrt_from(values, vectors):
     """The PSD root from nonnegative eigenvalues and their eigenvectors (None for the identity)."""
     if vectors is None:
@@ -430,21 +408,13 @@ def solve_pxq(p, q, r, gamma):
     return PxqSolver(*eigenpairs, gamma).solve(r)
 
 
-def soft_threshold(a, lam, *, off_diagonal_only=False):
-    """Entrywise soft thresholding sign(a) * max(|a| - lam, 0).
-
-    With `off_diagonal_only`, diagonal entries pass through unchanged
-    (requires a square input).
-    """
+def soft_threshold(a, lam):
+    """Entrywise soft thresholding sign(a) * max(|a| - lam, 0)."""
     if not np.isfinite(lam) or lam < 0:
         raise InvalidInputError(f"threshold must be a nonnegative real, got {lam!r}")
     a = np.asarray(a, dtype=float)
     out = np.empty_like(a)
     _soft_threshold_into(a, lam, out, np.empty_like(a))
-    if off_diagonal_only:
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInputError("off_diagonal_only requires a square matrix")
-        np.fill_diagonal(out, np.diagonal(a))
     # a 0-d input gives a scalar, as a ufunc would
     return out if out.ndim else out[()]
 

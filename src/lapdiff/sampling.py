@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import (
-    _at_unit_scale,
     _classify,
     _congruence,
     _sqrt_and_inv_sqrt_pd,
@@ -104,8 +103,8 @@ def _at_sample_scale(samples):
     covariance squares the samples, so it would underflow or overflow
     there, but the precision factor is proportional to the samples, and
     plugin_delta's estimate to their inverse, so each is computed from
-    samples / s and scaled back exactly, as linalg._at_unit_scale does for
-    sigma. Samples that are not finite, or not a matrix, come back as they
+    samples / s and scaled back exactly, as _whitened does for sigma.
+    Samples that are not finite, or not a matrix, come back as they
     are, for sample_covariance to reject.
     """
     samples = np.asarray(samples, dtype=float)
@@ -131,9 +130,9 @@ def precision_factor(samples, sigma_x):
 def precision_factor_from_covariance(cov_y, sigma_x, n_used=0, *, _precision=0.0):
     """Square-root precision factor from the uncentered covariance of the potentials.
 
-    With m = sigma_x^{1/2}, the whitened potentials y @ m have second moment
-    s = m @ cov_y @ m, and the factor is m^{-1} @ sqrt_psd(s) @ m^{-1}, which
-    for a population cov_y equals b^{-1}, the inverse system matrix. PSD
+    With m = sigma_x^{1/2} and s = m @ cov_y @ m the whitened covariance
+    (_whitened), the factor is m^{-1} @ sqrt_psd(s) @ m^{-1}, which for a
+    population cov_y equals b^{-1}, the inverse system matrix. PSD
     square roots keep it defined for every sample size. The null
     eigenvalues of s, judged on s's own scale (linalg._classify), are set
     to zero before the root is taken, so the factor has s's null space
@@ -146,11 +145,41 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0, *, _precision=0.0
     for float64: each eigenvalue of s is then judged with the band by which
     rounding cov_y's entries can have moved it (linalg._rounding_band), so
     a null eigenvalue of the exact covariance stays null, and a small real
-    one that clears its own band is kept. Returns the symmetric p x p factor, which is
-    unchanged when cov_y and sigma_x are divided by one number: a sigma_x
-    below scale 1 is brought to it first (linalg._at_unit_scale), so s does
-    not underflow. A whitened covariance s with entries past float64's range
-    is an InvalidInputError naming sigma_x.
+    one that clears its own band is kept. Returns the symmetric p x p
+    factor, which is unchanged when cov_y and sigma_x are divided by one
+    number. Raises what _whitened raises on a bad sigma_x or shape.
+    """
+    root, m_inv, cov_y, s = _whitened(cov_y, sigma_x)
+    n_used = int(n_used)
+    # a float64 root that keeps every eigenvalue goes through sqrt_psd, the
+    # name perfbench's linalg.root span wraps
+    if 0 < n_used < len(s) or _precision:
+        rounded = (root, _precision * np.abs(cov_y)) if _precision else None
+        whitened_root = _sqrt_psd_top(s, n_used, rounded)
+    else:
+        whitened_root = sqrt_psd(s)
+    factor = _congruence(m_inv, whitened_root)
+    return (factor + factor.T) / 2.0
+
+
+def _whitened(cov_y, sigma_x):
+    """(m, m^{-1}, cov_y, s): the whitening of a covariance cov_y of the potentials by sigma_x.
+
+    m = sigma_x^{1/2}, and s = m @ cov_y @ m is the second moment of the
+    whitened potentials y @ m, exactly symmetric. The precision factor,
+    plugin_delta and exact_delta all start from it, so every verdict on a
+    sigma_x is made here: both inputs pass as_symmetric and must agree in
+    shape, and sigma_x must be positive definite (NotPsdError, then
+    SingularMatrixError, naming sigma_x). Both roots come from one
+    eigendecomposition, as 1-D diagonals for a diagonal sigma_x
+    (linalg._sqrt_and_inv_sqrt_pd). s scales with the square of sigma_x
+    and would underflow for a sigma_x below about 1e-154, but what each
+    caller takes from it is unchanged when sigma_x and cov_y are divided by
+    one number: a sigma_x whose largest diagonal entry is below 1 is
+    therefore brought into [1, 4) first, with cov_y, by a power of four,
+    which divides exactly and has an exact square root. The cov_y returned
+    is the one so divided. An s with entries past float64's range is an
+    InvalidInputError naming sigma_x.
     """
     cov_y = as_symmetric(cov_y)
     sigma_x = as_symmetric(sigma_x)
@@ -158,7 +187,12 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0, *, _precision=0.0
         raise InvalidInputError(
             f"covariance shape {cov_y.shape} != sigma_x shape {sigma_x.shape}"
         )
-    sigma_x, cov_y = _at_unit_scale(sigma_x, cov_y)
+    _, exponent = math.frexp(np.max(np.diagonal(sigma_x)))
+    if exponent < 1:
+        scale = math.ldexp(1.0, 2 * ((exponent - 1) // 2))
+        # a cov_y pushed past float64's range is reported below
+        with np.errstate(over="ignore"):
+            sigma_x, cov_y = sigma_x / scale, cov_y / scale
     root, m_inv = _sqrt_and_inv_sqrt_pd(sigma_x, "sigma_x")
     # the product is symmetric only to rounding, which grows with its entries;
     # an overflow is reported below by name, not by a numpy warning
@@ -170,13 +204,4 @@ def precision_factor_from_covariance(cov_y, sigma_x, n_used=0, *, _precision=0.0
             "sigma_x is too large for these potentials: the whitened covariance "
             "sigma_x^(1/2) cov_y sigma_x^(1/2) has entries past float64's range"
         )
-    n_used = int(n_used)
-    # a float64 root that keeps every eigenvalue goes through sqrt_psd, the
-    # name perfbench's linalg.root span wraps
-    if 0 < n_used < len(s) or _precision:
-        rounded = (root, _precision * np.abs(cov_y)) if _precision else None
-        whitened_root = _sqrt_psd_top(s, n_used, rounded)
-    else:
-        whitened_root = sqrt_psd(s)
-    factor = _congruence(m_inv, whitened_root)
-    return (factor + factor.T) / 2.0
+    return root, m_inv, cov_y, s

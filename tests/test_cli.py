@@ -251,6 +251,30 @@ def estimate_flags(d, out, *extra):
     )
 
 
+# a bad matrix file in the second regime, on each route that reads it:
+# (route flags, bad file's flag, its matrix, exit code, message after the flag)
+ESTIMATE_ROUTES = {
+    "cov": "--cov1 c4 --cov2 c4 --n1 5 --n2 5",
+    "samples": "--samples1 y4 --samples2 y4",
+    "plugin": "--samples1 y4 --samples2 y4 --estimator plugin",
+}
+BAD_SIGMA_FILES = {
+    "indefinite": (
+        np.diag([1.0, 1.0, 1.0, -0.1]), 3,
+        "sigma_x must be positive semidefinite (min eig -1.000e-01",
+    ),
+    "singular": (
+        np.diag([1.0, 1.0, 1.0, 0.0]), 3, "sigma_x must be positive definite (min eig 0.000e+00"
+    ),
+    "asymmetric": (np.eye(4) + np.diag([0.5, 0.0, 0.0], k=1), 2, "matrix is asymmetric"),
+}
+BAD_MATRIX_FILES = [
+    pytest.param(route, "--sigma-x2", *bad, id=f"sigma-x2-{kind}-{route}")
+    for kind, bad in BAD_SIGMA_FILES.items()
+    for route in ESTIMATE_ROUTES
+] + [pytest.param("cov", "--cov2", None, 2, "matrix is asymmetric", id="cov2-asymmetric")]
+
+
 class TestEstimate:
     def test_recovers_support_at_large_n(self, scenario_with_samples, tmp_path):
         d = scenario_with_samples
@@ -591,6 +615,24 @@ class TestEstimate:
         out = rule_files / "o"
         assert run("estimate", *argv, "--out", str(out)) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route, flag, bad, rc, message", BAD_MATRIX_FILES)
+    def test_bad_matrix_file_is_named_by_its_flag(
+        self, rule_files, route, flag, bad, rc, message, capsys
+    ):
+        d = rule_files
+        if bad is None:
+            bad = read_matrix_csv(d / "c4.csv") + np.diag([0.5, 0.0, 0.0], k=1)
+        write_matrix_csv(d / "bad4.csv", bad)
+        files = {"y4", "c4"}
+        argv = [str(d / f"{tok}.csv") if tok in files else tok for tok in ESTIMATE_ROUTES[route].split()]
+        argv += ["--sigma-x1", str(d / "s4.csv"), "--sigma-x2", str(d / "s4.csv")]
+        argv[argv.index(flag) + 1] = str(d / "bad4.csv")
+        out = d / "o"
+        assert run("estimate", *argv, "--out", str(out)) == rc
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: {message}"), err
         assert not out.exists()
 
     @pytest.mark.parametrize(

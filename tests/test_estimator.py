@@ -19,6 +19,7 @@ from lapdiff.errors import (
     InvalidInputError,
     NotPsdError,
     PluginUndefinedError,
+    SingularMatrixError,
     SolverDivergedError,
     UnboundedProblemError,
 )
@@ -1544,6 +1545,28 @@ class TestPluginDelta:
             errs.append(np.max(np.abs(out - (b2 - b1))))
         assert np.mean(errs) <= 0.2
         assert max(errs) <= 0.3
+
+
+@pytest.mark.parametrize(
+    "sigma, error, must",
+    [
+        (np.diag([1.0, 1.0, 1.0, 0.0]), SingularMatrixError, "positive definite"),
+        (np.diag([1.0, 1.0, 1.0, -0.1]), NotPsdError, "positive semidefinite"),
+    ],
+    ids=["singular", "indefinite"],
+)
+@pytest.mark.parametrize("estimator_name", ["plugin", "exact"])
+def test_a_bad_sigma_is_judged_by_the_whitening(estimator_name, sigma, error, must):
+    # one whitening judges sigma for both, naming it; a singular sigma is
+    # no singular sample covariance, so the plug-in is not "undefined"
+    b = random_base_matrix(4, 1.0, margin=1.0, seed=8)
+    y = sample_potentials(b, np.eye(4), 40, seed=1)
+    estimators = {
+        "plugin": lambda: plugin_delta(y, y, np.eye(4), sigma),
+        "exact": lambda: exact_delta(b, b, np.eye(4), sigma),
+    }
+    with pytest.raises(error, match=rf"^sigma_x must be {must} \(min eig"):
+        estimators[estimator_name]()
 
 
 class TestEstimateSqrtDelta:

@@ -318,12 +318,6 @@ class TestSoftThreshold:
         assert np.all(np.abs(out) <= np.abs(a) + 1e-15)
         assert out[0, 0] == 0.0
 
-    def test_off_diagonal_only_passes_diagonal(self):
-        a = np.array([[3.0, 0.2], [-0.2, -4.0]])
-        out = soft_threshold(a, 10.0, off_diagonal_only=True)
-        assert_allclose(np.diagonal(out), np.diagonal(a), rtol=0)
-        assert out[0, 1] == 0.0 and out[1, 0] == 0.0
-
     def test_lambda_zero_is_identity(self):
         a = np.array([[1.5, -2.0], [0.0, 0.25]])
         assert_allclose(soft_threshold(a, 0.0), a, rtol=0)
@@ -331,8 +325,6 @@ class TestSoftThreshold:
     def test_rejects_negative_lambda(self):
         with pytest.raises(InvalidInputError):
             soft_threshold(np.eye(2), -0.1)
-        with pytest.raises(InvalidInputError):
-            soft_threshold(np.ones(3), 1.0, off_diagonal_only=True)
 
 
 class TestVecUnvec:

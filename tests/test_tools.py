@@ -241,6 +241,15 @@ def test_eigenvalue_floors_are_named_only_by_the_classifier():
     assert users - {"linalg"} == set(FLOOR_USERS), sorted(users)
 
 
+def test_every_estimator_whitens_through_one_function():
+    # sampling._whitened takes sigma_x's roots and judges sigma_x for the
+    # precision factor, plugin_delta and exact_delta; a second whitening
+    # would take the roots itself, or sigma's PSD root, and fail here
+    assert users_of(("_sqrt_and_inv_sqrt_pd",), ()) == {"sampling._whitened"}
+    roots = users_of(("sqrt_psd", "_at_unit_scale"), ("sqrt_psd", "_at_unit_scale"))
+    assert not {user for user in roots if user.split(".")[0] == "estimator"}, sorted(roots)
+
+
 # The functions of src/lapdiff that may name POLISH_TOL or read a factor
 # pair's tol. estimator._kkt_check alone decides whether an estimate is a KKT
 # point; a second KKT test would read the tolerance too, and fail here.
